@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from hashlib import sha256
 from math import ceil, log10
 from pathlib import Path
@@ -149,11 +150,25 @@ def _load_angle(path: str) -> AngleCF:
         raise AngleDocumentError(f"angle file is not valid JSON: {exc}")
 
 
-def _parse_num_list(text: str) -> List[int]:
+def _parse_int(tok: str) -> int:
+    """An exact integer from '9007199254740993', '1e7' or '2.5e3'.
+
+    The token is read as an exact decimal, so no digit is lost to a float;
+    a value with a fractional part, or one past the int64 index range the
+    segment arithmetic uses, is refused."""
     try:
-        values = [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"expected a comma list of numbers, got {text!r}")
+        value = Decimal(tok.strip())
+    except InvalidOperation:
+        raise _UsageError(f"expected an integer, got {tok!r}")
+    if not value.is_finite() or value != value.to_integral_value():
+        raise _UsageError(f"expected an integer, got {tok!r}")
+    if value.adjusted() >= 19 or abs(value) >= 2**63:
+        raise _UsageError(f"{tok!r} is past the int64 index range")
+    return int(value)
+
+
+def _parse_num_list(text: str) -> List[int]:
+    values = [_parse_int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise _UsageError("empty number list")
     return values

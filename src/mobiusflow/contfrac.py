@@ -6,6 +6,14 @@ quantity the rest of the package touches (residues, distances to integers,
 resonance bands) is computed in exact integer arithmetic against l/q.
 Quotients past the advertised index are 1, which keeps the snapshot a strict
 refinement of every advertised convergent without changing the growth class.
+
+The module also holds the package's one phase engine.  faithful_modulus is
+the single faithful-range rule: it picks the modulus phases are reduced
+against and refuses multipliers the snapshot cannot resolve.  phase_turns
+turns one exact residue, stepped across the gaps of an ascending index
+array, into correctly rounded fractional parts; twisted sums, correlation
+sums, the rational closed form and orbit stepping all take their phases
+from it.
 """
 
 from __future__ import annotations
@@ -13,10 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
+import numpy as np
 from mpmath import mp
 
 from .phases import fold_signed
@@ -37,6 +48,9 @@ __all__ = [
     "build_poly_alpha",
     "explicit_angle",
     "rational_angle",
+    "dyadic_angle",
+    "faithful_modulus",
+    "phase_turns",
     "frac_mod1",
     "residue",
     "signed_residue",
@@ -161,6 +175,11 @@ class AngleCF:
     def l(self, k: int) -> int:
         return self.convergents[k].l
 
+    @cached_property
+    def _digest(self) -> str:
+        blob = json.dumps(angle_to_json(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
 
 def convergents_from_quotients(a0: int, quotients: Sequence[int]) -> list[Convergent]:
     """Run the standard recurrence l_{k+1} = a_{k+1} l_k + l_{k-1} (same for q)."""
@@ -214,6 +233,14 @@ def _finish_angle(
     quotients = quotients + [1] * tail_steps
     convs = convergents_from_quotients(0, quotients)
     q_snap = convs[-1].q
+    # the angle document stores the snapshot in decimal, which CPython caps
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_cap and q_snap >= 10**digit_cap:
+        raise ResourceBudgetError(
+            f"the snapshot denominator has about {int(q_snap.bit_length() * 0.30103)} "
+            f"digits, over the {digit_cap}-digit limit for integers in an angle "
+            f"document; use a smaller k_star"
+        )
     if q_snap <= precision_floor:
         raise PrecisionFloorError(
             f"snapshot denominator has {len(str(q_snap))} digits, below the "
@@ -370,17 +397,88 @@ def rational_angle(l: int, q: int) -> AngleCF:
     return angle
 
 
+def dyadic_angle(x: float) -> AngleCF:
+    """The exact rational {x} of a float, whose denominator is a power of two."""
+    f = Fraction(x) % 1
+    return rational_angle(f.numerator, f.denominator)
+
+
+def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
+    """The pair (l, q) that reduces phases mult * n * alpha with |mult * n| <= |reach|.
+
+    This is the package's one faithful-range rule.  For a non-exact angle the
+    snapshot sits within 1/q^2 of every extension of the quotients, so a
+    reduction is trusted only while |reach| * 2^60 < q^2; past that line the
+    extensions cannot be told apart and PrecisionFloorError is raised.  Exact
+    angles have no ceiling.  The reducing modulus is the snapshot.
+    """
+    l, q = angle.snapshot
+    scaled = abs(reach) << 60
+    # q^2 >= 2^(2b - 2) for a b-bit q, so a shorter scaled reach needs no square
+    if angle.exact or scaled.bit_length() <= 2 * q.bit_length() - 2 or scaled < q * q:
+        return l, q
+    raise PrecisionFloorError(
+        f"|reach| = {abs(reach)} exceeds the snapshot's faithful range"
+    )
+
+
+def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
+    """Correctly rounded {seed + mult * n * alpha} for each n of an ascending ns.
+
+    One exact residue of (seed + mult * n * l/q) mod 1 is carried across the
+    gaps of ns (one big add per entry, the step of each gap size computed
+    once), and each entry is the correctly rounded quotient of that residue
+    by its modulus.  No rounding enters before that last division, so the
+    result does not depend on how far the residue was stepped.
+    """
+    if isinstance(ns, np.ndarray):
+        ns = ns.tolist()
+    elif not isinstance(ns, range):
+        ns = [int(n) for n in ns]
+    if not len(ns):
+        return np.empty(0)
+    l, q = faithful_modulus(angle, mult * max(-min(ns), max(ns)))
+    sp, sq = float(seed).as_integer_ratio()
+    den = q * sq
+    unit = (mult * l * sq) % den
+    # num/den lies between the quotients of its top 128 bits; when both
+    # round to the same float, so does num/den, and the long division of
+    # two snapshot-sized integers is skipped
+    shift = max(den.bit_length() - 128, 0)
+    top = den >> shift
+
+    def turns():
+        num = (sp * q + ns[0] * unit) % den
+        steps = {}  # gap -> (step, den - step), so each advance is one big add
+        prev = ns[0]
+        for n in ns:
+            gap = n - prev
+            if gap:
+                step = steps.get(gap)
+                if step is None:
+                    up = (gap * unit) % den
+                    step = steps[gap] = (up, den - up)
+                if num >= step[1]:
+                    num -= step[1]
+                else:
+                    num += step[0]
+                prev = n
+            if shift:
+                head = num >> shift
+                x = head / (top + 1)
+                yield x if x == (head + 1) / top else num / den
+            else:
+                yield num / den
+
+    return np.fromiter(turns(), np.float64, count=len(ns))
+
+
 def residue(mult: int, angle: AngleCF) -> int:
     """(mult * l) mod q for the snapshot l/q, valid for any sign of mult.
 
     For non-exact angles the multiplier must stay inside the faithful range
-    |mult| * 2^60 < q^2: the snapshot sits within 1/q^2 of every extension of
-    the quotients, so reductions below that line cannot tell them apart."""
-    l, q = angle.snapshot
-    if not angle.exact and abs(mult) << 60 >= q * q:
-        raise PrecisionFloorError(
-            f"|mult| = {abs(mult)} exceeds the snapshot's faithful range"
-        )
+    (see faithful_modulus)."""
+    l, q = faithful_modulus(angle, mult)
     return ((mult % q) * l) % q
 
 
@@ -393,9 +491,7 @@ def frac_mod1(n: int, angle: AngleCF) -> float:
     """{n * alpha} as a float, reduced exactly before conversion."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    l, q = angle.snapshot
-    if not angle.exact and n << 60 >= q * q:
-        raise PrecisionFloorError(f"n = {n} exceeds the snapshot's faithful range")
+    l, q = faithful_modulus(angle, n)
     return ((n * l) % q) / q
 
 
@@ -525,5 +621,5 @@ def angle_from_json(doc: Union[str, dict]) -> AngleCF:
 
 
 def angle_digest(angle: AngleCF) -> str:
-    blob = json.dumps(angle_to_json(angle), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of the canonical angle document, computed once per angle."""
+    return angle._digest

@@ -2,11 +2,19 @@
 
 The headline quantity is S = sum of mu(n) e(<b, T^n x>) over a short segment
 (N - M, N].  The pairing phase is assembled algebraically instead of
-materializing orbits: the base term b_1 n alpha and every e(m n alpha) come
-from exact snapshot residues advanced incrementally, the mean of h turns into
-an exact dyadic drift, and each remaining coefficient contributes through the
-closed geometric kernel.  Terms are added in ascending n with compensated
-summation, so every record is reproducible bit for bit.
+materializing orbits: each coefficient of h contributes through the closed
+geometric kernel, whose weights over the active coordinates fold into one
+complex number per frequency; the base term b_1 n alpha and every
+e(m n alpha) come from the exact phase engine contfrac.phase_turns; and the
+mean of h (plus any frequency the snapshot makes resonant) becomes a drift
+slope, reduced mod 1 in extended precision and stepped exactly as a dyadic
+rational.  moebius.mu_phase_sum evaluates the phases over fixed-size chunks
+of the nonzero-mu indices and adds them with math.fsum, so every record is
+reproducible bit for bit.
+
+For a rational angle l/q, rational_case gives an independent route: h cycles
+with period q, so each residue class mod q carries a constant phase (the
+exact prefix of h over the cycle) plus a multiple of the full-cycle slope.
 """
 
 from __future__ import annotations
@@ -16,11 +24,12 @@ import warnings
 from dataclasses import dataclass
 from hashlib import sha256
 from math import ceil, log
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
 from mpmath import mp
 
-from .contfrac import PrecisionFloorError, signed_residue
+from .contfrac import PrecisionFloorError, dyadic_angle, phase_turns, signed_residue
 from .flow import (
     DIRECT_STEP_LIMIT,
     FlowConfig,
@@ -31,9 +40,8 @@ from .flow import (
     _seed_of,
     birkhoff_avg,
 )
-from .moebius import MuTable, sieve_segment, twisted_sum
-from .phases import cis, cis_minus_one, frac_dyadic
-from .summation import KahanComplex
+from .moebius import MuTable, mu_phase_sum, sieve_segment, twisted_sum
+from .phases import TWO_PI, cis, cis_minus_one
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window
@@ -91,27 +99,43 @@ def _theta_of(n_top: int, length: int) -> float:
     return log(length) / log(n_top)
 
 
-def _modes_mp(modes, num: int, den: int):
-    """Sum of Re(c e(m num/den)) under the ambient mp precision.
+def _amplitudes(modes, active, nums: List[int], den: int) -> list:
+    """A_m = c(m) sum_nu b_nu e(m u_nu) per mode (m, c), in the ambient mp
+    precision, for u_nu = nums[nu - 2] / den: the pairing of mode m with the
+    active coordinates k steps later is Re(A_m e(m k alpha))."""
 
-    Drift slopes get multiplied by the segment index, so one ulp here would
-    cost 1e-11 of phase at n = 1e5; evaluating the constant once in extended
-    precision and splitting it hi + lo keeps that amplification out of reach.
+    def e(k: int):
+        # k/den is cut to 200 fractional bits first, which is far cheaper
+        # than handing snapshot-sized integers to mpmath
+        return mp.expjpi(mp.ldexp(((k % den) << 201) // den, -200))
+
+    return [c * sum(bv * e(m * nums[nu - 2]) for nu, bv in active) for m, c in modes]
+
+
+def _drift(slope) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """k -> {k * slope} for an mp slope, or None when the slope is an integer.
+
+    The slope is reduced mod 1 in extended precision; its float head is
+    stepped exactly as a dyadic rational and the tail it leaves is added as
+    k * tail, so one ulp of the slope never gets multiplied by k.
     """
-    tot = mp.mpf(0)
-    two_pi = 2 * mp.pi
-    for m, c in modes:
-        if m == 0:
-            tot += c.real
-            continue
-        theta = two_pi * (mp.mpf((m * num) % den) / den)
-        tot += c.real * mp.cos(theta) - c.imag * mp.sin(theta)
-    return tot
+    with mp.workdps(50):
+        slope = mp.frac(slope)
+        hi = float(slope)
+        lo = float(slope - hi)
+    if hi == 0.0 and lo == 0.0:
+        return None
+    head = dyadic_angle(hi)
+    return lambda ks: phase_turns(head, 1, ks) + ks * lo
 
 
-def _dd_split(value) -> Tuple[float, float]:
-    hi = float(value)
-    return hi, float(value - hi)
+def _active(cfg: FlowConfig, b: FrequencyVector) -> List[Tuple[int, int]]:
+    """(nu, b_nu) for the fiber coordinates the pairing vector touches."""
+    return [
+        (nu, b.entries[nu - 1])
+        for nu in range(2, cfg.v + 1)
+        if nu - 1 < len(b.entries) and b.entries[nu - 1] != 0
+    ]
 
 
 def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
@@ -141,7 +165,7 @@ def correlation_sum(
     The zero vector collapses to the exact integer Mertens difference; a
     driving series without coefficients collapses to the twisted rotation sum
     times the constant phase of the starting point.  Everything else runs the
-    kernel expansion with one exact residue stream per active frequency.
+    kernel expansion, one phase_turns call per frequency and chunk.
     """
     _check_point(cfg, x)
     if b.top_index > cfg.v:
@@ -155,7 +179,7 @@ def correlation_sum(
     n_lo = n_top - length + 1
 
     if b.is_zero:
-        total = sum(table.mu(n) for n in range(n_lo, n_top + 1))
+        total = table.restrict(n_lo, n_top).mertens()
         return _record(b, x, n_top, length, theta, complex(total, 0.0), t0)
 
     b1 = b.entries[0] if b.entries else 0
@@ -171,93 +195,49 @@ def correlation_sum(
         return _record(b, x, n_top, length, theta, value, t0)
 
     seed, start = _seed_of(cfg, x)
-    l, q = cfg.alpha.snapshot
-    h0 = cfg.h.coeff(0).real
-    active = [
-        (nu, b.entries[nu - 1])
-        for nu in range(2, cfg.v + 1)
-        if nu - 1 < len(b.entries) and b.entries[nu - 1] != 0
-    ]
-    m_big = max(
-        [abs(b1)] + [abs(m) for m in cfg.h.support() if m != 0]
-    )
-    if not cfg.alpha.exact and m_big * n_top << 60 >= q * q:
-        raise PrecisionFloorError(
-            f"multiple {m_big}*{n_top} exceeds the faithful range of the snapshot"
-        )
+    q = cfg.alpha.q_snapshot
+    active = _active(cfg, b)
 
-    # per-frequency kernel constants and residue streams
-    freqs: List[Tuple[int, int, int]] = []  # (m, step, residue at n_lo)
-    weights = [[] for _ in active]  # Z constants per active coordinate
-    drift = [(h0, 0.0) for _ in active]  # per-step slope, hi + lo
+    # one kernel weight per frequency, folded over the active coordinates:
+    # W_m = A_m / (e(m alpha) - 1); the pairing phase is then
+    # const - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
+    weights: List[Tuple[int, complex]] = []
+    base_phase = const
+    slope = mp.mpf(0)
     if active:
         nums, den = _coord_bases(cfg, seed, start)
-        resonant = []
-        for m, c in cfg.h.items():
-            if m == 0:
-                continue
-            rs = signed_residue(m, cfg.alpha)
-            if rs == 0:
-                # the snapshot makes e(m alpha) = 1: n identical terms per step
-                resonant.append((m, c))
-                continue
-            zden = cis_minus_one(rs, q)
-            if zden == 0:
-                raise PrecisionFloorError(
-                    f"small divisor at m = {m} underflows double precision"
-                )
-            step = (m * l) % q
-            freqs.append((m, step, (n_lo * m * l) % q))
-            for i, (nu, _) in enumerate(active):
-                zu = cis(((m * nums[nu - 2]) % den) / den)
-                weights[i].append(c * zu / zden)
-        if resonant:
-            with mp.workdps(50):
-                for i, (nu, _) in enumerate(active):
-                    tot = mp.mpf(h0) + _modes_mp(resonant, nums[nu - 2], den)
-                    drift[i] = _dd_split(tot)
+        with mp.workdps(50):
+            amps = _amplitudes(cfg.h.items(), active, nums, den)
+            for (m, _), amp in zip(cfg.h.items(), amps):
+                rs = signed_residue(m, cfg.alpha)
+                if rs == 0:
+                    # the snapshot makes e(m alpha) = 1 (m = 0 always does):
+                    # n identical terms per step, so the mode is a drift
+                    slope += mp.re(amp)
+                    continue
+                zden = cis_minus_one(rs, q)
+                if zden == 0:
+                    raise PrecisionFloorError(
+                        f"small divisor at m = {m} underflows double precision"
+                    )
+                w = complex(amp) / zden
+                weights.append((m, w))
+                base_phase -= w.real
+    drift = _drift(slope)
 
-    # assembled constant part: b.x minus the kernel offsets sum Z
-    base_phase = const - sum(
-        bv * sum(w.real for w in weights[i]) for i, (_, bv) in enumerate(active)
-    )
-    b1_step = (b1 * l) % q
-    b1_res = (n_lo * b1 * l) % q
-
-    residues = [f[2] for f in freqs]
-    steps = [f[1] for f in freqs]
-    acc = KahanComplex()
-    for n in range(n_lo, n_top + 1):
-        mu = table.mu(n)
-        if mu != 0:
-            phase = base_phase
-            if b1 != 0:
-                phase += b1_res / q
-            if active:
-                amn = [cis(r / q) for r in residues]
-                for i, (_, bv) in enumerate(active):
-                    dhi, dlo = drift[i]
-                    s = frac_dyadic(dhi, n) + n * dlo if dhi or dlo else 0.0
-                    wrow = weights[i]
-                    for k in range(len(wrow)):
-                        z = wrow[k] * amn[k]
-                        s += z.real
-                    phase += bv * s
-            z = cis(phase % 1.0)
-            if mu == 1:
-                acc.add_parts(z.real, z.imag)
-            else:
-                acc.add_parts(-z.real, -z.imag)
-        # advance every residue stream exactly
+    def phases(ns: np.ndarray) -> np.ndarray:
+        phase = np.full(len(ns), base_phase)
         if b1 != 0:
-            b1_res += b1_step
-            if b1_res >= q:
-                b1_res -= q
-        for k in range(len(residues)):
-            residues[k] += steps[k]
-            if residues[k] >= q:
-                residues[k] -= q
-    return _record(b, x, n_top, length, theta, acc.value, t0)
+            phase += phase_turns(cfg.alpha, b1, ns)
+        if drift:
+            phase += drift(ns)
+        for m, w in weights:
+            ang = TWO_PI * phase_turns(cfg.alpha, m, ns)
+            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
+        return phase
+
+    value = mu_phase_sum(table, n_lo, n_top, 1, phases)
+    return _record(b, x, n_top, length, theta, value, t0)
 
 
 def sweep(
@@ -293,10 +273,10 @@ def rational_case(
 ) -> CorrelationRecord:
     """Correlation over a rational angle via the residue-class closed form.
 
-    For alpha = l/q the h argument cycles with period q, so the orbit sum
-    splits into gamma1 (the partial cycle below the residue) plus whole
-    cycles of gamma1 + gamma2, and each residue class r mod q carries a
-    constant phase plus an arithmetic progression in (n - r)/q.
+    For alpha = l/q the h argument cycles with period q, so the orbit sum up
+    to n = r + k q splits into the prefix of the cycle below r plus k whole
+    cycles: each residue class r mod q carries a constant phase plus an
+    arithmetic progression in k.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
@@ -312,45 +292,41 @@ def rational_case(
     n_lo = n_top - length + 1
     seed, start = _seed_of(cfg, x)
     b1 = b.entries[0] if b.entries else 0
-    active = [
-        (nu, b.entries[nu - 1])
-        for nu in range(2, cfg.v + 1)
-        if nu - 1 < len(b.entries) and b.entries[nu - 1] != 0
-    ]
+    active = _active(cfg, b)
     const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
 
-    # h along one full cycle of the rational rotation, per active coordinate;
-    # the full-period slope gets multiplied by (n - r)/q, so it is evaluated
-    # in extended precision and split hi + lo
-    prefix = [[0.0] for _ in active]  # prefix[i][j] = h summed over j cycle points
-    modes = list(cfg.h.items())
-    with mp.workdps(50):
-        slope_mp = mp.mpf(0)
-        for j in range(q):
-            nums, den = _coord_bases(cfg, seed, start + j)
-            for i, (nu, bv) in enumerate(active):
-                prefix[i].append(prefix[i][-1] + cfg.h.eval(nums[nu - 2] / den))
-                slope_mp += bv * _modes_mp(modes, nums[nu - 2], den)
-        slope_hi, slope_lo = _dd_split(slope_mp)
+    # the pairing of h summed over the first r cycle points (the class
+    # prefix) and over the whole cycle (the slope per period), both to 50
+    # digits and reduced mod 1 before they become floats.  At cycle point j
+    # the pairing is Re sum_m A_m e(m l/q)^j with A_m = c(m) sum b_nu e(m u_nu).
+    prefix = np.zeros(q)
+    slope = mp.mpf(0)
+    if active:
+        with mp.workdps(50):
+            nums, den = _coord_bases(cfg, seed, start)
+            amps = _amplitudes(cfg.h.items(), active, nums, den)
+            terms = [
+                (amp, mp.expjpi(2 * mp.mpf((m * l) % q) / q))
+                for (m, _), amp in zip(cfg.h.items(), amps)
+            ]
+            for j in range(q):
+                prefix[j] = float(mp.frac(slope))
+                slope += sum(mp.re(a) for a, _ in terms)
+                terms = [(a * z, z) for a, z in terms]
+    classes = const + prefix
+    drift = _drift(slope)
 
-    acc = KahanComplex()
-    for r in range(q):
-        # constant phase of the class: b1 r alpha + sum b_nu gamma1(r)
-        c_r = const + b1 * (((r * l) % q) / q)
-        c_r += sum(bv * prefix[i][r] for i, (_, bv) in enumerate(active))
-        first = n_lo + (r - n_lo) % q
-        for n in range(first, n_top + 1, q):
-            mu = table.mu(n)
-            if mu == 0:
-                continue
-            k = (n - r) // q
-            phase = (c_r + frac_dyadic(slope_hi, k) + k * slope_lo) % 1.0
-            z = cis(phase)
-            if mu == 1:
-                acc.add_parts(z.real, z.imag)
-            else:
-                acc.add_parts(-z.real, -z.imag)
-    return _record(b, x, n_top, length, theta, acc.value, t0)
+    def phases(ns: np.ndarray) -> np.ndarray:
+        # n = r + k q: the class constant, b1 {n alpha}, and k whole cycles
+        phase = classes[ns % q]
+        if b1 != 0:
+            phase += phase_turns(cfg.alpha, b1, ns)
+        if drift:
+            phase += drift(ns // q)
+        return phase
+
+    value = mu_phase_sum(table, n_lo, n_top, 1, phases)
+    return _record(b, x, n_top, length, theta, value, t0)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The map sends x_1 to x_1 + alpha and every higher coordinate nu to
 x_nu + h(x_1 + (nu - 2) beta), so coordinate nu never feeds back into any
 lower one.  Truncating at dimension V is therefore exact, not an
 approximation, and all the interesting arithmetic lives in the base
-coordinate: x_1 flows through the angle's exact rational snapshot, while the
-h arguments are carried as double-double floats seeded from that snapshot so
-a 10^7-step orbit drifts by well under an ulp.
+coordinate: x_n = {seed + n alpha} comes from the exact phase engine
+contfrac.phase_turns, correctly rounded at every step, and the h argument of
+coordinate nu is {x_n + (nu - 2) beta}.  Nothing is carried from one step to
+the next in floating point, so a 10^7-step orbit does not drift.
 
 beta only needs to be irrational; the default is the golden fraction stored
 as a 128-fractional-bit integer, so j * beta mod 1 stays exact in fixed
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import fsum, isqrt
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .contfrac import (
     PrecisionFloorError,
     ResourceBudgetError,
     angle_digest,
+    phase_turns,
     signed_residue,
 )
 from .harmonic import (
@@ -37,7 +39,6 @@ from .harmonic import (
     split_tau,
 )
 from .phases import TWO_PI, cis, cis_minus_one, frac_dyadic
-from .summation import KahanComplex, KahanSum
 
 BETA_BITS = 128
 BETA_SCALE = 1 << BETA_BITS
@@ -45,7 +46,7 @@ BETA_SCALE = 1 << BETA_BITS
 BETA_FIX = isqrt(5 << (2 * BETA_BITS - 2)) - (1 << (BETA_BITS - 1))
 
 DIRECT_STEP_LIMIT = 10**7
-BLOCK_STEPS = 1 << 14
+BLOCK_STEPS = 1 << 13
 FLOAT_SLACK = 1e-12
 
 
@@ -166,20 +167,6 @@ def flow_config_from_json(doc: dict, angle: AngleCF) -> FlowConfig:
 # exact base arithmetic
 
 
-def _two_sum(a: float, b: float) -> Tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _dd_of_fraction(num: int, den: int) -> Tuple[float, float]:
-    """num/den as a double-double pair, both halves correctly rounded."""
-    hi = num / den
-    hp, hq = hi.as_integer_ratio()
-    lo = (num * hq - hp * den) / (den * hq)
-    return hi, lo
-
-
 def _seed_of(cfg: FlowConfig, x: TorusPoint) -> Tuple[float, int]:
     if x.base_seed is not None and x.base_angle == angle_digest(cfg.alpha):
         return x.base_seed, x.base_steps
@@ -201,64 +188,24 @@ def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], i
     return nums, den
 
 
-class _UStream:
-    """Double-double carriers of the h arguments, one per coordinate nu >= 2.
+def _u_blocks(
+    cfg: FlowConfig, seed: float, start: int, n: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(x_after, u) for steps s = start .. start + n - 1, BLOCK_STEPS at a time.
 
-    Seeded exactly from the snapshot; each advance adds alpha as a
-    double-double and folds into [0, 1), so the accumulated error after n
-    steps is at most about n * 2^-106, invisible at double precision.
+    u has shape (V-1, block) with u[nu - 2, j] = {x_s + (nu - 2) beta} at the
+    block's j-th step, where x_s = {seed + s alpha} comes from the exact
+    engine; x_after[j] = x_{s+1} is the base coordinate after that step.
     """
-
-    __slots__ = ("hi", "lo", "ahi", "alo")
-
-    def __init__(self, cfg: FlowConfig, seed: float, start: int):
-        nums, den = _coord_bases(cfg, seed, start)
-        self.hi: List[float] = []
-        self.lo: List[float] = []
-        for num in nums:
-            h, l_ = _dd_of_fraction(num, den)
-            self.hi.append(h)
-            self.lo.append(l_)
-        l, q = cfg.alpha.snapshot
-        self.ahi, self.alo = _dd_of_fraction(l, q)
-
-    def value(self, i: int) -> float:
-        t = self.hi[i] + self.lo[i]
-        if t >= 1.0:
-            t -= 1.0
-        elif t < 0.0:
-            t += 1.0
-        return t
-
-    def advance(self):
-        ahi, alo = self.ahi, self.alo
-        hi, lo = self.hi, self.lo
-        for i in range(len(hi)):
-            s, e = _two_sum(hi[i], ahi)
-            e += lo[i] + alo
-            h, l_ = _two_sum(s, e)
-            if h >= 1.0:
-                h -= 1.0
-            elif h < 0.0:
-                h += 1.0
-            hi[i] = h
-            lo[i] = l_
-
-
-def _u_blocks(cfg: FlowConfig, seed: float, start: int, n: int) -> Iterator[np.ndarray]:
-    """Arrays of shape (V-1, block) holding u at consecutive step indices."""
-    stream = _UStream(cfg, seed, start)
-    width = cfg.v - 1
-    done = 0
-    while done < n:
-        blk = min(BLOCK_STEPS, n - done)
-        block = np.empty((width, blk))
-        for j in range(blk):
-            for i in range(width):
-                block[i, j] = stream.value(i)
-            stream.advance()
-        yield block
-        done += blk
+    offsets = np.array(
+        [(j * cfg.beta_fix % BETA_SCALE) / BETA_SCALE for j in range(cfg.v - 1)]
+    )[:, None]
+    for done in range(0, n, BLOCK_STEPS):
+        s0 = start + done
+        s1 = start + min(done + BLOCK_STEPS, n)
+        xs = phase_turns(cfg.alpha, 1, range(s0, s1 + 1), seed)
+        u = xs[:-1] + offsets
+        yield xs[1:], np.mod(u, 1.0, out=u)
 
 
 def _series_block(series: FourierSeries, u: np.ndarray) -> np.ndarray:
@@ -274,13 +221,25 @@ def _series_block(series: FourierSeries, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _x1_after(cfg: FlowConfig, seed: float, steps: int) -> float:
-    """Exact float of {seed + steps * alpha}."""
-    l, q = cfg.alpha.snapshot
-    sp, sq = float(seed).as_integer_ratio()
-    r = (steps * l) % q
-    den = q * sq
-    return ((sp * q + r * sq) % den) / den
+def _fiber_blocks(
+    cfg: FlowConfig, x: TorusPoint, n: int, rows: Sequence[int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(x_after, fiber) per block of the orbit T^1 x .. T^n x.
+
+    fiber[k, j] is fiber coordinate rows[k] + 2 after the block's j-th step:
+    x_nu plus the running sum of h, which is a float cumsum inside the block
+    started from the exactly rounded total of the blocks before it.  The sum
+    does not depend on x, so two points on one base orbit share it exactly.
+    """
+    seed, start = _seed_of(cfg, x)
+    totals = [[] for _ in rows]
+    for x_after, u in _u_blocks(cfg, seed, start, n):
+        fiber = np.empty((len(rows), len(x_after)))
+        for k, i in enumerate(rows):
+            h = _series_block(cfg.h, u[i])
+            fiber[k] = np.mod(x.coords[i + 1] + (fsum(totals[k]) + np.cumsum(h)), 1.0)
+            totals[k].append(fsum(h))
+        yield x_after, fiber
 
 
 def _check_point(cfg: FlowConfig, x: TorusPoint):
@@ -306,13 +265,13 @@ def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
             "use orbit_fast"
         )
     seed, start = _seed_of(cfg, x)
-    sums = [KahanSum() for _ in range(cfg.v - 1)]
-    for block in _u_blocks(cfg, seed, start, n):
+    sums = [[] for _ in range(cfg.v - 1)]
+    for x_after, u in _u_blocks(cfg, seed, start, n):
         for i in range(cfg.v - 1):
-            sums[i].add(float(np.sum(_series_block(cfg.h, block[i]))))
-    coords = [_x1_after(cfg, seed, start + n)]
+            sums[i].append(fsum(_series_block(cfg.h, u[i])))
+    coords = [float(x_after[-1])]
     for i in range(cfg.v - 1):
-        coords.append((x.coords[i + 1] + sums[i].value) % 1.0)
+        coords.append((x.coords[i + 1] + fsum(sums[i])) % 1.0)
     return TorusPoint(
         tuple(coords),
         base_seed=seed,
@@ -361,16 +320,11 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
             )
         znum = cis_minus_one(signed_residue(m * n, cfg.alpha), q)
         kernels.append((m, c * (znum / zden)))
-    coords = [_x1_after(cfg, seed, start + n)]
+    coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
     for i in range(cfg.v - 1):
         base = nums[i]
-        acc = KahanComplex()
-        for m, ck in kernels:
-            zu = cis(((m * base) % den) / den)
-            term = ck * zu
-            acc.add_parts(term.real, term.imag)
-        total = acc.value
-        coords.append((x.coords[i + 1] + drift + total.real) % 1.0)
+        total = fsum((ck * cis(((m * base) % den) / den)).real for m, ck in kernels)
+        coords.append((x.coords[i + 1] + drift + total) % 1.0)
     return TorusPoint(
         tuple(coords),
         base_seed=seed,
@@ -389,20 +343,11 @@ def orbit_rows(
     yield 0, x.coords
     if n_max == 0:
         return
-    seed, start = _seed_of(cfg, x)
-    stream = _UStream(cfg, seed, start)
-    sums = [KahanSum() for _ in range(cfg.v - 1)]
-    af = cfg.alpha.float_value
-    x1 = x.coords[0]
-    for n in range(1, n_max + 1):
-        for i in range(cfg.v - 1):
-            sums[i].add(cfg.h.eval(stream.value(i)))
-        stream.advance()
-        x1 = stream.value(0)
-        coords = [x1] + [
-            (x.coords[i + 1] + sums[i].value) % 1.0 for i in range(cfg.v - 1)
-        ]
-        yield n, tuple(coords)
+    n = 0
+    for x_after, fiber in _fiber_blocks(cfg, x, n_max, range(cfg.v - 1)):
+        for point in np.vstack([x_after, fiber]).T.tolist():
+            n += 1
+            yield n, tuple(point)
 
 
 # ---------------------------------------------------------------------------
@@ -480,45 +425,17 @@ def distality_probe(
         bound = _circle_dist(x.coords[nu0 - 1], y.coords[nu0 - 1]) * 0.5**nu0
     else:
         bound = 0.5 * _circle_dist(x.coords[0], y.coords[0])
-    d0 = metric_d(x, y)
-    dmin = dmax = d0
-    if n_max > 0:
-        width = cfg.v - 1
-        weights = np.array([0.5**nu for nu in range(2, cfg.v + 1)])
-        seed_x = _seed_of(cfg, x)
-        seed_y = _seed_of(cfg, y)
-        shared_stream = same_base and seed_x == seed_y
-        af = cfg.alpha.float_value
-        bx = _u_blocks(cfg, seed_x[0], seed_x[1], n_max)
-        by = None if shared_stream else _u_blocks(cfg, seed_y[0], seed_y[1], n_max)
-        carry_x = np.zeros(width)
-        carry_y = np.zeros(width)
-        xc = np.array(x.coords[1:])
-        yc = np.array(y.coords[1:])
-        for ux in bx:
-            uy = ux if shared_stream else next(by)
-            d = np.zeros(ux.shape[1])
-            if not shared_stream:
-                x1 = np.mod(ux[0] + af, 1.0)
-                y1 = np.mod(uy[0] + af, 1.0)
-                e = np.abs(x1 - y1)
-                d += 0.5 * np.minimum(e, 1.0 - e)
-            for i in range(width):
-                hx = _series_block(cfg.h, ux[i])
-                px = carry_x[i] + np.cumsum(hx)
-                carry_x[i] = px[-1]
-                if shared_stream:
-                    py = px
-                else:
-                    hy = _series_block(cfg.h, uy[i])
-                    py = carry_y[i] + np.cumsum(hy)
-                    carry_y[i] = py[-1]
-                ax = np.mod(xc[i] + px, 1.0)
-                ay = np.mod(yc[i] + py, 1.0)
-                e = np.abs(ax - ay)
-                d += weights[i] * np.minimum(e, 1.0 - e)
-            dmin = min(dmin, float(np.min(d)))
-            dmax = max(dmax, float(np.max(d)))
+    dmin = dmax = metric_d(x, y)
+    rows = range(cfg.v - 1)
+    for (x1, fx), (y1, fy) in zip(
+        _fiber_blocks(cfg, x, n_max, rows), _fiber_blocks(cfg, y, n_max, rows)
+    ):
+        d = np.zeros(len(x1))
+        for nu, (a, b) in enumerate(zip([x1, *fx], [y1, *fy]), start=1):
+            e = np.abs(a - b)
+            d += 0.5**nu * np.minimum(e, 1.0 - e)
+        dmin = min(dmin, float(np.min(d)))
+        dmax = max(dmax, float(np.max(d)))
     return DistalityProbe(
         min_distance=dmin,
         bound=bound,
@@ -546,32 +463,16 @@ def birkhoff_avg(
         raise ValueError("need at least one step")
     if n_steps > DIRECT_STEP_LIMIT:
         raise ResourceBudgetError(f"average over {n_steps} steps exceeds the cap")
-    seed, start = _seed_of(cfg, x)
-    width = cfg.v - 1
-    b1 = b.entries[0] if b.entries else 0
-    bn = [
-        b.entries[nu - 1] if nu - 1 < len(b.entries) else 0
-        for nu in range(2, cfg.v + 1)
-    ]
-    af = cfg.alpha.float_value
-    carries = np.zeros(width)
-    base = np.array(x.coords[1:])
-    acc = KahanComplex()
-    for block in _u_blocks(cfg, seed, start, n_steps):
-        phase = np.zeros(block.shape[1])
-        if b1 != 0:
-            phase += b1 * np.mod(block[0] + af, 1.0)
-        for i in range(width):
-            if bn[i] == 0:
-                continue
-            h_vals = _series_block(cfg.h, block[i])
-            prefix = carries[i] + np.cumsum(h_vals)
-            carries[i] = prefix[-1]
-            phase += bn[i] * np.mod(base[i] + prefix, 1.0)
+    rows = [i for i, bv in enumerate(b.entries[1:]) if bv != 0]
+    re, im = [], []
+    for x_after, fiber in _fiber_blocks(cfg, x, n_steps, rows):
+        phase = b.entries[0] * x_after
+        for i, row in zip(rows, fiber):
+            phase += b.entries[i + 1] * row
         ang = TWO_PI * np.mod(phase, 1.0)
-        acc.add_parts(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang))))
-    total = acc.value
-    return complex(total.real / n_steps, total.imag / n_steps)
+        re.append(fsum(np.cos(ang)))
+        im.append(fsum(np.sin(ang)))
+    return complex(fsum(re) / n_steps, fsum(im) / n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is a finite trigonometric polynomial carrying an explicit
 bound on whatever tail was discarded.  That keeps each downstream check
-quantitative: an evaluation is a compensated finite sum, an identity holds up
+quantitative: an evaluation is an exactly rounded finite sum (math.fsum) of
+terms whose phases m*t were reduced mod 1 exactly, and an identity holds up
 to a number computed from the decay class, never up to an unspecified
 constant.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import cos, exp, pi, sin, sqrt
+from math import exp, fsum, pi
 from random import Random
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -26,7 +27,6 @@ import numpy as np
 from .contfrac import AngleCF, PrecisionFloorError, angle_digest, signed_residue
 from .phases import cis, cis_minus_one, frac_dyadic
 from .spectrum import SnapshotRangeError, classify, classify_tau
-from .summation import KahanComplex
 
 IMAG_RESIDUE_TOL = 1e-12
 COEFF_GRID = 1 << 12
@@ -74,8 +74,8 @@ class FourierSeries:
 
     Coefficients must be conjugate-symmetric (the represented function is
     real) and must sit under decay_const times the decay envelope.  Evaluation
-    runs over increasing |m| with compensated summation; each phase m*t is
-    reduced mod 1 in exact integer arithmetic on the dyadic value of t.
+    adds the terms with math.fsum; each phase m*t is reduced mod 1 in exact
+    integer arithmetic on the dyadic value of t.
     """
 
     __slots__ = ("_pairs", "_map", "decay", "truncation_error", "decay_const")
@@ -138,16 +138,8 @@ class FourierSeries:
         return self._pairs
 
     def eval_with_residue(self, t: float) -> Tuple[float, float]:
-        acc = KahanComplex()
-        for m, c in self._pairs:
-            if m == 0:
-                acc.add_parts(c.real, c.imag)
-                continue
-            z = cis(frac_dyadic(t, m))
-            acc.add_parts(c.real * z.real - c.imag * z.imag,
-                          c.real * z.imag + c.imag * z.real)
-        v = acc.value
-        return v.real, v.imag
+        terms = [c * cis(frac_dyadic(t, m)) if m else c for m, c in self._pairs]
+        return fsum(z.real for z in terms), fsum(z.imag for z in terms)
 
     def eval(self, t: float) -> float:
         re, im = self.eval_with_residue(t)

@@ -1,10 +1,14 @@
 """Mobius tables and twisted exponential sums over short segments.
 
 Sieving is exact integer work: an entry is -1, 0 or +1 because of the
-factorization of its index, never because a float rounded somewhere.  The
-twisted sum combines those exact weights with unit-modulus phases; the only
-float operations are the phase evaluation and a compensated accumulation, so
-repeated runs over the same inputs are bit-identical.
+factorization of its index, never because a float rounded somewhere.
+mu_phase_sum pairs those exact weights with unit-modulus phases: it walks the
+table in fixed-size chunks, asks the caller for the phases (in turns) of the
+chunk's nonzero entries, evaluates cos and sin with NumPy and adds each chunk
+with math.fsum, so working memory does not grow with the segment and
+repeated runs over the same inputs are bit-identical.  The twisted sum takes its
+phases from the exact engine contfrac.phase_turns; a float angle is read as
+the dyadic rational it is.
 
 Memory is the binding constraint for the full sieve (about 18 bytes per
 integer while building).  Both sieves check an explicit byte budget before
@@ -17,19 +21,19 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Optional, Union
+from math import fsum, gcd, isqrt
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .contfrac import AngleCF, PrecisionFloorError
-from .phases import cis, frac_dyadic
-from .summation import KahanComplex
+from .contfrac import AngleCF, dyadic_angle, phase_turns
+from .phases import TWO_PI
 
 MEM_BUDGET_ENV = "MDL_MEM_BUDGET"
 DEFAULT_MEM_BUDGET = 2 << 30  # bytes
 
 BLOCK = 1 << 20
+PHASE_CHUNK = 1 << 13  # table entries per chunk of a phase sum
 
 MU_MAGIC = b"MU01"
 
@@ -249,52 +253,32 @@ class TwistedSum:
 CSV_HEADER = "N,M,q,r,alpha,re,im,norm"
 
 
-def _angle_frac_sum(
-    angle: AngleCF, mult: int, vals, n0: int, n_top: int, q: int
+def mu_phase_sum(
+    table: MuTable,
+    n0: int,
+    n_top: int,
+    step: int,
+    phases: Callable[[np.ndarray], np.ndarray],
 ) -> complex:
-    """sum mu(n) e(mult n alpha) for n = n0, n0+q, ... <= n_top.
+    """sum of mu(n) e(phase(n)) over n = n0, n0 + step, ... <= n_top.
 
-    The residue of mult*n*l mod q_snapshot is stepped incrementally (one big
-    add per term); each needed phase is the correctly rounded float of
-    residue/q_snapshot, so the reduction mod 1 happens in exact arithmetic.
+    phases maps an ascending int64 array of indices with nonzero mu to their
+    phases in turns.  The table is walked PHASE_CHUNK entries at a time and
+    each chunk is added with math.fsum, so the result is a fixed function of
+    the inputs.
     """
-    qs = angle.q_snapshot
-    ls = angle.l_snapshot
-    if not angle.exact and abs(mult) * n_top << 60 >= qs * qs:
-        raise PrecisionFloorError(
-            f"multiple {mult}*{n_top} exceeds the faithful range of the snapshot"
-        )
-    step = (ls * mult * q) % qs
-    cur = (ls * mult * n0) % qs
-    acc = KahanComplex()
-    for m in vals:
-        if m:
-            z = cis(cur / qs)
-            if m > 0:
-                acc.add_parts(z.real, z.imag)
-            else:
-                acc.add_parts(-z.real, -z.imag)
-        cur += step
-        if cur >= qs:
-            cur -= qs
-    return acc.value
-
-
-def _float_frac_sum(alpha: float, mult: int, vals, n0: int, q: int) -> complex:
-    """Same loop with a raw float alpha: phases use the exact fractional part
-    of n times the dyadic rational alpha (no drift), but alpha itself is
-    whatever rounding the caller supplied."""
-    acc = KahanComplex()
-    n = n0
-    for m in vals:
-        if m:
-            z = cis(frac_dyadic(alpha, mult * n))
-            if m > 0:
-                acc.add_parts(z.real, z.imag)
-            else:
-                acc.add_parts(-z.real, -z.imag)
-        n += q
-    return acc.value
+    vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1 : step]
+    re, im = [], []
+    for lo in range(0, len(vals), PHASE_CHUNK):
+        mu = vals[lo : lo + PHASE_CHUNK]
+        nz = np.flatnonzero(mu)
+        if not len(nz):
+            continue
+        ang = TWO_PI * np.mod(phases(n0 + step * (lo + nz)), 1.0)
+        sign = mu[nz].astype(np.float64)
+        re.append(fsum((sign * np.cos(ang)).tolist()))
+        im.append(fsum((sign * np.sin(ang)).tolist()))
+    return complex(fsum(re), fsum(im))
 
 
 def twisted_sum(
@@ -314,10 +298,10 @@ def twisted_sum(
     classes sharing a factor with q contribute O(log) terms and are excluded
     by the callers that need the progression decomposition.
 
-    alpha may be an AngleCF, in which case every fractional part comes from
-    the exact snapshot rationals, or a float for exploratory use.  Terms are
-    accumulated left to right with compensation, so results are reproducible
-    bit for bit.
+    alpha may be an AngleCF, whose snapshot reduces every phase exactly, or
+    a float, which is read as the exact dyadic rational it is.  Either way the
+    phases come from contfrac.phase_turns, so results are reproducible bit
+    for bit.
     """
     if not 1 <= length <= n_top:
         raise ValueError(f"need 1 <= length <= n_top, got length={length}, n_top={n_top}")
@@ -338,12 +322,6 @@ def twisted_sum(
         alpha_float = alpha.float_value
     else:
         alpha_float = float(alpha)
-    if n0 > n_top:
-        value = complex(0.0, 0.0)
-    else:
-        vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1 : q].tolist()
-        if isinstance(alpha, AngleCF):
-            value = _angle_frac_sum(alpha, mult, vals, n0, n_top, q)
-        else:
-            value = _float_frac_sum(alpha_float, mult, vals, n0, q)
+        alpha = dyadic_angle(alpha_float)
+    value = mu_phase_sum(table, n0, n_top, q, lambda ns: phase_turns(alpha, mult, ns))
     return TwistedSum(n_top, length, q, r, alpha_float, value)

@@ -1,8 +1,10 @@
-"""Exact phase reduction helpers.
+"""Scalar phase helpers.
 
 Every oscillatory sum in this package feeds trig functions with arguments
-that were reduced mod 1 while still exact: integer residues against an exact
-rational angle, or integer arithmetic on the mantissa of a float slope.
+that were reduced mod 1 while still exact.  Along an index range that is
+contfrac.phase_turns; the helpers here cover single phases: e(frac) for a
+reduced phase, the balanced fold of a residue, e(r/q) - 1 without
+cancellation for small divisors, and {n c} on the dyadic value of a float.
 Floats appear only after the reduction, so phase accuracy does not degrade
 with the length of an orbit or the size of a frequency.
 """
@@ -17,15 +19,9 @@ __all__ = [
     "fold_signed",
     "cis_minus_one",
     "frac_dyadic",
-    "GeometricKernel",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# A residue r with |r| * SERIES_CUTOFF * n < q keeps every phase j*r/q of a
-# length-n geometric sum below 1/SERIES_CUTOFF, where the second-order term
-# of the Dirichlet kernel is under 1e-17 relative.
-SERIES_CUTOFF = 10**9
 
 
 def cis(frac: float) -> complex:
@@ -65,40 +61,3 @@ def frac_dyadic(c: float, n: int) -> float:
         return 0.0
     denom = 1 << (-e)
     return ((n * mant) % denom) / denom
-
-
-class GeometricKernel:
-    """Sums sum_{j<n} e(j * r/q) for one exact rational step r/q.
-
-    The caller supplies the canonical residue R_n of n*r mod q (cheap to
-    maintain incrementally), so no n-dependent rounding enters.  Residues too
-    small for float division fall into a series branch where the kernel is
-    n * e((n-1)r/(2q)) up to a relative error below 1e-17.
-    """
-
-    __slots__ = ("r", "q", "rs", "series", "den")
-
-    def __init__(self, r: int, q: int, n_max: int) -> None:
-        self.r = r % q
-        self.q = q
-        self.rs = fold_signed(self.r, q)
-        if self.r == 0:
-            self.series = True
-            self.den = complex(1.0)
-        else:
-            self.series = abs(self.rs) * n_max * SERIES_CUTOFF < q
-            self.den = cis_minus_one(self.rs, q) if not self.series else complex(1.0)
-
-    def value(self, r_n: int, n: int) -> complex:
-        """Kernel value given r_n = (n * r) mod q."""
-        if self.r == 0:
-            return complex(n)
-        if self.series:
-            half = ((n - 1) * self.rs) / (2 * self.q)
-            return n * cis(half)
-        num = cis_minus_one(fold_signed(r_n % self.q, self.q), self.q)
-        return num / self.den
-
-    def value_at(self, n: int) -> complex:
-        """Kernel value computed from scratch at index n."""
-        return self.value((n * self.r) % self.q, n)

@@ -101,6 +101,17 @@ def test_build_past_bit_budget_is_resource_limit(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_build_past_document_digit_limit_is_resource_limit(tmp_path, capsys):
+    # the budget allows this ladder, but its snapshot has too many digits
+    # for the decimal angle document; refuse before writing anything
+    out_dir = tmp_path / "poly"
+    code = main(["angle", "build-poly", "--tau", "20", "--k-star", "5",
+                 "--out", str(out_dir)])
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_env_budget_reaches_builder(monkeypatch, capsys):
     monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
     assert main(["angle", "build-exp", "--k-star", "4"]) == 3
@@ -225,6 +236,27 @@ def test_sweep_usage_errors(exp_file, capsys):
         assert main(argv) == 1, argv
     err = capsys.readouterr().err
     assert err.count("error:") == len(runs)
+
+
+def test_sweep_n_is_parsed_exactly(monkeypatch, capsys):
+    # 2^53 + 1 has no float; the refusal message shows the N that arrived
+    monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
+    code = main(
+        ["sweep", "--rational", "1/2", "--h", "none", "--b", "0;1",
+         "--x", "0.3,0.7", "--v", "2", "--theta", "0.7", "--n", "9007199254740993"]
+    )
+    assert code == 3
+    assert "sieve_segment(9007199254740993," in capsys.readouterr().err
+
+
+def test_sweep_rejects_fractional_n(capsys):
+    for n in ("2.5", "1e3,2.5e-1", "1e400", "ten"):
+        code = main(
+            ["sweep", "--rational", "1/2", "--h", "none", "--b", "0;1",
+             "--x", "0.3,0.7", "--v", "2", "--theta", "0.7", "--n", n]
+        )
+        assert code == 1, n
+    assert capsys.readouterr().err.count("error:") == 4
 
 
 def test_sweep_memory_budget(monkeypatch, capsys):

@@ -6,8 +6,11 @@ working precision comfortably past the snapshot size.
 
 import json
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from mobiusflow.contfrac import (
@@ -22,9 +25,12 @@ from mobiusflow.contfrac import (
     build_poly_alpha,
     check_convergent_bounds,
     dist_to_int,
+    dyadic_angle,
     explicit_angle,
+    faithful_modulus,
     frac_mod1,
     legendre_locate,
+    phase_turns,
     rational_angle,
     residue,
     signed_residue,
@@ -302,3 +308,108 @@ def test_explicit_angle_defaults():
     assert not angle.exact
     with pytest.raises(ValueError):
         explicit_angle([2, 0, 3])
+
+
+# ---------------------------------------------------------------------------
+# the phase engine
+
+
+@st.composite
+def _angles(draw):
+    """Exact rationals, and explicit quotient lists long enough to give
+    snapshots past 128 bits as well as ones too shallow for the range."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 10**45))
+        l = draw(st.integers(0, q - 1))
+        g = gcd(l, q)
+        return rational_angle(l // g, q // g)
+    return explicit_angle(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=30)))
+
+
+@st.composite
+def _index_runs(draw):
+    start = draw(st.integers(-(10**12), 10**12))
+    gaps = draw(st.lists(st.integers(0, 1000), min_size=0, max_size=60))
+    ns = [start]
+    for g in gaps:
+        ns.append(ns[-1] + g)
+    return np.array(ns, dtype=np.int64) if draw(st.booleans()) else ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_angles(), st.integers(-50, 50), _index_runs())
+def test_phase_turns_matches_scalar_residues(angle, mult, ns):
+    q = angle.q_snapshot
+    try:
+        want = [residue(mult * int(n), angle) / q for n in ns]
+    except PrecisionFloorError:
+        with pytest.raises(PrecisionFloorError):
+            phase_turns(angle, mult, ns)
+        return
+    assert phase_turns(angle, mult, ns).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_angles(), st.integers(-50, 50), _index_runs(),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_phase_turns_seed_is_exact(angle, mult, ns, seed):
+    l, q = angle.snapshot
+    try:
+        got = phase_turns(angle, mult, ns, seed)
+    except PrecisionFloorError:
+        return
+    for n, g in zip(ns, got.tolist()):
+        assert g == float((Fraction(seed) + Fraction(mult * int(n) * l, q)) % 1)
+
+
+def test_phase_turns_on_the_exp_snapshot(exp_angle):
+    ns = np.arange(10**7, 10**7 + 3000, 3)
+    got = phase_turns(exp_angle, -7, ns)
+    assert got.tolist() == [residue(-7 * int(n), exp_angle) / exp_angle.q_snapshot for n in ns]
+    assert phase_turns(exp_angle, 1, []).shape == (0,)
+
+
+def test_phase_turns_rounds_next_to_a_float_midpoint():
+    # l/q sits within 1/q of the midpoint between two adjacent floats, closer
+    # than the 128-bit bracket can resolve, on either side of it
+    q = 3**100
+    mid = Fraction(2**53 + 2 * 12345 + 1, 2**54)  # halfway between two floats near 0.5
+    below = mid.numerator * q // mid.denominator
+    above = below + 1
+    below -= below % 3 == 0  # keep l coprime to q
+    above += above % 3 == 0
+    assert Fraction(below, q) < mid < Fraction(above, q)
+    for l in (below, above):
+        angle = rational_angle(l, q)
+        assert phase_turns(angle, 1, [1]).tolist() == [l / q]
+        assert phase_turns(angle, 3, [5, 7]).tolist() == [(15 * l % q) / q, (21 * l % q) / q]
+
+
+def test_faithful_modulus_is_the_range_rule(exp_angle):
+    assert faithful_modulus(exp_angle, 10**20) == exp_angle.snapshot
+    shallow = explicit_angle([2, 9, 2, 1])  # q = 60
+    with pytest.raises(PrecisionFloorError):
+        faithful_modulus(shallow, 1)
+    assert faithful_modulus(shallow, 0) == shallow.snapshot
+    for k in (4, 7, 11):
+        angle = explicit_angle([2, 9, 2, 1, 3] * k)
+        q = angle.q_snapshot
+        edge = (q * q - 1) >> 60  # the largest reach with reach * 2^60 < q^2
+        assert faithful_modulus(angle, -edge) == angle.snapshot
+        with pytest.raises(PrecisionFloorError):
+            faithful_modulus(angle, edge + 1)
+    # exact angles have no ceiling
+    assert faithful_modulus(rational_angle(1, 3), 10**100) == (1, 3)
+
+
+def test_dyadic_angle_is_exact():
+    assert dyadic_angle(0.125).snapshot == (1, 8)
+    assert dyadic_angle(-0.25).snapshot == (3, 4)
+    assert dyadic_angle(3.0).snapshot == (0, 1)
+    a = dyadic_angle(0.1)
+    assert Fraction(*a.snapshot) == Fraction(0.1) and a.exact
+
+
+def test_angle_digest_is_cached(exp_angle):
+    assert angle_digest(exp_angle) is angle_digest(exp_angle)
+    assert angle_digest(exp_angle) == EXP_DIGEST

@@ -9,8 +9,11 @@ algebraically equivalent routes must agree to 1e-10 or exactly.
 
 import math
 import warnings
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mobiusflow.contfrac import (
     PrecisionFloorError,
@@ -29,7 +32,7 @@ from mobiusflow.experiments import (
 )
 from mobiusflow.flow import FlowConfig, FrequencyVector, TorusPoint, pairing, step
 from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
-from mobiusflow.moebius import sieve_full, sieve_segment, twisted_sum
+from mobiusflow.moebius import PHASE_CHUNK, sieve_full, sieve_segment, twisted_sum
 from mobiusflow.phases import cis
 
 
@@ -150,6 +153,37 @@ def test_alpha_zero_degenerates(exp_cfg):
     assert abs(rec_g.value - rec_r.value) < 1e-9
     want = _stepped_oracle(cfg, B_MIXED, X4, 2000, 2000)
     assert abs(rec_g.value - want) < 5e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rational_case_has_no_prefix_drift(seed):
+    # 1131 cycle points: the class prefixes of h must not pile up rounding
+    cfg = FlowConfig(alpha=rational_angle(355, 1131), h=analytic_h_sample(1.0, 8, 3), v=4)
+    x = TorusPoint(np.random.RandomState(seed).rand(4))
+    n_top = 10**4
+    length = math.ceil(n_top**0.8)
+    rat = rational_case(cfg, B_MIXED, x, n_top, length)
+    gen = correlation_sum(cfg, B_MIXED, x, n_top, length)
+    assert abs(rat.value - gen.value) < 1e-11
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(2, 80).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(1, q - 1).filter(lambda l: gcd(l, q) == 1))
+    ),
+    st.integers(0, 2**16),
+)
+@example(lq=(4, 1), seed=5)
+def test_chunk_seams_match_rational_case(lq, seed):
+    # small q puts some modes of h on the resonant (drift) path
+    q, l = lq
+    cfg = FlowConfig(alpha=rational_angle(l, q), h=analytic_h_sample(1.0, 8, seed), v=4)
+    x = TorusPoint(np.random.RandomState(seed).rand(4))
+    n_top, length = 40_000, 3 * PHASE_CHUNK + 77
+    gen = correlation_sum(cfg, B_MIXED, x, n_top, length)
+    rat = rational_case(cfg, B_MIXED, x, n_top, length)
+    assert abs(gen.value - rat.value) < 1e-11
 
 
 def test_rational_needs_exact_angle(exp_cfg):

@@ -1,12 +1,20 @@
 """Sieves against independent factorization, table format, twisted sums."""
 
+from math import fsum
+
 import numpy as np
 import pytest
 
-from mobiusflow.contfrac import PrecisionFloorError, explicit_angle, rational_angle
+from mobiusflow.contfrac import (
+    PrecisionFloorError,
+    explicit_angle,
+    frac_mod1,
+    rational_angle,
+)
 from mobiusflow.moebius import (
     DEFAULT_MEM_BUDGET,
     MEM_BUDGET_ENV,
+    PHASE_CHUNK,
     MemoryBudgetError,
     MuTable,
     memory_budget,
@@ -253,3 +261,18 @@ def test_twisted_faithful_range_guard():
     shallow = explicit_angle([2, 9, 2, 1])  # q = 60: tiny non-exact snapshot
     with pytest.raises(PrecisionFloorError):
         twisted_sum(100, 50, alpha=shallow)
+
+
+@pytest.mark.parametrize("q, r", [(1, 0), (3, 2)])
+def test_twisted_chunk_seams_against_brute(exp_angle, q, r):
+    # the progression slice spans more than two chunks of the phase sum
+    n_top, length = 100_000, 7 * PHASE_CHUNK + 123
+    table = sieve_segment(n_top, length)
+    got = twisted_sum(n_top, length, q, r, exp_angle, table=table).value
+    terms = [
+        table.mu(n) * cis(frac_mod1(n, exp_angle))
+        for n in range(n_top - length + 1, n_top + 1)
+        if table.mu(n) and n % q == r
+    ]
+    want = complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+    assert abs(got - want) < 1e-12
