@@ -54,7 +54,6 @@ __all__ = [
     "frac_mod1",
     "residue",
     "signed_residue",
-    "dist_to_int",
     "check_convergent_bounds",
     "legendre_locate",
     "angle_to_json",
@@ -227,10 +226,9 @@ def _finish_angle(
     kind: str,
     tau: Optional[Fraction],
     growth: tuple,
-    tail_steps: int,
     precision_floor: int,
 ) -> AngleCF:
-    quotients = quotients + [1] * tail_steps
+    quotients = quotients + [1] * GOLDEN_TAIL_STEPS
     convs = convergents_from_quotients(0, quotients)
     q_snap = convs[-1].q
     # the angle document stores the snapshot in decimal, which CPython caps
@@ -260,7 +258,6 @@ def build_exp_alpha(
     k_star: int,
     *,
     seed_q1: int = 2,
-    tail_steps: int = GOLDEN_TAIL_STEPS,
     precision_floor: int = PRECISION_FLOOR,
     bit_budget: int = BIT_BUDGET,
 ) -> AngleCF:
@@ -304,7 +301,7 @@ def build_exp_alpha(
         quotients.append(a_next)
         q_prev, q_cur = q_cur, q_next
     return _finish_angle(
-        quotients, k_star, "exp-type", None, tuple(records), tail_steps, precision_floor
+        quotients, k_star, "exp-type", None, tuple(records), precision_floor
     )
 
 
@@ -313,7 +310,6 @@ def build_poly_alpha(
     k_star: int,
     *,
     seed_q1: int = 2,
-    tail_steps: int = GOLDEN_TAIL_STEPS,
     precision_floor: int = PRECISION_FLOOR,
     bit_budget: int = BIT_BUDGET,
 ) -> AngleCF:
@@ -350,7 +346,7 @@ def build_poly_alpha(
         quotients.append(a_next)
         q_prev, q_cur = q_cur, q_next
     return _finish_angle(
-        quotients, k_star, "poly-type", tau, tuple(records), tail_steps, precision_floor
+        quotients, k_star, "poly-type", tau, tuple(records), precision_floor
     )
 
 
@@ -493,12 +489,6 @@ def frac_mod1(n: int, angle: AngleCF) -> float:
         raise ValueError("n must be nonnegative")
     l, q = faithful_modulus(angle, n)
     return ((n * l) % q) / q
-
-
-def dist_to_int(x: float) -> float:
-    """Distance from x to the nearest integer."""
-    f = x % 1.0
-    return f if f <= 0.5 else 1.0 - f
 
 
 @dataclass(frozen=True)

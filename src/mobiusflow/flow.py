@@ -9,6 +9,12 @@ contfrac.phase_turns, correctly rounded at every step, and the h argument of
 coordinate nu is {x_n + (nu - 2) beta}.  Nothing is carried from one step to
 the next in floating point, so a 10^7-step orbit does not drift.
 
+Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
+check_conjugacy) comes from one walker, _fiber_blocks.  It sums h less its
+mean c(0) in floats and adds the mean as the exact drift {n c(0)}, the same
+rule the closed form orbit_fast follows, so the fiber error does not grow
+with ulp(n c(0)).
+
 beta only needs to be irrational; the default is the golden fraction stored
 as a 128-fractional-bit integer, so j * beta mod 1 stays exact in fixed
 point for any j we can iterate.
@@ -27,6 +33,7 @@ from .contfrac import (
     PrecisionFloorError,
     ResourceBudgetError,
     angle_digest,
+    dyadic_angle,
     phase_turns,
     signed_residue,
 )
@@ -34,7 +41,6 @@ from .harmonic import (
     FINITE,
     CoboundaryFunction,
     FourierSeries,
-    series_from_json,
     solve_coboundary,
     split_tau,
 )
@@ -143,26 +149,6 @@ class FlowConfig:
             raise ValueError("beta_fix must hold 128 fractional bits")
 
 
-def flow_config_to_json(cfg: FlowConfig) -> dict:
-    return {
-        "angle": angle_digest(cfg.alpha),
-        "series": cfg.h.to_json(),
-        "v": cfg.v,
-        "beta_fix": format(cfg.beta_fix, "x"),
-    }
-
-
-def flow_config_from_json(doc: dict, angle: AngleCF) -> FlowConfig:
-    if doc.get("angle") != angle_digest(angle):
-        raise ValueError("angle digest does not match the supplied angle")
-    return FlowConfig(
-        alpha=angle,
-        h=series_from_json(doc["series"]),
-        v=int(doc["v"]),
-        beta_fix=int(doc["beta_fix"], 16),
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact base arithmetic
 
@@ -208,38 +194,53 @@ def _u_blocks(
         yield xs[1:], np.mod(u, 1.0, out=u)
 
 
-def _series_block(series: FourierSeries, u: np.ndarray) -> np.ndarray:
-    """Vectorized real evaluation of the series on an argument array."""
-    out = np.zeros_like(u)
-    for m, c in series.items():
-        if m == 0:
-            out += c.real
-        else:
-            f = np.mod(m * u, 1.0)
-            ang = TWO_PI * f
-            out += c.real * np.cos(ang) - c.imag * np.sin(ang)
+def _series_block(modes, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real part of sum c(m) e(m u) over the (m, c) modes, written into out."""
+    out.fill(0.0)
+    for m, c in modes:
+        ang = TWO_PI * np.mod(m * u, 1.0)
+        out += c.real * np.cos(ang) - c.imag * np.sin(ang)
     return out
 
 
 def _fiber_blocks(
     cfg: FlowConfig, x: TorusPoint, n: int, rows: Sequence[int]
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(x_after, fiber) per block of the orbit T^1 x .. T^n x.
+    """(x_after, fiber) per block of the orbit T^1 x .. T^n x: the one orbit walker.
 
-    fiber[k, j] is fiber coordinate rows[k] + 2 after the block's j-th step:
-    x_nu plus the running sum of h, which is a float cumsum inside the block
-    started from the exactly rounded total of the blocks before it.  The sum
-    does not depend on x, so two points on one base orbit share it exactly.
+    fiber[k, j] is fiber coordinate nu = rows[k] + 2 after step s, the
+    block's j-th: x_nu plus the sum of h over the first s steps.  That sum
+    splits in two.  h less its mean c(0) is summed as a float cumsum inside
+    the block, started from the exactly rounded total of the blocks before
+    it; the mean part s c(0) enters as the exact drift {s c(0)} from the
+    phase engine, so c(0) never joins a float sum.  Neither part depends on
+    x, so two points on one base orbit share them exactly.  One fiber array
+    is filled row by row and reused from block to block.
     """
     seed, start = _seed_of(cfg, x)
+    modes = [(m, c) for m, c in cfg.h.items() if m != 0]
+    c0 = cfg.h.coeff(0).real
+    mean = dyadic_angle(c0) if rows and c0 % 1.0 else None
+    fiber = np.empty((len(rows), min(n, BLOCK_STEPS)))
     totals = [[] for _ in rows]
+    done = 0
     for x_after, u in _u_blocks(cfg, seed, start, n):
-        fiber = np.empty((len(rows), len(x_after)))
+        width = len(x_after)
+        block = fiber[:, :width]
+        if mean is not None:
+            drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
         for k, i in enumerate(rows):
-            h = _series_block(cfg.h, u[i])
-            fiber[k] = np.mod(x.coords[i + 1] + (fsum(totals[k]) + np.cumsum(h)), 1.0)
-            totals[k].append(fsum(h))
-        yield x_after, fiber
+            row = _series_block(modes, u[i], block[k])
+            carry = fsum(totals[k])
+            totals[k].append(fsum(row.tolist()))
+            np.cumsum(row, out=row)
+            row += carry
+            if mean is not None:
+                row += drift
+            row += x.coords[i + 1]
+            np.mod(row, 1.0, out=row)
+        done += width
+        yield x_after, block
 
 
 def _check_point(cfg: FlowConfig, x: TorusPoint):
@@ -252,7 +253,7 @@ def _check_point(cfg: FlowConfig, x: TorusPoint):
 
 
 def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
-    """n-fold composition by summing h along the base rotation, O(n)."""
+    """n-fold composition by walking the orbit with _fiber_blocks, O(n)."""
     _check_point(cfg, x)
     n = int(n)
     if n < 0:
@@ -264,16 +265,11 @@ def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
             f"direct orbit of {n} steps exceeds the {DIRECT_STEP_LIMIT} cap; "
             "use orbit_fast"
         )
+    for x_after, fiber in _fiber_blocks(cfg, x, n, range(cfg.v - 1)):
+        pass
     seed, start = _seed_of(cfg, x)
-    sums = [[] for _ in range(cfg.v - 1)]
-    for x_after, u in _u_blocks(cfg, seed, start, n):
-        for i in range(cfg.v - 1):
-            sums[i].append(fsum(_series_block(cfg.h, u[i])))
-    coords = [float(x_after[-1])]
-    for i in range(cfg.v - 1):
-        coords.append((x.coords[i + 1] + fsum(sums[i])) % 1.0)
     return TorusPoint(
-        tuple(coords),
+        (float(x_after[-1]), *fiber[:, -1].tolist()),
         base_seed=seed,
         base_steps=start + n,
         base_angle=angle_digest(cfg.alpha),
@@ -331,23 +327,6 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
         base_steps=start + n,
         base_angle=angle_digest(cfg.alpha),
     )
-
-
-def orbit_rows(
-    cfg: FlowConfig, x: TorusPoint, n_max: int
-) -> Iterator[Tuple[int, Tuple[float, ...]]]:
-    """CSV-ready orbit dump: (n, coordinates) for n = 0..n_max."""
-    _check_point(cfg, x)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    yield 0, x.coords
-    if n_max == 0:
-        return
-    n = 0
-    for x_after, fiber in _fiber_blocks(cfg, x, n_max, range(cfg.v - 1)):
-        for point in np.vstack([x_after, fiber]).T.tolist():
-            n += 1
-            yield n, tuple(point)
 
 
 # ---------------------------------------------------------------------------

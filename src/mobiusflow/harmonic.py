@@ -190,10 +190,6 @@ def series_from_json(doc: Union[str, dict]) -> FourierSeries:
     return FourierSeries(coeffs, decay, doc["tail_bound"], const)
 
 
-def eval_series(series: FourierSeries, t: float) -> float:
-    return series.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # the h families
 

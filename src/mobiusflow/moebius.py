@@ -235,23 +235,6 @@ class TwistedSum:
     def normalized(self) -> float:
         return abs(self.value) / self.length
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.n_top),
-                str(self.length),
-                str(self.q),
-                str(self.r),
-                repr(self.alpha_float),
-                repr(self.value.real),
-                repr(self.value.imag),
-                repr(self.normalized),
-            ]
-        )
-
-
-CSV_HEADER = "N,M,q,r,alpha,re,im,norm"
-
 
 def mu_phase_sum(
     table: MuTable,

@@ -24,7 +24,6 @@ instead of silently papered over.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +31,7 @@ from math import log
 from typing import Optional, Union
 
 from .contfrac import AngleCF
+from .phases import fold_signed
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
@@ -131,11 +131,6 @@ def classify_tau(
 # certificates
 
 
-def _fold_abs(t: int, q: int) -> int:
-    """|signed residue|: distance of t in [0, q) to the nearest multiple of q."""
-    return t if 2 * t <= q else q - t
-
-
 @dataclass(frozen=True)
 class FlatBoundCertificate:
     """Exhaustive check of 2|m| ||m alpha|| >= 1 on the provable domain.
@@ -207,7 +202,7 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
                 t -= q
             while qs[k + 1] <= m:
                 k += 1
-        r = _fold_abs(t, q)
+        r = abs(fold_signed(t, q))
         if m % qs[k] == 0:
             if k >= 2:
                 skipped += 1
@@ -228,7 +223,7 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         qk = qs[kk]
         if qk > m_limit:
             break
-        rr = _fold_abs((qk * l) % q, q)
+        rr = abs(fold_signed((qk * l) % q, q))
         controls.append((kk, qk, 2 * qk * rr / q, 2 * qk * rr < q))
     return FlatBoundCertificate(
         m_limit,
@@ -247,9 +242,9 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
 class ScalingCertificate:
     """Per-band check of ||a q_k alpha|| = a ||q_k alpha|| for 1 <= a <= a_max.
 
-    a_max is the largest a with a q_k < q_{k+1}.  Within budget every a is
-    checked; past it a doubling grid plus the endpoint is sampled and partial
-    is set.  premise_max is the largest sampled a ||q_k alpha|| (exact bound
+    a_max is the largest a with a q_k < q_{k+1}.  Up to DENSE_SCAN_LIMIT
+    every a is checked; past it a doubling grid plus the endpoint is sampled
+    and partial is set.  premise_max is a_max ||q_k alpha|| (exact bound
     checked: < 1/q_k), equality failures abort immediately.
     """
 
@@ -277,14 +272,15 @@ class ScalingCertificate:
         }
 
 
-def check_resonant_scaling(
-    angle: AngleCF, k: int, budget: int = DENSE_SCAN_LIMIT
-) -> ScalingCertificate:
+def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
     """Verify the in-band scaling identity with exact residues.
 
-    For dense ranges the residue of a q_k l is stepped additively; each a is
-    then a pure integer comparison.  The premise a ||q_k alpha|| < 1/q_k is
-    checked at the largest scanned a (it is monotone in a).
+    One loop steps the residue of a q_k l additively, so each a is a pure
+    integer comparison.  It covers the whole band when a_max is at most
+    DENSE_SCAN_LIMIT; a longer band is scanned up to DENSE_PREFIX and then
+    sampled on a doubling grid plus a_max, and the certificate is marked
+    partial.  The premise a ||q_k alpha|| < 1/q_k is checked at a_max (it is
+    monotone in a).
     """
     if not 0 <= k < angle.k_star:
         raise SnapshotRangeError(f"band {k} is not inside the built ladder")
@@ -296,7 +292,7 @@ def check_resonant_scaling(
     if a_max < 1:
         raise SnapshotRangeError(f"band {k} admits no multiplier (q_{k+1} = q_k)")
     tk = (qk * l) % q
-    rk = _fold_abs(tk, q)
+    rk = abs(fold_signed(tk, q))
     if rk == 0:
         raise SnapshotRangeError(f"q_{k} annihilates the snapshot; angle too shallow")
 
@@ -304,49 +300,34 @@ def check_resonant_scaling(
         # t = (a q_k l) mod q; identity holds iff min(t, q - t) == a * rk
         return min(t, q - t) == a * rk
 
+    partial = a_max > DENSE_SCAN_LIMIT
+    dense_upto = DENSE_PREFIX if partial else a_max
     passed = True
     scanned = 0
-    if a_max <= budget:
-        dense_upto = a_max
-        partial = False
-        t = tk
-        for a in range(1, a_max + 1):
-            if not equality_at(a, t):
+    t = tk
+    for a in range(1, dense_upto + 1):
+        if not equality_at(a, t):
+            passed = False
+            break
+        scanned += 1
+        t += tk
+        if t >= q:
+            t -= q
+    if passed and partial:
+        a = dense_upto * 2
+        grid = []
+        while a < a_max:
+            grid.append(a)
+            a *= 2
+        grid.append(a_max)
+        for a in grid:
+            if not equality_at(a, (a * tk) % q):
                 passed = False
                 break
             scanned += 1
-            t += tk
-            if t >= q:
-                t -= q
-        sampled_top = a_max
-    else:
-        dense_upto = DENSE_PREFIX
-        partial = True
-        t = tk
-        for a in range(1, dense_upto + 1):
-            if not equality_at(a, t):
-                passed = False
-                break
-            scanned += 1
-            t += tk
-            if t >= q:
-                t -= q
-        if passed:
-            a = dense_upto * 2
-            grid = []
-            while a < a_max:
-                grid.append(a)
-                a *= 2
-            grid.append(a_max)
-            for a in grid:
-                if not equality_at(a, (a * tk) % q):
-                    passed = False
-                    break
-                scanned += 1
-        sampled_top = a_max
-    # premise at the top of the sampled range: a ||q_k alpha|| < 1/q_k
-    premise_ok = sampled_top * rk * qk < q
-    premise_max = sampled_top * rk / q
+    # premise at the top of the band: a ||q_k alpha|| < 1/q_k
+    premise_ok = a_max * rk * qk < q
+    premise_max = a_max * rk / q
     return ScalingCertificate(
         k, a_max, scanned, dense_upto, partial, passed, premise_ok, premise_max
     )
@@ -407,8 +388,6 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
     if target >= qs[angle.k_star]:
         raise SnapshotRangeError(f"2 ln N = {target:.3f} reaches past the built ladder")
     K = bisect_right(qs, target) - 1
-    while K + 1 < len(qs) and qs[K + 1] <= target:
-        K += 1  # unreachable with exact floats; kept for tie paranoia
     near = min(abs(target - qs[K]), abs(qs[K + 1] - target))
     if near < 1e-12 * max(1.0, target):
         raise SnapshotRangeError("2 ln N sits on a ladder rung; cannot certify K")

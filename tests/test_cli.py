@@ -222,6 +222,17 @@ def test_sweep_rational_cross_check(capsys):
     assert "FAILED" not in out
 
 
+def test_sweep_rational_needs_ascending_n(exp_file, capsys):
+    # the rational path runs through sweep(), so it refuses the same lists
+    for source in (["--rational", "1/3"], ["--angle", exp_file]):
+        code = main(
+            ["sweep", *source, "--h", "analytic:1.0:4", "--v", "3",
+             "--b", "1;1;1", "--n", "1e3,1e2"]
+        )
+        assert code == 1, source
+    assert capsys.readouterr().err.count("strictly ascending") == 2
+
+
 def test_sweep_usage_errors(exp_file, capsys):
     runs = [
         ["sweep", "--angle", exp_file, "--theta", "0", "--n", "100"],

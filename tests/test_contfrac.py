@@ -24,7 +24,6 @@ from mobiusflow.contfrac import (
     build_exp_alpha,
     build_poly_alpha,
     check_convergent_bounds,
-    dist_to_int,
     dyadic_angle,
     explicit_angle,
     faithful_modulus,
@@ -214,13 +213,6 @@ def test_rational_angle_validation():
         rational_angle(2, 4)
 
 
-def test_dist_to_int():
-    assert dist_to_int(0.25) == 0.25
-    assert dist_to_int(0.75) == 0.25
-    assert dist_to_int(3.0) == 0.0
-    assert dist_to_int(-0.1) == pytest.approx(0.1, abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # convergent bound certificates
 
@@ -239,7 +231,8 @@ def test_bounds_hold_through_tail(exp_angle, poly_angle):
 
 def test_bounds_dist_matches_float(exp_angle):
     cert = check_convergent_bounds(exp_angle, 1)
-    assert cert.dist == pytest.approx(dist_to_int(2 * exp_angle.float_value), abs=1e-12)
+    f = (2 * exp_angle.float_value) % 1.0
+    assert cert.dist == pytest.approx(min(f, 1.0 - f), abs=1e-12)
     assert cert.lo < cert.dist < cert.hi
 
 
@@ -299,6 +292,37 @@ def test_angle_json_tamper_detected(exp_angle):
         angle_from_json(doc)
     with pytest.raises(AngleDocumentError):
         angle_from_json({"kind": "exp-type"})
+
+
+@st.composite
+def _documented_angles(draw):
+    """Explicit angles with every field an angle document stores; at most 60
+    quotients below 10^60 keep the snapshot under 3700 digits."""
+    tau = draw(st.none() | st.fractions(min_value=3, max_value=100, max_denominator=50))
+    quotients = draw(st.lists(st.integers(1, 10**60), max_size=60))
+    return explicit_angle(
+        quotients,
+        a0=draw(st.integers(0, 10**20)),
+        kind=draw(st.sampled_from(["explicit", "exp-type", "poly-type"])),
+        k_star=draw(st.integers(0, 100)),
+        tau=tau,
+        exact=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documented_angles(), st.sampled_from(["l", "q"]), st.integers(-5, 5).filter(bool))
+def test_angle_json_round_trip(angle, field, delta):
+    doc = angle_to_json(angle)
+    back = angle_from_json(json.dumps(doc))
+    assert back.convergents == angle.convergents
+    assert (back.k_star, back.kind, back.tau, back.exact) == (
+        angle.k_star, angle.kind, angle.tau, angle.exact
+    )
+    assert angle_digest(back) == angle_digest(angle)
+    doc["snapshot"] = dict(doc["snapshot"], **{field: str(int(doc["snapshot"][field]) + delta)})
+    with pytest.raises(AngleDocumentError):
+        angle_from_json(doc)
 
 
 def test_explicit_angle_defaults():

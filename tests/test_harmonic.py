@@ -18,7 +18,6 @@ from mobiusflow.harmonic import (
     FourierSeries,
     analytic_h_sample,
     check_coeff_bound,
-    eval_series,
     furstenberg_h,
     series_from_json,
     smooth_h_sample,
@@ -90,7 +89,6 @@ def test_eval_against_mpmath():
             assert abs(s.eval(t) - float(want)) < 1e-14
     re, im = s.eval_with_residue(0.37)
     assert abs(im) < 1e-13
-    assert eval_series(s, 0.37) == s.eval(0.37)
 
 
 def test_derivative_matches_closed_form():

@@ -4,6 +4,7 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobiusflow.contfrac import (
     PrecisionFloorError,
@@ -12,6 +13,7 @@ from mobiusflow.contfrac import (
     rational_angle,
 )
 from mobiusflow.moebius import (
+    BLOCK,
     DEFAULT_MEM_BUDGET,
     MEM_BUDGET_ENV,
     PHASE_CHUNK,
@@ -67,6 +69,34 @@ def test_segment_agrees_with_full_across_block_boundary():
     full = sieve_full(n_top)
     assert seg.n_lo == n_top - length + 1
     assert np.array_equal(seg.values, full.restrict(seg.n_lo, n_top).values)
+
+
+FULL_TOP = 2 * BLOCK + BLOCK // 4
+
+
+@pytest.fixture(scope="module")
+def full_table() -> MuTable:
+    return sieve_full(FULL_TOP)
+
+
+@st.composite
+def _segments(draw):
+    """(n_top, length) inside [1, FULL_TOP]; about half the segments are
+    longer than BLOCK, so a block seam falls inside them."""
+    if draw(st.booleans()):
+        length = draw(st.integers(BLOCK + 1, FULL_TOP))
+    else:
+        length = draw(st.integers(1, 5000))
+    return draw(st.integers(length, FULL_TOP)), length
+
+
+@settings(max_examples=40, deadline=None)
+@given(_segments())
+def test_segment_matches_full_sieve(full_table, segment):
+    n_top, length = segment
+    seg = sieve_segment(n_top, length)
+    assert (seg.n_lo, seg.n_hi) == (n_top - length + 1, n_top)
+    assert np.array_equal(seg.values, full_table.restrict(seg.n_lo, n_top).values)
 
 
 def test_segment_short_and_prefix():
@@ -253,8 +283,6 @@ def test_twisted_determinism(exp_angle):
     assert a.value == b.value
     assert abs(a.value) <= a.length
     assert 0.0 <= a.normalized <= 1.0
-    row = a.csv_row()
-    assert row.split(",")[0] == "5000"
 
 
 def test_twisted_faithful_range_guard():
