@@ -8,12 +8,24 @@ Quotients past the advertised index are 1, which keeps the snapshot a strict
 refinement of every advertised convergent without changing the growth class.
 
 The module also holds the package's one phase engine.  faithful_modulus is
-the single faithful-range rule: it picks the modulus phases are reduced
-against and refuses multipliers the snapshot cannot resolve.  phase_turns
-turns one exact residue, stepped across the gaps of an ascending index
-array, into correctly rounded fractional parts; twisted sums, correlation
-sums, the rational closed form and orbit stepping all take their phases
-from it.
+the single faithful-range rule: it refuses multipliers the snapshot cannot
+resolve, and residues, signed residues and frac_mod1 are always taken
+against the snapshot, so a resonance is a statement about the snapshot.
+phase_turns returns the correctly rounded fractional parts of phases
+against the snapshot; twisted sums, correlation sums, the rational closed
+form and orbit stepping all take their phases from it.  It has two routes
+to the same doubles:
+
+- Unseeded calls reduce against the smallest convergent l_k/q_k with
+  |reach| q_k 2^54 < q_{k+1} (an exact angle against its own snapshot).
+  A nonzero residue R mod q_k puts R/q_k at least 1/(q_k^2 2^54) from every
+  rounding midpoint, further than the snapshot moves it, so both round
+  alike.  With q_k < 2^31 all residues come at once from int64 NumPy.
+  Where R = 0 the snapshot's error is the whole phase (a tiny number or one
+  less a tiny number), and those entries are recomputed on the snapshot.
+- Seeded calls, moduli of 2^31 or more (the 2^53 dyadic drift heads, the
+  66-bit q_4 of a poly tau=4 angle) and indices past int64 step one exact
+  residue against the snapshot.
 """
 
 from __future__ import annotations
@@ -76,6 +88,10 @@ PRECISION_FLOOR = DEFAULT_N_MAX * DEFAULT_M_MAX * 2**60
 # Hard ceiling on the bit size of any denominator a builder will produce.
 # One exponential step past a four-digit q_k would need ~1e3500 bits.
 BIT_BUDGET = 1 << 22
+
+# Largest modulus (exclusive) of phase_turns' int64 path: (n mod q) and
+# (mult * l mod q) both stay below 2^31, so their product stays below 2^62.
+INT64_MODULUS_CAP = 1 << 31
 
 
 class QuotientsExhausted(ValueError):
@@ -418,22 +434,99 @@ def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     )
 
 
+def _int64_modulus(angle: AngleCF, reach: int) -> Optional[tuple[int, int]]:
+    """The convergent (l_k, q_k) whose rounded phases equal the snapshot's, or None.
+
+    An exact angle reduces against its own snapshot (epsilon = 0).  Otherwise
+    k is the smallest index below the snapshot with
+    |reach| * q_k * 2^54 < q_{k+1}.  For R = (mult * n * l_k) mod q_k != 0
+    and q_k < 2^54, R/q_k lies at least 1/(q_k^2 2^54) from every rounding
+    midpoint, and the snapshot's value differs from it by less than
+    |reach| / (q_k q_{k+1}), so both round to the same double.  None when the
+    modulus found is INT64_MODULUS_CAP or more, or no index qualifies.
+    """
+    if angle.exact:
+        l, q = angle.snapshot
+        return (l, q) if q < INT64_MODULUS_CAP else None
+    scaled = abs(reach) << 54
+    cs = angle.convergents
+    for c, nxt in zip(cs, cs[1:]):
+        if c.q >= INT64_MODULUS_CAP:
+            return None
+        if scaled * c.q < nxt.q:
+            return c.l, c.q
+    return None
+
+
 def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
     """Correctly rounded {seed + mult * n * alpha} for each n of an ascending ns.
+
+    Every entry is the double nearest to the exact (seed + mult * n * l/q)
+    mod 1 for the snapshot l/q, after faithful_modulus has checked the range
+    (so PrecisionFloorError is raised exactly where it says).  Two routes
+    give that double:
+
+    - Unseeded calls whose indices fit in int64 reduce against the smallest
+      convergent l_k/q_k that rounds like the snapshot (see _int64_modulus)
+      when q_k < 2^31: R = ((n mod q_k) * (mult * l_k mod q_k)) mod q_k for
+      all n at once in int64 NumPy (every product stays below 2^62), then one
+      IEEE division R / q_k.  Where R = 0 and q_k is not the snapshot, the
+      exact value is {mult * n * (l/q - l_k/q_k)}, a tiny number or one less
+      a tiny number, and those entries are recomputed on the snapshot.
+    - Everything else (seeded calls, dyadic heads with q = 2^53, moduli such
+      as the 66-bit q_4 of a poly tau=4 angle, indices past int64) steps
+      one exact residue against the snapshot, see _snapshot_turns.
+    """
+    if isinstance(ns, np.ndarray) and ns.dtype.kind in "iu":
+        if not ns.size:
+            return np.empty(0)
+        lo, hi = int(ns.min()), int(ns.max())
+    else:
+        if isinstance(ns, np.ndarray):
+            ns = ns.tolist()
+        elif not isinstance(ns, range):
+            ns = [int(n) for n in ns]
+        if not len(ns):
+            return np.empty(0)
+        lo, hi = min(ns), max(ns)
+    reach = mult * max(-lo, hi)
+    l, q = faithful_modulus(angle, reach)
+    fast = None
+    if not seed and -(1 << 63) < lo and hi < 1 << 63:
+        fast = _int64_modulus(angle, reach)
+    if fast is None:
+        return _snapshot_turns(l, q, mult, ns, seed)
+    lk, qk = fast
+    if isinstance(ns, range):
+        ks = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    else:
+        ks = np.asarray(ns, dtype=np.int64)
+    r = ks % qk
+    r *= (mult * lk) % qk
+    r %= qk
+    out = r / qk
+    # mult = 0 makes every phase exactly 0, which R already is
+    if qk != q and mult:
+        zero = np.flatnonzero(r == 0)
+        if zero.size:
+            out[zero] = _snapshot_turns(l, q, mult, ks[zero].tolist())
+    return out
+
+
+def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarray:
+    """{seed + mult * n * l/q} for each n of ns, stepped on the exact residue.
 
     One exact residue of (seed + mult * n * l/q) mod 1 is carried across the
     gaps of ns (one big add per entry, the step of each gap size computed
     once), and each entry is the correctly rounded quotient of that residue
     by its modulus.  No rounding enters before that last division, so the
-    result does not depend on how far the residue was stepped.
+    result does not depend on how far the residue was stepped.  The range is
+    not checked here; phase_turns calls faithful_modulus first.
     """
     if isinstance(ns, np.ndarray):
         ns = ns.tolist()
-    elif not isinstance(ns, range):
-        ns = [int(n) for n in ns]
     if not len(ns):
         return np.empty(0)
-    l, q = faithful_modulus(angle, mult * max(-min(ns), max(ns)))
     sp, sq = float(seed).as_integer_ratio()
     den = q * sq
     unit = (mult * l * sq) % den

@@ -175,16 +175,17 @@ def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], i
 
 
 def _u_blocks(
-    cfg: FlowConfig, seed: float, start: int, n: int
+    cfg: FlowConfig, seed: float, start: int, n: int, rows: Sequence[int]
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(x_after, u) for steps s = start .. start + n - 1, BLOCK_STEPS at a time.
 
-    u has shape (V-1, block) with u[nu - 2, j] = {x_s + (nu - 2) beta} at the
-    block's j-th step, where x_s = {seed + s alpha} comes from the exact
-    engine; x_after[j] = x_{s+1} is the base coordinate after that step.
+    u has shape (len(rows), block) with u[k, j] = {x_s + (nu - 2) beta} for
+    coordinate nu = rows[k] + 2 at the block's j-th step, where
+    x_s = {seed + s alpha} comes from the exact engine; x_after[j] = x_{s+1}
+    is the base coordinate after that step.
     """
     offsets = np.array(
-        [(j * cfg.beta_fix % BETA_SCALE) / BETA_SCALE for j in range(cfg.v - 1)]
+        [(i * cfg.beta_fix % BETA_SCALE) / BETA_SCALE for i in rows]
     )[:, None]
     for done in range(0, n, BLOCK_STEPS):
         s0 = start + done
@@ -224,13 +225,13 @@ def _fiber_blocks(
     fiber = np.empty((len(rows), min(n, BLOCK_STEPS)))
     totals = [[] for _ in rows]
     done = 0
-    for x_after, u in _u_blocks(cfg, seed, start, n):
+    for x_after, u in _u_blocks(cfg, seed, start, n, rows):
         width = len(x_after)
         block = fiber[:, :width]
         if mean is not None:
             drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
         for k, i in enumerate(rows):
-            row = _series_block(modes, u[i], block[k])
+            row = _series_block(modes, u[k], block[k])
             carry = fsum(totals[k])
             totals[k].append(fsum(row.tolist()))
             np.cumsum(row, out=row)
@@ -241,6 +242,15 @@ def _fiber_blocks(
             np.mod(row, 1.0, out=row)
         done += width
         yield x_after, block
+
+
+def _circle_coords(values: Iterable[float]) -> Tuple[float, ...]:
+    """values as TorusPoint coordinates, 1.0 read as 0.0 on the circle.
+
+    Reducing a tiny negative mod 1 rounds it up to 1.0, and the phase engine
+    correctly rounds a base coordinate of 1 less a tiny number to 1.0.
+    """
+    return tuple(0.0 if c == 1.0 else float(c) for c in values)
 
 
 def _check_point(cfg: FlowConfig, x: TorusPoint):
@@ -269,7 +279,7 @@ def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
         pass
     seed, start = _seed_of(cfg, x)
     return TorusPoint(
-        (float(x_after[-1]), *fiber[:, -1].tolist()),
+        _circle_coords([x_after[-1], *fiber[:, -1].tolist()]),
         base_seed=seed,
         base_steps=start + n,
         base_angle=angle_digest(cfg.alpha),
@@ -322,7 +332,7 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
         total = fsum((ck * cis(((m * base) % den) / den)).real for m, ck in kernels)
         coords.append((x.coords[i + 1] + drift + total) % 1.0)
     return TorusPoint(
-        tuple(coords),
+        _circle_coords(coords),
         base_seed=seed,
         base_steps=start + n,
         base_angle=angle_digest(cfg.alpha),
@@ -497,7 +507,7 @@ def psi_map(pair: ConjugacyPair, x: TorusPoint, inverse: bool = False) -> TorusP
         shift = pair.psi.series.eval(nums[i] / den)
         coords.append((x.coords[i + 1] + sign * shift) % 1.0)
     return TorusPoint(
-        tuple(coords),
+        _circle_coords(coords),
         base_seed=x.base_seed,
         base_steps=x.base_steps,
         base_angle=x.base_angle,

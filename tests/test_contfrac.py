@@ -33,6 +33,7 @@ from mobiusflow.contfrac import (
     rational_angle,
     residue,
     signed_residue,
+    _snapshot_turns,
 )
 
 EXP_DIGEST = "d37b34e10939ad70d2fbd83837086816281bb9278e6e4fa3929e6954104bdea8"
@@ -407,6 +408,77 @@ def test_phase_turns_rounds_next_to_a_float_midpoint():
         angle = rational_angle(l, q)
         assert phase_turns(angle, 1, [1]).tolist() == [l / q]
         assert phase_turns(angle, 3, [5, 7]).tolist() == [(15 * l % q) / q, (21 * l % q) / q]
+
+
+@st.composite
+def _reducible_cases(draw, exp_angle, poly_angle):
+    """(angle, mult, ns) for the int64 path and for the ones that fall back.
+
+    The angles are exp k4, poly tau=4 k6, random rationals, dyadic angles
+    and short explicit snapshots with one huge quotient, such as
+    [2, 1000, 10**30].  mult and ns lean on multiples of one of the angle's
+    small denominators, where the residue against that convergent is 0.
+    """
+    kind = draw(st.sampled_from(["exp", "poly", "rational", "dyadic", "explicit"]))
+    if kind == "exp":
+        angle = exp_angle
+    elif kind == "poly":
+        angle = poly_angle
+    elif kind == "rational":
+        q = draw(st.integers(1, 2**31 + 5) | st.integers(1, 10**30))
+        l = draw(st.integers(0, q - 1))
+        g = gcd(l, q)
+        angle = rational_angle(l // g, q // g)
+    elif kind == "dyadic":
+        angle = dyadic_angle(draw(st.floats(-4.0, 4.0)))
+    else:
+        head = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4))
+        huge = 10 ** draw(st.integers(18, 60)) + draw(st.integers(0, 10**6))
+        tail = draw(st.lists(st.integers(1, 50), max_size=3))
+        angle = explicit_angle(head + [huge] + tail)
+    qk = draw(st.sampled_from([c.q for c in angle.convergents if c.q < 2**31]))
+    mult = draw(st.integers(-50, 50)) * draw(st.sampled_from([1, qk, 3 * qk]))
+    mult += draw(st.sampled_from([0, 0, 1, -1]))
+    lim = 2**62 // qk
+    start = draw(st.integers(-(2**62), 2**62 - 10**5))
+    ns = [start + g for g in draw(st.lists(st.integers(0, 10**5), max_size=40))]
+    ns += [qk * k for k in draw(st.lists(st.integers(-lim, lim), max_size=20))]
+    ns += [qk * k for k in draw(st.lists(st.integers(-3000, 3000), max_size=20))]
+    ns = sorted(set(ns)) or [qk]
+    if draw(st.booleans()):
+        return angle, mult, np.array(ns, dtype=np.int64)
+    if draw(st.booleans()):
+        ns.append(2**63 + draw(st.integers(0, 10**6)))  # past int64
+    return angle, mult, ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_phase_turns_matches_the_snapshot_generator(exp_angle, poly_angle, data):
+    angle, mult, ns = data.draw(_reducible_cases(exp_angle, poly_angle))
+    try:
+        l, q = faithful_modulus(angle, mult * max(-int(ns[0]), int(ns[-1])))
+    except PrecisionFloorError:
+        with pytest.raises(PrecisionFloorError):
+            phase_turns(angle, mult, ns)
+        return
+    got = phase_turns(angle, mult, ns)
+    want = _snapshot_turns(l, q, mult, ns)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_phase_turns_zero_residue_keeps_the_snapshot_error(exp_angle):
+    # l_2/q_2 = 1000/2001 reduces these phases, but 2001 * alpha is the
+    # snapshot error times 2001, not 0
+    short = explicit_angle([2, 1000, 10**30])
+    got = phase_turns(short, 1, np.array([2000, 2001, 4002]))
+    want = _snapshot_turns(*short.snapshot, 1, [2000, 2001, 4002])
+    assert got.tolist() == want.tolist()
+    assert 0.0 < got[1] < 1e-33 and 0.0 < got[2] < 1e-32
+    # {8102 alpha} on exp k4 is 1 less about 1e-3519: it rounds to 1.0
+    assert phase_turns(exp_angle, 1, np.array([8102])).tolist() == [1.0]
+    assert phase_turns(exp_angle, -1, np.array([8102])).tolist() == [0.0]
+    assert not phase_turns(exp_angle, 0, np.arange(8000, 9000)).any()
 
 
 def test_faithful_modulus_is_the_range_rule(exp_angle):

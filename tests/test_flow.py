@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import fsum
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -15,6 +16,7 @@ from mobiusflow.contfrac import (
 from mobiusflow.flow import (
     BETA_FIX,
     DIRECT_STEP_LIMIT,
+    ConjugacyPair,
     FlowConfig,
     FrequencyVector,
     TorusPoint,
@@ -29,8 +31,14 @@ from mobiusflow.flow import (
     psi_inv,
     psi_map,
     step,
+    _u_blocks,
 )
-from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
+from mobiusflow.harmonic import (
+    CoboundaryFunction,
+    FourierSeries,
+    analytic_h_sample,
+    furstenberg_h,
+)
 from mobiusflow.phases import cis
 
 
@@ -183,6 +191,32 @@ def test_orbit_guards(exp_angle):
     assert orbit_direct(cfg, x, 0) is x
     big = orbit_fast(cfg, x, 10**12)  # closed form has no step cap
     assert all(0.0 <= c < 1.0 for c in big.coords)
+
+
+def test_coordinates_that_round_to_one_fold_to_zero(exp_angle):
+    # a fiber sum a hair below 0 reduces mod 1 to 1.0, and {8102 alpha} is
+    # 1 less about 1e-3519, which the phase engine correctly rounds to 1.0
+    cfg = FlowConfig(alpha=exp_angle, h=FourierSeries({1: -5e-18, -1: -5e-18}), v=2)
+    x = TorusPoint((0.0, 0.0))
+    for y in (orbit_direct(cfg, x, 1), step(cfg, x), orbit_fast(cfg, x, 1)):
+        assert y.coords == (frac_mod1(1, exp_angle), 0.0)
+    rot = FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=2)
+    for y in (orbit_direct(rot, x, 8102), orbit_fast(rot, x, 8102)):
+        assert y.coords == (0.0, 0.0) and y.base_steps == 8102
+    psi = CoboundaryFunction(FourierSeries({0: 5e-18}), {}, 0.0)
+    pair = ConjugacyPair(base=cfg, top=cfg, psi=psi, tau=4.0)
+    assert psi_map(pair, x).coords == (0.0, 0.0)
+
+
+def test_u_blocks_builds_the_requested_rows(exp_angle):
+    cfg = _cfg(exp_angle, v=8)
+    every = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, range(7))]
+    some = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, [0, 2, 6])]
+    none = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, [])]
+    assert [u.shape for u in some] == [(3, 8192), (3, 808)]
+    for a, b in zip(every, some):
+        assert np.array_equal(a[[0, 2, 6]], b)
+    assert [u.shape for u in none] == [(0, 8192), (0, 808)]
 
 
 # ---------------------------------------------------------------------------

@@ -63,20 +63,22 @@ def test_mertens_classical_value():
     assert sieve_full(100).mertens() == 1
 
 
-def test_segment_agrees_with_full_across_block_boundary():
-    n_top, length = 1_250_000, 300_000  # spans the 2^20 block seam
-    seg = sieve_segment(n_top, length)
-    full = sieve_full(n_top)
-    assert seg.n_lo == n_top - length + 1
-    assert np.array_equal(seg.values, full.restrict(seg.n_lo, n_top).values)
-
-
 FULL_TOP = 2 * BLOCK + BLOCK // 4
 
 
 @pytest.fixture(scope="module")
 def full_table() -> MuTable:
     return sieve_full(FULL_TOP)
+
+
+def test_segment_agrees_with_full_across_block_boundary(full_table):
+    # sieve_segment counts its 2^20 blocks from the segment start, so a
+    # segment longer than BLOCK is what puts a block seam inside it
+    n_top, length = FULL_TOP, 1_300_000
+    assert length > BLOCK
+    seg = sieve_segment(n_top, length)
+    assert seg.n_lo == n_top - length + 1
+    assert np.array_equal(seg.values, full_table.restrict(seg.n_lo, n_top).values)
 
 
 @st.composite
