@@ -2,7 +2,11 @@
 
 Exit codes: 0 pass, 1 usage error, 2 certificate failure, 3 resource limit.
 Every run that writes files also writes a manifest.json referencing them;
-without --out the manifest is printed instead.
+without --out the manifest is printed instead.  Certificate commands put
+each certificate's own document (claim, pass, then its fields; see
+contfrac.Certificate) in the manifest details: angle verify a certificates
+list, check spectrum flat, scaling and truncation, check coeff-bound one
+certificate per series.
 """
 
 from __future__ import annotations
@@ -355,18 +359,15 @@ def _cmd_check_spectrum(args) -> int:
             f"resonant scaling k={k}: {'pass' if cert.passed else 'FAIL'}"
             f" scanned {cert.scanned}{suffix}"
         )
-        scaling.append(
-            {"k": cert.k, "pass": cert.passed, "scanned": cert.scanned,
-             "partial": cert.partial}
-        )
+        scaling.append(cert.to_json())
         ok = ok and cert.passed
     tidx = truncation_indices(angle, args.n)
     print(f"truncation at n={args.n}: K={tidx.K} K'={tidx.K_prime}")
+    ok = ok and tidx.passed
     manifest.details = {
-        "flat": {"pass": flat.passed, "worst_m": flat.worst_m,
-                 "worst_ratio": flat.worst_ratio},
+        "flat": flat.to_json(),
         "scaling": scaling,
-        "truncation": {"n": tidx.n, "K": tidx.K, "K_prime": tidx.K_prime},
+        "truncation": tidx.to_json(),
         "passed": ok,
     }
     out = _out_dir(args)
@@ -436,7 +437,7 @@ def _cmd_check_coeff_bound(args) -> int:
     for i in range(args.count):
         f = _random_finite_series(rng)
         cert = check_coeff_bound(f, args.m_limit)
-        rows.append({"series": i, "pass": cert.passed, "worst_m": cert.worst_m})
+        rows.append(cert.to_json())
         print(
             f"series {i}: {'pass' if cert.passed else 'FAIL'} "
             f"(worst m={cert.worst_m}, lhs {cert.worst_lhs:.3e}, rhs {cert.rhs:.3e})"

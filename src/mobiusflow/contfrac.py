@@ -34,15 +34,15 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 from mpmath import mp
 
-from .phases import fold_signed
+from .phases import cis_minus_one, fold_signed
 
 __all__ = [
     "Convergent",
@@ -50,6 +50,7 @@ __all__ = [
     "AngleCF",
     "ExpWindowRecord",
     "PolyCapRecord",
+    "Certificate",
     "BoundsCertificate",
     "QuotientsExhausted",
     "PrecisionFloorError",
@@ -66,6 +67,7 @@ __all__ = [
     "frac_mod1",
     "residue",
     "signed_residue",
+    "small_divisor",
     "check_convergent_bounds",
     "legendre_locate",
     "angle_to_json",
@@ -584,8 +586,66 @@ def frac_mod1(n: int, angle: AngleCF) -> float:
     return ((n * l) % q) / q
 
 
+def small_divisor(mult: int, angle: AngleCF) -> complex:
+    """e(mult * alpha) - 1 from the exact snapshot residue, without cancellation.
+
+    0j where the snapshot makes mult resonant (residue 0), for the caller to
+    handle; a nonzero residue whose divisor underflows double precision
+    raises PrecisionFloorError."""
+    rs = signed_residue(mult, angle)
+    if rs == 0:
+        return 0j
+    divisor = cis_minus_one(rs, angle.q_snapshot)
+    if divisor == 0:
+        raise PrecisionFloorError(
+            f"small divisor at m = {mult} underflows double precision"
+        )
+    return divisor
+
+
+class Certificate:
+    """A checked claim and everything it was checked on, as one JSON shape.
+
+    A certificate is a frozen dataclass whose class names its claim and
+    whose fields hold the range, the counts and the witnesses; passed (a
+    field or a property) is the one verdict.  to_json writes
+    {"claim", "pass", then every field in declaration order}: integers of
+    magnitude 2^53 or more as decimal strings, tuples as lists, dicts
+    converted value by value, and non-finite floats as null, so the document
+    is strict JSON that any parser reads without loss.
+    """
+
+    claim: ClassVar[str]
+
+    def to_json(self) -> dict:
+        doc = {"claim": self.claim, "pass": self.passed}
+        for f in fields(self):
+            if f.name != "passed":
+                doc[f.name] = _json_value(getattr(self, f.name))
+        return doc
+
+
+def _json_value(v):
+    if isinstance(v, int):  # bools too: they are below 2^53
+        return str(v) if abs(v) >= 1 << 53 else v
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    return v
+
+
 @dataclass(frozen=True)
-class BoundsCertificate:
+class BoundsCertificate(Certificate):
+    """1/(2 q_{k+1}) < ||q_k alpha|| < 1/q_{k+1} and the determinant for one k.
+
+    The verdicts are exact; dist, lo and hi are float witnesses (lo and hi
+    read 0.0 once q_{k+1} reaches 2^53)."""
+
+    claim = "two-sided convergent bounds with determinant identity"
+
     k: int
     lower_ok: bool      # 1/(2 q_{k+1}) < ||q_k alpha||
     upper_ok: bool      # ||q_k alpha|| < 1/q_{k+1}
@@ -598,14 +658,6 @@ class BoundsCertificate:
     @property
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok and self.det_ok and self.coprime_ok
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "two-sided convergent bounds with determinant identity",
-            "range": f"k={self.k}",
-            "pass": self.passed,
-            "worst_witness": {"dist": self.dist, "lo": self.lo, "hi": self.hi},
-        }
 
 
 def check_convergent_bounds(angle: AngleCF, k: int) -> BoundsCertificate:

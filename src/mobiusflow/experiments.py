@@ -31,7 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from mpmath import mp
 
-from .contfrac import PrecisionFloorError, dyadic_angle, phase_turns, signed_residue
+from .contfrac import dyadic_angle, phase_turns, small_divisor
 from .flow import (
     DIRECT_STEP_LIMIT,
     FlowConfig,
@@ -43,7 +43,7 @@ from .flow import (
     birkhoff_avg,
 )
 from .moebius import MuTable, mu_phase_sum, sieve_segment, twisted_sum
-from .phases import TWO_PI, cis, cis_minus_one
+from .phases import TWO_PI, cis
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window
@@ -197,7 +197,6 @@ def correlation_sum(
         return _record(b, x, n_top, length, theta, value, t0)
 
     seed, start = _seed_of(cfg, x)
-    q = cfg.alpha.q_snapshot
     active = _active(cfg, b)
 
     # one kernel weight per frequency, folded over the active coordinates:
@@ -211,17 +210,12 @@ def correlation_sum(
         with mp.workdps(50):
             amps = _amplitudes(cfg.h.items(), active, nums, den)
             for (m, _), amp in zip(cfg.h.items(), amps):
-                rs = signed_residue(m, cfg.alpha)
-                if rs == 0:
+                zden = small_divisor(m, cfg.alpha)
+                if zden == 0:
                     # the snapshot makes e(m alpha) = 1 (m = 0 always does):
                     # n identical terms per step, so the mode is a drift
                     slope += mp.re(amp)
                     continue
-                zden = cis_minus_one(rs, q)
-                if zden == 0:
-                    raise PrecisionFloorError(
-                        f"small divisor at m = {m} underflows double precision"
-                    )
                 w = complex(amp) / zden
                 weights.append((m, w))
                 base_phase -= w.real

@@ -15,8 +15,8 @@ mean c(0) in floats and adds the mean as the exact drift {n c(0)}, the same
 rule the closed form orbit_fast follows, so the fiber error does not grow
 with ulp(n c(0)).
 
-beta only needs to be irrational; the default is the golden fraction stored
-as a 128-fractional-bit integer, so j * beta mod 1 stays exact in fixed
+beta only needs to be irrational; it is the golden fraction stored as the
+128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
 point for any j we can iterate.
 """
 
@@ -30,12 +30,13 @@ import numpy as np
 
 from .contfrac import (
     AngleCF,
-    PrecisionFloorError,
+    Certificate,
     ResourceBudgetError,
     angle_digest,
     dyadic_angle,
     phase_turns,
     signed_residue,
+    small_divisor,
 )
 from .harmonic import (
     FINITE,
@@ -135,18 +136,15 @@ class FrequencyVector:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Immutable bundle: angle, driving series, truncation V, beta fixed point."""
+    """Immutable bundle: angle, driving series, truncation V."""
 
     alpha: AngleCF
     h: FourierSeries
     v: int = 8
-    beta_fix: int = BETA_FIX
 
     def __post_init__(self):
         if self.v < 2:
             raise ValueError("truncation dimension must be at least 2")
-        if not 0 <= self.beta_fix < BETA_SCALE:
-            raise ValueError("beta_fix must hold 128 fractional bits")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], i
     qsq = q * sq
     nums = []
     for nu in range(2, cfg.v + 1):
-        off = ((nu - 2) * cfg.beta_fix) % BETA_SCALE
+        off = ((nu - 2) * BETA_FIX) % BETA_SCALE
         nums.append((head + off * qsq) % den)
     return nums, den
 
@@ -185,7 +183,7 @@ def _u_blocks(
     is the base coordinate after that step.
     """
     offsets = np.array(
-        [(i * cfg.beta_fix % BETA_SCALE) / BETA_SCALE for i in rows]
+        [(i * BETA_FIX % BETA_SCALE) / BETA_SCALE for i in rows]
     )[:, None]
     for done in range(0, n, BLOCK_STEPS):
         s0 = start + done
@@ -315,15 +313,10 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     for m, c in cfg.h.items():
         if m == 0:
             continue
-        rs = signed_residue(m, cfg.alpha)
-        if rs == 0:
+        zden = small_divisor(m, cfg.alpha)
+        if zden == 0:
             kernels.append((m, c * n))
             continue
-        zden = cis_minus_one(rs, q)
-        if zden == 0:
-            raise PrecisionFloorError(
-                f"small divisor at m = {m} underflows double precision"
-            )
         znum = cis_minus_one(signed_residue(m * n, cfg.alpha), q)
         kernels.append((m, c * (znum / zden)))
     coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
@@ -370,24 +363,21 @@ def metric_d(x: TorusPoint, y: TorusPoint) -> float:
 
 
 @dataclass(frozen=True)
-class DistalityProbe:
+class DistalityProbe(Certificate):
+    """d(T^n x, T^n y) over n = 0..n_max against the separation bound.
+
+    min_distance and spread are the smallest observed distance and its range
+    over the orbit; same_base says which bound applies (see distality_probe).
+    """
+
+    claim = "inf_n d(T^n x, T^n y) >= separation bound"
+
     min_distance: float
     bound: float
     passed: bool
     same_base: bool
     spread: float
     n_max: int
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "inf_n d(T^n x, T^n y) >= separation bound",
-            "n_max": self.n_max,
-            "min_distance": self.min_distance,
-            "bound": self.bound,
-            "same_base": self.same_base,
-            "spread": self.spread,
-            "pass": self.passed,
-        }
 
 
 def distality_probe(
@@ -519,7 +509,11 @@ def psi_inv(pair: ConjugacyPair, x: TorusPoint) -> TorusPoint:
 
 
 @dataclass(frozen=True)
-class ConjugacyCertificate:
+class ConjugacyCertificate(Certificate):
+    """Per-n defect of T^n x against Psi^-1(T1^n(Psi x)) and its budget."""
+
+    claim = "T^n = Psi^-1 after T1^n after Psi within budget"
+
     n_values: Tuple[int, ...]
     defects: Tuple[float, ...]
     budgets: Tuple[float, ...]
@@ -528,15 +522,6 @@ class ConjugacyCertificate:
     @property
     def worst_defect(self) -> float:
         return max(self.defects, default=0.0)
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "T^n = Psi^-1 after T1^n after Psi within budget",
-            "n_values": list(self.n_values),
-            "defects": list(self.defects),
-            "budgets": list(self.budgets),
-            "pass": self.passed,
-        }
 
 
 def check_conjugacy(

@@ -7,10 +7,11 @@ terms whose phases m*t were reduced mod 1 exactly, and an identity holds up
 to a number computed from the decay class, never up to an unspecified
 constant.
 
-Small divisors e(m alpha) - 1 are always computed from the exact residue of
-m against the angle snapshot, then turned into a float through 2 sin(pi x)
-forms, so a divisor of size 1e-4 near a resonant band is trusted to full
-float precision rather than drowned by the subtraction of nearby units.
+Small divisors e(m alpha) - 1 all come from contfrac.small_divisor: the
+exact residue of m against the angle snapshot, turned into a float through
+2 sin(pi x) forms, so a divisor of size 1e-4 near a resonant band is trusted
+to full float precision rather than drowned by the subtraction of nearby
+units.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .contfrac import AngleCF, PrecisionFloorError, angle_digest, signed_residue
-from .phases import cis, cis_minus_one, frac_dyadic
+from .contfrac import AngleCF, Certificate, angle_digest, small_divisor
+from .phases import cis, frac_dyadic
 from .spectrum import SnapshotRangeError, classify, classify_tau
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -224,13 +225,8 @@ def furstenberg_h(
         if t == 0.0:
             continue
         qk = angle.q(k)
-        r = signed_residue(qk, angle)
-        minus = cis_minus_one(r, angle.q_snapshot)  # e(q_k alpha) - 1
-        if minus == 0:
-            # ||q_k alpha|| ~ 1/q_{k+1} fell below the smallest subnormal
-            raise PrecisionFloorError(
-                f"coefficient at q_{k} = {qk} underflows double precision"
-            )
+        # ||q_k alpha|| ~ 1/q_{k+1}; past the subnormal floor this raises
+        minus = small_divisor(qk, angle)  # e(q_k alpha) - 1
         coeffs[qk] = complex(-t * minus.real, -t * minus.imag)
         coeffs[-qk] = coeffs[qk].conjugate()
     return FourierSeries(coeffs, FINITE, 0.0)
@@ -403,7 +399,6 @@ def _tail_uncovered_extra(
         raise ValueError(
             "too many sub-q_2 frequencies to enumerate; store a larger cut"
         )
-    q = angle.q_snapshot
     extra = 0.0
     for m in range(cut + 1, q2):
         band_q = q1 if m >= q1 else 1
@@ -412,7 +407,7 @@ def _tail_uncovered_extra(
         if theorem2_tau is not None:
             if classify_tau(m, angle, theorem2_tau).theorem2_class != "M2":
                 continue
-        div = abs(cis_minus_one(signed_residue(m, angle), q))
+        div = abs(small_divisor(m, angle))
         extra += 4.0 * const * decay.weight(m) / div
     return extra
 
@@ -426,7 +421,6 @@ def solve_coboundary(
     k >= 2); with tau given it must avoid the fast divisible bands (class M1)
     and the error bound switches to the slow-band divisor estimates.
     """
-    q = angle.q_snapshot
     coeffs: Dict[int, complex] = {}
     for m, c in h_nonres.items():
         if m == 0:
@@ -439,14 +433,9 @@ def solve_coboundary(
         else:
             if classify_tau(m, angle, tau).theorem2_class == "M1":
                 raise CoboundaryDomainError(f"m = {m} lies in a fast divisible band")
-        r = signed_residue(m, angle)
-        if r == 0:
-            raise CoboundaryDomainError(f"m = {m} annihilates the snapshot")
-        divisor = cis_minus_one(r, q)
+        divisor = small_divisor(m, angle)
         if divisor == 0:
-            raise PrecisionFloorError(
-                f"small divisor at m = {m} underflows double precision"
-            )
+            raise CoboundaryDomainError(f"m = {m} annihilates the snapshot")
         coeffs[m] = c / divisor
     cut = h_nonres.support_radius()
     if h_nonres.decay.kind == "finite":
@@ -470,13 +459,17 @@ def solve_coboundary(
 
 
 @dataclass(frozen=True)
-class CoeffBoundCertificate:
+class CoeffBoundCertificate(Certificate):
     """Grid check of |c(m)| m^2 <= 8 (sup|f'|^2 + sup|f''|) for F = e(f).
 
     The 8 is audited slack over the integration-by-parts constant; the grid
     is fine enough that aliasing for the analytic integrands in scope sits
-    below the stated noise floor.
+    below the stated noise floor.  worst_m and worst_lhs are the frequency
+    with the largest |c(m)| m^2 and that value; rhs is the bound built from
+    the grid sup-norms deriv_norm (sup|f'|) and second_norm (sup|f''|).
     """
+
+    claim = "|c(m)| m^2 <= 8 (sup|f'|^2 + sup|f''|) for F = e(f)"
 
     m_limit: int
     grid: int
@@ -487,20 +480,6 @@ class CoeffBoundCertificate:
     deriv_norm: float
     second_norm: float
     noise_floor: float
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "|c(m)| m^2 <= 8 (sup|f'|^2 + sup|f''|) for F = e(f)",
-            "range": {"m_limit": self.m_limit, "grid": self.grid},
-            "pass": self.passed,
-            "worst_witness": {
-                "m": self.worst_m,
-                "lhs": self.worst_lhs,
-                "rhs": self.rhs,
-                "sup_f_prime": self.deriv_norm,
-                "sup_f_second": self.second_norm,
-            },
-        }
 
 
 def check_coeff_bound(f: FourierSeries, m_limit: int) -> CoeffBoundCertificate:

@@ -250,8 +250,12 @@ def mu_phase_sum(
     phases maps an ascending int64 array of indices with nonzero mu to their
     phases in turns.  The table is walked PHASE_CHUNK entries at a time and
     each chunk is added with math.fsum, so the result is a fixed function of
-    the inputs.
+    the inputs.  A table that does not cover [n0, n_top] raises ValueError.
     """
+    if table.n_lo > n0 or table.n_hi < n_top:
+        raise ValueError(
+            f"table covers [{table.n_lo}, {table.n_hi}], need [{n0}, {n_top}]"
+        )
     vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1 : step]
     re, im = [], []
     for lo in range(0, len(vals), PHASE_CHUNK):
@@ -299,10 +303,6 @@ def twisted_sum(
     lo = n_top - length + 1
     if table is None:
         table = sieve_segment(n_top, length)
-    elif table.n_lo > lo or table.n_hi < n_top:
-        raise ValueError(
-            f"table covers [{table.n_lo}, {table.n_hi}], need [{lo}, {n_top}]"
-        )
     n0 = lo + (r - lo) % q
     if isinstance(alpha, AngleCF):
         alpha_float = alpha.float_value

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .contfrac import AngleCF
+from .contfrac import AngleCF, Certificate
 from .phases import fold_signed
 
 DENSE_SCAN_LIMIT = 10**7
@@ -132,15 +132,18 @@ def classify_tau(
 
 
 @dataclass(frozen=True)
-class FlatBoundCertificate:
+class FlatBoundCertificate(Certificate):
     """Exhaustive check of 2|m| ||m alpha|| >= 1 on the provable domain.
 
     checked counts the frequencies actually compared; skipped_resonant the
     k >= 2 divisible ones the claim never covers; uncovered the band-0/1
     divisible ones where the textbook argument is silent (each carried with
     its exact verdict, capped at 64 entries).  controls lists the resonant
-    witnesses m = q_k, which must all violate the bound.
+    witnesses m = q_k, which must all violate the bound.  With nothing
+    checked worst_ratio is inf, which the JSON document writes as null.
     """
+
+    claim = "2|m|*dist(m*alpha, Z) >= 1 off the divisible bands"
 
     m_limit: int
     checked: int
@@ -151,24 +154,6 @@ class FlatBoundCertificate:
     uncovered_count: int
     uncovered: tuple  # (m, ratio, holds) for divisible m in bands 0/1
     controls: tuple  # (k, q_k, ratio, violates) for q_k <= m_limit, k >= 2
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "2|m|*dist(m*alpha, Z) >= 1 off the divisible bands",
-            "range": {
-                "m_limit": self.m_limit,
-                "checked": self.checked,
-                "skipped_resonant": self.skipped_resonant,
-                "uncovered": self.uncovered_count,
-            },
-            "pass": self.passed,
-            "worst_witness": {
-                "m": self.worst_m,
-                "ratio": self.worst_ratio,
-                "uncovered": [list(u) for u in self.uncovered],
-                "resonant_controls": [list(c) for c in self.controls],
-            },
-        }
 
 
 def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
@@ -239,37 +224,31 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
 
 
 @dataclass(frozen=True)
-class ScalingCertificate:
+class ScalingCertificate(Certificate):
     """Per-band check of ||a q_k alpha|| = a ||q_k alpha|| for 1 <= a <= a_max.
 
     a_max is the largest a with a q_k < q_{k+1}.  Up to DENSE_SCAN_LIMIT
     every a is checked; past it a doubling grid plus the endpoint is sampled
-    and partial is set.  premise_max is a_max ||q_k alpha|| (exact bound
-    checked: < 1/q_k), equality failures abort immediately.
+    and partial is set.  equality_ok is the identity over the scanned a
+    (a failure aborts the scan); premise_ok the exact bound
+    a_max ||q_k alpha|| < 1/q_k, whose float value is premise_max.  The
+    certificate passes when both hold.
     """
+
+    claim = "dist(a q_k alpha, Z) = a * dist(q_k alpha, Z) on the band"
 
     k: int
     a_max: int
     scanned: int
     dense_upto: int
     partial: bool
-    passed: bool
+    equality_ok: bool
     premise_ok: bool
     premise_max: float
 
-    def to_json(self) -> dict:
-        return {
-            "claim": "dist(a q_k alpha, Z) = a * dist(q_k alpha, Z) on the band",
-            "range": {
-                "k": self.k,
-                "a_max": str(self.a_max),
-                "scanned": self.scanned,
-                "dense_upto": self.dense_upto,
-                "partial": self.partial,
-            },
-            "pass": self.passed and self.premise_ok,
-            "worst_witness": {"premise_max": self.premise_max},
-        }
+    @property
+    def passed(self) -> bool:
+        return self.equality_ok and self.premise_ok
 
 
 def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
@@ -302,18 +281,18 @@ def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
 
     partial = a_max > DENSE_SCAN_LIMIT
     dense_upto = DENSE_PREFIX if partial else a_max
-    passed = True
+    equal = True
     scanned = 0
     t = tk
     for a in range(1, dense_upto + 1):
         if not equality_at(a, t):
-            passed = False
+            equal = False
             break
         scanned += 1
         t += tk
         if t >= q:
             t -= q
-    if passed and partial:
+    if equal and partial:
         a = dense_upto * 2
         grid = []
         while a < a_max:
@@ -322,14 +301,14 @@ def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
         grid.append(a_max)
         for a in grid:
             if not equality_at(a, (a * tk) % q):
-                passed = False
+                equal = False
                 break
             scanned += 1
     # premise at the top of the band: a ||q_k alpha|| < 1/q_k
     premise_ok = a_max * rk * qk < q
     premise_max = a_max * rk / q
     return ScalingCertificate(
-        k, a_max, scanned, dense_upto, partial, passed, premise_ok, premise_max
+        k, a_max, scanned, dense_upto, partial, equal, premise_ok, premise_max
     )
 
 
@@ -351,27 +330,24 @@ def sharp_denominators(angle: AngleCF, tau, stop_above: int) -> list:
 
 
 @dataclass(frozen=True)
-class TruncationIndex:
+class TruncationIndex(Certificate):
     """Resonant truncation depths for a sum length N.
 
     K: deepest band with q_K <= 2 ln N.  K_prime: position of N in the ladder
     of sharp denominators, q~_{K'} < N <= q~_{K'}^+, where q~^+ means the next
     denominator in the full ladder; 0 when N is at or below the first sharp
-    value, None when no tau is available.
+    value, None when no tau is available.  passed re-checks both brackets on
+    the ladder after the search; witness carries 2 ln N, q_K and the sharp
+    bracket.
     """
+
+    claim = "q_K <= 2 ln N < q_{K+1}; sharp ladder brackets N"
 
     n: int
     K: int
     K_prime: Optional[int]
     witness: dict
-
-    def to_json(self) -> dict:
-        return {
-            "claim": "q_K <= 2 ln N < q_{K+1}; sharp ladder brackets N",
-            "range": {"N": self.n},
-            "pass": True,
-            "worst_witness": dict(self.witness, K=self.K, K_prime=self.K_prime),
-        }
+    passed: bool
 
 
 def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
@@ -422,4 +398,10 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
                 raise SnapshotRangeError(
                     f"N = {n} falls in a gap of the sharp ladder; no K' exists"
                 )
-    return TruncationIndex(n, K, K_prime, witness)
+    passed = qs[K] <= target < qs[K + 1]
+    if K_prime:
+        _, qk, qk_next = ladder[K_prime - 1]
+        passed = passed and qk < n <= qk_next
+    elif K_prime == 0 and ladder:
+        passed = passed and n <= ladder[0][1]
+    return TruncationIndex(n, K, K_prime, witness, passed)

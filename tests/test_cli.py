@@ -141,6 +141,25 @@ def test_check_spectrum(exp_file, tmp_path, capsys):
     assert len(report["scaling"]) == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_check_spectrum_writes_strict_json(exp_file, tmp_path, capsys):
+    # m_limit 1 checks nothing, so the worst flat ratio is inf
+    out_dir = tmp_path / "strict"
+    code = main(["check", "spectrum", "--angle", exp_file,
+                 "--m-limit", "1", "--n", "1000", "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for name in ["manifest.json", *manifest["outputs"]]:
+        doc = json.loads((out_dir / name).read_text(), parse_constant=_refuse_constant)
+        details = doc.get("details", doc)
+        assert details["flat"]["worst_ratio"] is None
+        assert details["truncation"]["K"] == 2
+
+
 def test_check_coboundary_variants(exp_file, poly_file, capsys):
     base = ["check", "coboundary", "--samples", "300"]
     assert main(base + ["--angle", exp_file]) == 0

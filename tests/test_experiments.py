@@ -127,6 +127,22 @@ def test_correlation_guards(exp_cfg, exp_angle):
         correlation_sum(cfg, FrequencyVector((1, 0)), TorusPoint((0.1, 0.2)), 10**6, 10)
 
 
+def test_short_table_is_refused_on_every_phase_route(exp_angle):
+    # [8501, 9000] neither reaches 10000 nor starts by 7001: no route may
+    # read past either end of it
+    short = sieve_segment(9000, 500)
+    kernel = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 6, 1), v=4)
+    twisted = FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=4)
+    for cfg in (kernel, twisted):
+        with pytest.raises(ValueError, match="table covers"):
+            correlation_sum(cfg, B_MIXED, X4, 10000, 3000, table=short)
+    wide = sieve_segment(10000, 3000)
+    with pytest.raises(ValueError, match="table covers"):
+        correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide.restrict(7001, 9999))
+    own = correlation_sum(kernel, B_MIXED, X4, 10000, 3000)
+    assert correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide).value == own.value
+
+
 # ---------------------------------------------------------------------------
 # rational closed form
 

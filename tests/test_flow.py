@@ -84,8 +84,6 @@ def test_frequency_vector_conventions():
 def test_flow_config_validation(exp_angle):
     with pytest.raises(ValueError):
         FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=1)
-    with pytest.raises(ValueError):
-        FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=4, beta_fix=-1)
 
 
 def test_beta_fixed_point_against_mpmath():

@@ -319,7 +319,7 @@ def test_coeff_bound_bessel_oracle():
     assert cert.worst_lhs == pytest.approx(worst_true, rel=1e-6)
     assert abs(cert.worst_m) == max(want_lhs, key=want_lhs.get)
     doc = cert.to_json()
-    assert doc["pass"] is True and doc["range"]["grid"] == 4096
+    assert doc["pass"] is True and doc["grid"] == 4096
 
 
 def test_coeff_bound_validation():

@@ -136,9 +136,7 @@ def test_flat_bound_validation(exp_angle):
 def test_flat_bound_json_shape(exp_angle):
     doc = check_flat_lower_bound(exp_angle, 100).to_json()
     assert doc["pass"] is True
-    assert doc["range"]["checked"] + doc["range"]["skipped_resonant"] + doc[
-        "range"
-    ]["uncovered"] == 100
+    assert doc["checked"] + doc["skipped_resonant"] + doc["uncovered_count"] == 100
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def test_scaling_range_errors(exp_angle):
 def test_scaling_json_shape(exp_angle):
     doc = check_resonant_scaling(exp_angle, 1).to_json()
     assert doc["pass"] is True
-    assert doc["range"]["k"] == 1
+    assert doc["k"] == 1
 
 
 # ---------------------------------------------------------------------------
