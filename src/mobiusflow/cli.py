@@ -4,9 +4,10 @@ Exit codes: 0 pass, 1 usage error, 2 certificate failure, 3 resource limit.
 Every run that writes files also writes a manifest.json referencing them;
 without --out the manifest is printed instead.  Certificate commands put
 each certificate's own document (claim, pass, then its fields; see
-contfrac.Certificate) in the manifest details: angle verify a certificates
-list, check spectrum flat, scaling and truncation, check coeff-bound one
-certificate per series.
+contfrac.Certificate) in the manifest details, and nowhere else: angle
+verify a certificates list, check spectrum flat, scaling and truncation,
+check coeff-bound one certificate per series.  The manifest keeps every
+document's declared key order.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _start_manifest(command: str, payload: dict) -> RunManifest:
 
 def _finish(manifest: RunManifest, out_dir: Optional[str]) -> None:
     manifest.finished = _utc_now()
-    doc = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
+    doc = json.dumps(manifest.to_json(), indent=2) + "\n"
     if out_dir is not None:
         path = Path(out_dir) / "manifest.json"
         path.write_text(doc)
@@ -323,13 +324,7 @@ def _cmd_angle_verify(args) -> int:
             ok = ok and good
     manifest.details["certificates"] = certs
     manifest.details["passed"] = ok
-    out = _out_dir(args)
-    if out is not None:
-        _write_artifact(
-            manifest, out, "verify-report.json",
-            json.dumps(certs, indent=2) + "\n",
-        )
-    _finish(manifest, out)
+    _finish(manifest, _out_dir(args))
     return 0 if ok else 2
 
 
@@ -370,13 +365,7 @@ def _cmd_check_spectrum(args) -> int:
         "truncation": tidx.to_json(),
         "passed": ok,
     }
-    out = _out_dir(args)
-    if out is not None:
-        _write_artifact(
-            manifest, out, "spectrum-report.json",
-            json.dumps(manifest.details, indent=2) + "\n",
-        )
-    _finish(manifest, out)
+    _finish(manifest, _out_dir(args))
     return 0 if ok else 2
 
 
@@ -410,8 +399,7 @@ def _cmd_check_coboundary(args) -> int:
         "worst_defect": worst, "budget": budget,
         "psi_support": len(psi.series), "passed": ok,
     }
-    out = _out_dir(args)
-    _finish(manifest, out)
+    _finish(manifest, _out_dir(args))
     return 0 if ok else 2
 
 
@@ -444,8 +432,7 @@ def _cmd_check_coeff_bound(args) -> int:
         )
         ok = ok and cert.passed
     manifest.details = {"certificates": rows, "passed": ok}
-    out = _out_dir(args)
-    _finish(manifest, out)
+    _finish(manifest, _out_dir(args))
     return 0 if ok else 2
 
 

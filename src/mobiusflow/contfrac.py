@@ -13,19 +13,25 @@ resolve, and residues, signed residues and frac_mod1 are always taken
 against the snapshot, so a resonance is a statement about the snapshot.
 phase_turns returns the correctly rounded fractional parts of phases
 against the snapshot; twisted sums, correlation sums, the rational closed
-form and orbit stepping all take their phases from it.  It has two routes
-to the same doubles:
+form, orbit stepping and Fourier series all take their phases from it.  It
+has three routes to the same doubles:
 
-- Unseeded calls reduce against the smallest convergent l_k/q_k with
+- An unseeded call on an exact angle with q = 2^k, k <= 64 (the dyadic value
+  of a float, such as a drift head) takes (mult * n * l) mod 2^k as the low
+  k bits of a wrapping uint64 product, see _dyadic_turns; FourierSeries
+  evaluation calls that kernel with its modes as n.
+- Other unseeded calls reduce against the smallest convergent l_k/q_k with
   |reach| q_k 2^54 < q_{k+1} (an exact angle against its own snapshot).
   A nonzero residue R mod q_k puts R/q_k at least 1/(q_k^2 2^54) from every
   rounding midpoint, further than the snapshot moves it, so both round
   alike.  With q_k < 2^31 all residues come at once from int64 NumPy.
   Where R = 0 the snapshot's error is the whole phase (a tiny number or one
   less a tiny number), and those entries are recomputed on the snapshot.
-- Seeded calls, moduli of 2^31 or more (the 2^53 dyadic drift heads, the
-  66-bit q_4 of a poly tau=4 angle) and indices past int64 step one exact
-  residue against the snapshot.
+- Seeded calls, other moduli of 2^31 or more (the 66-bit q_4 of a poly
+  tau=4 angle) and indices past int64 step one exact residue against the
+  snapshot.
+
+cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
 
 from __future__ import annotations
@@ -42,9 +48,11 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 from mpmath import mp
 
-from .phases import cis_minus_one, fold_signed
-
 __all__ = [
+    "TWO_PI",
+    "cis",
+    "fold_signed",
+    "cis_minus_one",
     "Convergent",
     "PartialQuotients",
     "AngleCF",
@@ -94,6 +102,10 @@ BIT_BUDGET = 1 << 22
 # Largest modulus (exclusive) of phase_turns' int64 path: (n mod q) and
 # (mult * l mod q) both stay below 2^31, so their product stays below 2^62.
 INT64_MODULUS_CAP = 1 << 31
+
+UINT64_MASK = (1 << 64) - 1
+
+TWO_PI = 2.0 * math.pi
 
 
 class QuotientsExhausted(ValueError):
@@ -417,6 +429,28 @@ def dyadic_angle(x: float) -> AngleCF:
     return rational_angle(f.numerator, f.denominator)
 
 
+def cis(frac: float) -> complex:
+    """e(frac) for a phase given in turns."""
+    a = TWO_PI * frac
+    return complex(math.cos(a), math.sin(a))
+
+
+def fold_signed(r: int, q: int) -> int:
+    """Fold a residue in [0, q) to the balanced range (-q/2, q/2]."""
+    return r if 2 * r <= q else r - q
+
+
+def cis_minus_one(rs: int, q: int) -> complex:
+    """e(rs/q) - 1 without cancellation near the origin.
+
+    rs must already be balanced; the sine form keeps full relative accuracy
+    for residues as small as the subnormal floor.
+    """
+    f = rs / q
+    s = math.sin(math.pi * f)
+    return complex(-2.0 * s * s, 2.0 * s * math.cos(math.pi * f))
+
+
 def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     """The pair (l, q) that reduces phases mult * n * alpha with |mult * n| <= |reach|.
 
@@ -460,24 +494,38 @@ def _int64_modulus(angle: AngleCF, reach: int) -> Optional[tuple[int, int]]:
     return None
 
 
+def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
+    """Correctly rounded {n * mant / 2^k} for each n of a uint64 array, k <= 64.
+
+    Only the low k bits of n * mant count, and a wrapping uint64 product keeps
+    the low 64, so n and mant may be taken mod 2^64 (two's complement).  The
+    masked residue is converted to float once, which rounds it correctly, and
+    the scaling by 2^-k is exact.
+    """
+    r = ns * np.uint64(mant & UINT64_MASK)
+    r &= np.uint64((1 << k) - 1)
+    return r.astype(np.float64) * 2.0**-k
+
+
 def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
-    """Correctly rounded {seed + mult * n * alpha} for each n of an ascending ns.
+    """Correctly rounded {seed + mult * n * alpha} for each n of ns.
 
     Every entry is the double nearest to the exact (seed + mult * n * l/q)
     mod 1 for the snapshot l/q, after faithful_modulus has checked the range
-    (so PrecisionFloorError is raised exactly where it says).  Two routes
-    give that double:
+    (so PrecisionFloorError is raised exactly where it says).  Three routes
+    give that double; the first two need no seed and indices in int64:
 
-    - Unseeded calls whose indices fit in int64 reduce against the smallest
-      convergent l_k/q_k that rounds like the snapshot (see _int64_modulus)
-      when q_k < 2^31: R = ((n mod q_k) * (mult * l_k mod q_k)) mod q_k for
-      all n at once in int64 NumPy (every product stays below 2^62), then one
-      IEEE division R / q_k.  Where R = 0 and q_k is not the snapshot, the
-      exact value is {mult * n * (l/q - l_k/q_k)}, a tiny number or one less
-      a tiny number, and those entries are recomputed on the snapshot.
-    - Everything else (seeded calls, dyadic heads with q = 2^53, moduli such
-      as the 66-bit q_4 of a poly tau=4 angle, indices past int64) steps
-      one exact residue against the snapshot, see _snapshot_turns.
+    - q = 2^k with k <= 64 on an exact angle: the low k bits of the wrapping
+      uint64 products n * mult * l, see _dyadic_turns.
+    - Otherwise the smallest convergent l_k/q_k that rounds like the
+      snapshot (see _int64_modulus), when q_k < 2^31: R = ((n mod q_k) *
+      (mult * l_k mod q_k)) mod q_k in int64 NumPy (every product stays
+      below 2^62), then one IEEE division R / q_k.  Where R = 0 and q_k is
+      not the snapshot, the exact value is {mult * n * (l/q - l_k/q_k)}, a
+      tiny number or one less a tiny number, recomputed on the snapshot.
+    - Everything else (seeded calls, moduli such as the 66-bit q_4 of a poly
+      tau=4 angle, indices past int64) steps one exact residue against the
+      snapshot, see _snapshot_turns.
     """
     if isinstance(ns, np.ndarray) and ns.dtype.kind in "iu":
         if not ns.size:
@@ -493,16 +541,18 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
         lo, hi = min(ns), max(ns)
     reach = mult * max(-lo, hi)
     l, q = faithful_modulus(angle, reach)
-    fast = None
-    if not seed and -(1 << 63) < lo and hi < 1 << 63:
-        fast = _int64_modulus(angle, reach)
-    if fast is None:
+    if seed or lo <= -(1 << 63) or hi >= 1 << 63:
         return _snapshot_turns(l, q, mult, ns, seed)
-    lk, qk = fast
     if isinstance(ns, range):
         ks = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
     else:
         ks = np.asarray(ns, dtype=np.int64)
+    if angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
+        return _dyadic_turns(ks.view(np.uint64), mult * l, q.bit_length() - 1)
+    fast = _int64_modulus(angle, reach)
+    if fast is None:
+        return _snapshot_turns(l, q, mult, ns)
+    lk, qk = fast
     r = ks % qk
     r *= (mult * lk) % qk
     r %= qk

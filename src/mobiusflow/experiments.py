@@ -31,7 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from mpmath import mp
 
-from .contfrac import dyadic_angle, phase_turns, small_divisor
+from .contfrac import TWO_PI, cis, dyadic_angle, phase_turns, small_divisor
 from .flow import (
     DIRECT_STEP_LIMIT,
     FlowConfig,
@@ -43,7 +43,6 @@ from .flow import (
     birkhoff_avg,
 )
 from .moebius import MuTable, mu_phase_sum, sieve_segment, twisted_sum
-from .phases import TWO_PI, cis
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window

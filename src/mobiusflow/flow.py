@@ -29,10 +29,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contfrac import (
+    TWO_PI,
     AngleCF,
     Certificate,
     ResourceBudgetError,
     angle_digest,
+    cis,
+    cis_minus_one,
     dyadic_angle,
     phase_turns,
     signed_residue,
@@ -45,7 +48,6 @@ from .harmonic import (
     solve_coboundary,
     split_tau,
 )
-from .phases import TWO_PI, cis, cis_minus_one, frac_dyadic
 
 BETA_BITS = 128
 BETA_SCALE = 1 << BETA_BITS
@@ -307,7 +309,7 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     l, q = cfg.alpha.snapshot
     nums, den = _coord_bases(cfg, seed, start)
     h0 = cfg.h.coeff(0).real
-    drift = frac_dyadic(h0, n)
+    drift = float(phase_turns(dyadic_angle(h0), 1, [n])[0])
     # per-frequency constants shared by every coordinate
     kernels = []
     for m, c in cfg.h.items():

@@ -3,9 +3,9 @@
 Everything here is a finite trigonometric polynomial carrying an explicit
 bound on whatever tail was discarded.  That keeps each downstream check
 quantitative: an evaluation is an exactly rounded finite sum (math.fsum) of
-terms whose phases m*t were reduced mod 1 exactly, and an identity holds up
-to a number computed from the decay class, never up to an unspecified
-constant.
+terms whose phases {m t} come from the phase engine in contfrac, correctly
+rounded on the dyadic value of t, and an identity holds up to a number
+computed from the decay class, never up to an unspecified constant.
 
 Small divisors e(m alpha) - 1 all come from contfrac.small_divisor: the
 exact residue of m against the angle snapshot, turned into a float through
@@ -19,14 +19,16 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import exp, fsum, pi
+from math import exp, frexp, fsum, pi
 from random import Random
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .contfrac import AngleCF, Certificate, angle_digest, small_divisor
-from .phases import cis, frac_dyadic
+from .contfrac import (
+    TWO_PI, UINT64_MASK, AngleCF, Certificate, _dyadic_turns, angle_digest, cis,
+    dyadic_angle, phase_turns, small_divisor,
+)
 from .spectrum import SnapshotRangeError, classify, classify_tau
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -75,11 +77,15 @@ class FourierSeries:
 
     Coefficients must be conjugate-symmetric (the represented function is
     real) and must sit under decay_const times the decay envelope.  Evaluation
-    adds the terms with math.fsum; each phase m*t is reduced mod 1 in exact
-    integer arithmetic on the dyadic value of t.
+    adds the terms with math.fsum; each phase {m t} is the correctly rounded
+    value on the dyadic value of t.  The modes are kept once as uint64
+    (m mod 2^64) for the engine's power-of-two kernel, and the coefficients
+    as two float arrays.
     """
 
-    __slots__ = ("_pairs", "_map", "decay", "truncation_error", "decay_const")
+    __slots__ = (
+        "_pairs", "_map", "_modes", "_re", "_im", "decay", "truncation_error", "decay_const"
+    )
 
     def __init__(
         self,
@@ -110,6 +116,9 @@ class FourierSeries:
                 )
         self._pairs = tuple(sorted(cleaned.items(), key=lambda kv: (abs(kv[0]), kv[0])))
         self._map = cleaned
+        self._modes = np.array([m & UINT64_MASK for m, _ in self._pairs], dtype=np.uint64)
+        self._re = np.array([c.real for _, c in self._pairs])
+        self._im = np.array([c.imag for _, c in self._pairs])
         self.decay = decay
         self.truncation_error = float(truncation_error)
         self.decay_const = float(decay_const)
@@ -138,9 +147,25 @@ class FourierSeries:
         """Coefficients in evaluation order: increasing (|m|, m)."""
         return self._pairs
 
+    def _turns(self, t: float) -> np.ndarray:
+        """{m t} for each mode, correctly rounded on the dyadic value of t.
+
+        t is mant / 2^k with a 53-bit integer mant.  For k <= 64 the phases
+        come from the engine's power-of-two kernel; a smaller |t| (below
+        2^-12) takes them from phase_turns on dyadic_angle(t).
+        """
+        frac, e = frexp(t)
+        if e >= -11:  # k = 53 - e
+            return _dyadic_turns(self._modes, int(frac * 2.0**53), max(53 - e, 0))
+        return phase_turns(dyadic_angle(t), 1, [m for m, _ in self._pairs])
+
     def eval_with_residue(self, t: float) -> Tuple[float, float]:
-        terms = [c * cis(frac_dyadic(t, m)) if m else c for m, c in self._pairs]
-        return fsum(z.real for z in terms), fsum(z.imag for z in terms)
+        """Real and imaginary part of the sum at t, each an exact fsum."""
+        ang = TWO_PI * self._turns(t)
+        cos, sin = np.cos(ang), np.sin(ang)
+        re = self._re * cos - self._im * sin
+        im = self._re * sin + self._im * cos
+        return fsum(re.tolist()), fsum(im.tolist())
 
     def eval(self, t: float) -> float:
         re, im = self.eval_with_residue(t)

@@ -28,8 +28,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .contfrac import AngleCF, dyadic_angle, phase_turns
-from .phases import TWO_PI
+from .contfrac import TWO_PI, AngleCF, dyadic_angle, phase_turns
 
 MEM_BUDGET_ENV = "MDL_MEM_BUDGET"
 DEFAULT_MEM_BUDGET = 2 << 30  # bytes

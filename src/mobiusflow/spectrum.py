@@ -30,8 +30,7 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .contfrac import AngleCF, Certificate
-from .phases import fold_signed
+from .contfrac import AngleCF, Certificate, fold_signed
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mobiusflow.cli import _random_finite_series
-from mobiusflow.contfrac import check_convergent_bounds, rational_angle
+from mobiusflow.contfrac import check_convergent_bounds, cis, rational_angle
 from mobiusflow.experiments import correlation_sum, rational_case, sweep
 from mobiusflow.flow import (
     FlowConfig,
@@ -38,7 +38,6 @@ from mobiusflow.harmonic import (
     split_tau,
 )
 from mobiusflow.moebius import sieve_full, sieve_segment, twisted_sum
-from mobiusflow.phases import cis
 from mobiusflow.spectrum import check_flat_lower_bound, check_resonant_scaling
 
 

@@ -78,7 +78,7 @@ def test_verify(exp_file, poly_file, tmp_path, capsys):
     assert "bounds k=1: pass" in out
     assert "legendre round-trip k=1: pass" in out
     assert "FAIL" not in out
-    report = json.loads((out_dir / "verify-report.json").read_text())
+    report = json.loads((out_dir / "manifest.json").read_text())["details"]["certificates"]
     assert report and all(cert["pass"] for cert in report)
     assert main(["angle", "verify", "--angle", poly_file]) == 0
 
@@ -135,10 +135,25 @@ def test_check_spectrum(exp_file, tmp_path, capsys):
     assert "resonant scaling k=3: pass" in out
     assert "(partial)" in out  # the top rung is only sampled past the dense range
     assert "truncation at n=1000000: K=2 K'=None" in out
-    report = json.loads((out_dir / "spectrum-report.json").read_text())
+    report = json.loads((out_dir / "manifest.json").read_text())["details"]
     assert report["passed"] is True
     assert report["flat"]["worst_m"] == 7
     assert len(report["scaling"]) == 3
+
+
+def test_manifest_is_the_one_document_in_declared_key_order(exp_file, tmp_path, capsys):
+    spec, verify = tmp_path / "spec", tmp_path / "verify"
+    assert main(["check", "spectrum", "--angle", exp_file,
+                 "--m-limit", "1000", "--out", str(spec)]) == 0
+    assert main(["angle", "verify", "--angle", exp_file, "--out", str(verify)]) == 0
+    capsys.readouterr()
+    for out_dir in (spec, verify):
+        assert [p.name for p in out_dir.iterdir()] == ["manifest.json"]
+    details = json.loads((spec / "manifest.json").read_text())["details"]
+    assert list(details["flat"])[:2] == ["claim", "pass"]
+    assert all(list(doc)[:2] == ["claim", "pass"] for doc in details["scaling"])
+    certs = json.loads((verify / "manifest.json").read_text())["details"]["certificates"]
+    assert all(list(doc)[:2] == ["claim", "pass"] for doc in certs)
 
 
 def _refuse_constant(name):

@@ -10,7 +10,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from mobiusflow.contfrac import (
@@ -465,6 +465,46 @@ def test_phase_turns_matches_the_snapshot_generator(exp_angle, poly_angle, data)
     got = phase_turns(angle, mult, ns)
     want = _snapshot_turns(l, q, mult, ns)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """(x, k, mult, ns) with {x} = odd / 2^k for k in 1..65.
+
+    k = 65 is one past the uint64 kernel and takes the snapshot route.  The
+    numerator often has its top bit set, x may be negative or past 1, mult
+    runs past 2^64, and ns mixes small indices of both signs with ones near
+    the int64 edges, as a list in any order or as an ascending int64 array.
+    """
+    k = draw(st.integers(1, 65))
+    bits = min(k, 53)
+    low = 1 << (bits - 1) if draw(st.booleans()) else 1
+    frac = Fraction(draw(st.integers(low, (1 << bits) - 1)) | 1, 1 << k)
+    whole = draw(st.integers(-3, 3))
+    x = float(whole + frac) if float(whole + frac) == whole + frac else float(frac)
+    mult = draw(st.sampled_from([1, -1, 3]) | st.integers(-(2**70), 2**70))
+    index = st.integers(-(2**63) + 1, 2**63 - 1) | st.integers(-1000, 1000)
+    ns = draw(st.lists(index, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        ns = np.array(sorted(ns), dtype=np.int64)
+    return x, k, mult, ns
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_dyadic_cases())
+@example(case=((2**53 - 1) * 2.0**-64, 64, 1, [-1, 1, 2**11 + 1]))  # near 1, top bit set
+@example(case=(-(2**52 + 1) * 2.0**-65, 65, 2**64 + 3, [7, -(2**63) + 1]))
+@example(case=(0.75, 2, -(2**66) - 1, np.array([-5, 0, 2**62], dtype=np.int64)))
+def test_phase_turns_dyadic_rule_matches_fraction(case):
+    x, k, mult, ns = case
+    angle = dyadic_angle(x)
+    l, q = angle.snapshot
+    assert q == 2**k and Fraction(l, q) == Fraction(x) % 1
+    got = phase_turns(angle, mult, ns)
+    want = np.array([float(Fraction(mult * int(n) * l, q) % 1) for n in ns])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    stepped = _snapshot_turns(l, q, mult, [int(n) for n in ns])
+    assert np.array_equal(got.view(np.int64), stepped.view(np.int64))
 
 
 def test_phase_turns_zero_residue_keeps_the_snapshot_error(exp_angle):

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mobiusflow.contfrac import (
     PrecisionFloorError,
+    cis,
     explicit_angle,
     rational_angle,
 )
@@ -33,7 +34,6 @@ from mobiusflow.experiments import (
 from mobiusflow.flow import FlowConfig, FrequencyVector, TorusPoint, pairing, step
 from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
 from mobiusflow.moebius import PHASE_CHUNK, sieve_full, sieve_segment, twisted_sum
-from mobiusflow.phases import cis
 
 
 @pytest.fixture(scope="module")

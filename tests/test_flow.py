@@ -10,6 +10,7 @@ from mpmath import mp
 from mobiusflow.contfrac import (
     ResourceBudgetError,
     angle_digest,
+    cis,
     frac_mod1,
     rational_angle,
 )
@@ -39,7 +40,6 @@ from mobiusflow.harmonic import (
     analytic_h_sample,
     furstenberg_h,
 )
-from mobiusflow.phases import cis
 
 
 def _circle(a, b):

@@ -4,13 +4,16 @@ The heavy oracles are mpmath: series evaluation at 50 digits, Bessel
 coefficients for the composed exponential, and the closed tail sums.
 """
 
-from math import cos, exp, pi, sin
+from fractions import Fraction
+from math import cos, exp, fsum, pi, sin
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from mobiusflow.contfrac import PrecisionFloorError, rational_angle
+from mobiusflow.contfrac import TWO_PI, PrecisionFloorError, rational_angle
 from mobiusflow.harmonic import (
     FINITE,
     CoboundaryDomainError,
@@ -89,6 +92,38 @@ def test_eval_against_mpmath():
             assert abs(s.eval(t) - float(want)) < 1e-14
     re, im = s.eval_with_residue(0.37)
     assert abs(im) < 1e-13
+
+
+_MODES = st.integers(1, 300) | st.integers(1, 2**70) | st.sampled_from(
+    [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1]
+)
+
+
+@st.composite
+def _eval_points(draw):
+    """t = +-mant / 2^k with k around the kernel's edge at 64, or any t in [-4, 4]."""
+    if draw(st.booleans()):
+        return draw(st.floats(-4.0, 4.0))
+    k = draw(st.integers(58, 70))
+    mant = draw(st.integers(2**52, 2**53 - 1) | st.integers(1, 2**53 - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * mant * 2.0**-k
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_eval_points(), modes=st.lists(_MODES, min_size=1, max_size=12))
+def test_eval_phases_match_a_fraction_oracle(t, modes):
+    coeffs = {0: 0.5}
+    for m in modes:
+        coeffs[m] = coeffs[-m] = 1.0
+    s = FourierSeries(coeffs)
+    want = np.array([float(Fraction(m) * Fraction(t) % 1) for m, _ in s.items()])
+    got = s._turns(t)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    ang = TWO_PI * want
+    cs = np.array([c.real for _, c in s.items()])
+    assert s.eval_with_residue(t) == (
+        fsum((cs * np.cos(ang)).tolist()), fsum((cs * np.sin(ang)).tolist())
+    )
 
 
 def test_derivative_matches_closed_form():

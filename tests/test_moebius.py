@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobiusflow.contfrac import (
     PrecisionFloorError,
+    cis,
     explicit_angle,
     frac_mod1,
     rational_angle,
@@ -27,7 +28,6 @@ from mobiusflow.moebius import (
     twisted_sum,
     write_mu_table,
 )
-from mobiusflow.phases import cis
 
 
 def _mu_by_factorization(n: int) -> int:
