@@ -41,14 +41,15 @@ from .contfrac import (
     rational_angle,
 )
 from .experiments import (
-    correlation_sum,  # not called here; perfbench/tracing.py wraps cli.correlation_sum
+    correlation_sum,
     rational_case,
     records_digest,
     records_to_csv,
     sweep,
+    sweep_segments,
 )
 from .flow import FlowConfig, FrequencyVector, TorusPoint
-from .moebius import MEM_BUDGET_ENV, MemoryBudgetError, memory_budget
+from .moebius import MEM_BUDGET_ENV, MemoryBudgetError, memory_budget, sieve_segment
 from .harmonic import (
     FINITE,
     FourierSeries,
@@ -541,13 +542,19 @@ def _cmd_sweep(args) -> int:
     groups = []
     cross_checked = True
     for theta in thetas:
-        batch = sweep(cfg, b, x, theta, n_list)
-        if args.rational is not None:
-            # report the closed form; the generic path cross-checks it
-            closed = [rational_case(cfg, b, x, r.n_top, r.length) for r in batch]
-            if any(abs(c.value - g.value) > 1e-9 for c, g in zip(closed, batch)):
-                cross_checked = False
-            batch = closed
+        if args.rational is None:
+            batch = sweep(cfg, b, x, theta, n_list)
+        else:
+            # report the closed form; the generic path cross-checks it on the
+            # same sieved segment
+            batch = []
+            for n_top, length in sweep_segments(theta, n_list):
+                table = sieve_segment(n_top, length)
+                generic = correlation_sum(cfg, b, x, n_top, length, table=table, theta=theta)
+                closed = rational_case(cfg, b, x, n_top, length, table=table)
+                if abs(closed.value - generic.value) > 1e-9:
+                    cross_checked = False
+                batch.append(closed)
         records.extend(batch)
         groups.append(
             (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])

@@ -235,6 +235,20 @@ def correlation_sum(
     return _record(b, x, n_top, length, theta, value, t0)
 
 
+def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]:
+    """(N, M) with M = ceil(N^theta) for each N of a strictly ascending list."""
+    if theta <= THETA_FLOOR:
+        warnings.warn(
+            f"theta = {theta} is at or below the 5/8 window floor; "
+            "running anyway",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if list(n_list) != sorted(set(int(n) for n in n_list)):
+        raise ValueError("n_list must be strictly ascending")
+    return [(n_top, min(int(n_top), ceil(n_top**theta))) for n_top in n_list]
+
+
 def sweep(
     cfg: FlowConfig,
     b: FrequencyVector,
@@ -243,20 +257,10 @@ def sweep(
     n_list: Sequence[int],
 ) -> List[CorrelationRecord]:
     """One record per N with M = ceil(N^theta)."""
-    if theta <= THETA_FLOOR:
-        warnings.warn(
-            f"theta = {theta} is at or below the 5/8 window floor; "
-            "running anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if list(n_list) != sorted(set(int(n) for n in n_list)):
-        raise ValueError("n_list must be strictly ascending")
-    records = []
-    for n_top in n_list:
-        length = min(int(n_top), ceil(n_top**theta))
-        records.append(correlation_sum(cfg, b, x, n_top, length, theta=theta))
-    return records
+    return [
+        correlation_sum(cfg, b, x, n_top, length, theta=theta)
+        for n_top, length in sweep_segments(theta, n_list)
+    ]
 
 
 def rational_case(
@@ -265,13 +269,16 @@ def rational_case(
     x: TorusPoint,
     n_top: int,
     length: int,
+    *,
+    table: Optional[MuTable] = None,
 ) -> CorrelationRecord:
     """Correlation over a rational angle via the residue-class closed form.
 
     For alpha = l/q the h argument cycles with period q, so the orbit sum up
     to n = r + k q splits into the prefix of the cycle below r plus k whole
     cycles: each residue class r mod q carries a constant phase plus an
-    arithmetic progression in k.
+    arithmetic progression in k.  table, when given, must cover the segment
+    (n_top - length, n_top], as for correlation_sum; otherwise it is sieved.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
@@ -283,7 +290,8 @@ def rational_case(
     t0 = time.perf_counter()
     theta = _theta_of(n_top, length)
     l, q = cfg.alpha.snapshot
-    table = sieve_segment(n_top, length)
+    if table is None:
+        table = sieve_segment(n_top, length)
     n_lo = n_top - length + 1
     seed, start = _seed_of(cfg, x)
     b1 = b.entries[0] if b.entries else 0

@@ -10,10 +10,12 @@ coordinate nu is {x_n + (nu - 2) beta}.  Nothing is carried from one step to
 the next in floating point, so a 10^7-step orbit does not drift.
 
 Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
-check_conjugacy) comes from one walker, _fiber_blocks.  It sums h less its
-mean c(0) in floats and adds the mean as the exact drift {n c(0)}, the same
-rule the closed form orbit_fast follows, so the fiber error does not grow
-with ulp(n c(0)).
+check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
+reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
+phase table e(m x_n) per block and weights it per row by e(m (nu - 2) beta),
+reduced exactly in fixed point.  It sums h less its mean c(0) in floats and
+adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
+does, so the fiber error does not grow with ulp(n c(0)).
 
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
@@ -174,64 +176,57 @@ def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], i
     return nums, den
 
 
-def _u_blocks(
-    cfg: FlowConfig, seed: float, start: int, n: int, rows: Sequence[int]
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(x_after, u) for steps s = start .. start + n - 1, BLOCK_STEPS at a time.
-
-    u has shape (len(rows), block) with u[k, j] = {x_s + (nu - 2) beta} for
-    coordinate nu = rows[k] + 2 at the block's j-th step, where
-    x_s = {seed + s alpha} comes from the exact engine; x_after[j] = x_{s+1}
-    is the base coordinate after that step.
-    """
-    offsets = np.array(
-        [(i * BETA_FIX % BETA_SCALE) / BETA_SCALE for i in rows]
-    )[:, None]
-    for done in range(0, n, BLOCK_STEPS):
-        s0 = start + done
-        s1 = start + min(done + BLOCK_STEPS, n)
-        xs = phase_turns(cfg.alpha, 1, range(s0, s1 + 1), seed)
-        u = xs[:-1] + offsets
-        yield xs[1:], np.mod(u, 1.0, out=u)
-
-
-def _series_block(modes, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Real part of sum c(m) e(m u) over the (m, c) modes, written into out."""
-    out.fill(0.0)
-    for m, c in modes:
-        ang = TWO_PI * np.mod(m * u, 1.0)
-        out += c.real * np.cos(ang) - c.imag * np.sin(ang)
-    return out
-
-
 def _fiber_blocks(
     cfg: FlowConfig, x: TorusPoint, n: int, rows: Sequence[int]
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(x_after, fiber) per block of the orbit T^1 x .. T^n x: the one orbit walker.
 
     fiber[k, j] is fiber coordinate nu = rows[k] + 2 after step s, the
-    block's j-th: x_nu plus the sum of h over the first s steps.  That sum
-    splits in two.  h less its mean c(0) is summed as a float cumsum inside
-    the block, started from the exactly rounded total of the blocks before
-    it; the mean part s c(0) enters as the exact drift {s c(0)} from the
-    phase engine, so c(0) never joins a float sum.  Neither part depends on
-    x, so two points on one base orbit share them exactly.  One fiber array
-    is filled row by row and reused from block to block.
+    block's j-th: x_nu plus the sum of h over the first s steps.  Row k reads
+    h at u = x_s + off_k, off_k = {rows[k] beta}, and e(m u) = e(m x_s)
+    e(m off_k).  So each block builds one phase table cos, sin(2 pi {m x_s})
+    on the correctly rounded base orbit, over the positive modes m, one mode
+    at a time into buffers kept across blocks.  Row k is
+    sum_m (Wr[k, m] cos - Wi[k, m] sin) with row weights
+    W[k, m] = (c(m) + conj c(-m)) e(m off_k), m rows[k] beta reduced mod 1 in
+    BETA_FIX fixed point; the fold equals Re sum over +-m of c(m) e(m u) for
+    any coefficients.  A broadcast multiply-add (no matrix product) keeps a
+    row's bits independent of which other rows are asked for.
+
+    The sum of h splits in two.  h less its mean c(0) is summed as a float
+    cumsum inside the block, started from the exactly rounded total of the
+    blocks before it; the mean part s c(0) enters as the exact drift
+    {s c(0)} from the phase engine, so c(0) never joins a float sum.  Neither
+    part depends on x, so two points on one base orbit share them exactly.
     """
     seed, start = _seed_of(cfg, x)
-    modes = [(m, c) for m, c in cfg.h.items() if m != 0]
     c0 = cfg.h.coeff(0).real
     mean = dyadic_angle(c0) if rows and c0 % 1.0 else None
+    modes = sorted({abs(m) for m, _ in cfg.h.items() if m})
+    fold = np.array([cfg.h.coeff(m) + cfg.h.coeff(-m).conjugate() for m in modes])
+    offs = np.array(
+        [[m * i * BETA_FIX % BETA_SCALE / BETA_SCALE for m in modes] for i in rows]
+    ).reshape(len(rows), len(modes))
+    weights = (fold * np.exp(1j * TWO_PI * offs)).T[:, :, None]
     fiber = np.empty((len(rows), min(n, BLOCK_STEPS)))
+    sin, cos = np.empty((2, fiber.shape[1]))
     totals = [[] for _ in rows]
-    done = 0
-    for x_after, u in _u_blocks(cfg, seed, start, n, rows):
-        width = len(x_after)
-        block = fiber[:, :width]
+    for done in range(0, n, BLOCK_STEPS):
+        width = min(BLOCK_STEPS, n - done)
+        xs = phase_turns(cfg.alpha, 1, range(start + done, start + done + width + 1), seed)
+        block, sn, c = fiber[:, :width], sin[:width], cos[:width]
+        block.fill(0.0)
+        for m, w in zip(modes, weights):
+            np.multiply(xs[:-1], m, out=sn)
+            np.mod(sn, 1.0, out=sn)
+            sn *= TWO_PI
+            np.cos(sn, out=c)
+            np.sin(sn, out=sn)
+            block += w.real * c
+            block -= w.imag * sn
         if mean is not None:
             drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
-        for k, i in enumerate(rows):
-            row = _series_block(modes, u[k], block[k])
+        for k, (i, row) in enumerate(zip(rows, block)):
             carry = fsum(totals[k])
             totals[k].append(fsum(row.tolist()))
             np.cumsum(row, out=row)
@@ -240,8 +235,7 @@ def _fiber_blocks(
                 row += drift
             row += x.coords[i + 1]
             np.mod(row, 1.0, out=row)
-        done += width
-        yield x_after, block
+        yield xs[1:], block
 
 
 def _circle_coords(values: Iterable[float]) -> Tuple[float, ...]:

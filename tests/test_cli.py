@@ -6,12 +6,15 @@ Exit code contract: 0 pass, 1 usage error, 2 certificate failure,
 
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
+from math import ceil
 
 import pytest
 
+from mobiusflow import cli, experiments
 from mobiusflow.cli import main
 from mobiusflow.contfrac import angle_digest, angle_from_json
-from mobiusflow.moebius import MEM_BUDGET_ENV
+from mobiusflow.moebius import MEM_BUDGET_ENV, sieve_segment
 
 EXP_DIGEST_PREFIX = "d37b34e10939ad70"
 
@@ -256,8 +259,28 @@ def test_sweep_rational_cross_check(capsys):
     assert "FAILED" not in out
 
 
+def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counting(n_top, length, *args, **kwargs):
+        calls[n_top, length] += 1
+        return sieve_segment(n_top, length, *args, **kwargs)
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "sieve_segment", counting, raising=False)
+    code = main(
+        ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
+         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000"]
+    )
+    assert code == 0
+    assert "rational_cross_check\": true" in capsys.readouterr().out
+    # the closed form and its generic cross-check share one sieved segment
+    assert calls == {(500, ceil(500**0.8)): 1, (2000, ceil(2000**0.8)): 1}
+
+
 def test_sweep_rational_needs_ascending_n(exp_file, capsys):
-    # the rational path runs through sweep(), so it refuses the same lists
+    # the rational path cuts its segments with sweep_segments(), as sweep()
+    # does, so it refuses the same lists
     for source in (["--rational", "1/3"], ["--angle", exp_file]):
         code = main(
             ["sweep", *source, "--h", "analytic:1.0:4", "--v", "3",

@@ -141,6 +141,12 @@ def test_short_table_is_refused_on_every_phase_route(exp_angle):
         correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide.restrict(7001, 9999))
     own = correlation_sum(kernel, B_MIXED, X4, 10000, 3000)
     assert correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide).value == own.value
+    # the rational closed form takes a table on the same terms
+    rational = FlowConfig(alpha=rational_angle(1, 2), h=kernel.h, v=4)
+    with pytest.raises(ValueError, match="table covers"):
+        rational_case(rational, B_MIXED, X4, 10000, 3000, table=short)
+    own = rational_case(rational, B_MIXED, X4, 10000, 3000)
+    assert rational_case(rational, B_MIXED, X4, 10000, 3000, table=wide).value == own.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Skew-product stepping, closed-form orbits, distality, conjugacy."""
 
+import tracemalloc
 from fractions import Fraction
 from math import fsum
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from mobiusflow import build_exp_alpha
 from mobiusflow.contfrac import (
     ResourceBudgetError,
     angle_digest,
     cis,
     frac_mod1,
+    phase_turns,
     rational_angle,
 )
 from mobiusflow.flow import (
     BETA_FIX,
+    BLOCK_STEPS,
     DIRECT_STEP_LIMIT,
     ConjugacyPair,
     FlowConfig,
@@ -32,9 +38,10 @@ from mobiusflow.flow import (
     psi_inv,
     psi_map,
     step,
-    _u_blocks,
+    _fiber_blocks,
 )
 from mobiusflow.harmonic import (
+    FINITE,
     CoboundaryFunction,
     FourierSeries,
     analytic_h_sample,
@@ -206,15 +213,115 @@ def test_coordinates_that_round_to_one_fold_to_zero(exp_angle):
     assert psi_map(pair, x).coords == (0.0, 0.0)
 
 
-def test_u_blocks_builds_the_requested_rows(exp_angle):
+def _tagged(cfg, coords, seed, steps):
+    return TorusPoint(
+        coords, base_seed=seed, base_steps=steps, base_angle=angle_digest(cfg.alpha)
+    )
+
+
+def _walk(cfg, x, n, rows):
+    # the walker reuses its arrays from block to block
+    return [(xa.copy(), f.copy()) for xa, f in _fiber_blocks(cfg, x, n, rows)]
+
+
+def test_fiber_blocks_builds_the_requested_rows(exp_angle):
     cfg = _cfg(exp_angle, v=8)
-    every = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, range(7))]
-    some = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, [0, 2, 6])]
-    none = [u for _, u in _u_blocks(cfg, 0.3, 5, 9000, [])]
-    assert [u.shape for u in some] == [(3, 8192), (3, 808)]
-    for a, b in zip(every, some):
+    x = _tagged(cfg, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), 0.3, 5)
+    every = _walk(cfg, x, 9000, range(7))
+    some = _walk(cfg, x, 9000, [0, 2, 6])
+    none = _walk(cfg, x, 9000, [])
+    assert [f.shape for _, f in some] == [(3, 8192), (3, 808)]
+    assert [f.shape for _, f in none] == [(0, 8192), (0, 808)]
+    for (xa, a), (xb, b), (xc, _) in zip(every, some, none):
+        assert np.array_equal(xa, xb) and np.array_equal(xa, xc)
         assert np.array_equal(a[[0, 2, 6]], b)
-    assert [u.shape for u in none] == [(0, 8192), (0, 808)]
+
+
+def _oracle_fibers(cfg, x, n, rows):
+    """Fiber rows after steps 1..n, one mode, row and step at a time, and the
+    largest partial sum of h less its mean.
+
+    h at step s and coordinate nu = i + 2 is Re sum_m c(m) e(m u) over every
+    mode, with u = {x_s + off} and off = {i beta} rounded to a float; the
+    mean c(0) enters as the exact drift {s c(0)}.
+    """
+    seed, start = (x.base_seed, x.base_steps) if x.base_seed is not None else (x.coords[0], 0)
+    xs = phase_turns(cfg.alpha, 1, range(start, start + n), seed)
+    p, q = cfg.h.coeff(0).real.as_integer_ratio()
+    drift = np.array([(s * p) % q / q for s in range(1, n + 1)])
+    out, peak = [], 0.0
+    for i in rows:
+        u = np.mod(xs + (i * BETA_FIX % 2**128) / 2**128, 1.0)
+        h = np.zeros(n)
+        for m, c in cfg.h.items():
+            if m != 0:
+                ang = 2 * np.pi * np.mod(m * u, 1.0)
+                h += c.real * np.cos(ang) - c.imag * np.sin(ang)
+        sums = np.cumsum(h)
+        peak = max(peak, float(np.abs(sums).max()))
+        out.append(np.mod(x.coords[i + 1] + sums + drift, 1.0))
+    return np.array(out).reshape(len(rows), n), peak
+
+
+@st.composite
+def _walker_cases(draw):
+    v = draw(st.integers(2, 8))
+    coeffs = {0: draw(st.sampled_from([0.0, 1.0, -2.0]) | st.floats(-3, 3))}
+    for m in draw(st.sets(st.integers(1, 40), max_size=6)):
+        c = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        # the mirror may miss conj(c) by up to the 1e-12 the series allows
+        slack = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        coeffs[m], coeffs[-m] = c, c.conjugate() + complex(slack, -slack) / 2
+    coords = tuple(draw(st.floats(0, 1, exclude_max=True)) for _ in range(v))
+    steps = draw(st.none() | st.integers(0, 10**6))
+    n = draw(st.integers(1, 300) | st.integers(BLOCK_STEPS - 50, BLOCK_STEPS + 300))
+    rows = draw(st.lists(st.integers(0, v - 2), unique=True))
+    return v, coeffs, coords, steps, n, sorted(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_walker_cases())
+@example(case=(8, {0: 1.0, 24: 0.3 - 0.1j, -24: 0.3 + 0.1j}, (0.25,) * 8, 5,
+                BLOCK_STEPS + 1, list(range(7))))
+@example(case=(3, {0: 0.3}, (0.0, 0.5, 0.9), None, 9000, [0, 1]))
+def test_fiber_blocks_match_a_per_mode_oracle(case):
+    # the angle is built here, not taken from the fixture, so that a failing
+    # example does not print its 11.7k-bit snapshot
+    v, coeffs, coords, steps, n, rows = case
+    h = FourierSeries(coeffs, FINITE, 0.0, 2.0)
+    cfg = FlowConfig(alpha=build_exp_alpha(4), h=h, v=v)
+    x = TorusPoint(coords) if steps is None else _tagged(cfg, coords, coords[0], steps)
+    blocks = _walk(cfg, x, n, rows)
+    got = np.concatenate([f for _, f in blocks], axis=1).reshape(len(rows), n)
+    want, peak = _oracle_fibers(cfg, x, n, rows)
+    # a phase {m u} is off by a few ulp of m on either route, and each
+    # cumsum step rounds at the size of the partial sum
+    per_step = 1 + 2 * np.pi * sum(abs(c) * (abs(m) + 1) for m, c in cfg.h.items() if m)
+    tol = n * 2.0**-50 * (per_step + peak)
+    dev = np.abs(got - want)
+    assert np.all(np.minimum(dev, 1.0 - dev) <= tol)
+
+
+def test_direct_matches_fast_within_4e12_on_48_modes(exp_angle):
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 1), v=8)
+    rng = Random(1)
+    x = TorusPoint(tuple(rng.random() for _ in range(8)))
+    a, b = orbit_direct(cfg, x, 50000), orbit_fast(cfg, x, 50000)
+    assert a.coords[0] == b.coords[0]
+    assert max(_circle(u, w) for u, w in zip(a.coords, b.coords)) <= 4e-12
+
+
+def test_direct_orbit_memory_stays_bounded(exp_angle):
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 1), v=8)
+    x = TorusPoint((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
+    orbit_direct(cfg, x, 100)  # caches that outlive the call fill here
+    tracemalloc.start()
+    try:
+        orbit_direct(cfg, x, 50000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
