@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from hashlib import sha256
 from math import log10
@@ -554,7 +554,8 @@ def _cmd_sweep(args) -> int:
                 closed = rational_case(cfg, b, x, n_top, length, table=table)
                 if abs(closed.value - generic.value) > 1e-9:
                     cross_checked = False
-                batch.append(closed)
+                # rational_case records log M / log N; the row is the sweep's theta
+                batch.append(replace(closed, theta=theta))
         records.extend(batch)
         groups.append(
             (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])

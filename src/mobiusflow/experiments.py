@@ -1,22 +1,26 @@
 """Mobius-weighted correlation sums along skew-product orbits.
 
 The headline quantity is S = sum of mu(n) e(<b, T^n x>) over a short segment
-(N - M, N].  The pairing phase is assembled algebraically instead of
-materializing orbits: each coefficient of h contributes through the closed
-geometric kernel, whose weights over the active coordinates fold into one
-complex number per frequency; the base term b_1 n alpha and every
-e(m n alpha) come from the exact phase engine contfrac.phase_turns, which
-rounds each phase as the snapshot does but reduces it in int64 against the
-smallest convergent that rounds alike (q_3 = 8102 for the exp-type angle);
-and the mean of h (plus any frequency the snapshot makes resonant) becomes a
-drift slope, reduced mod 1 in extended precision and stepped exactly as a
-dyadic rational.  moebius.mu_phase_sum evaluates the phases over fixed-size chunks
-of the nonzero-mu indices and adds them with math.fsum, so every record is
-reproducible bit for bit.
+(N - M, N].  The constant phase <b, x> is taken out of every term and applied
+once, S = e(<b, x> mod 1) * sum of mu(n) e(phase(n)), and phase(n) is
+assembled algebraically instead of materializing orbits: each coefficient of
+h contributes through the closed geometric kernel, whose weights over the
+active coordinates fold into one complex number per frequency; the base term
+b_1 n alpha and every e(m n alpha) come from the exact phase engine
+contfrac.phase_turns, which rounds each phase as the snapshot does but
+reduces it in int64 against the smallest convergent that rounds alike
+(q_3 = 8102 for the exp-type angle); and the mean of h (plus any frequency
+the snapshot makes resonant) becomes a drift slope, reduced mod 1 in extended
+precision and stepped exactly as a dyadic rational.  moebius.mu_phase_sum
+evaluates the phases over fixed-size chunks of the nonzero-mu indices and
+adds them with math.fsum, so every record is reproducible bit for bit.  The
+one route covers b = 0 (the Mertens difference) and h = 0 (the twisted
+rotation sum) exactly, with no shortcut for either.
 
-For a rational angle l/q, rational_case gives an independent route: h cycles
-with period q, so each residue class mod q carries a constant phase (the
-exact prefix of h over the cycle) plus a multiple of the full-cycle slope.
+For a rational angle l/q, rational_case gives an independent route on the
+same set-up: h cycles with period q, so each residue class mod q carries a
+constant phase (the exact prefix of h over the cycle) plus a multiple of the
+full-cycle slope.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ from .flow import (
     _seed_of,
     birkhoff_avg,
 )
-from .moebius import MuTable, mu_phase_sum, sieve_segment, twisted_sum
+from .moebius import MuTable, mu_phase_sum, sieve_segment
+# not called here since the kernel route covers h = 0, but the benchmark's
+# tracer (perfbench/tracing.py) wraps experiments.twisted_sum by name
+from .moebius import twisted_sum  # noqa: F401
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window
@@ -130,15 +137,6 @@ def _drift(slope) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     return lambda ks: phase_turns(head, 1, ks) + ks * lo
 
 
-def _active(cfg: FlowConfig, b: FrequencyVector) -> List[Tuple[int, int]]:
-    """(nu, b_nu) for the fiber coordinates the pairing vector touches."""
-    return [
-        (nu, b.entries[nu - 1])
-        for nu in range(2, cfg.v + 1)
-        if nu - 1 < len(b.entries) and b.entries[nu - 1] != 0
-    ]
-
-
 def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
     return CorrelationRecord(
         n_top=n_top,
@@ -149,6 +147,30 @@ def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
         value=value,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _setup(cfg, b, x, n_top, length, table):
+    """What both routes share: the guards, the segment's table (sieved unless
+    one is given), n_lo, b_1, the unit factor e(<b, x>) and the amplitudes
+    A_m of h over the coordinates b touches past the first (none if it
+    touches none of them)."""
+    _check_point(cfg, x)
+    if b.top_index > cfg.v:
+        raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
+    if not 1 <= length <= n_top:
+        raise ValueError("need 1 <= length <= n_top")
+    if table is None:
+        table = sieve_segment(n_top, length)
+    b1 = b.entries[0] if b.entries else 0
+    const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
+    # (nu, b_nu) for the fiber coordinates the pairing vector touches
+    active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
+    amps = []
+    if active:
+        nums, den = _coord_bases(cfg, *_seed_of(cfg, x))
+        with mp.workdps(50):
+            amps = _amplitudes(cfg.h.items(), active, nums, den)
+    return table, n_top - length + 1, b1, cis(const % 1.0), amps
 
 
 def correlation_sum(
@@ -163,61 +185,33 @@ def correlation_sum(
 ) -> CorrelationRecord:
     """S = sum of mu(n) e(<b, T^n x>) for n in (n_top - length, n_top].
 
-    The zero vector collapses to the exact integer Mertens difference; a
-    driving series without coefficients collapses to the twisted rotation sum
-    times the constant phase of the starting point.  Everything else runs the
-    kernel expansion, one phase_turns call per frequency and chunk.
+    One route for every b and h: the constant phase <b, x> is taken out of
+    the sum and applied once as e(<b, x> mod 1), and the rest runs the kernel
+    expansion, one phase_turns call per frequency and chunk.  So the zero
+    vector gives the exact Mertens difference, and a driving series without
+    coefficients gives e(<b, x>) times the twisted rotation sum, bit for bit.
     """
-    _check_point(cfg, x)
-    if b.top_index > cfg.v:
-        raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
-    if not 1 <= length <= n_top:
-        raise ValueError("need 1 <= length <= n_top")
     t0 = time.perf_counter()
+    table, n_lo, b1, turn, amps = _setup(cfg, b, x, n_top, length, table)
     theta = _theta_of(n_top, length) if theta is None else float(theta)
-    if table is None:
-        table = sieve_segment(n_top, length)
-    n_lo = n_top - length + 1
-
-    if b.is_zero:
-        total = table.restrict(n_lo, n_top).mertens()
-        return _record(b, x, n_top, length, theta, complex(total, 0.0), t0)
-
-    b1 = b.entries[0] if b.entries else 0
-    const = sum(
-        bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0
-    )
-
-    if len(cfg.h) == 0:
-        twisted = twisted_sum(
-            n_top, length, 1, 0, cfg.alpha, table=table, mult=b1
-        )
-        value = cis(const % 1.0) * twisted.value
-        return _record(b, x, n_top, length, theta, value, t0)
-
-    seed, start = _seed_of(cfg, x)
-    active = _active(cfg, b)
 
     # one kernel weight per frequency, folded over the active coordinates:
-    # W_m = A_m / (e(m alpha) - 1); the pairing phase is then
-    # const - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
+    # W_m = A_m / (e(m alpha) - 1); past e(<b, x>) the pairing phase is then
+    # b_1 n alpha - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
     weights: List[Tuple[int, complex]] = []
-    base_phase = const
+    base_phase = 0.0
     slope = mp.mpf(0)
-    if active:
-        nums, den = _coord_bases(cfg, seed, start)
-        with mp.workdps(50):
-            amps = _amplitudes(cfg.h.items(), active, nums, den)
-            for (m, _), amp in zip(cfg.h.items(), amps):
-                zden = small_divisor(m, cfg.alpha)
-                if zden == 0:
-                    # the snapshot makes e(m alpha) = 1 (m = 0 always does):
-                    # n identical terms per step, so the mode is a drift
-                    slope += mp.re(amp)
-                    continue
-                w = complex(amp) / zden
-                weights.append((m, w))
-                base_phase -= w.real
+    with mp.workdps(50):
+        for (m, _), amp in zip(cfg.h.items(), amps):
+            zden = small_divisor(m, cfg.alpha)
+            if zden == 0:
+                # the snapshot makes e(m alpha) = 1 (m = 0 always does):
+                # n identical terms per step, so the mode is a drift
+                slope += mp.re(amp)
+                continue
+            w = complex(amp) / zden
+            weights.append((m, w))
+            base_phase -= w.real
     drift = _drift(slope)
 
     def phases(ns: np.ndarray) -> np.ndarray:
@@ -231,7 +225,7 @@ def correlation_sum(
             phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
         return phase
 
-    value = mu_phase_sum(table, n_lo, n_top, 1, phases)
+    value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
     return _record(b, x, n_top, length, theta, value, t0)
 
 
@@ -282,21 +276,9 @@ def rational_case(
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
-    _check_point(cfg, x)
-    if b.top_index > cfg.v:
-        raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
-    if not 1 <= length <= n_top:
-        raise ValueError("need 1 <= length <= n_top")
     t0 = time.perf_counter()
-    theta = _theta_of(n_top, length)
+    table, n_lo, b1, turn, amps = _setup(cfg, b, x, n_top, length, table)
     l, q = cfg.alpha.snapshot
-    if table is None:
-        table = sieve_segment(n_top, length)
-    n_lo = n_top - length + 1
-    seed, start = _seed_of(cfg, x)
-    b1 = b.entries[0] if b.entries else 0
-    active = _active(cfg, b)
-    const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
 
     # the pairing of h summed over the first r cycle points (the class
     # prefix) and over the whole cycle (the slope per period), both to 50
@@ -304,10 +286,8 @@ def rational_case(
     # the pairing is Re sum_m A_m e(m l/q)^j with A_m = c(m) sum b_nu e(m u_nu).
     prefix = np.zeros(q)
     slope = mp.mpf(0)
-    if active:
+    if amps:
         with mp.workdps(50):
-            nums, den = _coord_bases(cfg, seed, start)
-            amps = _amplitudes(cfg.h.items(), active, nums, den)
             terms = [
                 (amp, mp.expjpi(2 * mp.mpf((m * l) % q) / q))
                 for (m, _), amp in zip(cfg.h.items(), amps)
@@ -316,20 +296,19 @@ def rational_case(
                 prefix[j] = float(mp.frac(slope))
                 slope += sum(mp.re(a) for a, _ in terms)
                 terms = [(a * z, z) for a, z in terms]
-    classes = const + prefix
     drift = _drift(slope)
 
     def phases(ns: np.ndarray) -> np.ndarray:
-        # n = r + k q: the class constant, b1 {n alpha}, and k whole cycles
-        phase = classes[ns % q]
+        # n = r + k q: the class prefix, b1 {n alpha}, and k whole cycles
+        phase = prefix[ns % q]
         if b1 != 0:
             phase += phase_turns(cfg.alpha, b1, ns)
         if drift:
             phase += drift(ns // q)
         return phase
 
-    value = mu_phase_sum(table, n_lo, n_top, 1, phases)
-    return _record(b, x, n_top, length, theta, value, t0)
+    value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
+    return _record(b, x, n_top, length, _theta_of(n_top, length), value, t0)
 
 
 @dataclass(frozen=True)

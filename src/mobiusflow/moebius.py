@@ -21,7 +21,6 @@ half way through a multi-gigabyte allocation.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt
 from typing import Callable, Optional, Union
@@ -35,8 +34,6 @@ DEFAULT_MEM_BUDGET = 2 << 30  # bytes
 
 BLOCK = 1 << 20
 PHASE_CHUNK = 1 << 13  # table entries per chunk of a phase sum
-
-MU_MAGIC = b"MU01"
 
 
 class MemoryBudgetError(RuntimeError):
@@ -189,33 +186,6 @@ def squarefree_count(n_max: int) -> int:
         if m:
             total += m * (n_max // (d * d))
     return total
-
-
-# ---------------------------------------------------------------------------
-# binary table format: 4-byte magic, then n_top and length as little-endian
-# u64, then the int8 entries.  20 bytes of header total.
-
-def write_mu_table(path, table: MuTable) -> None:
-    header = MU_MAGIC + struct.pack("<QQ", table.n_hi, len(table))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.values.tobytes())
-
-
-def read_mu_table(path) -> MuTable:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MU_MAGIC:
-        raise ValueError(f"not a mu table: bad magic {blob[:4]!r}")
-    n_top, length = struct.unpack("<QQ", blob[4:20])
-    payload = blob[20:]
-    if len(payload) != length:
-        raise ValueError(f"payload holds {len(payload)} entries, header says {length}")
-    values = np.frombuffer(payload, dtype=np.int8).copy()
-    bad = np.abs(values) > 1
-    if bad.any():
-        raise ValueError("entries outside {-1, 0, 1}")
-    return MuTable(n_top - length + 1, n_top, values)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,22 @@ def test_sweep_rational_cross_check(capsys):
     assert "FAILED" not in out
 
 
+def test_sweep_rational_records_the_sweep_theta(tmp_path, capsys):
+    # ceil(N^0.8) makes log M / log N drift above 0.8; the rows must carry
+    # the theta the sweep ran at, as the --angle path does
+    code = main(
+        ["sweep", "--rational", "355/1131", "--h", "analytic:1.0:8", "--v", "4",
+         "--b", "1;2;0;-1", "--theta", "0.8", "--n", "1e4,1e5", "--seed", "2",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [o["theta"] for o in manifest["details"]["observations"]] == [0.8, 0.8]
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.8", "0.8"]
+
+
 def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
     calls = Counter()
 

@@ -62,25 +62,39 @@ def _stepped_oracle(cfg, b, x, n_top, length):
 # exact reductions
 
 
+RATIONAL = rational_angle(355, 1131)
+
+
 def test_zero_vector_is_mertens(exp_cfg):
-    rec = correlation_sum(exp_cfg, FrequencyVector((0, 0, 0, 0)), X4, 1000, 500)
     full = sieve_full(1000)
     want = sum(full.mu(n) for n in range(501, 1001))
-    assert rec.value == complex(want, 0.0)
-    assert rec.value.imag == 0.0
-    assert rec.theta == pytest.approx(math.log(500) / math.log(1000))
+    zero = FrequencyVector((0, 0, 0, 0))
+    rat_cfg = FlowConfig(alpha=RATIONAL, h=exp_cfg.h, v=4)
+    for rec in (
+        correlation_sum(exp_cfg, zero, X4, 1000, 500),
+        correlation_sum(rat_cfg, zero, X4, 1000, 500),
+        rational_case(rat_cfg, zero, X4, 1000, 500),
+    ):
+        assert rec.value == complex(want, 0.0)
+        assert rec.value.imag == 0.0
+        assert rec.theta == pytest.approx(math.log(500) / math.log(1000))
 
 
-def test_empty_series_is_twisted_rotation(exp_cfg, exp_angle):
-    cfg = FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=4)
-    rec = correlation_sum(cfg, FrequencyVector.unit(1, 4), X4, 2000, 900)
-    tw = twisted_sum(2000, 900, 1, 0, exp_angle, mult=1)
-    assert rec.value == cis(0.3 % 1.0) * tw.value
-    # a tail entry and a negative base multiplier keep the identity
-    bmix = FrequencyVector((-2, 0, 3, 0))
-    rec = correlation_sum(cfg, bmix, X4, 2000, 900)
-    tw = twisted_sum(2000, 900, 1, 0, exp_angle, mult=-2)
-    assert rec.value == cis((-2 * 0.3 + 3 * 0.05) % 1.0) * tw.value
+def test_empty_series_is_twisted_rotation(exp_angle):
+    for angle, route in (
+        (exp_angle, correlation_sum),
+        (RATIONAL, correlation_sum),
+        (RATIONAL, rational_case),
+    ):
+        cfg = FlowConfig(alpha=angle, h=FourierSeries({}), v=4)
+        rec = route(cfg, FrequencyVector.unit(1, 4), X4, 2000, 900)
+        tw = twisted_sum(2000, 900, 1, 0, angle, mult=1)
+        assert rec.value == cis(0.3 % 1.0) * tw.value
+        # a tail entry and a negative base multiplier keep the identity
+        bmix = FrequencyVector((-2, 0, 3, 0))
+        rec = route(cfg, bmix, X4, 2000, 900)
+        tw = twisted_sum(2000, 900, 1, 0, angle, mult=-2)
+        assert rec.value == cis((-2 * 0.3 + 3 * 0.05) % 1.0) * tw.value
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +130,17 @@ def test_kernel_determinism(exp_cfg):
 
 
 def test_correlation_guards(exp_cfg, exp_angle):
-    with pytest.raises(ValueError):
-        correlation_sum(exp_cfg, B_MIXED, X4, 100, 101)
-    with pytest.raises(ValueError):
-        correlation_sum(exp_cfg, FrequencyVector((1, 0, 0, 0, 1)), X4, 100, 100)
+    # both routes run the same guards
+    rat_cfg = FlowConfig(alpha=RATIONAL, h=exp_cfg.h, v=4)
+    for route, cfg in ((correlation_sum, exp_cfg), (rational_case, rat_cfg)):
+        with pytest.raises(ValueError):
+            route(cfg, B_MIXED, X4, 100, 101)
+        with pytest.raises(ValueError):
+            route(cfg, B_MIXED, X4, 100, 0)
+        with pytest.raises(ValueError):
+            route(cfg, FrequencyVector((1, 0, 0, 0, 1)), X4, 100, 100)
+        with pytest.raises(ValueError):
+            route(cfg, B_MIXED, TorusPoint((0.3, 0.71, 0.05)), 100, 100)
     # a 3-digit snapshot cannot carry residue streams a million steps
     shallow = explicit_angle([2, 9, 2, 1, 3])
     cfg = FlowConfig(alpha=shallow, h=FourierSeries({1: 0.1, -1: 0.1}), v=2)
@@ -133,9 +154,11 @@ def test_short_table_is_refused_on_every_phase_route(exp_angle):
     short = sieve_segment(9000, 500)
     kernel = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 6, 1), v=4)
     twisted = FlowConfig(alpha=exp_angle, h=FourierSeries({}), v=4)
+    zero = FrequencyVector((0, 0, 0, 0))
     for cfg in (kernel, twisted):
-        with pytest.raises(ValueError, match="table covers"):
-            correlation_sum(cfg, B_MIXED, X4, 10000, 3000, table=short)
+        for b in (B_MIXED, zero):
+            with pytest.raises(ValueError, match="table covers"):
+                correlation_sum(cfg, b, X4, 10000, 3000, table=short)
     wide = sieve_segment(10000, 3000)
     with pytest.raises(ValueError, match="table covers"):
         correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide.restrict(7001, 9999))
@@ -143,8 +166,9 @@ def test_short_table_is_refused_on_every_phase_route(exp_angle):
     assert correlation_sum(kernel, B_MIXED, X4, 10000, 3000, table=wide).value == own.value
     # the rational closed form takes a table on the same terms
     rational = FlowConfig(alpha=rational_angle(1, 2), h=kernel.h, v=4)
-    with pytest.raises(ValueError, match="table covers"):
-        rational_case(rational, B_MIXED, X4, 10000, 3000, table=short)
+    for b in (B_MIXED, zero):
+        with pytest.raises(ValueError, match="table covers"):
+            rational_case(rational, b, X4, 10000, 3000, table=short)
     own = rational_case(rational, B_MIXED, X4, 10000, 3000)
     assert rational_case(rational, B_MIXED, X4, 10000, 3000, table=wide).value == own.value
 

@@ -1,4 +1,4 @@
-"""Sieves against independent factorization, table format, twisted sums."""
+"""Sieves against independent factorization, twisted sums."""
 
 from math import fsum
 
@@ -21,12 +21,10 @@ from mobiusflow.moebius import (
     MemoryBudgetError,
     MuTable,
     memory_budget,
-    read_mu_table,
     sieve_full,
     sieve_segment,
     squarefree_count,
     twisted_sum,
-    write_mu_table,
 )
 
 
@@ -145,43 +143,6 @@ def test_sieve_input_validation():
         sieve_segment(10, 11)
     with pytest.raises(ValueError):
         sieve_segment(10, 0)
-
-
-# ---------------------------------------------------------------------------
-# binary table format
-
-
-def test_table_file_roundtrip(tmp_path):
-    table = sieve_segment(1000, 400)
-    path = tmp_path / "t.mu"
-    write_mu_table(path, table)
-    assert path.stat().st_size == 20 + len(table)
-    back = read_mu_table(path)
-    assert back.n_lo == table.n_lo and back.n_hi == table.n_hi
-    assert np.array_equal(back.values, table.values)
-
-
-def test_table_file_rejects_corruption(tmp_path):
-    table = sieve_full(64)
-    path = tmp_path / "t.mu"
-    write_mu_table(path, table)
-    blob = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "m.mu"
-    bad_magic.write_bytes(b"XX01" + bytes(blob[4:]))
-    with pytest.raises(ValueError):
-        read_mu_table(bad_magic)
-
-    truncated = tmp_path / "s.mu"
-    truncated.write_bytes(bytes(blob[:-3]))
-    with pytest.raises(ValueError):
-        read_mu_table(truncated)
-
-    wild = tmp_path / "v.mu"
-    blob[25] = 5
-    wild.write_bytes(bytes(blob))
-    with pytest.raises(ValueError):
-        read_mu_table(wild)
 
 
 # ---------------------------------------------------------------------------
