@@ -12,6 +12,15 @@ Diophantine facts the splits rely on:
 Every pass/fail decision here is an integer comparison against the snapshot
 rationals; floats appear only as reported witnesses.
 
+Both scans step the balanced residue d = fold(m l mod q), which lives in
+(-q/2, q/2] with |d| = q ||m l/q||, by one addition and at most one wrap per
+step.  Inside a band where the scaling identity holds, d = +-a r_k stays as
+small as a r_k itself, so the million-step witness scan costs word-sized
+arithmetic even against a snapshot of thousands of digits; the doubling grid
+past it doubles d (one wrap again), and only the band's endpoint pays a full
+multiplication modulo q.  The whole-band verdict needs no scan at all: the
+identity holds for every 1 <= a <= a_max exactly when 2 a_max r_k <= q.
+
 The flat lower bound needs care.  Its textbook proof hinges on q_k not
 dividing m for the band k containing m, which the resonant-set definition
 (k >= 2 and q_k | m) guarantees only for k >= 2.  Small divisible frequencies
@@ -30,7 +39,7 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .contfrac import AngleCF, Certificate, fold_signed
+from .contfrac import AngleCF, Certificate, ResourceBudgetError, fold_signed
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
@@ -158,46 +167,57 @@ class FlatBoundCertificate(Certificate):
 def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
     """Scan 1 <= m <= m_limit with exact arithmetic (negative m are mirrors).
 
-    The residue of m*l mod q is stepped by one addition per m, so the whole
-    scan is linear in m_limit with no multiplications of snapshot-sized
-    integers.
+    The balanced residue d = fold(m l mod q) is stepped by one addition of
+    fold(l) and at most one wrap per m, and |d| is the numerator of
+    ||m alpha|| against the snapshot, so the whole scan is linear in m_limit
+    with no multiplication or division of snapshot-sized integers.  Linear is
+    also why m_limit has a budget: past DENSE_SCAN_LIMIT the scan raises
+    ResourceBudgetError before it starts.
     """
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
     _require_in_range(angle, m_limit, "m_limit")
+    if m_limit > DENSE_SCAN_LIMIT:
+        raise ResourceBudgetError(
+            f"m_limit = {m_limit} exceeds the linear scan budget of "
+            f"{DENSE_SCAN_LIMIT} frequencies"
+        )
     q = angle.q_snapshot
     l = angle.l_snapshot
+    hi = q // 2
+    lo = hi - q  # balanced residues are the d with lo < d <= hi
     qs = [c.q for c in angle.convergents]
     k = 0
     while qs[k + 1] <= 1:
         k += 1
-    t = l % q
+    dl = fold_signed(l % q, q)
+    d = 0
     checked = 0
     skipped = 0
     passed = True
-    worst_num = None  # minimal 2m|r_m|, compared against q
+    worst_num = None  # minimal 2m|d_m|, compared against q
     worst_m = 0
     uncovered = []
     uncovered_count = 0
     for m in range(1, m_limit + 1):
-        if m > 1:
-            t += l
-            if t >= q:
-                t -= q
-            while qs[k + 1] <= m:
-                k += 1
-        r = abs(fold_signed(t, q))
+        d += dl
+        if d > hi:
+            d -= q
+        elif d <= lo:
+            d += q
+        while qs[k + 1] <= m:
+            k += 1
         if m % qs[k] == 0:
             if k >= 2:
                 skipped += 1
             else:
                 uncovered_count += 1
                 if len(uncovered) < 64:
-                    holds = 2 * m * r >= q
-                    uncovered.append((m, 2 * m * r / q, holds))
+                    num = 2 * m * abs(d)
+                    uncovered.append((m, num / q, num >= q))
             continue
         checked += 1
-        num = 2 * m * r  # ratio is num/q with q fixed, so min num is the worst
+        num = 2 * m * abs(d)  # ratio is num/q with q fixed, so min num is the worst
         if num < q:
             passed = False
         if worst_num is None or num < worst_num:
@@ -226,12 +246,21 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
 class ScalingCertificate(Certificate):
     """Per-band check of ||a q_k alpha|| = a ||q_k alpha|| for 1 <= a <= a_max.
 
-    a_max is the largest a with a q_k < q_{k+1}.  Up to DENSE_SCAN_LIMIT
-    every a is checked; past it a doubling grid plus the endpoint is sampled
-    and partial is set.  equality_ok is the identity over the scanned a
-    (a failure aborts the scan); premise_ok the exact bound
-    a_max ||q_k alpha|| < 1/q_k, whose float value is premise_max.  The
-    certificate passes when both hold.
+    a_max is the largest a with a q_k < q_{k+1}, and r_k = q ||q_k alpha|| is
+    the balanced residue of q_k l against the snapshot.  Three verdicts:
+
+      * equality_ok: the identity over the scanned a, the witness scan.  Up
+        to DENSE_SCAN_LIMIT every a is scanned; past it the first
+        DENSE_PREFIX are, then a doubling grid plus a_max, and partial is
+        set.  A failure aborts the scan, so scanned counts the a that held.
+      * band_exact: the identity over the whole band, decided by the one
+        integer inequality 2 a_max r_k <= q (a r_k never passes q/2, so the
+        fold never wraps; past it, the first a with 2 a r_k > q fails).
+      * premise_ok: the paper's premise a_max ||q_k alpha|| < 1/q_k, exactly
+        a_max r_k q_k < q, whose float value is premise_max.  For q_k >= 2
+        it implies band_exact.
+
+    The certificate passes when equality_ok and premise_ok hold.
     """
 
     claim = "dist(a q_k alpha, Z) = a * dist(q_k alpha, Z) on the band"
@@ -242,6 +271,7 @@ class ScalingCertificate(Certificate):
     dense_upto: int
     partial: bool
     equality_ok: bool
+    band_exact: bool
     premise_ok: bool
     premise_max: float
 
@@ -253,12 +283,15 @@ class ScalingCertificate(Certificate):
 def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
     """Verify the in-band scaling identity with exact residues.
 
-    One loop steps the residue of a q_k l additively, so each a is a pure
-    integer comparison.  It covers the whole band when a_max is at most
-    DENSE_SCAN_LIMIT; a longer band is scanned up to DENSE_PREFIX and then
-    sampled on a doubling grid plus a_max, and the certificate is marked
-    partial.  The premise a ||q_k alpha|| < 1/q_k is checked at a_max (it is
-    monotone in a).
+    The witness scan steps the balanced residue d = fold(a q_k l mod q) and
+    u = a r_k, one addition each and at most one wrap of d per a, and tests
+    d == +-u.  It covers the whole band when a_max is at most
+    DENSE_SCAN_LIMIT; a longer band is scanned up to DENSE_PREFIX, then
+    sampled on a doubling grid (d and u doubled, one wrap) and at a_max, the
+    one full multiplication mod q, and the certificate is marked partial.
+    Nothing assumes the band is free of wraps: a wrap leaves d the size of
+    q, and the comparison fails.  band_exact and the premise are decided at
+    a_max, where both are tightest.
     """
     if not 0 <= k < angle.k_star:
         raise SnapshotRangeError(f"band {k} is not inside the built ladder")
@@ -270,44 +303,51 @@ def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
     if a_max < 1:
         raise SnapshotRangeError(f"band {k} admits no multiplier (q_{k+1} = q_k)")
     tk = (qk * l) % q
-    rk = abs(fold_signed(tk, q))
+    dk = fold_signed(tk, q)
+    rk = abs(dk)
     if rk == 0:
         raise SnapshotRangeError(f"q_{k} annihilates the snapshot; angle too shallow")
-
-    def equality_at(a: int, t: int) -> bool:
-        # t = (a q_k l) mod q; identity holds iff min(t, q - t) == a * rk
-        return min(t, q - t) == a * rk
+    top = a_max * rk
+    hi = q // 2
+    lo = hi - q  # balanced residues are the d with lo < d <= hi
 
     partial = a_max > DENSE_SCAN_LIMIT
     dense_upto = DENSE_PREFIX if partial else a_max
     equal = True
     scanned = 0
-    t = tk
-    for a in range(1, dense_upto + 1):
-        if not equality_at(a, t):
+    d = u = 0  # fold(a tk mod q) and a rk at the last a stepped
+    for _ in range(dense_upto):
+        d += dk
+        if d > hi:
+            d -= q
+        elif d <= lo:
+            d += q
+        u += rk
+        if d != u and d != -u:
             equal = False
             break
         scanned += 1
-        t += tk
-        if t >= q:
-            t -= q
     if equal and partial:
-        a = dense_upto * 2
-        grid = []
-        while a < a_max:
-            grid.append(a)
+        a = dense_upto
+        while 2 * a < a_max:
             a *= 2
-        grid.append(a_max)
-        for a in grid:
-            if not equality_at(a, (a * tk) % q):
+            d *= 2
+            if d > hi:
+                d -= q
+            elif d <= lo:
+                d += q
+            u *= 2
+            if d != u and d != -u:
                 equal = False
                 break
             scanned += 1
-    # premise at the top of the band: a ||q_k alpha|| < 1/q_k
-    premise_ok = a_max * rk * qk < q
-    premise_max = a_max * rk / q
+        if equal:
+            equal = abs(fold_signed((a_max * tk) % q, q)) == top
+            if equal:
+                scanned += 1
     return ScalingCertificate(
-        k, a_max, scanned, dense_upto, partial, equal, premise_ok, premise_max
+        k, a_max, scanned, dense_upto, partial, equal,
+        2 * top <= q, top * qk < q, top / q,
     )
 
 

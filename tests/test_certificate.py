@@ -48,7 +48,7 @@ CASES = {
     ),
     # the verdict covers the premise as well as the equality
     "scaling-premise-fails": lambda e, p: ScalingCertificate(
-        1, 4, 4, 4, False, True, False, 0.5
+        1, 4, 4, 4, False, True, True, False, 0.5
     ),
     "truncation": lambda e, p: truncation_indices(p, 10**6),
     "coeff-bound": lambda e, p: check_coeff_bound(FourierSeries({1: 0.25, -1: 0.25}), 64),

@@ -178,6 +178,18 @@ def test_check_spectrum_writes_strict_json(exp_file, tmp_path, capsys):
         assert details["truncation"]["K"] == 2
 
 
+def test_check_spectrum_m_limit_budget(exp_file, tmp_path, capsys):
+    # 1e11 is far below q_4, but the flat scan is linear in m: it would run
+    # for days, so the budget refuses it before the first step
+    out_dir = tmp_path / "budget"
+    code = main(["check", "spectrum", "--angle", exp_file,
+                 "--m-limit", "100000000000", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "resource limit" in err and "m_limit" in err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_check_coboundary_variants(exp_file, poly_file, capsys):
     base = ["check", "coboundary", "--samples", "300"]
     assert main(base + ["--angle", exp_file]) == 0

@@ -1,11 +1,13 @@
 """Band placement, the flat lower bound, in-band scaling, truncation depths."""
 
+import random
 from fractions import Fraction
 from math import log
 
 import pytest
 
-from mobiusflow.contfrac import explicit_angle
+from mobiusflow import spectrum
+from mobiusflow.contfrac import ResourceBudgetError, explicit_angle
 from mobiusflow.spectrum import (
     SnapshotRangeError,
     check_flat_lower_bound,
@@ -24,6 +26,17 @@ def _band_of(angle, m_abs):
     while k + 1 < len(qs) and qs[k + 1] <= m_abs:
         k += 1
     return k
+
+
+def _random_angles(seed, count):
+    """Explicit angles whose wide rungs make long, partial and failing bands."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(2, 7)
+        yield explicit_angle(
+            [rng.choice([1, 2, 3, rng.randint(1, 60), rng.randint(1, 5000)])
+             for _ in range(size)]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +146,63 @@ def test_flat_bound_validation(exp_angle):
         check_flat_lower_bound(exp_angle, exp_angle.q(4))
 
 
+def _flat_oracle(angle, m_limit):
+    """The flat certificate's fields, from ||m alpha|| in Fraction arithmetic."""
+    alpha = Fraction(*angle.snapshot)
+    qs = [c.q for c in angle.convergents]
+
+    def ratio(m):
+        x = m * alpha
+        return 2 * m * abs(x - round(x))
+
+    checked = skipped = 0
+    worst = None
+    uncovered = []
+    for m in range(1, m_limit + 1):
+        r = ratio(m)
+        k = _band_of(angle, m)
+        if m % qs[k] == 0:
+            if k >= 2:
+                skipped += 1
+            else:
+                uncovered.append((m, float(r), r >= 1))
+            continue
+        checked += 1
+        if worst is None or r < worst[0]:
+            worst = (r, m)
+    controls = tuple(
+        (k, qs[k], float(ratio(qs[k])), ratio(qs[k]) < 1)
+        for k in range(2, len(qs) - 1) if qs[k] <= m_limit
+    )
+    return (
+        m_limit, checked, worst is None or worst[0] >= 1,
+        0 if worst is None else worst[1],
+        float("inf") if worst is None else float(worst[0]),
+        skipped, len(uncovered), tuple(uncovered[:64]), controls,
+    )
+
+
+def test_flat_bound_matches_fraction_oracle(exp_angle, poly_angle):
+    cases = [(exp_angle, 1), (exp_angle, 1500), (poly_angle, 1500)]
+    cases += [(a, 300) for a in _random_angles(11, 40) if a.q(a.k_star) > 300]
+    for angle, m_limit in cases:
+        cert = check_flat_lower_bound(angle, m_limit)
+        got = tuple(getattr(cert, f) for f in (
+            "m_limit", "checked", "passed", "worst_m", "worst_ratio",
+            "skipped_resonant", "uncovered_count", "uncovered", "controls"))
+        assert got == _flat_oracle(angle, m_limit)
+
+
+def test_flat_bound_budget(exp_angle, monkeypatch):
+    # the scan is linear in m_limit: past the budget it refuses before it starts
+    with pytest.raises(ResourceBudgetError):
+        check_flat_lower_bound(exp_angle, 10**11)
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 50)
+    assert check_flat_lower_bound(exp_angle, 50).m_limit == 50
+    with pytest.raises(ResourceBudgetError):
+        check_flat_lower_bound(exp_angle, 51)
+
+
 def test_flat_bound_json_shape(exp_angle):
     doc = check_flat_lower_bound(exp_angle, 100).to_json()
     assert doc["pass"] is True
@@ -146,11 +216,80 @@ def test_flat_bound_json_shape(exp_angle):
 def test_scaling_dense_bands(exp_angle):
     c1 = check_resonant_scaling(exp_angle, 1)
     assert (c1.a_max, c1.scanned, c1.partial) == (4, 4, False)
-    assert c1.passed and c1.premise_ok
+    assert c1.passed and c1.premise_ok and c1.band_exact
     c2 = check_resonant_scaling(exp_angle, 2)
     assert (c2.a_max, c2.scanned, c2.partial) == (900, 900, False)
-    assert c2.passed and c2.premise_ok
+    assert c2.passed and c2.premise_ok and c2.band_exact
     assert c2.premise_max < 1.0 / exp_angle.q(2)
+
+
+def test_scaling_top_band_of_exp(exp_angle):
+    # a_max has 3515 digits: a million dense steps, the doubling grid, a_max
+    c3 = check_resonant_scaling(exp_angle, 3)
+    assert len(str(c3.a_max)) == 3515
+    assert (c3.scanned, c3.dense_upto, c3.partial) == (1011656, 10**6, True)
+    assert c3.equality_ok and c3.passed and c3.premise_ok
+    assert c3.band_exact  # the whole band, not only the scanned multipliers
+
+
+def _scaling_oracle(angle, k):
+    """(equality_ok, scanned) by a direct mulmod at each dense and grid a."""
+    l, q = angle.snapshot
+    qk = angle.q(k)
+    a_max = (angle.q(k + 1) - 1) // qk
+    rk = min((qk * l) % q, q - (qk * l) % q)
+    if a_max > spectrum.DENSE_SCAN_LIMIT:
+        points = list(range(1, spectrum.DENSE_PREFIX + 1))
+        a = 2 * spectrum.DENSE_PREFIX
+        while a < a_max:
+            points.append(a)
+            a *= 2
+        points.append(a_max)
+    else:
+        points = range(1, a_max + 1)
+    scanned = 0
+    for a in points:
+        t = (a * qk * l) % q
+        if min(t, q - t) != a * rk:
+            return False, scanned
+        scanned += 1
+    return True, scanned
+
+
+def _bands(seed, count):
+    for angle in _random_angles(seed, count):
+        for k in range(angle.k_star):
+            try:
+                yield angle, k, check_resonant_scaling(angle, k)
+            except SnapshotRangeError:
+                continue
+
+
+def test_scaling_matches_direct_mulmod_oracle(monkeypatch):
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 300)
+    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 40)
+    seen = {"partial": 0, "dense fail": 0, "grid fail": 0}
+    for angle, k, cert in _bands(7, 300):
+        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
+        want_dense = min(cert.a_max, 40) if cert.partial else cert.a_max
+        assert cert.dense_upto == want_dense
+        seen["partial"] += cert.partial
+        if not cert.equality_ok:
+            seen["grid fail" if cert.scanned >= cert.dense_upto else "dense fail"] += 1
+    assert all(seen.values()), seen
+
+
+def test_scaling_band_exact_is_the_whole_band_verdict():
+    # no band here is past DENSE_SCAN_LIMIT, so the oracle scans every a
+    implied, verdicts = 0, set()
+    for angle, k, cert in _bands(3, 200):
+        assert not cert.partial
+        assert cert.band_exact == _scaling_oracle(angle, k)[0] == cert.equality_ok
+        verdicts.add(cert.band_exact)
+        if cert.premise_ok and angle.q(k) >= 2:
+            assert cert.band_exact
+            implied += 1
+    assert implied and verdicts == {True, False}
 
 
 def test_scaling_matches_fraction_arithmetic(exp_angle):
