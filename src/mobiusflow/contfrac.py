@@ -13,23 +13,23 @@ resolve, and residues, signed residues and frac_mod1 are always taken
 against the snapshot, so a resonance is a statement about the snapshot.
 phase_turns returns the correctly rounded fractional parts of phases
 against the snapshot; twisted sums, correlation sums, the rational closed
-form, orbit stepping and Fourier series all take their phases from it.  It
-has three routes to the same doubles:
+form, orbit stepping and Fourier series all take their phases from it.
 
 - An unseeded call on an exact angle with q = 2^k, k <= 64 (the dyadic value
   of a float, such as a drift head) takes (mult * n * l) mod 2^k as the low
   k bits of a wrapping uint64 product, see _dyadic_turns; FourierSeries
   evaluation calls that kernel with its modes as n.
-- Other unseeded calls reduce against the smallest convergent l_k/q_k with
-  |reach| q_k 2^54 < q_{k+1} (an exact angle against its own snapshot).
-  A nonzero residue R mod q_k puts R/q_k at least 1/(q_k^2 2^54) from every
-  rounding midpoint, further than the snapshot moves it, so both round
-  alike.  With q_k < 2^31 all residues come at once from int64 NumPy.
-  Where R = 0 the snapshot's error is the whole phase (a tiny number or one
-  less a tiny number), and those entries are recomputed on the snapshot.
-- Seeded calls, other moduli of 2^31 or more (the 66-bit q_4 of a poly
-  tau=4 angle) and indices past int64 step one exact residue against the
-  snapshot.
+- Every other call, seeded or not, reduces against one convergent: for a
+  seed sp/2^e, the smallest l_k/q_k below the snapshot with
+  |reach| q_k 2^(54+e) < q_{k+1} (an exact angle, or an angle with no such
+  k, uses its own snapshot), see _int64_modulus.  A phase that is not a
+  dyadic rational against l_k/q_k lies further from every rounding midpoint
+  than the snapshot moves it, so both round alike.  Unseeded calls with
+  q_k < 2^31 and indices in int64 reduce all at once in int64 NumPy; the
+  rest step one exact residue against l_k/q_k (about 66 bits for a
+  53-bit seed on the exp k4 angle, against its 11,733-bit snapshot).
+  Entries whose phase against l_k/q_k is dyadic (among them 0 and every
+  midpoint) are recomputed on the snapshot.
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -470,28 +470,36 @@ def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     )
 
 
-def _int64_modulus(angle: AngleCF, reach: int) -> Optional[tuple[int, int]]:
-    """The convergent (l_k, q_k) whose rounded phases equal the snapshot's, or None.
+def _int64_modulus(angle: AngleCF, reach: int, e: int = 0) -> tuple[int, int]:
+    """The convergent (l_k, q_k) whose rounded phases equal the snapshot's.
 
-    An exact angle reduces against its own snapshot (epsilon = 0).  Otherwise
-    k is the smallest index below the snapshot with
-    |reach| * q_k * 2^54 < q_{k+1}.  For R = (mult * n * l_k) mod q_k != 0
-    and q_k < 2^54, R/q_k lies at least 1/(q_k^2 2^54) from every rounding
-    midpoint, and the snapshot's value differs from it by less than
-    |reach| / (q_k q_{k+1}), so both round to the same double.  None when the
-    modulus found is INT64_MODULUS_CAP or more, or no index qualifies.
+    For phases {seed + mult * n * alpha} with |mult * n| <= |reach| and a
+    seed sp/2^e (e = 0 for no seed), k is the smallest index below the
+    snapshot with |reach| * q_k * 2^(54+e) < q_{k+1}.  An exact angle, or an
+    angle where no index qualifies, reduces against its own snapshot.
+
+    Why that k rounds like the snapshot l/q.  V_k = {seed + mult n l_k/q_k}
+    has a reduced denominator b 2^s that divides q_k 2^e, with b odd, so
+    b <= q_k and b 2^s <= q_k 2^e.  A rounding midpoint of doubles in [0, 1)
+    is M = odd/2^t; the ones next to a V_k in [2^-(j+1), 2^-j) have
+    t <= j + 55 (t = 1075 below 2^-1022), and V_k >= 1/(b 2^s) gives
+    2^(j+1) <= b 2^s, so 2^t <= b 2^(s+54).  When V_k is not dyadic (b > 1),
+    |V_k - M| >= 1/(b 2^max(s, t)) >= 1/(b^2 2^(s+54)) >= 1/(q_k^2 2^(54+e)),
+    and V_k lies at least 1/(b 2^s), more than that, from 0 and from 1.  The
+    snapshot moves V_k by |mult n (l/q - l_k/q_k)| <= |reach| / (q_k q_{k+1}),
+    strictly less than 1/(q_k^2 2^(54+e)) by the choice of k, so no midpoint
+    and no wrap lies between the two values, and they round to the same
+    double.  A dyadic V_k (b = 1) may be 0 or a midpoint; phase_turns
+    recomputes those entries on the snapshot.
     """
     if angle.exact:
-        l, q = angle.snapshot
-        return (l, q) if q < INT64_MODULUS_CAP else None
-    scaled = abs(reach) << 54
+        return angle.snapshot
+    scaled = abs(reach) << (54 + e)
     cs = angle.convergents
     for c, nxt in zip(cs, cs[1:]):
-        if c.q >= INT64_MODULUS_CAP:
-            return None
         if scaled * c.q < nxt.q:
             return c.l, c.q
-    return None
+    return angle.snapshot
 
 
 def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
@@ -512,20 +520,22 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
 
     Every entry is the double nearest to the exact (seed + mult * n * l/q)
     mod 1 for the snapshot l/q, after faithful_modulus has checked the range
-    (so PrecisionFloorError is raised exactly where it says).  Three routes
-    give that double; the first two need no seed and indices in int64:
+    (so PrecisionFloorError is raised exactly where it says).  Routes:
 
-    - q = 2^k with k <= 64 on an exact angle: the low k bits of the wrapping
-      uint64 products n * mult * l, see _dyadic_turns.
-    - Otherwise the smallest convergent l_k/q_k that rounds like the
-      snapshot (see _int64_modulus), when q_k < 2^31: R = ((n mod q_k) *
+    - Unseeded, indices in int64 and q = 2^k with k <= 64 on an exact angle:
+      the low k bits of the wrapping uint64 products n * mult * l, see
+      _dyadic_turns.
+    - Otherwise the phases V_k are taken against the convergent l_k/q_k that
+      _int64_modulus picks for the seed's bit count e.  Unseeded calls with
+      q_k < 2^31 and indices in int64 compute R = ((n mod q_k) *
       (mult * l_k mod q_k)) mod q_k in int64 NumPy (every product stays
-      below 2^62), then one IEEE division R / q_k.  Where R = 0 and q_k is
-      not the snapshot, the exact value is {mult * n * (l/q - l_k/q_k)}, a
-      tiny number or one less a tiny number, recomputed on the snapshot.
-    - Everything else (seeded calls, moduli such as the 66-bit q_4 of a poly
-      tau=4 angle, indices past int64) steps one exact residue against the
-      snapshot, see _snapshot_turns.
+      below 2^62), then one IEEE division R / q_k.  Every other call steps
+      one exact residue against l_k/q_k, see _snapshot_turns.
+    - Where q_k is not the snapshot, entries whose V_k is dyadic are
+      recomputed on the snapshot: only there can V_k be 0 or a rounding
+      midpoint, where the snapshot's error decides the double.  V_k is
+      dyadic exactly when d divides n, with d = odd(q_k) / gcd(odd(q_k),
+      mult) and odd(q_k) the odd part of q_k.
     """
     if isinstance(ns, np.ndarray) and ns.dtype.kind in "iu":
         if not ns.size:
@@ -541,28 +551,55 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
         lo, hi = min(ns), max(ns)
     reach = mult * max(-lo, hi)
     l, q = faithful_modulus(angle, reach)
-    if seed or lo <= -(1 << 63) or hi >= 1 << 63:
-        return _snapshot_turns(l, q, mult, ns, seed)
-    if isinstance(ns, range):
-        ks = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
-    else:
-        ks = np.asarray(ns, dtype=np.int64)
-    if angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
-        return _dyadic_turns(ks.view(np.uint64), mult * l, q.bit_length() - 1)
-    fast = _int64_modulus(angle, reach)
-    if fast is None:
-        return _snapshot_turns(l, q, mult, ns)
-    lk, qk = fast
-    r = ks % qk
-    r *= (mult * lk) % qk
-    r %= qk
-    out = r / qk
-    # mult = 0 makes every phase exactly 0, which R already is
-    if qk != q and mult:
-        zero = np.flatnonzero(r == 0)
-        if zero.size:
-            out[zero] = _snapshot_turns(l, q, mult, ks[zero].tolist())
+    packed = not seed and -(1 << 63) < lo and hi < 1 << 63
+    if packed:
+        if isinstance(ns, range):
+            ks = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+        else:
+            ks = np.asarray(ns, dtype=np.int64)
+        if angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
+            return _dyadic_turns(ks.view(np.uint64), mult * l, q.bit_length() - 1)
+    e = float(seed).as_integer_ratio()[1].bit_length() - 1
+    lk, qk = _int64_modulus(angle, reach, e)
+    # mult = 0 makes the snapshot's error mult * n * (l/q - l_k/q_k) vanish
+    fix = qk != q and mult
+    odd = qk >> ((qk & -qk).bit_length() - 1)
+    if packed and qk < INT64_MODULUS_CAP:
+        r = ks % qk
+        r *= (mult * lk) % qk
+        r %= qk
+        out = r / qk
+        if fix:
+            r %= odd  # R / q_k is dyadic exactly where odd(q_k) divides R
+            at = np.flatnonzero(r == 0)
+            if at.size:
+                out[at] = _snapshot_turns(l, q, mult, ks[at].tolist())
+        return out
+    if isinstance(ns, np.ndarray):
+        ns = ns.tolist()
+    out = _snapshot_turns(lk, qk, mult, ns, seed)
+    if fix:
+        at, sub = _multiples(ns, odd // math.gcd(odd, mult))
+        if len(sub):
+            out[at] = _snapshot_turns(l, q, mult, sub, seed)
     return out
+
+
+def _multiples(ns, d: int):
+    """(where, which): the positions of ns holding multiples of d, and those n.
+
+    For a range they are a slice and a range, so no per-entry list is built;
+    for a list of ints they are two lists.
+    """
+    if isinstance(ns, range):
+        g = math.gcd(ns.step, d)
+        if ns.start % g:
+            return slice(0), range(0)
+        period = d // g
+        first = (-ns.start // g) * pow(ns.step // g, -1, period) % period
+        return slice(first, None, period), ns[first::period]
+    at = [i for i, n in enumerate(ns) if n % d == 0]
+    return at, [ns[i] for i in at]
 
 
 def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarray:

@@ -6,16 +6,22 @@ lower one.  Truncating at dimension V is therefore exact, not an
 approximation, and all the interesting arithmetic lives in the base
 coordinate: x_n = {seed + n alpha} comes from the exact phase engine
 contfrac.phase_turns, correctly rounded at every step, and the h argument of
-coordinate nu is {x_n + (nu - 2) beta}.  Nothing is carried from one step to
-the next in floating point, so a 10^7-step orbit does not drift.
+coordinate nu is {x_n + (nu - 2) beta}.  The engine reduces the seeded base
+orbit against the convergent l_k/q_k it picks for the seed's bit count
+(8102 on the exp k4 angle, the 66-bit q_4 of poly tau=4) and recomputes on
+the snapshot only the steps where that phase is dyadic.  Nothing is carried
+from one step to the next in floating point, so a 10^7-step orbit does not
+drift.
 
 Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
 check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
 reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
 phase table e(m x_n) per block and weights it per row by e(m (nu - 2) beta),
-reduced exactly in fixed point.  It sums h less its mean c(0) in floats and
-adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
-does, so the fiber error does not grow with ulp(n c(0)).
+reduced exactly in fixed point.  The modes, folded coefficients and row
+weights are built once per FlowConfig (FlowConfig._walker), so a short
+orbit such as one step pays no set-up.  The walker sums h less its mean c(0)
+in floats and adds the mean as the exact drift {n c(0)}, as the closed form
+orbit_fast does, so the fiber error does not grow with ulp(n c(0)).
 
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
@@ -25,6 +31,7 @@ point for any j we can iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import fsum, isqrt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -150,6 +157,26 @@ class FlowConfig:
         if self.v < 2:
             raise ValueError("truncation dimension must be at least 2")
 
+    @cached_property
+    def _walker(self) -> Tuple[List[int], np.ndarray, Optional[AngleCF]]:
+        """(modes, weights, mean) for _fiber_blocks, built once per config.
+
+        modes are the positive modes of h; weights[i, k] is the folded
+        coefficient c(m) + conj c(-m) of m = modes[k] times e(m i beta), with
+        m i beta reduced mod 1 in BETA_FIX fixed point, for every fiber row
+        i = nu - 2 (each entry computed on its own); mean is the dyadic angle
+        of c(0), or None when c(0) is an integer.
+        """
+        modes = sorted({abs(m) for m, _ in self.h.items() if m})
+        fold = np.array([self.h.coeff(m) + self.h.coeff(-m).conjugate() for m in modes])
+        offs = np.array(
+            [[m * i * BETA_FIX % BETA_SCALE / BETA_SCALE for m in modes]
+             for i in range(self.v - 1)]
+        )
+        c0 = self.h.coeff(0).real
+        mean = dyadic_angle(c0) if c0 % 1.0 else None
+        return modes, fold * np.exp(1j * TWO_PI * offs), mean
+
 
 # ---------------------------------------------------------------------------
 # exact base arithmetic
@@ -198,16 +225,11 @@ def _fiber_blocks(
     blocks before it; the mean part s c(0) enters as the exact drift
     {s c(0)} from the phase engine, so c(0) never joins a float sum.  Neither
     part depends on x, so two points on one base orbit share them exactly.
+    The modes and row weights come from cfg._walker, built once per config.
     """
     seed, start = _seed_of(cfg, x)
-    c0 = cfg.h.coeff(0).real
-    mean = dyadic_angle(c0) if rows and c0 % 1.0 else None
-    modes = sorted({abs(m) for m, _ in cfg.h.items() if m})
-    fold = np.array([cfg.h.coeff(m) + cfg.h.coeff(-m).conjugate() for m in modes])
-    offs = np.array(
-        [[m * i * BETA_FIX % BETA_SCALE / BETA_SCALE for m in modes] for i in rows]
-    ).reshape(len(rows), len(modes))
-    weights = (fold * np.exp(1j * TWO_PI * offs)).T[:, :, None]
+    modes, table, mean = cfg._walker
+    weights = table[list(rows)].T[:, :, None]
     fiber = np.empty((len(rows), min(n, BLOCK_STEPS)))
     sin, cos = np.empty((2, fiber.shape[1]))
     totals = [[] for _ in rows]
@@ -224,11 +246,11 @@ def _fiber_blocks(
             np.sin(sn, out=sn)
             block += w.real * c
             block -= w.imag * sn
-        if mean is not None:
+        if rows and mean is not None:
             drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
         for k, (i, row) in enumerate(zip(rows, block)):
             carry = fsum(totals[k])
-            totals[k].append(fsum(row.tolist()))
+            totals[k].append(fsum(memoryview(row)))  # no list of 8192 floats
             np.cumsum(row, out=row)
             row += carry
             if mean is not None:
@@ -333,12 +355,13 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
 
 
 def pairing(b: FrequencyVector, x: TorusPoint) -> float:
-    """<b, x> mod 1 at the current point."""
+    """<b, x> mod 1 at the current point, in [0, 1) like a coordinate."""
     if b.top_index > x.v:
         raise ValueError(
             f"vector touches coordinate {b.top_index}, point has {x.v}"
         )
-    return fsum(bv * xv for bv, xv in zip(b.entries, x.coords)) % 1.0
+    t = fsum(bv * xv for bv, xv in zip(b.entries, x.coords)) % 1.0
+    return 0.0 if t == 1.0 else t  # a tiny negative sum rounds up to 1.0
 
 
 def _circle_dist(a: float, b: float) -> float:

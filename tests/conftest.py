@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from mobiusflow import build_exp_alpha, build_poly_alpha
+
+# Tier-1 CI runs with --hypothesis-profile=ci: every leg draws the same
+# examples, so a failure seen on one leg reproduces on all of them, and the
+# phase-engine tests, which scale with max_examples, run three times as many.
+settings.register_profile(
+    "ci", derandomize=True, max_examples=3 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture(scope="session")

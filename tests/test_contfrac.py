@@ -33,9 +33,15 @@ from mobiusflow.contfrac import (
     rational_angle,
     residue,
     signed_residue,
+    _int64_modulus,
     _snapshot_turns,
 )
 
+# 100 examples, or 300 under the ci profile (tests/conftest.py); the
+# phase-engine tests take their counts from it
+PHASE_EXAMPLES = settings.default.max_examples
+
+EXP_SMALL_QS = (1, 2, 9, 8102)  # exp k4 denominators below its 11,689-bit q_4
 EXP_DIGEST = "d37b34e10939ad70d2fbd83837086816281bb9278e6e4fa3929e6954104bdea8"
 
 
@@ -361,7 +367,7 @@ def _index_runs(draw):
     return np.array(ns, dtype=np.int64) if draw(st.booleans()) else ns
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * PHASE_EXAMPLES, deadline=None)
 @given(_angles(), st.integers(-50, 50), _index_runs())
 def test_phase_turns_matches_scalar_residues(angle, mult, ns):
     q = angle.q_snapshot
@@ -374,7 +380,7 @@ def test_phase_turns_matches_scalar_residues(angle, mult, ns):
     assert phase_turns(angle, mult, ns).tolist() == want
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=PHASE_EXAMPLES, deadline=None)
 @given(_angles(), st.integers(-50, 50), _index_runs(),
        st.floats(0.0, 1.0, exclude_max=True))
 def test_phase_turns_seed_is_exact(angle, mult, ns, seed):
@@ -452,7 +458,7 @@ def _reducible_cases(draw, exp_angle, poly_angle):
     return angle, mult, ns
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * PHASE_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_phase_turns_matches_the_snapshot_generator(exp_angle, poly_angle, data):
     angle, mult, ns = data.draw(_reducible_cases(exp_angle, poly_angle))
@@ -490,7 +496,7 @@ def _dyadic_cases(draw):
     return x, k, mult, ns
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=4 * PHASE_EXAMPLES, deadline=None)
 @given(case=_dyadic_cases())
 @example(case=((2**53 - 1) * 2.0**-64, 64, 1, [-1, 1, 2**11 + 1]))  # near 1, top bit set
 @example(case=(-(2**52 + 1) * 2.0**-65, 65, 2**64 + 3, [7, -(2**63) + 1]))
@@ -519,6 +525,129 @@ def test_phase_turns_zero_residue_keeps_the_snapshot_error(exp_angle):
     assert phase_turns(exp_angle, 1, np.array([8102])).tolist() == [1.0]
     assert phase_turns(exp_angle, -1, np.array([8102])).tolist() == [0.0]
     assert not phase_turns(exp_angle, 0, np.arange(8000, 9000)).any()
+
+
+def _odd_part(q):
+    return q >> ((q & -q).bit_length() - 1)
+
+
+def _fraction_turns(angle, mult, ns, seed):
+    l, q = angle.snapshot
+    return np.array([float((Fraction(seed) + Fraction(mult * int(n) * l, q)) % 1) for n in ns])
+
+
+@st.composite
+def _seeded_cases(draw):
+    """(quotients, mult, ns, seed) on the seeded convergent route.
+
+    quotients None stands for exp k4, where q_3 = 8102 serves every seed down
+    to 5e-324; otherwise they make an explicit angle with one huge quotient,
+    whose convergent before it serves a seed only while the quotient
+    outgrows |reach| 2^(54+e).  The indices cover multiples of
+    d = odd(q_k) / gcd(odd(q_k), mult) for one convergent q_k, the entries
+    recomputed on the snapshot, and come as a range, a list (sometimes past
+    int64) or an int64 array.
+    """
+    if draw(st.booleans()):
+        quotients, small_qs = None, EXP_SMALL_QS
+    else:
+        head = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4))
+        huge = 2 ** draw(st.integers(150, 1300)) + draw(st.integers(0, 10**6))
+        tail = draw(st.lists(st.integers(1, 50), max_size=3))
+        quotients = head + [huge] + tail
+        small_qs = [c.q for c in explicit_angle(quotients).convergents[:-1]]
+    odd = _odd_part(draw(st.sampled_from(small_qs)))
+    mult = draw(st.sampled_from([0, 1, -1, -3, 7]) | st.integers(-60, 60))
+    mult *= draw(st.sampled_from([1, 1, odd]))
+    d = odd // gcd(odd, mult)
+    seed = draw(st.sampled_from([0.5, 2.0**-54, 1 - 2.0**-53, 5e-324])
+                | st.floats(0.0, 1.0, exclude_max=True))
+    start = d * draw(st.integers(-(2**61 // d), 2**61 // d)) + draw(st.sampled_from([0, 1, -1]))
+    kind = draw(st.sampled_from(["range", "list", "array"]))
+    if kind == "range":
+        step = draw(st.sampled_from([1, d, d - 1 or 1, -d, 2 * d + 1]))
+        return quotients, mult, range(start, start + step * draw(st.integers(1, 40)), step), seed
+    ns = [start + g for g in draw(st.lists(st.integers(0, 3), max_size=10))]
+    ns += [d * k for k in draw(st.lists(st.integers(-(2**62 // d), 2**62 // d), max_size=15))]
+    ns += draw(st.lists(st.integers(-(2**62), 2**62), max_size=15)) or [start]
+    if kind == "array":
+        return quotients, mult, np.array(ns, dtype=np.int64), seed
+    if draw(st.booleans()):
+        ns.append(d * (2**63 // d + draw(st.integers(1, 10**6))))  # past int64
+    return quotients, mult, ns, seed
+
+
+@settings(max_examples=PHASE_EXAMPLES, deadline=None)
+@given(case=_seeded_cases())
+@example(case=(None, 0, np.array([0]), 0.5))
+@example(case=(None, -1, range(0, 4051 * 30, 4051), 2.0**-54))
+@example(case=(None, 1, range(4050, 4060), 0.5))  # n = 4051 is the second entry
+@example(case=(None, -1, range(3 * 4051 + 2, 3 * 4051 - 9, -1), 2.0**-54))
+@example(case=(None, 3, [2**63 + 4051, -4051, 0, 5], 5e-324))
+def test_seeded_phase_turns_match_fraction(exp_angle, case):
+    quotients, mult, ns, seed = case
+    angle = exp_angle if quotients is None else explicit_angle(quotients)
+    got = phase_turns(angle, mult, ns, seed)
+    want = _fraction_turns(angle, mult, ns, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_seeded_dyadic_phases_are_recomputed_on_the_snapshot(exp_angle):
+    # against l_3/q_3, {seed + mult * 4051 * alpha} is {seed + 1/2}: a
+    # rounding midpoint for seed 2^-54 (and 0.25 + 2^-54), and 0 for seed
+    # 1/2, where only the snapshot's error says which way the phase rounds
+    l3, q3 = exp_angle.l(3), exp_angle.q(3)
+    assert q3 == 2 * 4051 and l3 % 2
+    for seed in (2.0**-54, 0.25 + 2.0**-54, 0.5):
+        for mult in (1, -1, 3):
+            got = phase_turns(exp_angle, mult, [4051], seed)
+            assert got.tolist() == _fraction_turns(exp_angle, mult, [4051], seed).tolist()
+    # which way depends on the sign of the snapshot's error
+    up = phase_turns(exp_angle, -1, [4051], 2.0**-54)[0]
+    down = phase_turns(exp_angle, 1, [4051], 2.0**-54)[0]
+    assert (down, up) == (0.5, 0.5 + 2.0**-53)
+    assert _snapshot_turns(l3, q3, -1, [4051], 2.0**-54)[0] == 0.5
+    assert phase_turns(exp_angle, 1, [4051], 0.5).tolist() == [1.0]
+    assert _snapshot_turns(l3, q3, 1, [4051], 0.5).tolist() == [0.0]
+
+
+def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
+    assert tuple(c.q for c in exp_angle.convergents[:4]) == EXP_SMALL_QS
+    exp3 = (exp_angle.l(3), exp_angle.q(3))
+    # exp k4: q_3 = 8102 for no seed, a 53-bit seed and 5e-324 (e = 1074)
+    for e in (0, 53, 1074):
+        for reach in (1, -(10**6), 10**12):
+            assert _int64_modulus(exp_angle, reach, e) == exp3
+    # poly (4, 6): its 66-bit q_4, seeded (0.1 has e = 55) or not; q_5 has
+    # 262 bits
+    q4 = (poly_angle.l(4), poly_angle.q(4))
+    assert q4[1].bit_length() == 66
+    for e in (0, 53, 55):
+        assert _int64_modulus(poly_angle, 10**6, e) == q4
+    assert _int64_modulus(poly_angle, 10**6, 200) == (poly_angle.l(5), poly_angle.q(5))
+    # unseeded choices below 2^31 are as before: the smallest k with
+    # |reach| q_k 2^54 < q_{k+1}
+    short = explicit_angle([2, 1000, 10**30])
+    assert _int64_modulus(short, 1) == (1000, 2001)
+    assert _int64_modulus(short, 10**12) == (1000, 2001)
+    assert _int64_modulus(short, 10**14) == short.snapshot
+    assert _int64_modulus(rational_angle(3, 7), 10**40, 1074) == (3, 7)
+    # with no qualifying k the rule returns the snapshot, and a seed moves
+    # the line: reach * 2001 * 2^(54+e) < q_3 holds for e = 0, not e = 53
+    assert _int64_modulus(short, 1, 53) == short.snapshot
+    # and rightly: for seed = sp/2^53 with sp 2001 = 1 mod 2^53, some n < 2001
+    # puts {seed + n l_2/q_2} at 1/(2001 2^53), about 2^-64, where doubles
+    # are 2^-116 apart and the snapshot's error n/(q_2 q_3) is about 2^-111
+    sp = pow(2001, -1, 2**53)
+    n = (1 - sp * 2001) // 2**53 * pow(1000, -1, 2001) % 2001
+    seed = sp / 2**53
+    got = phase_turns(short, 1, [n], seed)
+    assert got.tolist() == _fraction_turns(short, 1, [n], seed).tolist()
+    assert got[0] != _snapshot_turns(1000, 2001, 1, [n], seed)[0] == 2.0**-53 / 2001
+    golden = explicit_angle([1] * 200)
+    assert _int64_modulus(golden, 1) == golden.snapshot
+    ns = range(-50, 50)
+    assert phase_turns(golden, 3, ns, 0.3).tolist() == _fraction_turns(golden, 3, ns, 0.3).tolist()
 
 
 def test_faithful_modulus_is_the_range_rule(exp_angle):

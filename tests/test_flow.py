@@ -1,6 +1,7 @@
 """Skew-product stepping, closed-form orbits, distality, conjugacy."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import fsum
 from random import Random
@@ -324,6 +325,28 @@ def test_direct_orbit_memory_stays_bounded(exp_angle):
     assert peak <= 2 * 2**20
 
 
+def test_walker_setup_is_built_once_per_config(exp_angle):
+    cfg = _cfg(exp_angle, v=4)
+    assert cfg._walker is cfg._walker
+    other = replace(cfg, h=analytic_h_sample(1.0, 6, 12))
+    assert other._walker is not cfg._walker
+    x = TorusPoint((0.1, 0.2, 0.3, 0.4))
+    orbit_direct(cfg, x, 5)  # fills cfg's set-up first
+    fresh = FlowConfig(alpha=exp_angle, h=other.h, v=4)
+    assert orbit_direct(other, x, 300).coords == orbit_direct(fresh, x, 300).coords
+    assert orbit_direct(other, x, 300).coords != orbit_direct(cfg, x, 300).coords
+    # 50 chained steps on one config equal 50 steps that each build their
+    # own set-up; the base coordinate equals orbit_direct's, and the fibers
+    # differ from it only by the order of the float sums
+    p = r = x
+    for _ in range(50):
+        p, r = step(cfg, p), step(replace(cfg), r)
+    assert p == r
+    want = orbit_direct(cfg, x, 50)
+    assert p.coords[0] == want.coords[0] and p.base_steps == want.base_steps == 50
+    assert max(_circle(a, b) for a, b in zip(p.coords, want.coords)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # pairing, metric, distality
 
@@ -336,6 +359,8 @@ def test_pairing_and_metric():
         pairing(FrequencyVector((0, 0, 1)), x)
     y = TorusPoint((0.75, 0.75))
     assert metric_d(x, y) == 0.5 * 0.5 + 0.25 * 0.25
+    # -1e-20 mod 1 rounds up to 1.0; the circle reads it as 0.0
+    assert pairing(FrequencyVector((0, -1)), TorusPoint((0.5, 1e-20))) == 0.0
     with pytest.raises(ValueError):
         metric_d(x, TorusPoint((0.1, 0.2, 0.3)))
 
