@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from hashlib import sha256
 from math import log10
 from pathlib import Path
@@ -593,7 +594,16 @@ def _cmd_sweep(args) -> int:
 # parser wiring
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The one parser of the process.
+
+    Built on the first main() call and reused by every later one: a fresh
+    parser per call costs milliseconds, and each discarded one leaves
+    reference cycles for a full collection.  Reuse is safe because every
+    parse starts from a new namespace and no action keeps state between
+    parses: no append actions, and no mutable defaults.
+    """
     parser = _Parser(prog="mobiusflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

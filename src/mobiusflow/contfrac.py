@@ -490,7 +490,8 @@ def _int64_modulus(angle: AngleCF, reach: int, e: int = 0) -> tuple[int, int]:
     strictly less than 1/(q_k^2 2^(54+e)) by the choice of k, so no midpoint
     and no wrap lies between the two values, and they round to the same
     double.  A dyadic V_k (b = 1) may be 0 or a midpoint; phase_turns
-    recomputes those entries on the snapshot.
+    recomputes those entries on the snapshot.  spectrum's flat scan steps
+    against the same convergent, see check_flat_lower_bound.
     """
     if angle.exact:
         return angle.snapshot

@@ -9,15 +9,31 @@ Diophantine facts the splits rely on:
   * the flat lower bound  ||m alpha|| >= 1/(2|m|)  off the resonant set, and
   * the exact scaling     ||a q_k alpha|| = a ||q_k alpha||  inside a band.
 
-Every pass/fail decision here is an integer comparison against the snapshot
-rationals; floats appear only as reported witnesses.
+Every pass/fail decision here is an exact integer comparison: either
+against the snapshot rationals, or against a convergent l_k/q_k whose error
+is proven smaller than the integer gap the comparison needs, with the one
+undecidable value handed back to the snapshot.  Floats appear only as
+reported witnesses, and every reported witness is the snapshot's.
 
-Both scans step the balanced residue d = fold(m l mod q), which lives in
-(-q/2, q/2] with |d| = q ||m l/q||, by one addition and at most one wrap per
-step.  Inside a band where the scaling identity holds, d = +-a r_k stays as
-small as a r_k itself, so the million-step witness scan costs word-sized
-arithmetic even against a snapshot of thousands of digits; the doubling grid
-past it doubles d (one wrap again), and only the band's endpoint pays a full
+The flat scan steps the balanced residue r = fold(m l_k mod q_k) against the
+convergent contfrac._int64_modulus picks for m_limit (q_3 = 8102 on exp k4,
+so every step is word-sized).  That rule gives q_{k+1} > m_limit q_k 2^54,
+so q_{k+1} > 4 m_limit^2 for every m_limit the scan budget admits, and the
+integer key 2m|r| lies strictly within 1/2 of q_k 2m ||m alpha|| on the
+snapshot; a key other than q_k therefore decides 2m ||m alpha|| >= 1, and
+keys order the ratios.  Only keys equal to q_k and the m sharing the least
+key (the worst-witness candidates) are recomputed on the snapshot.  An
+exact angle, or one no convergent qualifies for, runs the same loop on the
+snapshot itself, where every key is exact.
+
+The witness scan steps d = fold(a q_k l mod q) against the snapshot, with
+u = a r_k alongside, and tests d == +-u.  Inside a band where the scaling
+identity holds d stays as small as a r_k, so where a chunk of up to
+WITNESS_CHUNK multipliers provably does not wrap and i (d_k -+ r_k) fits in
+int64, the chunk is compared elementwise in int64 NumPy; any other chunk,
+and every band whose r_k is snapshot-sized, is stepped one a at a time by
+one addition and at most one wrap.  The doubling grid past the dense prefix
+doubles d (one wrap again), and only the band's endpoint pays a full
 multiplication modulo q.  The whole-band verdict needs no scan at all: the
 identity holds for every 1 <= a <= a_max exactly when 2 a_max r_k <= q.
 
@@ -39,10 +55,20 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .contfrac import AngleCF, Certificate, ResourceBudgetError, fold_signed
+import numpy as np
+
+from .contfrac import (
+    AngleCF,
+    Certificate,
+    ResourceBudgetError,
+    _int64_modulus,
+    fold_signed,
+)
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
+WITNESS_CHUNK = 512  # multipliers per int64 chunk of the dense witness scan
+_INT64 = 1 << 63
 
 
 class SnapshotRangeError(ValueError):
@@ -149,6 +175,10 @@ class FlatBoundCertificate(Certificate):
     its exact verdict, capped at 64 entries).  controls lists the resonant
     witnesses m = q_k, which must all violate the bound.  With nothing
     checked worst_ratio is inf, which the JSON document writes as null.
+    modulus_k and modulus_bits name the convergent l_k/q_k the scan stepped
+    (the snapshot's index when it stepped the snapshot), and
+    snapshot_recomputed counts the checked m whose key was recomputed on
+    the snapshot.
     """
 
     claim = "2|m|*dist(m*alpha, Z) >= 1 off the divisible bands"
@@ -162,17 +192,39 @@ class FlatBoundCertificate(Certificate):
     uncovered_count: int
     uncovered: tuple  # (m, ratio, holds) for divisible m in bands 0/1
     controls: tuple  # (k, q_k, ratio, violates) for q_k <= m_limit, k >= 2
+    modulus_k: int
+    modulus_bits: int
+    snapshot_recomputed: int
 
 
 def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
     """Scan 1 <= m <= m_limit with exact arithmetic (negative m are mirrors).
 
-    The balanced residue d = fold(m l mod q) is stepped by one addition of
-    fold(l) and at most one wrap per m, and |d| is the numerator of
-    ||m alpha|| against the snapshot, so the whole scan is linear in m_limit
-    with no multiplication or division of snapshot-sized integers.  Linear is
-    also why m_limit has a budget: past DENSE_SCAN_LIMIT the scan raises
-    ResourceBudgetError before it starts.
+    The scan steps r = fold(m l_k mod q_k) by one addition of fold(l_k) and
+    at most one wrap per m, against the convergent l_k/q_k that
+    contfrac._int64_modulus picks for reach m_limit.  Why its comparisons
+    are the snapshot's: that rule gives q_{k+1} > m_limit q_k 2^54, and
+    m_limit <= DENSE_SCAN_LIMIT < 2^52 turns it into q_{k+1} > 4 m_limit^2.
+    The snapshot l/q lies within 1/(q_k q_{k+1}) of l_k/q_k, and ||.|| is
+    1-Lipschitz, so |q_k ||m l/q|| - |r|| <= m/q_{k+1}, and the integer key
+    2m|r| lies within 2 m_limit^2/q_{k+1} < 1/2 of X = q_k 2m ||m l/q||.
+    The claim 2m ||m l/q|| >= 1 is X >= q_k: a key of q_k + 1 or more
+    passes, q_k - 1 or less fails, and only key == q_k is recomputed on the
+    snapshot.  A smaller key means a smaller X, so the worst witness is
+    among the m sharing the least key; those are
+    recomputed on the snapshot and the least exact value wins, the smallest
+    m on a tie.  No checked m has r = 0: m <= m_limit < q_{k+1}, so a
+    multiple of q_k lies in band k and is skipped or uncovered.  When the
+    rule returns the snapshot itself (exact angles, or no qualifying k) the
+    same loop runs and its keys are exact.
+
+    The loop is plain Python ints on purpose.  Each NumPy kernel a process
+    runs for the first time maps about 128 KiB, and a chunked NumPy scan
+    measured 0.2-0.26 MiB more peak RSS on `check spectrum` for no wall
+    time the word-sized loop does not already save.
+
+    The scan is linear in m_limit, which is why m_limit has a budget: past
+    DENSE_SCAN_LIMIT it raises ResourceBudgetError before it starts.
     """
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
@@ -184,27 +236,33 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         )
     q = angle.q_snapshot
     l = angle.l_snapshot
-    hi = q // 2
-    lo = hi - q  # balanced residues are the d with lo < d <= hi
     qs = [c.q for c in angle.convergents]
+    lk, qk = _int64_modulus(angle, m_limit)
+
+    def snapshot_key(m: int) -> int:  # 2m ||m l/q|| q, exact
+        return 2 * m * abs(fold_signed((m * l) % q, q))
+
+    hi = qk // 2
+    lo = hi - qk  # balanced residues are the r with lo < r <= hi
     k = 0
     while qs[k + 1] <= 1:
         k += 1
-    dl = fold_signed(l % q, q)
-    d = 0
+    dl = fold_signed(lk % qk, qk)
+    r = 0
     checked = 0
     skipped = 0
     passed = True
-    worst_num = None  # minimal 2m|d_m|, compared against q
-    worst_m = 0
+    least = m_limit * qk + 1  # above every key 2m|r| <= m qk
+    ties = []  # the m whose key is least so far, ascending
+    recomputed = {}  # m -> snapshot_key(m) for the checked m sent back
     uncovered = []
     uncovered_count = 0
     for m in range(1, m_limit + 1):
-        d += dl
-        if d > hi:
-            d -= q
-        elif d <= lo:
-            d += q
+        r += dl
+        if r > hi:
+            r -= qk
+        elif r <= lo:
+            r += qk
         while qs[k + 1] <= m:
             k += 1
         if m % qs[k] == 0:
@@ -213,22 +271,37 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
             else:
                 uncovered_count += 1
                 if len(uncovered) < 64:
-                    num = 2 * m * abs(d)
+                    num = snapshot_key(m)
                     uncovered.append((m, num / q, num >= q))
             continue
         checked += 1
-        num = 2 * m * abs(d)  # ratio is num/q with q fixed, so min num is the worst
-        if num < q:
-            passed = False
-        if worst_num is None or num < worst_num:
-            worst_num, worst_m = num, m
+        key = 2 * m * abs(r)
+        if key <= qk:
+            if key < qk:
+                passed = False
+            else:
+                recomputed[m] = snapshot_key(m)
+                if recomputed[m] < q:
+                    passed = False
+        if key <= least:
+            if key < least:
+                least, ties = key, [m]
+            else:
+                ties.append(m)
+    worst_num = None
+    worst_m = 0
+    for m in ties:
+        if m not in recomputed:
+            recomputed[m] = snapshot_key(m)
+        if worst_num is None or recomputed[m] < worst_num:
+            worst_num, worst_m = recomputed[m], m
     controls = []
     for kk in range(2, len(qs) - 1):
-        qk = qs[kk]
-        if qk > m_limit:
+        qc = qs[kk]
+        if qc > m_limit:
             break
-        rr = abs(fold_signed((qk * l) % q, q))
-        controls.append((kk, qk, 2 * qk * rr / q, 2 * qk * rr < q))
+        rr = abs(fold_signed((qc * l) % q, q))
+        controls.append((kk, qc, 2 * qc * rr / q, 2 * qc * rr < q))
     return FlatBoundCertificate(
         m_limit,
         checked,
@@ -239,6 +312,9 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         uncovered_count,
         tuple(uncovered),
         tuple(controls),
+        bisect_right(qs, qk) - 1,
+        qk.bit_length(),
+        len(recomputed),
     )
 
 
@@ -280,18 +356,48 @@ class ScalingCertificate(Certificate):
         return self.equality_ok and self.premise_ok
 
 
+def _chunk_mismatch(sides, n: int) -> Optional[int]:
+    """Offset of the first of n chunk entries where no side matches, or None.
+
+    Each side is (i * slope for i = 1, 2, ... as an int64 array, c), and
+    entry i - 1 matches on it when i * slope == c.  A side whose c lies
+    outside int64 matches nowhere, since every i * slope does fit; such a c
+    never reaches NumPy.  The subtraction may wrap, but both operands lie
+    in [-2^63, 2^63), so it is 0 mod 2^64 exactly when they are equal.
+    """
+    misses = []
+    for steps, c in sides:
+        if -_INT64 <= c < _INT64:
+            miss = np.flatnonzero(steps[:n] - np.int64(c))
+            if not miss.size:
+                return None
+            misses.append(miss)
+    if not misses:
+        return 0
+    common = set(misses[0].tolist()).intersection(*(x.tolist() for x in misses[1:]))
+    return min(common, default=None)
+
+
 def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
     """Verify the in-band scaling identity with exact residues.
 
     The witness scan steps the balanced residue d = fold(a q_k l mod q) and
-    u = a r_k, one addition each and at most one wrap of d per a, and tests
-    d == +-u.  It covers the whole band when a_max is at most
-    DENSE_SCAN_LIMIT; a longer band is scanned up to DENSE_PREFIX, then
-    sampled on a doubling grid (d and u doubled, one wrap) and at a_max, the
-    one full multiplication mod q, and the certificate is marked partial.
-    Nothing assumes the band is free of wraps: a wrap leaves d the size of
-    q, and the comparison fails.  band_exact and the premise are decided at
-    a_max, where both are tightest.
+    u = a r_k and tests d == +-u at every a.  It covers the whole band when
+    a_max is at most DENSE_SCAN_LIMIT; a longer band is scanned up to
+    DENSE_PREFIX, then sampled on a doubling grid (d and u doubled, one
+    wrap) and at a_max, the one full multiplication mod q, and the
+    certificate is marked partial.
+
+    The dense scan runs in chunks of up to WITNESS_CHUNK multipliers.  A
+    chunk from (d0, u0) is compared in int64 NumPy when lo < d0 + n d_k <= hi
+    on Python ints, so d = d0 + i d_k for every i in it (no wrap), and
+    i (d_k -+ r_k) fits in int64.  With s the sign of d_k, d == s u is then
+    i (d_k - s r_k) == s u0 - d0 and d == -s u is i (d_k + s r_k) ==
+    -(d0 + s u0), compared side by side in that order, see _chunk_mismatch.
+    Every other chunk steps one a at a time, one addition each and at most
+    one wrap of d.  Nothing assumes the band is free of wraps: a wrap leaves d
+    the size of q, and the comparison fails.  band_exact and the premise are
+    decided at a_max, where both are tightest.
     """
     if not 0 <= k < angle.k_star:
         raise SnapshotRangeError(f"band {k} is not inside the built ladder")
@@ -313,20 +419,40 @@ def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
 
     partial = a_max > DENSE_SCAN_LIMIT
     dense_upto = DENSE_PREFIX if partial else a_max
+    width = WITNESS_CHUNK
+    vector = width * 2 * rk < _INT64  # |i (d_k -+ r_k)| <= 2 i r_k
+    sign = 1 if dk > 0 else -1  # the identity predicts d == sign * u
+    if vector:
+        steps = np.arange(1, width + 1, dtype=np.int64)
+        slopes = (steps * np.int64(dk - sign * rk), steps * np.int64(dk + sign * rk))
     equal = True
     scanned = 0
     d = u = 0  # fold(a tk mod q) and a rk at the last a stepped
-    for _ in range(dense_upto):
-        d += dk
-        if d > hi:
-            d -= q
-        elif d <= lo:
-            d += q
-        u += rk
-        if d != u and d != -u:
-            equal = False
-            break
-        scanned += 1
+    while equal and scanned < dense_upto:
+        n = min(width, dense_upto - scanned)
+        end = d + n * dk
+        if vector and lo < end <= hi:
+            targets = (sign * u - d, -(d + sign * u))
+            bad = _chunk_mismatch(zip(slopes, targets), n)
+            if bad is None:
+                d = end
+                u += n * rk
+                scanned += n
+            else:
+                scanned += bad
+                equal = False
+            continue
+        for _ in range(n):
+            d += dk
+            if d > hi:
+                d -= q
+            elif d <= lo:
+                d += q
+            u += rk
+            if d != u and d != -u:
+                equal = False
+                break
+            scanned += 1
     if equal and partial:
         a = dense_upto
         while 2 * a < a_max:

@@ -4,6 +4,7 @@ Exit code contract: 0 pass, 1 usage error, 2 certificate failure,
 3 resource limit.
 """
 
+import argparse
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -376,3 +377,44 @@ def test_help_and_dispatch(capsys):
     assert main(["angle"]) == 1
     assert main(["check"]) == 1
     capsys.readouterr()
+
+
+def _manifest_without_clock(path):
+    doc = json.loads(path.read_text())
+    del doc["started"], doc["finished"]
+    return doc
+
+
+def test_parser_is_built_once_and_reused(exp_file, tmp_path, capsys):
+    # a later call that relies on a default sees the default, not the value
+    # an earlier call in the same process passed
+    assert cli._build_parser() is cli._build_parser()
+    base = ["check", "spectrum", "--angle", exp_file, "--n", "1000", "--out"]
+    assert main([*base[:4], "--m-limit", "5", *base[4:], str(tmp_path / "first")]) == 0
+    assert main([*base, str(tmp_path / "reused")]) == 0
+    cli._build_parser.cache_clear()
+    assert main([*base, str(tmp_path / "fresh")]) == 0
+    capsys.readouterr()
+    reused = _manifest_without_clock(tmp_path / "reused" / "manifest.json")
+    assert reused == _manifest_without_clock(tmp_path / "fresh" / "manifest.json")
+    assert reused["details"]["flat"]["m_limit"] == 100000
+    first = _manifest_without_clock(tmp_path / "first" / "manifest.json")
+    assert first["details"]["flat"]["m_limit"] == 5
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_parser_keeps_no_state_between_parses():
+    # the one parser is reused, so no action may accumulate into a default
+    mutable = (list, dict, set, bytearray)
+    for parser in _parsers(cli._build_parser()):
+        for action in parser._actions:
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
+            assert not isinstance(action.default, mutable), action.dest
+        assert not any(isinstance(v, mutable) for v in parser._defaults.values())

@@ -4,10 +4,17 @@ import random
 from fractions import Fraction
 from math import log
 
+import numpy as np
 import pytest
 
-from mobiusflow import spectrum
-from mobiusflow.contfrac import ResourceBudgetError, explicit_angle
+from mobiusflow import build_exp_alpha, build_poly_alpha, spectrum
+from mobiusflow.contfrac import (
+    ResourceBudgetError,
+    _int64_modulus,
+    explicit_angle,
+    fold_signed,
+    rational_angle,
+)
 from mobiusflow.spectrum import (
     SnapshotRangeError,
     check_flat_lower_bound,
@@ -360,3 +367,225 @@ def test_sharp_denominators_ladder(exp_angle, poly_angle):
     assert ks == [1, 2, 3]
     ks_p = [k for k, _, _ in sharp_denominators(poly_angle, 4, 10**5)]
     assert ks_p == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# flat scan: the convergent route against the snapshot route
+
+FLAT_FIELDS = (
+    "m_limit", "checked", "passed", "worst_m", "worst_ratio",
+    "skipped_resonant", "uncovered_count", "uncovered", "controls",
+)
+
+
+def _flat_fields(cert):
+    return tuple(getattr(cert, f) for f in FLAT_FIELDS)
+
+
+def _flat_on_snapshot(angle, m_limit, monkeypatch):
+    """The same scan with every key taken on the snapshot (the exact route)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_int64_modulus", lambda a, reach: a.snapshot)
+        cert = check_flat_lower_bound(angle, m_limit)
+    assert cert.modulus_k == angle.snap_index
+    return cert
+
+
+def _flat_limits(angle, extra=(), cap=spectrum.DENSE_SCAN_LIMIT):
+    qk = _int64_modulus(angle, 2000)[1]
+    limits = {1, 2, 7, qk - 1, qk, qk + 1, 2000, *extra}
+    return sorted(m for m in limits if 1 <= m <= cap and m < angle.q(angle.k_star))
+
+
+def _assert_routes_agree(angle, m_limit, monkeypatch):
+    cert = check_flat_lower_bound(angle, m_limit)
+    assert _flat_fields(cert) == _flat_fields(_flat_on_snapshot(angle, m_limit, monkeypatch))
+    qk = _int64_modulus(angle, m_limit)[1]
+    assert angle.convergents[cert.modulus_k].q == qk
+    assert cert.modulus_bits == qk.bit_length()
+    return cert
+
+
+def test_flat_convergent_route_matches_snapshot_route(monkeypatch):
+    angles = [
+        build_exp_alpha(4, seed_q1=1), build_exp_alpha(4, seed_q1=2),
+        build_poly_alpha(4, 4), build_poly_alpha(4, 6),
+        explicit_angle([1] * 80), rational_angle(355, 1131),
+    ]
+    moduli = set()
+    for angle in angles:
+        for m_limit in _flat_limits(angle, extra=(10**5,)):
+            cert = _assert_routes_agree(angle, m_limit, monkeypatch)
+            moduli.add(cert.modulus_bits < angle.q_snapshot.bit_length())
+    assert moduli == {True, False}  # both routes were taken
+    exp = check_flat_lower_bound(build_exp_alpha(4), 10**5)
+    assert (exp.passed, exp.checked, exp.worst_m) == (True, 99083, 7)
+    assert (exp.modulus_k, exp.modulus_bits, exp.snapshot_recomputed) == (3, 13, 1)
+
+
+def _random_wide_angles(seed, count):
+    """Explicit angles with a few 40-90 bit quotients, so convergents qualify."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(3, 8)
+        yield explicit_angle(
+            [rng.choice([1, 2, 3, rng.randint(1, 60), rng.randint(1, 5000),
+                         rng.randint(2**40, 2**90)])
+             for _ in range(size)]
+        )
+
+
+def test_flat_convergent_route_on_random_angles(monkeypatch):
+    routes = {"convergent": 0, "snapshot": 0}
+    for angle in _random_wide_angles(5, 200):
+        for m_limit in _flat_limits(angle, cap=20000):
+            cert = _assert_routes_agree(angle, m_limit, monkeypatch)
+            snap = cert.modulus_k == angle.snap_index
+            routes["snapshot" if snap else "convergent"] += 1
+    assert min(routes.values()) > 100, routes
+
+
+def test_flat_routes_agree_with_fraction_oracle():
+    for angle in list(_random_wide_angles(9, 30)) + [rational_angle(355, 1131)]:
+        for m_limit in _flat_limits(angle, cap=2000):
+            cert = check_flat_lower_bound(angle, m_limit)
+            assert _flat_fields(cert) == _flat_oracle(angle, m_limit)
+
+
+def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
+    # For a convergent l_k/q_k no checked m has 2m|r| = q_k (that would put
+    # some p/m exactly 1/(2m^2) from l_k/q_k, and searches over small ladders
+    # find none), so the branch is reached through a substituted modulus.
+    # On [0; 2, 2, 2^70, ...] m = 1, 2 are uncovered and m = 3 (band 1,
+    # q_1 = 2) is checked; against 1/18 its key is 2 * 3 * 3 = 18.
+    angle = explicit_angle([2, 2, 2**70, 1, 1])
+    monkeypatch.setattr(spectrum, "_int64_modulus", lambda a, reach: (1, 18))
+    cert = check_flat_lower_bound(angle, 3)
+    assert (cert.checked, cert.uncovered_count, cert.snapshot_recomputed) == (1, 2, 1)
+    monkeypatch.undo()
+    assert _flat_fields(cert) == _flat_oracle(angle, 3)
+    assert cert.passed and cert.worst_m == 3
+    # against 5/18 the key of m = 3 is again 18, while m = 7 has the least
+    # key, 14: both go to the snapshot, m = 3 for its verdict
+    monkeypatch.setattr(spectrum, "_int64_modulus", lambda a, reach: (5, 18))
+    cert = check_flat_lower_bound(angle, 7)
+    assert (cert.checked, cert.worst_m, cert.snapshot_recomputed) == (3, 7, 2)
+    l, q = angle.snapshot
+    assert cert.worst_ratio == 14 * abs(fold_signed((7 * l) % q, q)) / q
+
+
+def _least_keys(angle, m_limit):
+    lk, qk = _int64_modulus(angle, m_limit)
+    keys = {}
+    for m in range(1, m_limit + 1):
+        if m % angle.q(_band_of(angle, m)):
+            keys[m] = 2 * m * abs(fold_signed((m * lk) % qk, qk))
+    least = min(keys.values())
+    return [m for m in keys if keys[m] == least]
+
+
+def test_flat_worst_witness_among_shared_least_keys(monkeypatch):
+    # the m sharing the least key are ranked on the snapshot: on the first
+    # angle the smaller m is the worst, on the second the larger one is
+    for quotients, ties, worst in (([2, 2, 3], [3, 12], 3), ([5, 3, 5], [6, 11], 11)):
+        angle = explicit_angle(quotients + [2**70, 1, 1, 1, 1, 2])
+        assert _least_keys(angle, 200) == ties
+        cert = _assert_routes_agree(angle, 200, monkeypatch)
+        assert cert.worst_m == worst
+        assert cert.snapshot_recomputed == len(ties)
+        assert _flat_fields(cert) == _flat_oracle(angle, 200)
+    # on the exact route tied keys are tied ratios: the smallest m wins
+    exact = rational_angle(7, 17)
+    assert _least_keys(exact, 16) == [3, 12]
+    cert = check_flat_lower_bound(exact, 16)
+    assert cert.worst_m == 3 and _flat_fields(cert) == _flat_oracle(exact, 16)
+
+
+def test_flat_certificate_records_its_modulus(exp_angle):
+    doc = check_flat_lower_bound(exp_angle, 2000).to_json()
+    assert list(doc)[-3:] == ["modulus_k", "modulus_bits", "snapshot_recomputed"]
+    assert (doc["modulus_k"], doc["modulus_bits"]) == (3, 13)
+    golden = check_flat_lower_bound(explicit_angle([1] * 80), 2000)
+    assert golden.modulus_k == 80  # no rung qualifies: the snapshot itself
+
+
+# ---------------------------------------------------------------------------
+# witness scan in int64 chunks
+
+
+def test_chunk_mismatch_against_elementwise_comparison():
+    rng = random.Random(4)
+    steps = np.arange(1, 65, dtype=np.int64)
+    for _ in range(2000):
+        sides = []
+        for _ in range(2):
+            slope = rng.choice([0, rng.randint(-2**56, 2**56), rng.randint(-9, 9)])
+            i = rng.randint(1, 64)
+            c = rng.choice([0, i * slope, rng.randint(-2**64, 2**64),
+                            rng.choice([2**63, -2**63 - 1, -2**63, 2**63 - 1])])
+            sides.append((slope, c))
+        n = rng.randint(1, 64)
+        want = next((i for i in range(n)
+                     if all((i + 1) * s != c for s, c in sides)), None)
+        got = spectrum._chunk_mismatch([(steps * np.int64(s), c) for s, c in sides], n)
+        assert got == want
+
+
+def test_chunk_constant_past_int64_is_no_match():
+    steps = np.arange(1, 9, dtype=np.int64)
+    zero, slope = steps * np.int64(0), steps * np.int64(-2**59)
+    # a constant at or past 2^63 never reaches NumPy: that side matches nowhere
+    for big in (2**63, -2**63 - 1, 3**200):
+        assert spectrum._chunk_mismatch([(slope, big), (zero, 0)], 8) is None
+        assert spectrum._chunk_mismatch([(zero, 0), (slope, big)], 8) is None
+        assert spectrum._chunk_mismatch([(slope, big), (zero, big)], 8) == 0
+        assert spectrum._chunk_mismatch([(slope, big), (slope, 3 * -2**59)], 8) == 0
+    # -2^63 itself fits; i * slope reaches it at i = 2^63 / 2^59 = 16 only
+    assert spectrum._chunk_mismatch([(slope, -2**63), (zero, 1)], 8) == 0
+
+
+def _first_wrap(angle, k):
+    """Smallest a >= 1 with a d_k outside (-q/2, q/2]: where d first wraps."""
+    q = angle.q_snapshot
+    dk = fold_signed((angle.q(k) * angle.l_snapshot) % q, q)
+    return (q // 2) // dk + 1 if dk > 0 else (q - q // 2 - 1) // -dk + 1
+
+
+@pytest.mark.parametrize("width", [1, 64])
+def test_scaling_chunks_match_direct_mulmod_oracle(monkeypatch, width):
+    # the default width, 512, runs in test_scaling_matches_direct_mulmod_oracle
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 300)
+    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 40)
+    monkeypatch.setattr(spectrum, "WITNESS_CHUNK", width)
+    seen = {"mid-chunk wrap": 0, "dense fail": 0, "chunked": 0}
+    for angle, k, cert in _bands(7, 300):
+        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
+        q = angle.q_snapshot
+        rk = abs(fold_signed((angle.q(k) * angle.l_snapshot) % q, q))
+        if width * 2 * rk >= 2**63:
+            continue
+        seen["chunked"] += 1
+        wrap = _first_wrap(angle, k)
+        if wrap <= cert.dense_upto and wrap % width != 1 and width > 1:
+            seen["mid-chunk wrap"] += 1
+        if not cert.equality_ok and cert.scanned < cert.dense_upto:
+            seen["dense fail"] += 1
+    if width > 1:
+        assert all(seen.values()), seen
+
+
+def test_scaling_chunks_on_long_bands(monkeypatch):
+    # exp k4 band 3 and poly (4, 6) band 5: r_k has 44 bits, so the dense
+    # prefix runs in chunks; exp k4 band 2, whose r_k has 11.7k bits, never
+    # does.  Every width gives one certificate, the direct mulmod oracle's.
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 20000)
+    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 3000)
+    cases = [(build_exp_alpha(4), 3), (build_poly_alpha(4, 6), 5), (build_exp_alpha(4), 2)]
+    for angle, k in cases:
+        certs = set()
+        for width in (1, 64, 512, 4096):
+            monkeypatch.setattr(spectrum, "WITNESS_CHUNK", width)
+            certs.add(check_resonant_scaling(angle, k))
+        assert len(certs) == 1
+        cert = certs.pop()
+        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
