@@ -372,6 +372,8 @@ def _cmd_check_spectrum(args) -> int:
 
 
 def _cmd_check_coboundary(args) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     angle = _load_angle(args.angle)
     h = _parse_h(args.h, angle, args.seed)
     manifest = _start_manifest(
@@ -417,6 +419,8 @@ def _random_finite_series(rng: Random) -> FourierSeries:
 
 
 def _cmd_check_coeff_bound(args) -> int:
+    if args.count < 1:
+        raise _UsageError(f"--count must be >= 1, got {args.count}")
     manifest = _start_manifest(
         "check coeff-bound",
         {"seed": args.seed, "count": args.count, "m_limit": args.m_limit},

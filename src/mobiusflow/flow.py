@@ -137,10 +137,6 @@ class FrequencyVector:
                 return i
         return 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.top_index == 0
-
     def label(self) -> str:
         return ";".join(str(b) for b in self.entries)
 

@@ -16,7 +16,6 @@ units.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from math import exp, frexp, fsum, pi
@@ -194,26 +193,6 @@ class FourierSeries:
 
     def l1_norm(self) -> float:
         return float(sum(abs(c) for _, c in self._pairs))
-
-    def to_json(self) -> dict:
-        return {
-            "decay": {"kind": self.decay.kind, "param": self.decay.param},
-            "coeffs": [[m, c.real, c.imag] for m, c in self._pairs],
-            "tail_bound": self.truncation_error,
-        }
-
-
-def series_from_json(doc: Union[str, dict]) -> FourierSeries:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    decay = Decay(doc["decay"]["kind"], doc["decay"]["param"])
-    coeffs = {int(m): complex(re, im) for m, re, im in doc["coeffs"]}
-    # stored constants are not serialized; re-derive the tightest one
-    const = 1.0
-    for m, c in coeffs.items():
-        if m:
-            const = max(const, abs(c) / decay.weight(m))
-    return FourierSeries(coeffs, decay, doc["tail_bound"], const)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ class MuTable:
             raise IndexError(f"[{lo}, {hi}] not inside [{self.n_lo}, {self.n_hi}]")
         return MuTable(lo, hi, self.values[lo - self.n_lo : hi - self.n_lo + 1])
 
-    def mertens(self) -> int:
-        """Sum of the table entries, exact."""
-        return int(self.values.sum(dtype=np.int64))
-
 
 def _primes_upto(limit: int) -> np.ndarray:
     """Primes <= limit, ascending int64."""
@@ -171,21 +167,6 @@ def sieve_segment(n_top: int, length: int) -> MuTable:
         mu[res != n_vals] *= -1
         out[start - lo : stop - lo + 1] = mu
     return MuTable(lo, n_top, out)
-
-
-def squarefree_count(n_max: int) -> int:
-    """#\\{n <= n_max squarefree\\} = sum_{d^2 <= n_max} mu(d) floor(n_max/d^2).
-
-    Independent of the sieves' zero pattern: only needs mu up to sqrt(n_max).
-    """
-    root = isqrt(n_max)
-    small = sieve_full(root) if root >= 1 else None
-    total = 0
-    for d in range(1, root + 1):
-        m = small.mu(d)
-        if m:
-            total += m * (n_max // (d * d))
-    return total
 
 
 # ---------------------------------------------------------------------------

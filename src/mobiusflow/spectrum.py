@@ -26,16 +26,14 @@ key (the worst-witness candidates) are recomputed on the snapshot.  An
 exact angle, or one no convergent qualifies for, runs the same loop on the
 snapshot itself, where every key is exact.
 
-The witness scan steps d = fold(a q_k l mod q) against the snapshot, with
-u = a r_k alongside, and tests d == +-u.  Inside a band where the scaling
-identity holds d stays as small as a r_k, so where a chunk of up to
-WITNESS_CHUNK multipliers provably does not wrap and i (d_k -+ r_k) fits in
-int64, the chunk is compared elementwise in int64 NumPy; any other chunk,
-and every band whose r_k is snapshot-sized, is stepped one a at a time by
-one addition and at most one wrap.  The doubling grid past the dense prefix
-doubles d (one wrap again), and only the band's endpoint pays a full
-multiplication modulo q.  The whole-band verdict needs no scan at all: the
-identity holds for every 1 <= a <= a_max exactly when 2 a_max r_k <= q.
+The scaling identity needs no witness scan: one lemma decides it.  With
+t_k = q_k l mod q, d_k = fold(t_k) and r_k = |d_k| > 0, fold(a t_k mod q)
+is the balanced value congruent to a d_k.  If 2 a r_k <= q that value is
+a d_k itself (or q/2 when a d_k = -q/2), of size a r_k; if 2 a r_k > q its
+size is at most q/2 < a r_k.  So ||a q_k alpha|| = a ||q_k alpha|| holds
+exactly for a <= q // (2 r_k).  Each sampled multiplier's verdict, the
+scanned count and the whole-band verdict 2 a_max r_k <= q are read off
+that one bound.
 
 The flat lower bound needs care.  Its textbook proof hinges on q_k not
 dividing m for the band k containing m, which the resonant-set definition
@@ -55,8 +53,6 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-import numpy as np
-
 from .contfrac import (
     AngleCF,
     Certificate,
@@ -67,8 +63,6 @@ from .contfrac import (
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
-WITNESS_CHUNK = 512  # multipliers per int64 chunk of the dense witness scan
-_INT64 = 1 << 63
 
 
 class SnapshotRangeError(ValueError):
@@ -323,15 +317,17 @@ class ScalingCertificate(Certificate):
     """Per-band check of ||a q_k alpha|| = a ||q_k alpha|| for 1 <= a <= a_max.
 
     a_max is the largest a with a q_k < q_{k+1}, and r_k = q ||q_k alpha|| is
-    the balanced residue of q_k l against the snapshot.  Three verdicts:
+    the balanced residue of q_k l against the snapshot.  The identity holds
+    exactly for a <= q // (2 r_k) (see check_resonant_scaling).  Verdicts:
 
-      * equality_ok: the identity over the scanned a, the witness scan.  Up
-        to DENSE_SCAN_LIMIT every a is scanned; past it the first
-        DENSE_PREFIX are, then a doubling grid plus a_max, and partial is
-        set.  A failure aborts the scan, so scanned counts the a that held.
-      * band_exact: the identity over the whole band, decided by the one
-        integer inequality 2 a_max r_k <= q (a r_k never passes q/2, so the
-        fold never wraps; past it, the first a with 2 a r_k > q fails).
+      * equality_ok: the identity over the sampled a.  Up to
+        DENSE_SCAN_LIMIT the sample is every a; past it the first
+        DENSE_PREFIX, then the doubling grid DENSE_PREFIX 2^j < a_max and
+        a_max itself, and partial is set.  The sample ends at a_max, so
+        equality_ok is band_exact; scanned counts the sampled a, ascending,
+        up to the first that fails.
+      * band_exact: the identity over the whole band, the one integer
+        inequality 2 a_max r_k <= q.
       * premise_ok: the paper's premise a_max ||q_k alpha|| < 1/q_k, exactly
         a_max r_k q_k < q, whose float value is premise_max.  For q_k >= 2
         it implies band_exact.
@@ -356,124 +352,45 @@ class ScalingCertificate(Certificate):
         return self.equality_ok and self.premise_ok
 
 
-def _chunk_mismatch(sides, n: int) -> Optional[int]:
-    """Offset of the first of n chunk entries where no side matches, or None.
-
-    Each side is (i * slope for i = 1, 2, ... as an int64 array, c), and
-    entry i - 1 matches on it when i * slope == c.  A side whose c lies
-    outside int64 matches nowhere, since every i * slope does fit; such a c
-    never reaches NumPy.  The subtraction may wrap, but both operands lie
-    in [-2^63, 2^63), so it is 0 mod 2^64 exactly when they are equal.
-    """
-    misses = []
-    for steps, c in sides:
-        if -_INT64 <= c < _INT64:
-            miss = np.flatnonzero(steps[:n] - np.int64(c))
-            if not miss.size:
-                return None
-            misses.append(miss)
-    if not misses:
-        return 0
-    common = set(misses[0].tolist()).intersection(*(x.tolist() for x in misses[1:]))
-    return min(common, default=None)
-
-
 def check_resonant_scaling(angle: AngleCF, k: int) -> ScalingCertificate:
     """Verify the in-band scaling identity with exact residues.
 
-    The witness scan steps the balanced residue d = fold(a q_k l mod q) and
-    u = a r_k and tests d == +-u at every a.  It covers the whole band when
-    a_max is at most DENSE_SCAN_LIMIT; a longer band is scanned up to
-    DENSE_PREFIX, then sampled on a doubling grid (d and u doubled, one
-    wrap) and at a_max, the one full multiplication mod q, and the
-    certificate is marked partial.
+    Lemma: with t_k = q_k l mod q, d_k = fold(t_k) and r_k = |d_k| > 0,
+    |fold(a t_k mod q)| = a r_k holds exactly for 1 <= a <= q // (2 r_k).
+    Proof: fold(a t_k mod q) is the value in (-q/2, q/2] congruent to a d_k.
+    If 2 a r_k <= q, a d_k lies in [-q/2, q/2], so that value is a d_k, or
+    q/2 when a d_k = -q/2; either way its size is a r_k.  If 2 a r_k > q,
+    its size is at most q/2 < a r_k.
 
-    The dense scan runs in chunks of up to WITNESS_CHUNK multipliers.  A
-    chunk from (d0, u0) is compared in int64 NumPy when lo < d0 + n d_k <= hi
-    on Python ints, so d = d0 + i d_k for every i in it (no wrap), and
-    i (d_k -+ r_k) fits in int64.  With s the sign of d_k, d == s u is then
-    i (d_k - s r_k) == s u0 - d0 and d == -s u is i (d_k + s r_k) ==
-    -(d0 + s u0), compared side by side in that order, see _chunk_mismatch.
-    Every other chunk steps one a at a time, one addition each and at most
-    one wrap of d.  Nothing assumes the band is free of wraps: a wrap leaves d
-    the size of q, and the comparison fails.  band_exact and the premise are
-    decided at a_max, where both are tightest.
+    The identity therefore holds on an initial run of the ascending sample
+    (every a up to a_max, or past DENSE_SCAN_LIMIT the first DENSE_PREFIX,
+    the doubling grid and a_max, marked partial), and scanned is the number
+    of sampled a <= q // (2 r_k).  No multiplier is reduced modulo q.
     """
     if not 0 <= k < angle.k_star:
         raise SnapshotRangeError(f"band {k} is not inside the built ladder")
     q = angle.q_snapshot
-    l = angle.l_snapshot
     qk = angle.q(k)
-    qk1 = angle.q(k + 1)
-    a_max = (qk1 - 1) // qk
+    a_max = (angle.q(k + 1) - 1) // qk
     if a_max < 1:
         raise SnapshotRangeError(f"band {k} admits no multiplier (q_{k+1} = q_k)")
-    tk = (qk * l) % q
-    dk = fold_signed(tk, q)
-    rk = abs(dk)
+    rk = abs(fold_signed((qk * angle.l_snapshot) % q, q))
     if rk == 0:
         raise SnapshotRangeError(f"q_{k} annihilates the snapshot; angle too shallow")
-    top = a_max * rk
-    hi = q // 2
-    lo = hi - q  # balanced residues are the d with lo < d <= hi
-
+    last = q // (2 * rk)  # the largest a the identity holds for
+    exact = a_max <= last  # the sample ends at a_max, so this is its verdict
     partial = a_max > DENSE_SCAN_LIMIT
     dense_upto = DENSE_PREFIX if partial else a_max
-    width = WITNESS_CHUNK
-    vector = width * 2 * rk < _INT64  # |i (d_k -+ r_k)| <= 2 i r_k
-    sign = 1 if dk > 0 else -1  # the identity predicts d == sign * u
-    if vector:
-        steps = np.arange(1, width + 1, dtype=np.int64)
-        slopes = (steps * np.int64(dk - sign * rk), steps * np.int64(dk + sign * rk))
-    equal = True
-    scanned = 0
-    d = u = 0  # fold(a tk mod q) and a rk at the last a stepped
-    while equal and scanned < dense_upto:
-        n = min(width, dense_upto - scanned)
-        end = d + n * dk
-        if vector and lo < end <= hi:
-            targets = (sign * u - d, -(d + sign * u))
-            bad = _chunk_mismatch(zip(slopes, targets), n)
-            if bad is None:
-                d = end
-                u += n * rk
-                scanned += n
-            else:
-                scanned += bad
-                equal = False
-            continue
-        for _ in range(n):
-            d += dk
-            if d > hi:
-                d -= q
-            elif d <= lo:
-                d += q
-            u += rk
-            if d != u and d != -u:
-                equal = False
-                break
-            scanned += 1
-    if equal and partial:
-        a = dense_upto
-        while 2 * a < a_max:
-            a *= 2
-            d *= 2
-            if d > hi:
-                d -= q
-            elif d <= lo:
-                d += q
-            u *= 2
-            if d != u and d != -u:
-                equal = False
-                break
-            scanned += 1
-        if equal:
-            equal = abs(fold_signed((a_max * tk) % q, q)) == top
-            if equal:
-                scanned += 1
+    if last < dense_upto:
+        scanned = last
+    else:
+        scanned = dense_upto
+        if partial:  # grid points dense_upto 2^j <= min(last, a_max - 1), then a_max
+            grid = (min(last, a_max - 1) // dense_upto).bit_length() - 1
+            scanned += grid + exact
+    top = a_max * rk
     return ScalingCertificate(
-        k, a_max, scanned, dense_upto, partial, equal,
-        2 * top <= q, top * qk < q, top / q,
+        k, a_max, scanned, dense_upto, partial, exact, exact, top * qk < q, top / q,
     )
 
 

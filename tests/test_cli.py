@@ -207,6 +207,24 @@ def test_check_coboundary_bad_series_flag(exp_file, capsys):
     capsys.readouterr()
 
 
+def test_check_refuses_empty_sample_counts(exp_file, tmp_path, capsys):
+    # a certificate over no samples checks nothing: refuse it, write nothing
+    runs = [
+        ["check", "coboundary", "--angle", exp_file, "--samples", "0"],
+        ["check", "coboundary", "--angle", exp_file, "--samples", "-3"],
+        ["check", "coeff-bound", "--count", "0"],
+        ["check", "coeff-bound", "--count", "-1"],
+    ]
+    for i, argv in enumerate(runs):
+        out_dir = tmp_path / str(i)
+        assert main([*argv, "--out", str(out_dir)]) == 1, argv
+        assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert captured.err.count("error:") == len(runs)
+    assert "--samples must be >= 1, got -3" in captured.err
+
+
 def test_check_coeff_bound(capsys):
     code = main(["check", "coeff-bound", "--seed", "0", "--count", "3",
                  "--m-limit", "500"])

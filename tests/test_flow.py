@@ -79,10 +79,9 @@ def test_frequency_vector_conventions():
     assert b.rho == -1  # base entry does not count
     assert b.norm == 3
     assert b.top_index == 3
-    assert not b.is_zero
     assert b.label() == "3;1;-2"
     assert FrequencyVector((5, 0)).top_index == 1
-    assert FrequencyVector(()).is_zero
+    assert FrequencyVector(()).top_index == 0
     e2 = FrequencyVector.unit(2, 4)
     assert e2.entries == (0, 1, 0, 0)
     with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from mobiusflow.harmonic import (
     analytic_h_sample,
     check_coeff_bound,
     furstenberg_h,
-    series_from_json,
     smooth_h_sample,
     solve_coboundary,
     split_resonant,
@@ -145,13 +144,6 @@ def test_scale_and_norms():
     assert doubled.truncation_error == 0.5
     assert doubled.decay_const == 2.0
     assert s.l1_norm() == 1.0
-
-
-def test_series_json_roundtrip():
-    s = FourierSeries({2: 0.1 + 0.05j, -2: 0.1 - 0.05j, 0: 1.0}, Decay("smooth", 4.0), 1e-6, 2.0)
-    back = series_from_json(s.to_json())
-    assert back == s
-    assert back.decay_const >= abs(s.coeff(2)) / Decay("smooth", 4.0).weight(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Sieves against independent factorization, twisted sums."""
 
-from math import fsum
+from math import fsum, isqrt
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from mobiusflow.moebius import (
     memory_budget,
     sieve_full,
     sieve_segment,
-    squarefree_count,
     twisted_sum,
 )
 
@@ -58,7 +57,7 @@ def test_sieve_against_trial_division():
 
 def test_mertens_classical_value():
     # M(100) = 1 is a standard table entry
-    assert sieve_full(100).mertens() == 1
+    assert int(sieve_full(100).values.sum()) == 1
 
 
 FULL_TOP = 2 * BLOCK + BLOCK // 4
@@ -105,6 +104,16 @@ def test_segment_short_and_prefix():
     assert len(one) == 1 and one.mu(97) == -1  # 97 is prime
 
 
+def _squarefree_count(n_max):
+    """#{n <= n_max squarefree} = sum_{d^2 <= n_max} mu(d) floor(n_max/d^2).
+
+    Independent of the sieves' zero pattern: only needs mu up to sqrt(n_max).
+    """
+    root = isqrt(n_max)
+    small = sieve_full(root)
+    return sum(small.mu(d) * (n_max // (d * d)) for d in range(1, root + 1))
+
+
 def test_squarefree_count():
     # independent boolean sieve
     n = 20000
@@ -113,9 +122,9 @@ def test_squarefree_count():
     while d * d <= n:
         free[d * d :: d * d] = False
         d += 1
-    assert squarefree_count(n) == int(free[1:].sum())
+    assert _squarefree_count(n) == int(free[1:].sum())
     # classical value
-    assert squarefree_count(10**6) == 607926
+    assert _squarefree_count(10**6) == 607926
 
 
 def test_table_access_and_restrict():
@@ -172,7 +181,7 @@ def test_memory_budget_env(monkeypatch):
 
 def test_twisted_alpha_zero_is_mertens():
     got = twisted_sum(100, 100).value
-    assert got == complex(sieve_full(100).mertens(), 0.0)
+    assert got == complex(int(sieve_full(100).values.sum()), 0.0)
 
 
 def test_twisted_progression_decomposition():
@@ -224,7 +233,7 @@ def test_twisted_mult_folds_into_angle():
     b = twisted_sum(2000, 800, alpha=rational_angle(1, 4), mult=1)
     assert a.value == b.value
     m0 = twisted_sum(2000, 800, alpha=rational_angle(1, 8), mult=0)
-    assert m0.value == complex(sieve_segment(2000, 800).mertens(), 0.0)
+    assert m0.value == complex(int(sieve_segment(2000, 800).values.sum()), 0.0)
 
 
 def test_twisted_angle_against_brute(exp_angle):

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from math import log
 
-import numpy as np
 import pytest
 
 from mobiusflow import build_exp_alpha, build_poly_alpha, spectrum
@@ -231,7 +230,8 @@ def test_scaling_dense_bands(exp_angle):
 
 
 def test_scaling_top_band_of_exp(exp_angle):
-    # a_max has 3515 digits: a million dense steps, the doubling grid, a_max
+    # a_max has 3515 digits: a million dense multipliers, the doubling grid
+    # and a_max are sampled, and every sampled a is below q // (2 r_3)
     c3 = check_resonant_scaling(exp_angle, 3)
     assert len(str(c3.a_max)) == 3515
     assert (c3.scanned, c3.dense_upto, c3.partial) == (1011656, 10**6, True)
@@ -239,23 +239,26 @@ def test_scaling_top_band_of_exp(exp_angle):
     assert c3.band_exact  # the whole band, not only the scanned multipliers
 
 
+def _scaling_sample(angle, k):
+    """The multipliers a band's certificate samples, ascending."""
+    a_max = (angle.q(k + 1) - 1) // angle.q(k)
+    if a_max <= spectrum.DENSE_SCAN_LIMIT:
+        return range(1, a_max + 1)
+    points = list(range(1, spectrum.DENSE_PREFIX + 1))
+    a = 2 * spectrum.DENSE_PREFIX
+    while a < a_max:
+        points.append(a)
+        a *= 2
+    return points + [a_max]
+
+
 def _scaling_oracle(angle, k):
     """(equality_ok, scanned) by a direct mulmod at each dense and grid a."""
     l, q = angle.snapshot
     qk = angle.q(k)
-    a_max = (angle.q(k + 1) - 1) // qk
     rk = min((qk * l) % q, q - (qk * l) % q)
-    if a_max > spectrum.DENSE_SCAN_LIMIT:
-        points = list(range(1, spectrum.DENSE_PREFIX + 1))
-        a = 2 * spectrum.DENSE_PREFIX
-        while a < a_max:
-            points.append(a)
-            a *= 2
-        points.append(a_max)
-    else:
-        points = range(1, a_max + 1)
     scanned = 0
-    for a in points:
+    for a in _scaling_sample(angle, k):
         t = (a * qk * l) % q
         if min(t, q - t) != a * rk:
             return False, scanned
@@ -275,18 +278,48 @@ def _bands(seed, count):
 def test_scaling_matches_direct_mulmod_oracle(monkeypatch):
     monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 300)
     monkeypatch.setattr(spectrum, "DENSE_PREFIX", 40)
-    seen = {"partial": 0, "dense fail": 0, "grid fail": 0}
+    seen = {"partial": 0, "dense fail": 0, "grid fail": 0, "a_max fail": 0}
     for angle, k, cert in _bands(7, 300):
         assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
         want_dense = min(cert.a_max, 40) if cert.partial else cert.a_max
         assert cert.dense_upto == want_dense
         seen["partial"] += cert.partial
         if not cert.equality_ok:
-            seen["grid fail" if cert.scanned >= cert.dense_upto else "dense fail"] += 1
+            a = _scaling_sample(angle, k)[cert.scanned]  # the first a that fails
+            if a <= cert.dense_upto:
+                seen["dense fail"] += 1
+            else:
+                seen["a_max fail" if a == cert.a_max else "grid fail"] += 1
     assert all(seen.values()), seen
 
 
-def test_scaling_band_exact_is_the_whole_band_verdict():
+def test_scaling_chunks_on_long_bands(monkeypatch):
+    # long bands, a dense prefix of 3000: exp k4 band 3 and poly (4, 6)
+    # band 5 have 44-bit r_k and pass; exp k4 band 2 has an 11.7k-bit r_k
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 20000)
+    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 3000)
+    cases = [(build_exp_alpha(4), 3), (build_poly_alpha(4, 6), 5), (build_exp_alpha(4), 2)]
+    for angle, k in cases:
+        cert = check_resonant_scaling(angle, k)
+        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
+
+
+def test_fold_scales_exactly_below_the_bound():
+    # the lemma behind the scaling certificate, exhaustively for q <= 60:
+    # |fold(a t mod q)| = a |fold(t)| exactly when 2 a |fold(t)| <= q, both
+    # signs of fold(t) and the a fold(t) = -q/2 edge included
+    edges = 0
+    for q in range(2, 61):
+        for t in range(1, q):
+            r = abs(fold_signed(t, q))
+            for a in range(1, q + 1):
+                holds = abs(fold_signed((a * t) % q, q)) == a * r
+                assert holds == (2 * a * r <= q) == (a <= q // (2 * r)), (q, t, a)
+                edges += a * fold_signed(t, q) * 2 == -q
+    assert edges
+
+
+def test_scaling_band_exact_is_the_whole_band_verdict(monkeypatch):
     # no band here is past DENSE_SCAN_LIMIT, so the oracle scans every a
     implied, verdicts = 0, set()
     for angle, k, cert in _bands(3, 200):
@@ -297,6 +330,15 @@ def test_scaling_band_exact_is_the_whole_band_verdict():
             assert cert.band_exact
             implied += 1
     assert implied and verdicts == {True, False}
+    # a partial band samples a_max last, so its verdict is the whole band's
+    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 300)
+    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 40)
+    verdicts = set()
+    for angle, k, cert in _bands(7, 300):
+        assert cert.equality_ok == cert.band_exact == _scaling_oracle(angle, k)[0]
+        if cert.partial:
+            verdicts.add(cert.band_exact)
+    assert verdicts == {True, False}
 
 
 def test_scaling_matches_fraction_arithmetic(exp_angle):
@@ -507,85 +549,3 @@ def test_flat_certificate_records_its_modulus(exp_angle):
     assert (doc["modulus_k"], doc["modulus_bits"]) == (3, 13)
     golden = check_flat_lower_bound(explicit_angle([1] * 80), 2000)
     assert golden.modulus_k == 80  # no rung qualifies: the snapshot itself
-
-
-# ---------------------------------------------------------------------------
-# witness scan in int64 chunks
-
-
-def test_chunk_mismatch_against_elementwise_comparison():
-    rng = random.Random(4)
-    steps = np.arange(1, 65, dtype=np.int64)
-    for _ in range(2000):
-        sides = []
-        for _ in range(2):
-            slope = rng.choice([0, rng.randint(-2**56, 2**56), rng.randint(-9, 9)])
-            i = rng.randint(1, 64)
-            c = rng.choice([0, i * slope, rng.randint(-2**64, 2**64),
-                            rng.choice([2**63, -2**63 - 1, -2**63, 2**63 - 1])])
-            sides.append((slope, c))
-        n = rng.randint(1, 64)
-        want = next((i for i in range(n)
-                     if all((i + 1) * s != c for s, c in sides)), None)
-        got = spectrum._chunk_mismatch([(steps * np.int64(s), c) for s, c in sides], n)
-        assert got == want
-
-
-def test_chunk_constant_past_int64_is_no_match():
-    steps = np.arange(1, 9, dtype=np.int64)
-    zero, slope = steps * np.int64(0), steps * np.int64(-2**59)
-    # a constant at or past 2^63 never reaches NumPy: that side matches nowhere
-    for big in (2**63, -2**63 - 1, 3**200):
-        assert spectrum._chunk_mismatch([(slope, big), (zero, 0)], 8) is None
-        assert spectrum._chunk_mismatch([(zero, 0), (slope, big)], 8) is None
-        assert spectrum._chunk_mismatch([(slope, big), (zero, big)], 8) == 0
-        assert spectrum._chunk_mismatch([(slope, big), (slope, 3 * -2**59)], 8) == 0
-    # -2^63 itself fits; i * slope reaches it at i = 2^63 / 2^59 = 16 only
-    assert spectrum._chunk_mismatch([(slope, -2**63), (zero, 1)], 8) == 0
-
-
-def _first_wrap(angle, k):
-    """Smallest a >= 1 with a d_k outside (-q/2, q/2]: where d first wraps."""
-    q = angle.q_snapshot
-    dk = fold_signed((angle.q(k) * angle.l_snapshot) % q, q)
-    return (q // 2) // dk + 1 if dk > 0 else (q - q // 2 - 1) // -dk + 1
-
-
-@pytest.mark.parametrize("width", [1, 64])
-def test_scaling_chunks_match_direct_mulmod_oracle(monkeypatch, width):
-    # the default width, 512, runs in test_scaling_matches_direct_mulmod_oracle
-    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 300)
-    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 40)
-    monkeypatch.setattr(spectrum, "WITNESS_CHUNK", width)
-    seen = {"mid-chunk wrap": 0, "dense fail": 0, "chunked": 0}
-    for angle, k, cert in _bands(7, 300):
-        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
-        q = angle.q_snapshot
-        rk = abs(fold_signed((angle.q(k) * angle.l_snapshot) % q, q))
-        if width * 2 * rk >= 2**63:
-            continue
-        seen["chunked"] += 1
-        wrap = _first_wrap(angle, k)
-        if wrap <= cert.dense_upto and wrap % width != 1 and width > 1:
-            seen["mid-chunk wrap"] += 1
-        if not cert.equality_ok and cert.scanned < cert.dense_upto:
-            seen["dense fail"] += 1
-    if width > 1:
-        assert all(seen.values()), seen
-
-
-def test_scaling_chunks_on_long_bands(monkeypatch):
-    # exp k4 band 3 and poly (4, 6) band 5: r_k has 44 bits, so the dense
-    # prefix runs in chunks; exp k4 band 2, whose r_k has 11.7k bits, never
-    # does.  Every width gives one certificate, the direct mulmod oracle's.
-    monkeypatch.setattr(spectrum, "DENSE_SCAN_LIMIT", 20000)
-    monkeypatch.setattr(spectrum, "DENSE_PREFIX", 3000)
-    cases = [(build_exp_alpha(4), 3), (build_poly_alpha(4, 6), 5), (build_exp_alpha(4), 2)]
-    for angle, k in cases:
-        certs = set()
-        for width in (1, 64, 512, 4096):
-            monkeypatch.setattr(spectrum, "WITNESS_CHUNK", width)
-            certs.add(check_resonant_scaling(angle, k))
-        assert len(certs) == 1
-        cert = certs.pop()
-        assert (cert.equality_ok, cert.scanned) == _scaling_oracle(angle, k)
