@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from hashlib import sha256
@@ -90,16 +90,6 @@ class RunManifest:
     finished: str = ""
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "outputs": self.outputs,
-            "started": self.started,
-            "finished": self.finished,
-            "details": self.details,
-        }
-
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -118,7 +108,7 @@ def _start_manifest(command: str, payload: dict) -> RunManifest:
 
 def _finish(manifest: RunManifest, out_dir: Optional[str]) -> None:
     manifest.finished = _utc_now()
-    doc = json.dumps(manifest.to_json(), indent=2) + "\n"
+    doc = json.dumps(asdict(manifest), indent=2) + "\n"
     if out_dir is not None:
         path = Path(out_dir) / "manifest.json"
         path.write_text(doc)
@@ -517,7 +507,7 @@ def _cmd_sweep(args) -> int:
     thetas = _parse_float_list(args.theta)
     n_list = _parse_num_list(args.n)
     for theta in thetas:
-        if theta <= 0 or theta > 1:
+        if not 0 < theta <= 1:
             raise _UsageError(f"theta must be in (0, 1], got {theta}")
     b = _parse_b(args.b)
     if args.rational is not None:

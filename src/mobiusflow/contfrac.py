@@ -620,11 +620,6 @@ def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndar
     sp, sq = float(seed).as_integer_ratio()
     den = q * sq
     unit = (mult * l * sq) % den
-    # num/den lies between the quotients of its top 128 bits; when both
-    # round to the same float, so does num/den, and the long division of
-    # two snapshot-sized integers is skipped
-    shift = max(den.bit_length() - 128, 0)
-    top = den >> shift
 
     def turns():
         num = (sp * q + ns[0] * unit) % den
@@ -642,12 +637,7 @@ def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndar
                 else:
                     num += step[0]
                 prev = n
-            if shift:
-                head = num >> shift
-                x = head / (top + 1)
-                yield x if x == (head + 1) / top else num / den
-            else:
-                yield num / den
+            yield num / den
 
     return np.fromiter(turns(), np.float64, count=len(ns))
 
@@ -655,10 +645,13 @@ def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndar
 def residue(mult: int, angle: AngleCF) -> int:
     """(mult * l) mod q for the snapshot l/q, valid for any sign of mult.
 
-    For non-exact angles the multiplier must stay inside the faithful range
-    (see faithful_modulus)."""
+    Python's % already returns the least nonnegative residue for either
+    sign, so mult is not reduced first: for a negative mult, mult % q is a
+    snapshot-sized q - |mult|, and its product with l would need a long
+    division twice the snapshot's size.  For non-exact angles the multiplier
+    must stay inside the faithful range (see faithful_modulus)."""
     l, q = faithful_modulus(angle, mult)
-    return ((mult % q) * l) % q
+    return (mult * l) % q
 
 
 def signed_residue(mult: int, angle: AngleCF) -> int:
@@ -670,8 +663,7 @@ def frac_mod1(n: int, angle: AngleCF) -> float:
     """{n * alpha} as a float, reduced exactly before conversion."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    l, q = faithful_modulus(angle, n)
-    return ((n * l) % q) / q
+    return residue(n, angle) / angle.q_snapshot
 
 
 def small_divisor(mult: int, angle: AngleCF) -> complex:

@@ -240,6 +240,8 @@ def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]
         )
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("n_list must be strictly ascending")
+    if n_list and n_list[0] < 1:
+        raise ValueError(f"every N must be at least 1, got {n_list[0]}")
     return [(n_top, min(int(n_top), ceil(n_top**theta))) for n_top in n_list]
 
 

@@ -534,10 +534,6 @@ class ConjugacyCertificate(Certificate):
     budgets: Tuple[float, ...]
     passed: bool
 
-    @property
-    def worst_defect(self) -> float:
-        return max(self.defects, default=0.0)
-
 
 def check_conjugacy(
     pair: ConjugacyPair, x: TorusPoint, n_values: Iterable[int]

@@ -172,25 +172,6 @@ class FourierSeries:
             warnings.warn(f"imaginary residue {im:.3e} at t = {t!r}", stacklevel=2)
         return re
 
-    def derivative(self, order: int = 1) -> "FourierSeries":
-        """Termwise derivative; decay reclassified as finite, constant widened
-        to cover the (2 pi m)^order growth."""
-        coeffs = {
-            m: c * (2j * pi * m) ** order
-            for m, c in self._pairs
-            if m != 0 or order == 0
-        }
-        const = max((abs(c) for m, c in coeffs.items() if m != 0), default=1.0)
-        return FourierSeries(coeffs, FINITE, 0.0, max(1.0, const))
-
-    def scale(self, s: float) -> "FourierSeries":
-        return FourierSeries(
-            {m: c * s for m, c in self._pairs},
-            self.decay,
-            self.truncation_error * abs(s),
-            self.decay_const * abs(s),
-        )
-
     def l1_norm(self) -> float:
         return float(sum(abs(c) for _, c in self._pairs))
 

@@ -86,11 +86,6 @@ class MuTable:
             raise IndexError(f"{n} outside [{self.n_lo}, {self.n_hi}]")
         return int(self.values[n - self.n_lo])
 
-    def restrict(self, lo: int, hi: int) -> "MuTable":
-        if not (self.n_lo <= lo <= hi <= self.n_hi):
-            raise IndexError(f"[{lo}, {hi}] not inside [{self.n_lo}, {self.n_hi}]")
-        return MuTable(lo, hi, self.values[lo - self.n_lo : hi - self.n_lo + 1])
-
 
 def _primes_upto(limit: int) -> np.ndarray:
     """Primes <= limit, ascending int64."""

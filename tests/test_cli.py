@@ -346,11 +346,16 @@ def test_sweep_usage_errors(exp_file, capsys):
         ["sweep", "--angle", exp_file, "--b", "a;b"],
         ["sweep", "--angle", exp_file, "--h", "mystery"],
         ["sweep", "--rational", "7"],
+        ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--n", "-5"],
+        ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--n", "0,10"],
+        ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--theta", "nan"],
     ]
     for argv in runs:
         assert main(argv) == 1, argv
     err = capsys.readouterr().err
     assert err.count("error:") == len(runs)
+    assert err.count("every N must be at least 1") == 2
+    assert "theta must be in (0, 1], got nan" in err
 
 
 def test_sweep_n_is_parsed_exactly(monkeypatch, capsys):

@@ -5,6 +5,7 @@ working precision comfortably past the snapshot size.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -198,6 +199,22 @@ def test_residue_folding(exp_angle):
     shallow = explicit_angle([2, 9])
     with pytest.raises(PrecisionFloorError):
         residue(1, shallow)
+
+
+@pytest.mark.parametrize("m", [7, 123456])
+def test_negative_residue_needs_no_wider_product(exp_angle, m):
+    # reducing -m first to the snapshot-sized q - m would double the
+    # product's width and make the reduction a full long division
+    def peak(mult):
+        residue(mult, exp_angle)
+        tracemalloc.start()
+        try:
+            residue(mult, exp_angle)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(-m) <= peak(m) + 1024
 
 
 def test_rational_angle_exact():
@@ -584,6 +601,9 @@ def _seeded_cases(draw):
 @example(case=(None, 1, range(4050, 4060), 0.5))  # n = 4051 is the second entry
 @example(case=(None, -1, range(3 * 4051 + 2, 3 * 4051 - 9, -1), 2.0**-54))
 @example(case=(None, 3, [2**63 + 4051, -4051, 0, 5], 5e-324))
+# the convergent picked here, q_120, has 153 bits, so every entry steps a
+# modulus past 128 bits
+@example(case=([2] * 120 + [2**300] + [1] * 40, -3, range(-10**30, 10**30, 10**28 + 7), 0.5))
 def test_seeded_phase_turns_match_fraction(exp_angle, case):
     quotients, mult, ns, seed = case
     angle = exp_angle if quotients is None else explicit_angle(quotients)

@@ -458,7 +458,6 @@ def test_conjugacy_straightens_slow_modes(poly_angle):
     x = TorusPoint((0.3, 0.71, 0.05, 0.42))
     cert = check_conjugacy(pair, x, [1, 5, 50, 200])
     assert cert.passed
-    assert cert.worst_defect == max(cert.defects)
     for d, bud in zip(cert.defects, cert.budgets):
         assert d <= bud
     doc = cert.to_json()

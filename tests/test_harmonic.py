@@ -5,7 +5,7 @@ coefficients for the composed exponential, and the closed tail sums.
 """
 
 from fractions import Fraction
-from math import cos, exp, fsum, pi, sin
+from math import exp, fsum, pi
 from random import Random
 
 import numpy as np
@@ -125,24 +125,8 @@ def test_eval_phases_match_a_fraction_oracle(t, modes):
     )
 
 
-def test_derivative_matches_closed_form():
-    s = FourierSeries({1: 0.5, -1: 0.5, 0: 2.0})  # cos(2 pi t) + 2
-    d = s.derivative()
-    assert d.coeff(0) == 0j
-    for t in (0.2, 0.7):
-        assert d.eval(t) == pytest.approx(-2 * pi * sin(2 * pi * t), abs=1e-12)
-    second = s.derivative(2)
-    assert second.eval(0.2) == pytest.approx(
-        -4 * pi**2 * cos(2 * pi * 0.2), abs=1e-10
-    )
-
-
 def test_scale_and_norms():
     s = FourierSeries({1: 0.5, -1: 0.5}, Decay("analytic", 0.2), 0.25, 1.0)
-    doubled = s.scale(2.0)
-    assert doubled.coeff(1) == 1.0
-    assert doubled.truncation_error == 0.5
-    assert doubled.decay_const == 2.0
     assert s.l1_norm() == 1.0
 
 

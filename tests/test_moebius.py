@@ -75,7 +75,7 @@ def test_segment_agrees_with_full_across_block_boundary(full_table):
     assert length > BLOCK
     seg = sieve_segment(n_top, length)
     assert seg.n_lo == n_top - length + 1
-    assert np.array_equal(seg.values, full_table.restrict(seg.n_lo, n_top).values)
+    assert np.array_equal(seg.values, full_table.values[seg.n_lo - 1 : n_top])
 
 
 @st.composite
@@ -95,7 +95,7 @@ def test_segment_matches_full_sieve(full_table, segment):
     n_top, length = segment
     seg = sieve_segment(n_top, length)
     assert (seg.n_lo, seg.n_hi) == (n_top - length + 1, n_top)
-    assert np.array_equal(seg.values, full_table.restrict(seg.n_lo, n_top).values)
+    assert np.array_equal(seg.values, full_table.values[seg.n_lo - 1 : n_top])
 
 
 def test_segment_short_and_prefix():
@@ -134,11 +134,10 @@ def test_table_access_and_restrict():
         t.mu(0)
     with pytest.raises(IndexError):
         t.mu(51)
-    r = t.restrict(10, 20)
-    assert r.n_lo == 10 and r.n_hi == 20
-    assert r.mu(15) == t.mu(15)
+    r = MuTable(10, 20, t.values[9:20])
+    assert r.mu(15) == t.mu(15) == 1
     with pytest.raises(IndexError):
-        t.restrict(0, 20)
+        r.mu(9)
     with pytest.raises(ValueError):
         MuTable(1, 3, np.zeros(2, dtype=np.int8))
     with pytest.raises(ValueError):
