@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha256
 from math import log10
@@ -197,6 +198,15 @@ def _parse_rational(text: str) -> AngleCF:
     except ValueError:
         raise _UsageError(f"expected integers in l/q, got {text!r}")
     return rational_angle(l, q)
+
+
+def _parse_tau(text: str) -> str:
+    """--tau as given, once it reads as an exact rational such as 4 or 10/3."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"expected a rational --tau such as 4 or 10/3, got {text!r}")
+    return text
 
 
 def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
@@ -510,6 +520,8 @@ def _cmd_sweep(args) -> int:
         if not 0 < theta <= 1:
             raise _UsageError(f"theta must be in (0, 1], got {theta}")
     b = _parse_b(args.b)
+    if args.rational is not None and args.angle is not None:
+        raise _UsageError("give --angle FILE or --rational l/q, not both")
     if args.rational is not None:
         angle = _parse_rational(args.rational)
     elif args.angle is not None:
@@ -611,7 +623,7 @@ def _build_parser() -> _Parser:
     p_be.set_defaults(func=_cmd_angle_build)
 
     p_bp = angle_sub.add_parser("build-poly", help="denominators growing like q_k^tau")
-    p_bp.add_argument("--tau", required=True, help="rational exponent > 3, e.g. 4 or 10/3")
+    p_bp.add_argument("--tau", required=True, type=_parse_tau, help="rational > 3, e.g. 4 or 10/3")
     p_bp.add_argument("--k-star", dest="k_star", type=int, required=True)
     p_bp.add_argument("--seed-q1", dest="seed_q1", type=int, default=2)
     p_bp.add_argument("--out", default=None)
@@ -640,7 +652,7 @@ def _build_parser() -> _Parser:
     p_cc = check_sub.add_parser("coboundary", help="transfer-equation defect")
     p_cc.add_argument("--angle", required=True)
     p_cc.add_argument("--h", default="furstenberg")
-    p_cc.add_argument("--tau", default=None)
+    p_cc.add_argument("--tau", default=None, type=_parse_tau)
     p_cc.add_argument("--seed", type=int, default=0)
     p_cc.add_argument("--samples", type=int, default=1000)
     p_cc.add_argument("--out", default=None)

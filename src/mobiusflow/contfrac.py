@@ -19,17 +19,13 @@ form, orbit stepping and Fourier series all take their phases from it.
   of a float, such as a drift head) takes (mult * n * l) mod 2^k as the low
   k bits of a wrapping uint64 product, see _dyadic_turns; FourierSeries
   evaluation calls that kernel with its modes as n.
-- Every other call, seeded or not, reduces against one convergent: for a
-  seed sp/2^e, the smallest l_k/q_k below the snapshot with
-  |reach| q_k 2^(54+e) < q_{k+1} (an exact angle, or an angle with no such
-  k, uses its own snapshot), see _int64_modulus.  A phase that is not a
-  dyadic rational against l_k/q_k lies further from every rounding midpoint
-  than the snapshot moves it, so both round alike.  Unseeded calls with
-  q_k < 2^31 and indices in int64 reduce all at once in int64 NumPy; the
-  rest step one exact residue against l_k/q_k (about 66 bits for a
-  53-bit seed on the exp k4 angle, against its 11,733-bit snapshot).
+- Every other call, seeded or not, reduces against the one convergent
+  l_k/q_k that matched_convergent picks for its reach and seed (spectrum's
+  flat scan reads the same value): in int64 NumPy for unseeded int64
+  indices with q_k < 2^31, else by stepping one exact residue (about 66
+  bits for a 53-bit seed on exp k4, against its 11,733-bit snapshot).
   Entries whose phase against l_k/q_k is dyadic (among them 0 and every
-  midpoint) are recomputed on the snapshot.
+  midpoint) are recomputed on the snapshot; every other one rounds alike.
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -71,6 +67,7 @@ __all__ = [
     "rational_angle",
     "dyadic_angle",
     "faithful_modulus",
+    "matched_convergent",
     "phase_turns",
     "frac_mod1",
     "residue",
@@ -357,6 +354,8 @@ def build_poly_alpha(
         raise ValueError("tau must exceed 3")
     if k_star < 3:
         raise ValueError("k_star must be at least 3")
+    if seed_q1 < 1:
+        raise ValueError("seed_q1 must be positive")
     p, r = tau.numerator, tau.denominator
     quotients = [seed_q1]
     q_prev, q_cur = 1, seed_q1
@@ -452,13 +451,13 @@ def cis_minus_one(rs: int, q: int) -> complex:
 
 
 def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
-    """The pair (l, q) that reduces phases mult * n * alpha with |mult * n| <= |reach|.
+    """The snapshot (l, q), once checked to resolve every |mult * n| <= |reach|.
 
     This is the package's one faithful-range rule.  For a non-exact angle the
     snapshot sits within 1/q^2 of every extension of the quotients, so a
     reduction is trusted only while |reach| * 2^60 < q^2; past that line the
     extensions cannot be told apart and PrecisionFloorError is raised.  Exact
-    angles have no ceiling.  The reducing modulus is the snapshot.
+    angles have no ceiling.  matched_convergent picks the reducing convergent.
     """
     l, q = angle.snapshot
     scaled = abs(reach) << 60
@@ -470,13 +469,13 @@ def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     )
 
 
-def _int64_modulus(angle: AngleCF, reach: int, e: int = 0) -> tuple[int, int]:
-    """The convergent (l_k, q_k) whose rounded phases equal the snapshot's.
+def matched_convergent(angle: AngleCF, reach: int, e: int = 0) -> Convergent:
+    """The convergent l_k/q_k whose rounded phases equal the snapshot's.
 
     For phases {seed + mult * n * alpha} with |mult * n| <= |reach| and a
     seed sp/2^e (e = 0 for no seed), k is the smallest index below the
     snapshot with |reach| * q_k * 2^(54+e) < q_{k+1}.  An exact angle, or an
-    angle where no index qualifies, reduces against its own snapshot.
+    angle where no index qualifies, gets its own snapshot convergent.
 
     Why that k rounds like the snapshot l/q.  V_k = {seed + mult n l_k/q_k}
     has a reduced denominator b 2^s that divides q_k 2^e, with b odd, so
@@ -493,14 +492,13 @@ def _int64_modulus(angle: AngleCF, reach: int, e: int = 0) -> tuple[int, int]:
     recomputes those entries on the snapshot.  spectrum's flat scan steps
     against the same convergent, see check_flat_lower_bound.
     """
-    if angle.exact:
-        return angle.snapshot
-    scaled = abs(reach) << (54 + e)
     cs = angle.convergents
-    for c, nxt in zip(cs, cs[1:]):
-        if scaled * c.q < nxt.q:
-            return c.l, c.q
-    return angle.snapshot
+    if not angle.exact:
+        scaled = abs(reach) << (54 + e)
+        for c, nxt in zip(cs, cs[1:]):
+            if scaled * c.q < nxt.q:
+                return c
+    return cs[-1]
 
 
 def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
@@ -516,91 +514,71 @@ def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
     return r.astype(np.float64) * 2.0**-k
 
 
+def _indices(ns):
+    """ns as an int64 array when every index fits in int64, else a list of ints."""
+    if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
+        return ns
+    if isinstance(ns, range) and max(map(abs, (ns.start, ns.stop, ns.step))) < 1 << 63:
+        return np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    ns = [int(n) for n in ns]
+    if ns and not -(1 << 63) <= min(ns) <= max(ns) < 1 << 63:
+        return ns
+    return np.array(ns, dtype=np.int64)
+
+
 def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
     """Correctly rounded {seed + mult * n * alpha} for each n of ns.
 
     Every entry is the double nearest to the exact (seed + mult * n * l/q)
     mod 1 for the snapshot l/q, after faithful_modulus has checked the range
-    (so PrecisionFloorError is raised exactly where it says).  Routes:
+    (so PrecisionFloorError is raised exactly where it says).  ns is read
+    once, into an int64 array or, past int64, a list of ints.  Routes:
 
-    - Unseeded, indices in int64 and q = 2^k with k <= 64 on an exact angle:
-      the low k bits of the wrapping uint64 products n * mult * l, see
+    - Unseeded int64 indices with q = 2^k, k <= 64, on an exact angle: the
+      low k bits of the wrapping uint64 products n * mult * l, see
       _dyadic_turns.
     - Otherwise the phases V_k are taken against the convergent l_k/q_k that
-      _int64_modulus picks for the seed's bit count e.  Unseeded calls with
-      q_k < 2^31 and indices in int64 compute R = ((n mod q_k) *
-      (mult * l_k mod q_k)) mod q_k in int64 NumPy (every product stays
-      below 2^62), then one IEEE division R / q_k.  Every other call steps
-      one exact residue against l_k/q_k, see _snapshot_turns.
+      matched_convergent picks for the seed's bit count e.  Unseeded int64
+      indices with q_k < 2^31 compute R = ((n mod q_k) * (mult * l_k mod
+      q_k)) mod q_k in int64 NumPy (every product stays below 2^62), then
+      one IEEE division R / q_k.  Every other call steps one exact residue
+      against l_k/q_k, see _snapshot_turns.
     - Where q_k is not the snapshot, entries whose V_k is dyadic are
       recomputed on the snapshot: only there can V_k be 0 or a rounding
       midpoint, where the snapshot's error decides the double.  V_k is
       dyadic exactly when d divides n, with d = odd(q_k) / gcd(odd(q_k),
-      mult) and odd(q_k) the odd part of q_k.
+      mult) and odd(q_k) the odd part of q_k (gcd(l_k, q_k) = 1).
     """
-    if isinstance(ns, np.ndarray) and ns.dtype.kind in "iu":
-        if not ns.size:
-            return np.empty(0)
-        lo, hi = int(ns.min()), int(ns.max())
-    else:
-        if isinstance(ns, np.ndarray):
-            ns = ns.tolist()
-        elif not isinstance(ns, range):
-            ns = [int(n) for n in ns]
-        if not len(ns):
-            return np.empty(0)
-        lo, hi = min(ns), max(ns)
+    ns = _indices(ns)
+    if not len(ns):
+        return np.empty(0)
+    packed = isinstance(ns, np.ndarray)
+    lo, hi = (int(ns.min()), int(ns.max())) if packed else (min(ns), max(ns))
     reach = mult * max(-lo, hi)
     l, q = faithful_modulus(angle, reach)
-    packed = not seed and -(1 << 63) < lo and hi < 1 << 63
-    if packed:
-        if isinstance(ns, range):
-            ks = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
-        else:
-            ks = np.asarray(ns, dtype=np.int64)
-        if angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
-            return _dyadic_turns(ks.view(np.uint64), mult * l, q.bit_length() - 1)
+    if packed and not seed and angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
+        return _dyadic_turns(ns.view(np.uint64), mult * l, q.bit_length() - 1)
     e = float(seed).as_integer_ratio()[1].bit_length() - 1
-    lk, qk = _int64_modulus(angle, reach, e)
+    c = matched_convergent(angle, reach, e)
+    if packed and not seed and c.q < INT64_MODULUS_CAP:
+        r = ns % c.q
+        r *= (mult * c.l) % c.q
+        r %= c.q
+        out = r / c.q
+    else:
+        out = _snapshot_turns(c.l, c.q, mult, ns, seed)
     # mult = 0 makes the snapshot's error mult * n * (l/q - l_k/q_k) vanish
-    fix = qk != q and mult
-    odd = qk >> ((qk & -qk).bit_length() - 1)
-    if packed and qk < INT64_MODULUS_CAP:
-        r = ks % qk
-        r *= (mult * lk) % qk
-        r %= qk
-        out = r / qk
-        if fix:
-            r %= odd  # R / q_k is dyadic exactly where odd(q_k) divides R
-            at = np.flatnonzero(r == 0)
-            if at.size:
-                out[at] = _snapshot_turns(l, q, mult, ks[at].tolist())
-        return out
-    if isinstance(ns, np.ndarray):
-        ns = ns.tolist()
-    out = _snapshot_turns(lk, qk, mult, ns, seed)
-    if fix:
-        at, sub = _multiples(ns, odd // math.gcd(odd, mult))
-        if len(sub):
+    if c.q != q and mult:
+        odd = c.q >> ((c.q & -c.q).bit_length() - 1)
+        d = odd // math.gcd(odd, mult)
+        if packed and d < 1 << 63:
+            at = np.flatnonzero(ns % d == 0)
+        else:
+            at = [i for i, n in enumerate(ns.tolist() if packed else ns) if n % d == 0]
+        if len(at):
+            sub = ns[at] if packed else [ns[i] for i in at]
             out[at] = _snapshot_turns(l, q, mult, sub, seed)
     return out
-
-
-def _multiples(ns, d: int):
-    """(where, which): the positions of ns holding multiples of d, and those n.
-
-    For a range they are a slice and a range, so no per-entry list is built;
-    for a list of ints they are two lists.
-    """
-    if isinstance(ns, range):
-        g = math.gcd(ns.step, d)
-        if ns.start % g:
-            return slice(0), range(0)
-        period = d // g
-        first = (-ns.start // g) * pow(ns.step // g, -1, period) % period
-        return slice(first, None, period), ns[first::period]
-    at = [i for i, n in enumerate(ns) if n % d == 0]
-    return at, [ns[i] for i in at]
 
 
 def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarray:
@@ -614,7 +592,7 @@ def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndar
     not checked here; phase_turns calls faithful_modulus first.
     """
     if isinstance(ns, np.ndarray):
-        ns = ns.tolist()
+        ns = memoryview(ns)  # Python ints one at a time, no list of them
     if not len(ns):
         return np.empty(0)
     sp, sq = float(seed).as_integer_ratio()
@@ -812,19 +790,22 @@ def angle_from_json(doc: Union[str, dict]) -> AngleCF:
     """Rebuild an angle, verifying the stored snapshot against the quotients."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    # numbers are read as text: 4.7, Infinity or true is refused, not truncated
     try:
-        a0 = int(doc["a0"])
-        quotients = [int(a) for a in doc["quotients"]]
+        a0 = int(str(doc["a0"]))
+        if not isinstance(doc["quotients"], list):
+            raise TypeError("quotients must be a list")
+        quotients = [int(str(a)) for a in doc["quotients"]]
         kind = doc["kind"]
-        k_star = int(doc["k_star"])
-        snap_l = int(doc["snapshot"]["l"])
-        snap_q = int(doc["snapshot"]["q"])
-    except (KeyError, TypeError, ValueError) as exc:
+        k_star = int(str(doc["k_star"]))
+        snap_l = int(str(doc["snapshot"]["l"]))
+        snap_q = int(str(doc["snapshot"]["q"]))
+        tau = None if doc.get("tau") is None else Fraction(str(doc["tau"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise AngleDocumentError(f"malformed angle document: {exc}") from exc
-    tau = None
-    if doc.get("tau") is not None:
-        tau = Fraction(doc["tau"])
-    exact = bool(doc.get("exact", False))
+    exact = doc.get("exact", False)
+    if not isinstance(exact, bool):  # "false" would read as true
+        raise AngleDocumentError(f"malformed angle document: exact is {exact!r}")
     angle = explicit_angle(
         quotients, a0=a0, kind=kind, k_star=k_star, tau=tau, exact=exact
     )

@@ -7,9 +7,10 @@ approximation, and all the interesting arithmetic lives in the base
 coordinate: x_n = {seed + n alpha} comes from the exact phase engine
 contfrac.phase_turns, correctly rounded at every step, and the h argument of
 coordinate nu is {x_n + (nu - 2) beta}.  The engine reduces the seeded base
-orbit against the convergent l_k/q_k it picks for the seed's bit count
-(8102 on the exp k4 angle, the 66-bit q_4 of poly tau=4) and recomputes on
-the snapshot only the steps where that phase is dyadic.  Nothing is carried
+orbit against the convergent contfrac.matched_convergent picks for the
+walk's reach and the seed's bit count (8102 on the exp k4 angle, the 66-bit
+q_4 of poly tau=4) and recomputes on the snapshot only the steps where that
+phase is dyadic.  Nothing is carried
 from one step to the next in floating point, so a 10^7-step orbit does not
 drift.
 

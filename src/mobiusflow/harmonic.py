@@ -226,6 +226,9 @@ def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
         raise ValueError("eta must be positive")
     if m_cut < 1:
         raise ValueError("m_cut must be >= 1")
+    x = exp(-eta)
+    if x == 1.0:  # the tail bound below would divide by zero
+        raise ValueError(f"eta = {eta} is too small: e^-eta rounds to 1")
     rng = Random(seed)
     coeffs: Dict[int, complex] = {0: 1.0 + 0j}
     for m in range(1, m_cut + 1):
@@ -233,7 +236,6 @@ def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
         z = cis(rng.random())
         coeffs[m] = complex(mag * z.real, mag * z.imag)
         coeffs[-m] = coeffs[m].conjugate()
-    x = exp(-eta)
     tail = 2.0 * x ** (m_cut + 1) / (1.0 - x)
     return FourierSeries(coeffs, Decay("analytic", eta), tail)
 

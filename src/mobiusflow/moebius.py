@@ -8,8 +8,8 @@ chunk's nonzero entries, evaluates cos and sin with NumPy and adds each chunk
 with math.fsum, so working memory does not grow with the segment and
 repeated runs over the same inputs are bit-identical.  The twisted sum takes its
 phases from the exact engine contfrac.phase_turns (the correctly rounded
-phases against the angle's snapshot, computed in int64 against a small
-convergent that rounds alike); a float angle is read as the dyadic rational
+phases against the angle's snapshot, computed in int64 against the
+convergent contfrac.matched_convergent picks); a float angle is read as the dyadic rational
 it is.
 
 Memory is the binding constraint for the full sieve (about 18 bytes per
@@ -235,8 +235,9 @@ def twisted_sum(
     alpha may be an AngleCF, whose snapshot fixes every phase exactly, or
     a float, which is read as the exact dyadic rational it is.  Either way the
     phases come from contfrac.phase_turns: the correctly rounded values
-    against the snapshot, reduced in int64 against the smallest convergent
-    that rounds alike, so results are reproducible bit for bit.
+    against the snapshot, reduced in int64 against the convergent
+    contfrac.matched_convergent picks, so results are reproducible bit for
+    bit.
     """
     if not 1 <= length <= n_top:
         raise ValueError(f"need 1 <= length <= n_top, got length={length}, n_top={n_top}")

@@ -16,8 +16,8 @@ undecidable value handed back to the snapshot.  Floats appear only as
 reported witnesses, and every reported witness is the snapshot's.
 
 The flat scan steps the balanced residue r = fold(m l_k mod q_k) against the
-convergent contfrac._int64_modulus picks for m_limit (q_3 = 8102 on exp k4,
-so every step is word-sized).  That rule gives q_{k+1} > m_limit q_k 2^54,
+convergent contfrac.matched_convergent picks for m_limit (q_3 = 8102 on exp
+k4, so every step is word-sized).  That rule gives q_{k+1} > m_limit q_k 2^54,
 so q_{k+1} > 4 m_limit^2 for every m_limit the scan budget admits, and the
 integer key 2m|r| lies strictly within 1/2 of q_k 2m ||m alpha|| on the
 snapshot; a key other than q_k therefore decides 2m ||m alpha|| >= 1, and
@@ -57,8 +57,8 @@ from .contfrac import (
     AngleCF,
     Certificate,
     ResourceBudgetError,
-    _int64_modulus,
     fold_signed,
+    matched_convergent,
 )
 
 DENSE_SCAN_LIMIT = 10**7
@@ -196,7 +196,7 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
 
     The scan steps r = fold(m l_k mod q_k) by one addition of fold(l_k) and
     at most one wrap per m, against the convergent l_k/q_k that
-    contfrac._int64_modulus picks for reach m_limit.  Why its comparisons
+    contfrac.matched_convergent picks for reach m_limit.  Why its comparisons
     are the snapshot's: that rule gives q_{k+1} > m_limit q_k 2^54, and
     m_limit <= DENSE_SCAN_LIMIT < 2^52 turns it into q_{k+1} > 4 m_limit^2.
     The snapshot l/q lies within 1/(q_k q_{k+1}) of l_k/q_k, and ||.|| is
@@ -231,7 +231,8 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
     q = angle.q_snapshot
     l = angle.l_snapshot
     qs = [c.q for c in angle.convergents]
-    lk, qk = _int64_modulus(angle, m_limit)
+    c = matched_convergent(angle, m_limit)
+    lk, qk = c.l, c.q
 
     def snapshot_key(m: int) -> int:  # 2m ||m l/q|| q, exact
         return 2 * m * abs(fold_signed((m * l) % q, q))
@@ -306,7 +307,7 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         uncovered_count,
         tuple(uncovered),
         tuple(controls),
-        bisect_right(qs, qk) - 1,
+        c.k,
         qk.bit_length(),
         len(recomputed),
     )

@@ -100,6 +100,17 @@ def test_verify_rejects_tampered_document(exp_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_loose_angle_documents(poly_file, tmp_path, capsys):
+    # a tau of 1/0 raised ZeroDivisionError, and "exact": "false" read as
+    # true, which skips the faithful-range check
+    doc = json.loads(open(poly_file).read())
+    for i, (key, value) in enumerate([("tau", "1/0"), ("tau", "abc"), ("exact", "false")]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(dict(doc, **{key: value})))
+        assert main(["angle", "verify", "--angle", str(bad)]) == 2, (key, value)
+    assert capsys.readouterr().err.count("malformed angle document") == 3
+
+
 def test_build_past_bit_budget_is_resource_limit(capsys):
     assert main(["angle", "build-exp", "--k-star", "6"]) == 3
     assert "resource limit" in capsys.readouterr().err
@@ -356,6 +367,25 @@ def test_sweep_usage_errors(exp_file, capsys):
     assert err.count("error:") == len(runs)
     assert err.count("every N must be at least 1") == 2
     assert "theta must be in (0, 1], got nan" in err
+
+
+def test_bad_tau_and_vanishing_eta_are_usage_errors(exp_file, capsys):
+    # a tau of 1/0, and an eta whose e^-eta rounds to 1, raised
+    # ZeroDivisionError; --rational beside --angle silently won
+    runs = [
+        ["angle", "build-poly", "--tau", "1/0", "--k-star", "6"],
+        ["check", "coboundary", "--angle", exp_file, "--tau", "1/0"],
+        ["check", "coboundary", "--angle", exp_file, "--h", "analytic:1e-300:3"],
+        ["sweep", "--angle", exp_file, "--h", "analytic:1e-300:3", "--n", "1e4"],
+        ["sweep", "--angle", exp_file, "--rational", "1/3", "--h", "none", "--n", "1e4"],
+    ]
+    for argv in runs:
+        assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert err.count("error:") == len(runs)
+    assert err.count("got '1/0'") == 2
+    assert err.count("e^-eta rounds to 1") == 2
+    assert "--angle FILE or --rational l/q, not both" in err
 
 
 def test_sweep_n_is_parsed_exactly(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from mpmath import mp
 
 from mobiusflow.contfrac import (
     AngleDocumentError,
+    Convergent,
     PrecisionFloorError,
     QuotientsExhausted,
     ResourceBudgetError,
@@ -30,11 +31,11 @@ from mobiusflow.contfrac import (
     faithful_modulus,
     frac_mod1,
     legendre_locate,
+    matched_convergent,
     phase_turns,
     rational_angle,
     residue,
     signed_residue,
-    _int64_modulus,
     _snapshot_turns,
 )
 
@@ -164,6 +165,13 @@ def test_builders_need_depth():
         build_exp_alpha(2)
     with pytest.raises(ValueError):
         build_poly_alpha(4, 2)
+
+
+@pytest.mark.parametrize("seed_q1", [0, -3])
+def test_builders_need_a_positive_seed(seed_q1):
+    for build in (build_exp_alpha, lambda k, **kw: build_poly_alpha(4, k, **kw)):
+        with pytest.raises(ValueError, match="seed_q1 must be positive"):
+            build(6, seed_q1=seed_q1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +324,22 @@ def test_angle_json_tamper_detected(exp_angle):
         angle_from_json(doc)
     with pytest.raises(AngleDocumentError):
         angle_from_json({"kind": "exp-type"})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", "1/0"), ("tau", "abc"), ("tau", True), ("tau", [4]),
+    ("exact", "false"), ("exact", 0), ("exact", None),
+    ("k_star", 6.7), ("a0", float("inf")),
+])
+def test_angle_document_fields_are_read_strictly(poly_angle, key, value):
+    doc = angle_to_json(poly_angle)
+    # numbers read as written
+    back = angle_from_json(json.dumps(dict(doc, tau=4, a0=0, k_star=6)))
+    assert (back.tau, back.pq.a0, back.k_star) == (4, 0, 6)
+    with pytest.raises(AngleDocumentError):
+        angle_from_json(json.dumps(dict(doc, **{key: value})))
+    with pytest.raises(AngleDocumentError):  # "23" once read as the quotients 2, 3
+        angle_from_json(dict(angle_to_json(rational_angle(3, 7)), quotients="23"))
 
 
 @st.composite
@@ -612,6 +636,33 @@ def test_seeded_phase_turns_match_fraction(exp_angle, case):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("mult, seed", [(3, 0.0), (-1, 2.0**-54)])
+def test_phase_turns_reads_every_index_form_alike(exp_angle, mult, seed):
+    # one index set in every form; n = 4051 is an entry recomputed on the
+    # snapshot (d = 4051 for these mult), on both integer routes
+    asc = range(1, 6 * 4051, 25)
+    assert 4051 in asc
+    want = _fraction_turns(exp_angle, mult, asc, seed).view(np.int64)
+    forms = [
+        np.array(asc, dtype=np.int64), np.array(asc, dtype=np.int32),
+        np.array(asc, dtype=np.uint64), list(asc), tuple(asc), asc,
+    ]
+    for ns in forms:
+        got = phase_turns(exp_angle, mult, ns, seed)
+        assert np.array_equal(got.view(np.int64), want), type(ns)
+    down = phase_turns(exp_angle, mult, asc[::-1], seed)
+    assert np.array_equal(down[::-1].view(np.int64), want)
+    # at the int64 edges (a range whose stop does not fit), and past them,
+    # where the indices stay Python ints
+    far = range(4051 * 2**52 - 1500, 4051 * 2**52 + 1500, 25)
+    assert 4051 * 2**52 in far and far[0] >= 2**63
+    for ns in (range(2**63 - 75, 2**63, 25), range(-(2**63), 75 - 2**63, 25), far, list(far)):
+        got = phase_turns(exp_angle, mult, ns, seed)
+        assert np.array_equal(got.view(np.int64), _fraction_turns(exp_angle, mult, ns, seed).view(np.int64))
+    for empty in (range(0), [], np.empty(0, dtype=np.uint64)):
+        assert phase_turns(exp_angle, mult, empty, seed).shape == (0,)
+
+
 def test_seeded_dyadic_phases_are_recomputed_on_the_snapshot(exp_angle):
     # against l_3/q_3, {seed + mult * 4051 * alpha} is {seed + 1/2}: a
     # rounding midpoint for seed 2^-54 (and 0.25 + 2^-54), and 0 for seed
@@ -633,28 +684,28 @@ def test_seeded_dyadic_phases_are_recomputed_on_the_snapshot(exp_angle):
 
 def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     assert tuple(c.q for c in exp_angle.convergents[:4]) == EXP_SMALL_QS
-    exp3 = (exp_angle.l(3), exp_angle.q(3))
+    exp3 = exp_angle.convergents[3]
     # exp k4: q_3 = 8102 for no seed, a 53-bit seed and 5e-324 (e = 1074)
     for e in (0, 53, 1074):
         for reach in (1, -(10**6), 10**12):
-            assert _int64_modulus(exp_angle, reach, e) == exp3
+            assert matched_convergent(exp_angle, reach, e) == exp3
     # poly (4, 6): its 66-bit q_4, seeded (0.1 has e = 55) or not; q_5 has
     # 262 bits
-    q4 = (poly_angle.l(4), poly_angle.q(4))
-    assert q4[1].bit_length() == 66
+    q4 = poly_angle.convergents[4]
+    assert q4.q.bit_length() == 66
     for e in (0, 53, 55):
-        assert _int64_modulus(poly_angle, 10**6, e) == q4
-    assert _int64_modulus(poly_angle, 10**6, 200) == (poly_angle.l(5), poly_angle.q(5))
+        assert matched_convergent(poly_angle, 10**6, e) == q4
+    assert matched_convergent(poly_angle, 10**6, 200) == poly_angle.convergents[5]
     # unseeded choices below 2^31 are as before: the smallest k with
     # |reach| q_k 2^54 < q_{k+1}
     short = explicit_angle([2, 1000, 10**30])
-    assert _int64_modulus(short, 1) == (1000, 2001)
-    assert _int64_modulus(short, 10**12) == (1000, 2001)
-    assert _int64_modulus(short, 10**14) == short.snapshot
-    assert _int64_modulus(rational_angle(3, 7), 10**40, 1074) == (3, 7)
+    assert matched_convergent(short, 1) == Convergent(2, 1000, 2001)
+    assert matched_convergent(short, 10**12) == Convergent(2, 1000, 2001)
+    assert matched_convergent(short, 10**14) == short.convergents[-1]
+    assert matched_convergent(rational_angle(3, 7), 10**40, 1074) == Convergent(2, 3, 7)
     # with no qualifying k the rule returns the snapshot, and a seed moves
     # the line: reach * 2001 * 2^(54+e) < q_3 holds for e = 0, not e = 53
-    assert _int64_modulus(short, 1, 53) == short.snapshot
+    assert matched_convergent(short, 1, 53) == short.convergents[-1]
     # and rightly: for seed = sp/2^53 with sp 2001 = 1 mod 2^53, some n < 2001
     # puts {seed + n l_2/q_2} at 1/(2001 2^53), about 2^-64, where doubles
     # are 2^-116 apart and the snapshot's error n/(q_2 q_3) is about 2^-111
@@ -665,7 +716,7 @@ def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     assert got.tolist() == _fraction_turns(short, 1, [n], seed).tolist()
     assert got[0] != _snapshot_turns(1000, 2001, 1, [n], seed)[0] == 2.0**-53 / 2001
     golden = explicit_angle([1] * 200)
-    assert _int64_modulus(golden, 1) == golden.snapshot
+    assert matched_convergent(golden, 1) == golden.convergents[-1]
     ns = range(-50, 50)
     assert phase_turns(golden, 3, ns, 0.3).tolist() == _fraction_turns(golden, 3, ns, 0.3).tolist()
 

@@ -163,6 +163,20 @@ def test_fast_matches_direct(exp_angle, poly_angle):
                 assert _circle(u, w) < 1e-8
 
 
+def test_direct_walk_past_int64_matches_fast(exp_angle):
+    # 2^64 + 5 steps in, the walker's indices are past int64; 4100 steps
+    # cross a multiple of 4051, an entry recomputed on the snapshot
+    cfg = _cfg(exp_angle, v=4)
+    x = orbit_fast(cfg, TorusPoint((0.3, 0.71, 0.05, 0.42)), 2**64 + 5)
+    assert x.base_steps == 2**64 + 5
+    for n in (1, 13, 4100):
+        a = orbit_direct(cfg, x, n)
+        b = orbit_fast(cfg, x, n)
+        assert a.coords[0] == b.coords[0]
+        for u, w in zip(a.coords[1:], b.coords[1:]):
+            assert _circle(u, w) < 1e-8
+
+
 def test_fast_handles_resonant_rational():
     angle = rational_angle(1, 3)
     h = FourierSeries({3: 0.1, -3: 0.1, 0: 0.05})

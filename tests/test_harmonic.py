@@ -185,6 +185,9 @@ def test_analytic_sample_shape():
         analytic_h_sample(0.0, 10, 1)
     with pytest.raises(ValueError):
         analytic_h_sample(1.0, 0, 1)
+    # e^-eta rounds to 1 for eta up to 2^-54: the tail bound would divide by 0
+    with pytest.raises(ValueError, match="e\\^-eta rounds to 1"):
+        analytic_h_sample(1e-300, 3, 1)
 
 
 def test_smooth_sample_shape():

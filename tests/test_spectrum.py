@@ -8,10 +8,11 @@ import pytest
 
 from mobiusflow import build_exp_alpha, build_poly_alpha, spectrum
 from mobiusflow.contfrac import (
+    Convergent,
     ResourceBudgetError,
-    _int64_modulus,
     explicit_angle,
     fold_signed,
+    matched_convergent,
     rational_angle,
 )
 from mobiusflow.spectrum import (
@@ -427,14 +428,14 @@ def _flat_fields(cert):
 def _flat_on_snapshot(angle, m_limit, monkeypatch):
     """The same scan with every key taken on the snapshot (the exact route)."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_int64_modulus", lambda a, reach: a.snapshot)
+        patch.setattr(spectrum, "matched_convergent", lambda a, reach: a.convergents[-1])
         cert = check_flat_lower_bound(angle, m_limit)
     assert cert.modulus_k == angle.snap_index
     return cert
 
 
 def _flat_limits(angle, extra=(), cap=spectrum.DENSE_SCAN_LIMIT):
-    qk = _int64_modulus(angle, 2000)[1]
+    qk = matched_convergent(angle, 2000).q
     limits = {1, 2, 7, qk - 1, qk, qk + 1, 2000, *extra}
     return sorted(m for m in limits if 1 <= m <= cap and m < angle.q(angle.k_star))
 
@@ -442,9 +443,9 @@ def _flat_limits(angle, extra=(), cap=spectrum.DENSE_SCAN_LIMIT):
 def _assert_routes_agree(angle, m_limit, monkeypatch):
     cert = check_flat_lower_bound(angle, m_limit)
     assert _flat_fields(cert) == _flat_fields(_flat_on_snapshot(angle, m_limit, monkeypatch))
-    qk = _int64_modulus(angle, m_limit)[1]
-    assert angle.convergents[cert.modulus_k].q == qk
-    assert cert.modulus_bits == qk.bit_length()
+    c = matched_convergent(angle, m_limit)
+    assert angle.convergents[cert.modulus_k] == c
+    assert cert.modulus_bits == c.q.bit_length()
     return cert
 
 
@@ -501,7 +502,7 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
     # On [0; 2, 2, 2^70, ...] m = 1, 2 are uncovered and m = 3 (band 1,
     # q_1 = 2) is checked; against 1/18 its key is 2 * 3 * 3 = 18.
     angle = explicit_angle([2, 2, 2**70, 1, 1])
-    monkeypatch.setattr(spectrum, "_int64_modulus", lambda a, reach: (1, 18))
+    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(2, 1, 18))
     cert = check_flat_lower_bound(angle, 3)
     assert (cert.checked, cert.uncovered_count, cert.snapshot_recomputed) == (1, 2, 1)
     monkeypatch.undo()
@@ -509,7 +510,7 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
     assert cert.passed and cert.worst_m == 3
     # against 5/18 the key of m = 3 is again 18, while m = 7 has the least
     # key, 14: both go to the snapshot, m = 3 for its verdict
-    monkeypatch.setattr(spectrum, "_int64_modulus", lambda a, reach: (5, 18))
+    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(2, 5, 18))
     cert = check_flat_lower_bound(angle, 7)
     assert (cert.checked, cert.worst_m, cert.snapshot_recomputed) == (3, 7, 2)
     l, q = angle.snapshot
@@ -517,7 +518,8 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
 
 
 def _least_keys(angle, m_limit):
-    lk, qk = _int64_modulus(angle, m_limit)
+    c = matched_convergent(angle, m_limit)
+    lk, qk = c.l, c.q
     keys = {}
     for m in range(1, m_limit + 1):
         if m % angle.q(_band_of(angle, m)):
