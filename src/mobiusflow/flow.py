@@ -18,11 +18,15 @@ Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
 check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
 reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
 phase table e(m x_n) per block and weights it per row by e(m (nu - 2) beta),
-reduced exactly in fixed point.  The modes, folded coefficients and row
-weights are built once per FlowConfig (FlowConfig._walker), so a short
-orbit such as one step pays no set-up.  The walker sums h less its mean c(0)
-in floats and adds the mean as the exact drift {n c(0)}, as the closed form
-orbit_fast does, so the fiber error does not grow with ulp(n c(0)).
+reduced exactly in fixed point.  Outside the dyadic steps, x_n is a function
+of n mod q_k for that convergent, so a walk longer than q_k (with q_k at
+most one block) evaluates x_n and the rows once per residue class and
+gathers every later step, recomputing only the dyadic ones.  The modes,
+folded coefficients and row weights are built once per FlowConfig
+(FlowConfig._walker), so a short orbit such as one step pays no set-up.
+The walker sums h less its mean c(0) in floats and adds the mean as the
+exact drift {n c(0)}, as the closed form orbit_fast does, so the fiber error
+does not grow with ulp(n c(0)).
 
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
@@ -47,6 +51,7 @@ from .contfrac import (
     cis,
     cis_minus_one,
     dyadic_angle,
+    matched_convergent,
     phase_turns,
     signed_residue,
     small_divisor,
@@ -200,6 +205,33 @@ def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], i
     return nums, den
 
 
+def _row_values(
+    xs: np.ndarray,
+    modes: Sequence[int],
+    weights: np.ndarray,
+    out: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
+) -> None:
+    """out[k, j] = sum_m (Wr[k, m] cos - Wi[k, m] sin)(2 pi {m xs[j]}).
+
+    These are the fiber rows' values of h less its mean before the cumsum.
+    The modes go one at a time through elementwise NumPy calls, so column j
+    reads xs[j] alone, in the same operations and order wherever it sits,
+    and each product lands in scratch when one is given (else in a
+    temporary the shape of out).
+    """
+    sn, c = np.empty((2, len(xs)))
+    out.fill(0.0)
+    for m, w in zip(modes, weights):
+        np.multiply(xs, m, out=sn)
+        np.mod(sn, 1.0, out=sn)
+        sn *= TWO_PI
+        np.cos(sn, out=c)
+        np.sin(sn, out=sn)
+        out += np.multiply(w.real, c, out=scratch)
+        out -= np.multiply(w.imag, sn, out=scratch)
+
+
 def _fiber_blocks(
     cfg: FlowConfig, x: TorusPoint, n: int, rows: Sequence[int]
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -208,14 +240,31 @@ def _fiber_blocks(
     fiber[k, j] is fiber coordinate nu = rows[k] + 2 after step s, the
     block's j-th: x_nu plus the sum of h over the first s steps.  Row k reads
     h at u = x_s + off_k, off_k = {rows[k] beta}, and e(m u) = e(m x_s)
-    e(m off_k).  So each block builds one phase table cos, sin(2 pi {m x_s})
+    e(m off_k).  So the walker builds one phase table cos, sin(2 pi {m x_s})
     on the correctly rounded base orbit, over the positive modes m, one mode
-    at a time into buffers kept across blocks.  Row k is
-    sum_m (Wr[k, m] cos - Wi[k, m] sin) with row weights
-    W[k, m] = (c(m) + conj c(-m)) e(m off_k), m rows[k] beta reduced mod 1 in
-    BETA_FIX fixed point; the fold equals Re sum over +-m of c(m) e(m u) for
-    any coefficients.  A broadcast multiply-add (no matrix product) keeps a
-    row's bits independent of which other rows are asked for.
+    at a time (_row_values).  Row k is sum_m (Wr[k, m] cos - Wi[k, m] sin)
+    with row weights W[k, m] = (c(m) + conj c(-m)) e(m off_k), m rows[k] beta
+    reduced mod 1 in BETA_FIX fixed point; the fold equals Re sum over +-m of
+    c(m) e(m u) for any coefficients.  A broadcast multiply-add (no matrix
+    product) keeps a row's bits independent of which other rows are asked
+    for.
+
+    Periodicity.  Let l_k/q_k be the convergent matched_convergent picks for
+    the walk's reach, max(-start, start + n), and the seed's bit count.  By
+    its rule x_s is the rounded {seed + (start + s) l_k/q_k}, a function of
+    (start + s) mod q_k, except at the fix-ups, the s with d | start + s for
+    d = odd(q_k), where phase_turns recomputes on the snapshot.  When l_k/q_k
+    is not the snapshot, q_k < n and q_k <= BLOCK_STEPS (the class route),
+    the walker evaluates x_s and the row values once, for s = 0..q_k - 1,
+    into tables no wider than a block, and every later step s gathers class
+    s mod q_k; each fix-up step recomputes x_s with phase_turns and its row
+    values with _row_values.  The rows equal a per-step evaluation bit for
+    bit, since cos and sin give the same bits whatever an element's place in
+    its array.  Every other walk (one step, a 66-bit q_k such as poly
+    tau=4's, an exact angle, n <= q_k) evaluates each block in full.  The
+    tables live for one call.  Blocks are contiguous views of one fiber
+    buffer, and on the class route x_after is one reused buffer too, so a
+    caller copies what it keeps past the next block.
 
     The sum of h splits in two.  h less its mean c(0) is summed as a float
     cumsum inside the block, started from the exactly rounded total of the
@@ -225,24 +274,39 @@ def _fiber_blocks(
     The modes and row weights come from cfg._walker, built once per config.
     """
     seed, start = _seed_of(cfg, x)
-    modes, table, mean = cfg._walker
-    weights = table[list(rows)].T[:, :, None]
-    fiber = np.empty((len(rows), min(n, BLOCK_STEPS)))
-    sin, cos = np.empty((2, fiber.shape[1]))
+    modes, folded, mean = cfg._walker
+    weights = folded[list(rows)].T[:, :, None]
+    fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
+    e = float(seed).as_integer_ratio()[1].bit_length() - 1
+    q = matched_convergent(cfg.alpha, max(-start, start + n), e).q
+    periodic = q < n and q <= BLOCK_STEPS and q != cfg.alpha.q_snapshot
+    if periodic:
+        d = q >> ((q & -q).bit_length() - 1)  # odd(q_k), phase_turns' fix-up rule
+        x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
+        g_cls = np.empty((len(rows), q))
+        # the fiber buffer is the multiply-add scratch: no temporary of g_cls's size
+        _row_values(x_cls, modes, weights, g_cls, fiber[:g_cls.size].reshape(g_cls.shape))
+        x_buf = np.empty(min(n, BLOCK_STEPS) + 1)
     totals = [[] for _ in rows]
     for done in range(0, n, BLOCK_STEPS):
         width = min(BLOCK_STEPS, n - done)
-        xs = phase_turns(cfg.alpha, 1, range(start + done, start + done + width + 1), seed)
-        block, sn, c = fiber[:, :width], sin[:width], cos[:width]
-        block.fill(0.0)
-        for m, w in zip(modes, weights):
-            np.multiply(xs[:-1], m, out=sn)
-            np.mod(sn, 1.0, out=sn)
-            sn *= TWO_PI
-            np.cos(sn, out=c)
-            np.sin(sn, out=sn)
-            block += w.real * c
-            block -= w.imag * sn
+        block = fiber[:len(rows) * width].reshape(len(rows), width)
+        head = start + done
+        if periodic:
+            cls = np.arange(done, done + width + 1)
+            cls %= q
+            xs = x_buf[:width + 1]
+            np.take(x_cls, cls, out=xs, mode="clip")
+            np.take(g_cls, cls[:-1], axis=1, out=block, mode="clip")
+            del cls  # no index array is held across the yield
+            first = -head % d  # the block's first fix-up
+            if first <= width:
+                fix = range(head + first, head + width + 1, d)
+                xs[first::d] = phase_turns(cfg.alpha, 1, fix, seed)
+                _row_values(xs[first:width:d], modes, weights, block[:, first::d])
+        else:
+            xs = phase_turns(cfg.alpha, 1, range(head, head + width + 1), seed)
+            _row_values(xs[:-1], modes, weights, block)
         if rows and mean is not None:
             drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
         for k, (i, row) in enumerate(zip(rows, block)):
@@ -425,10 +489,14 @@ def distality_probe(
     for (x1, fx), (y1, fy) in zip(
         _fiber_blocks(cfg, x, n_max, rows), _fiber_blocks(cfg, y, n_max, rows)
     ):
-        d = np.zeros(len(x1))
+        d, e, f = np.zeros((3, len(x1)))
         for nu, (a, b) in enumerate(zip([x1, *fx], [y1, *fy]), start=1):
-            e = np.abs(a - b)
-            d += 0.5**nu * np.minimum(e, 1.0 - e)
+            np.subtract(a, b, out=e)
+            np.abs(e, out=e)
+            np.subtract(1.0, e, out=f)
+            np.minimum(e, f, out=e)
+            e *= 0.5**nu
+            d += e
         dmin = min(dmin, float(np.min(d)))
         dmax = max(dmax, float(np.max(d)))
     return DistalityProbe(

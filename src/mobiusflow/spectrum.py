@@ -54,6 +54,7 @@ from math import log
 from typing import Optional, Union
 
 from .contfrac import (
+    BIT_BUDGET,
     AngleCF,
     Certificate,
     ResourceBudgetError,
@@ -92,14 +93,31 @@ def _require_in_range(angle: AngleCF, m_abs: int, what: str) -> None:
 def is_sharp(angle: AngleCF, k: int, tau: Union[Fraction, int, str]) -> bool:
     """Whether q_k belongs to the fast-growth subset: q_{k+1} > q_k^(tau/3).
 
-    Decided by exact integer powering, q_{k+1}^(3s) > q_k^p for tau = p/s.
-    The index k = 0 (value 1) never qualifies; a value 1 at k = 1 may.
+    For tau = p/s that is q_{k+1}^(3s) > q_k^p, decided from the bit lengths
+    b0 of q_k and b1 of q_{k+1} first.  It holds when 3s (b1 - 1) >= p b0,
+    since q_{k+1}^(3s) >= 2^(3s (b1 - 1)) and q_k^p < 2^(p b0) (or q_k^p <= 1
+    < q_{k+1}^(3s) for p <= 0, as q_{k+1} >= 2); it fails when
+    3s b1 <= p (b0 - 1), since q_{k+1}^(3s) < 2^(3s b1).  Only in between
+    are both sides powered exactly, and a power of more than BIT_BUDGET bits
+    raises ResourceBudgetError.  The index k = 0 (value 1) never qualifies; a
+    value 1 at k = 1 may.
     """
     if k < 1:
         return False
     tau = Fraction(tau)
     p, s = tau.numerator, tau.denominator
-    return angle.q(k + 1) ** (3 * s) > angle.q(k) ** p
+    qk, qn = angle.q(k), angle.q(k + 1)
+    b0, b1 = qk.bit_length(), qn.bit_length()
+    if 3 * s * (b1 - 1) >= p * b0:
+        return True
+    if 3 * s * b1 <= p * (b0 - 1):
+        return False
+    if max(3 * s * (b1 - 1), p * (b0 - 1)) >= BIT_BUDGET:
+        raise ResourceBudgetError(
+            f"deciding q_{k + 1}^(3s) > q_{k}^p for tau = p/s powers past "
+            f"{BIT_BUDGET} bits"
+        )
+    return qn ** (3 * s) > qk ** p
 
 
 @dataclass(frozen=True)

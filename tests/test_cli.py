@@ -212,6 +212,15 @@ def test_check_coboundary_variants(exp_file, poly_file, capsys):
     assert out.count("coboundary identity over 300 samples: pass") == 4
 
 
+def test_check_coboundary_huge_tau_finishes(exp_file, capsys):
+    # tau = 10^400 is decided from bit lengths; a near tie with a huge
+    # denominator would need powers past the bit budget and exits 3
+    base = ["check", "coboundary", "--angle", exp_file, "--samples", "10", "--tau"]
+    assert main(base + ["1e400"]) == 0
+    assert main(base + [f"{15 * 10**21 + 1}/{2 * 10**21}"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_check_coboundary_bad_series_flag(exp_file, capsys):
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "garbage"]) == 1
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:zzz"]) == 1

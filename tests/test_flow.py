@@ -13,10 +13,12 @@ from mpmath import mp
 
 from mobiusflow import build_exp_alpha
 from mobiusflow.contfrac import (
+    TWO_PI,
     ResourceBudgetError,
     angle_digest,
     cis,
     frac_mod1,
+    matched_convergent,
     phase_turns,
     rational_angle,
 )
@@ -40,6 +42,7 @@ from mobiusflow.flow import (
     psi_map,
     step,
     _fiber_blocks,
+    _seed_of,
 )
 from mobiusflow.harmonic import (
     FINITE,
@@ -358,6 +361,110 @@ def test_walker_setup_is_built_once_per_config(exp_angle):
     want = orbit_direct(cfg, x, 50)
     assert p.coords[0] == want.coords[0] and p.base_steps == want.base_steps == 50
     assert max(_circle(a, b) for a, b in zip(p.coords, want.coords)) <= 1e-13
+
+
+@pytest.mark.parametrize("fn", [np.cos, np.sin])
+def test_trig_bits_do_not_depend_on_array_position(fn):
+    # the class route gathers values evaluated at other positions, and
+    # _row_values evaluates a strided slice of fix-ups: a SIMD kernel whose
+    # tail or unaligned path rounded differently would break bit identity
+    xs = np.random.default_rng(7).random(256) * TWO_PI
+    full = fn(xs).view(np.int64)
+    buf = np.empty(128)
+    for off in range(41):
+        for length in range(1, 65):
+            assert np.array_equal(fn(xs[off:off + length]).view(np.int64),
+                                  full[off:off + length]), (off, length)
+            out = buf[off + 3:off + 3 + length]
+            fn(xs[off:off + length], out=out)
+            assert np.array_equal(out.view(np.int64), full[off:off + length])
+    for start, stride in [(0, 2), (1, 3), (5, 7), (2, 57)]:
+        assert np.array_equal(fn(xs[start::stride]).view(np.int64), full[start::stride])
+
+
+def _per_block_walk(cfg, x, n, rows):
+    """The walker with every block evaluated in full: the class route's oracle.
+
+    The per-block loop written out on its own: one phase_turns call per
+    block and one cos, sin per mode over every step of it.
+    """
+    seed, start = _seed_of(cfg, x)
+    modes, folded, mean = cfg._walker
+    weights = folded[list(rows)].T[:, :, None]
+    totals = [[] for _ in rows]
+    out = []
+    for done in range(0, n, BLOCK_STEPS):
+        width = min(BLOCK_STEPS, n - done)
+        xs = phase_turns(cfg.alpha, 1, range(start + done, start + done + width + 1), seed)
+        block = np.zeros((len(rows), width))
+        for m, w in zip(modes, weights):
+            ang = np.mod(xs[:-1] * m, 1.0) * TWO_PI
+            block += w.real * np.cos(ang)
+            block -= w.imag * np.sin(ang)
+        if rows and mean is not None:
+            drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
+        for k, (i, row) in enumerate(zip(rows, block)):
+            carry = fsum(totals[k])
+            totals[k].append(fsum(row))
+            np.cumsum(row, out=row)
+            row += carry
+            if mean is not None:
+                row += drift
+            row += x.coords[i + 1]
+            np.mod(row, 1.0, out=row)
+        out.append((xs[1:], block))
+    return out
+
+
+def test_class_route_matches_the_per_block_walk_bit_for_bit():
+    h = FourierSeries({0: 0.3, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j, 5: 0.05j, -5: -0.05j,
+                       24: 0.3 - 0.1j, -24: 0.3 + 0.1j}, FINITE, 0.0, 2.0)
+    row_sets = [range(7), [0, 2, 6], []]
+    rng = Random(4)
+    on_route = 0
+    # x_1 = 0 puts a fix-up phase on 0, where the snapshot may round to 1.0;
+    # seed 2^-54 makes 1/2 + 2^-54 a rounding midpoint that the snapshot's
+    # error rounds one way for s < 0 and the other for s > 0
+    seeds = [(x1, start) for x1 in (0.0, 0.8125) for start in (0, 4049, 2**64 + 5)]
+    for seed_q1 in (2, 1):  # q_3 = 8102 with fix-ups at 4051 | s; q_3 = 57, dense fix-ups
+        cfg = FlowConfig(alpha=build_exp_alpha(4, seed_q1=seed_q1), h=h, v=8)
+        q = cfg.alpha.q(3)
+        for x1, start in seeds + [(2.0**-54, -12001)]:
+            fibers = tuple(rng.random() for _ in range(7))
+            x = _tagged(cfg, (x1, *fibers), x1, start) if start else TorusPoint((x1, *fibers))
+            for j, n in enumerate((q - 1, q, q + 1, 2 * q + 1, 50000)):
+                rows = row_sets[(j + start) % 3]
+                got = _walk(cfg, x, n, rows)
+                want = _per_block_walk(cfg, x, n, rows)
+                assert len(got) == len(want)
+                for (xa, fa), (xb, fb) in zip(got, want):
+                    assert np.array_equal(xa.view(np.int64), xb.view(np.int64))
+                    assert np.array_equal(fa.view(np.int64), fb.view(np.int64))
+                e = float(x1).as_integer_ratio()[1].bit_length() - 1
+                reach = max(-start, start + n)
+                on_route += matched_convergent(cfg.alpha, reach, e).q == q < n
+    # every walk longer than q_3 on q_3 = 8102; on q_3 = 57 the walks of
+    # seeds 0 and 0.8125 from steps 0 and 4049
+    assert on_route == 7 * 3 + 2 * 2 * 3
+
+
+def test_distality_memory_does_not_grow_with_the_walk(exp_angle):
+    # the class tables are one block wide whatever the walk's length; one
+    # float per step would add 1.5 MiB at n = 200000.  One fiber row keeps
+    # the traced run short (fsum's per-element floats are slow to trace)
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 1), v=2)
+    x = TorusPoint((0.1, 0.2))
+    y = TorusPoint((0.35, 0.2))
+    distality_probe(cfg, x, y, 100)  # caches that outlive the call fill here
+    peaks = []
+    for n in (20000, 200000):
+        tracemalloc.start()
+        try:
+            distality_probe(cfg, x, y, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 2**10
 
 
 # ---------------------------------------------------------------------------

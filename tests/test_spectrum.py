@@ -84,6 +84,37 @@ def test_is_sharp_exact():
     assert not is_sharp(fib, 10, tau)
 
 
+def test_is_sharp_bit_bounds_agree_with_powering():
+    # the bit-length rules decide most tau and the exact powers the rest;
+    # tau <= 0 and ties between the two sides included
+    rng = random.Random(5)
+    for angle in _random_angles(5, 40):
+        for k in range(1, angle.snap_index):
+            for _ in range(6):
+                tau = Fraction(rng.randint(-4, 80), rng.randint(1, 9))
+                p, s = tau.numerator, tau.denominator
+                want = angle.q(k + 1) ** (3 * s) > angle.q(k) ** p
+                assert is_sharp(angle, k, tau) == want, (angle.pq, k, tau)
+
+
+def test_is_sharp_huge_tau_decides_at_once(exp_angle):
+    # q_1 = 2: a q_k^(10^400) of 10^400 bits is never built
+    for k in range(1, exp_angle.k_star):
+        assert not is_sharp(exp_angle, k, 10**400)
+        assert is_sharp(exp_angle, k, Fraction(1, 10**400))
+    # q_1 = 1 leaves the bit-length rules undecided, but 1^p costs nothing
+    assert is_sharp(build_exp_alpha(4, seed_q1=1), 1, 10**400)
+
+
+def test_is_sharp_near_tie_past_the_budget(exp_angle):
+    # q_1 = 2, q_2 = 9: the threshold is tau = 3 log2 9 = 9.5098..., the bit
+    # lengths decide only tau <= 4.5 and tau >= 12, and at this tau the
+    # exact powers would have about 10^22 bits
+    tau = Fraction(int(3 * log(9, 2) * 10**15) * 10**6, 10**21)
+    with pytest.raises(ResourceBudgetError, match="bits"):
+        is_sharp(exp_angle, 1, tau)
+
+
 def test_classify_tau_three_way(poly_angle):
     # every built poly band is sharp, so divisible means M1
     cases = {2: "M1", 3: "M3", 4: "M1", 17: "M1", 34: "M1", 35: "M3", 100: "M3"}
