@@ -20,12 +20,14 @@ form, orbit stepping and Fourier series all take their phases from it.
   k bits of a wrapping uint64 product, see _dyadic_turns; FourierSeries
   evaluation calls that kernel with its modes as n.
 - Every other call, seeded or not, reduces against the one convergent
-  l_k/q_k that matched_convergent picks for its reach and seed (spectrum's
-  flat scan reads the same value): in int64 NumPy for unseeded int64
-  indices with q_k < 2^31, else by stepping one exact residue (about 66
-  bits for a 53-bit seed on exp k4, against its 11,733-bit snapshot).
-  Entries whose phase against l_k/q_k is dyadic (among them 0 and every
-  midpoint) are recomputed on the snapshot; every other one rounds alike.
+  l_k/q_k that reducing_convergent picks for its multiplier, reach and seed
+  (the orbit walker reads the same value, spectrum's flat scan the same
+  matched_convergent): in int64 NumPy for unseeded int64 indices with
+  q_k < 2^31, else by stepping one exact residue (about 66 bits for a
+  53-bit seed on exp k4, against its 11,733-bit snapshot).  Entries whose
+  phase against l_k/q_k is dyadic (among them 0 and every midpoint), the
+  indices the fix-up divisor d divides, are recomputed on the snapshot;
+  every other one rounds alike.
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -68,6 +70,7 @@ __all__ = [
     "dyadic_angle",
     "faithful_modulus",
     "matched_convergent",
+    "reducing_convergent",
     "phase_turns",
     "frac_mod1",
     "residue",
@@ -501,6 +504,28 @@ def matched_convergent(angle: AngleCF, reach: int, e: int = 0) -> Convergent:
     return cs[-1]
 
 
+def reducing_convergent(
+    angle: AngleCF, mult: int, reach: int, seed: float = 0.0
+) -> tuple[Convergent, int]:
+    """The convergent l_k/q_k phase_turns reduces against, and its fix-up divisor.
+
+    For phases {seed + mult * n * alpha} with |n| <= reach, l_k/q_k is the
+    convergent matched_convergent picks for |mult| * reach and the seed's
+    bit count e.  Its phase V_k is dyadic exactly when d divides n, with
+    d = odd(q_k) / gcd(odd(q_k), mult) and odd(q_k) the odd part of q_k
+    (gcd(l_k, q_k) = 1); only there can V_k be 0 or a rounding midpoint, so
+    only there is the phase recomputed on the snapshot.  d = 0 when there is
+    nothing to recompute: l_k/q_k is the snapshot, or mult = 0, which makes
+    the snapshot's error mult * n * (l/q - l_k/q_k) vanish.
+    """
+    e = float(seed).as_integer_ratio()[1].bit_length() - 1
+    c = matched_convergent(angle, mult * reach, e)
+    if c.q == angle.q_snapshot or not mult:
+        return c, 0
+    odd = c.q >> ((c.q & -c.q).bit_length() - 1)
+    return c, odd // math.gcd(odd, mult)
+
+
 def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
     """Correctly rounded {n * mant / 2^k} for each n of a uint64 array, k <= 64.
 
@@ -538,28 +563,25 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
       low k bits of the wrapping uint64 products n * mult * l, see
       _dyadic_turns.
     - Otherwise the phases V_k are taken against the convergent l_k/q_k that
-      matched_convergent picks for the seed's bit count e.  Unseeded int64
-      indices with q_k < 2^31 compute R = ((n mod q_k) * (mult * l_k mod
-      q_k)) mod q_k in int64 NumPy (every product stays below 2^62), then
-      one IEEE division R / q_k.  Every other call steps one exact residue
-      against l_k/q_k, see _snapshot_turns.
-    - Where q_k is not the snapshot, entries whose V_k is dyadic are
-      recomputed on the snapshot: only there can V_k be 0 or a rounding
-      midpoint, where the snapshot's error decides the double.  V_k is
-      dyadic exactly when d divides n, with d = odd(q_k) / gcd(odd(q_k),
-      mult) and odd(q_k) the odd part of q_k (gcd(l_k, q_k) = 1).
+      reducing_convergent picks.  Unseeded int64 indices with q_k < 2^31
+      compute R = ((n mod q_k) * (mult * l_k mod q_k)) mod q_k in int64
+      NumPy (every product stays below 2^62), then one IEEE division
+      R / q_k.  Every other call steps one exact residue against l_k/q_k,
+      see _snapshot_turns.
+    - Where q_k is not the snapshot, the entries whose index the fix-up
+      divisor d divides are recomputed on the snapshot.  For int64 indices
+      and d >= 2^63 that is n = 0 alone.
     """
     ns = _indices(ns)
     if not len(ns):
         return np.empty(0)
     packed = isinstance(ns, np.ndarray)
     lo, hi = (int(ns.min()), int(ns.max())) if packed else (min(ns), max(ns))
-    reach = mult * max(-lo, hi)
-    l, q = faithful_modulus(angle, reach)
+    reach = max(-lo, hi)
+    l, q = faithful_modulus(angle, mult * reach)
     if packed and not seed and angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
         return _dyadic_turns(ns.view(np.uint64), mult * l, q.bit_length() - 1)
-    e = float(seed).as_integer_ratio()[1].bit_length() - 1
-    c = matched_convergent(angle, reach, e)
+    c, d = reducing_convergent(angle, mult, reach, seed)
     if packed and not seed and c.q < INT64_MODULUS_CAP:
         r = ns % c.q
         r *= (mult * c.l) % c.q
@@ -567,14 +589,11 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
         out = r / c.q
     else:
         out = _snapshot_turns(c.l, c.q, mult, ns, seed)
-    # mult = 0 makes the snapshot's error mult * n * (l/q - l_k/q_k) vanish
-    if c.q != q and mult:
-        odd = c.q >> ((c.q & -c.q).bit_length() - 1)
-        d = odd // math.gcd(odd, mult)
-        if packed and d < 1 << 63:
-            at = np.flatnonzero(ns % d == 0)
+    if d:
+        if packed:
+            at = np.flatnonzero(ns % d == 0 if d < 1 << 63 else ns == 0)
         else:
-            at = [i for i, n in enumerate(ns.tolist() if packed else ns) if n % d == 0]
+            at = [i for i, n in enumerate(ns) if n % d == 0]
         if len(at):
             sub = ns[at] if packed else [ns[i] for i in at]
             out[at] = _snapshot_turns(l, q, mult, sub, seed)

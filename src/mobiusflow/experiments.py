@@ -3,24 +3,28 @@
 The headline quantity is S = sum of mu(n) e(<b, T^n x>) over a short segment
 (N - M, N].  The constant phase <b, x> is taken out of every term and applied
 once, S = e(<b, x> mod 1) * sum of mu(n) e(phase(n)), and phase(n) is
-assembled algebraically instead of materializing orbits: each coefficient of
-h contributes through the closed geometric kernel, whose weights over the
+assembled algebraically instead of materializing orbits: h is real, so
+each positive frequency m of h carries the modes +-m at once through the
+folded coefficient F_m = c(m) + conj c(-m) (FlowConfig._reading), and
+contributes through the closed geometric kernel, whose weights over the
 active coordinates fold into one complex number per frequency; the base term
 b_1 n alpha and every e(m n alpha) come from the exact phase engine
 contfrac.phase_turns, which rounds each phase as the snapshot does but
-reduces it in int64 against the convergent contfrac.matched_convergent
-picks (q_3 = 8102 for the exp-type angle); and the mean of h (plus any frequency
-the snapshot makes resonant) becomes a drift slope, reduced mod 1 in extended
-precision and stepped exactly as a dyadic rational.  moebius.mu_phase_sum
-evaluates the phases over fixed-size chunks of the nonzero-mu indices and
-adds them with math.fsum, so every record is reproducible bit for bit.  The
-one route covers b = 0 (the Mertens difference) and h = 0 (the twisted
-rotation sum) exactly, with no shortcut for either.
+reduces it in int64 against the convergent contfrac.reducing_convergent
+picks (q_3 = 8102 for the exp-type angle); and the mean of h (plus any
+frequency the snapshot makes resonant) becomes a drift slope, reduced mod 1
+in extended precision and stepped exactly as a dyadic rational.
+moebius.mu_phase_sum evaluates the phases over fixed-size chunks of the
+nonzero-mu indices and adds them with math.fsum, so every record is
+reproducible bit for bit.  The one route covers b = 0 (the Mertens
+difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
+for either.
 
 For a rational angle l/q, rational_case gives an independent route on the
 same set-up: h cycles with period q, so each residue class mod q carries a
-constant phase (the exact prefix of h over the cycle) plus a multiple of the
-full-cycle slope.
+constant phase (the exact prefix of h over the cycle, read per positive
+frequency as above) plus a multiple of the full-cycle slope.  Its prefix
+steps all q cycle points, so q is held to flow.DIRECT_STEP_LIMIT.
 """
 
 from __future__ import annotations
@@ -35,7 +39,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from mpmath import mp
 
-from .contfrac import TWO_PI, cis, dyadic_angle, phase_turns, small_divisor
+from .contfrac import (
+    TWO_PI,
+    ResourceBudgetError,
+    cis,
+    dyadic_angle,
+    phase_turns,
+    small_divisor,
+)
 from .flow import (
     DIRECT_STEP_LIMIT,
     FlowConfig,
@@ -107,9 +118,10 @@ def _theta_of(n_top: int, length: int) -> float:
     return log(length) / log(n_top)
 
 
-def _amplitudes(modes, active, nums: List[int], den: int) -> list:
-    """A_m = c(m) sum_nu b_nu e(m u_nu) per mode (m, c), in the ambient mp
-    precision, for u_nu = nums[nu - 2] / den: the pairing of mode m with the
+def _amplitudes(modes, fold, active, nums: List[int], den: int) -> list:
+    """(m, A_m) per positive mode m of h, A_m = F_m sum_nu b_nu e(m u_nu) in
+    the ambient mp precision, for the folded coefficient F_m = c(m) + conj
+    c(-m) and u_nu = nums[nu - 2] / den: the pairing of modes +-m with the
     active coordinates k steps later is Re(A_m e(m k alpha))."""
 
     def e(k: int):
@@ -117,7 +129,10 @@ def _amplitudes(modes, active, nums: List[int], den: int) -> list:
         # than handing snapshot-sized integers to mpmath
         return mp.expjpi(mp.ldexp(((k % den) << 201) // den, -200))
 
-    return [c * sum(bv * e(m * nums[nu - 2]) for nu, bv in active) for m, c in modes]
+    return [
+        (m, f * sum(bv * e(m * nums[nu - 2]) for nu, bv in active))
+        for m, f in zip(modes, fold)
+    ]
 
 
 def _drift(slope) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -151,9 +166,10 @@ def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
 
 def _setup(cfg, b, x, n_top, length, table):
     """What both routes share: the guards, the segment's table (sieved unless
-    one is given), n_lo, b_1, the unit factor e(<b, x>) and the amplitudes
-    A_m of h over the coordinates b touches past the first (none if it
-    touches none of them)."""
+    one is given), n_lo, b_1, the unit factor e(<b, x>), the amplitudes
+    (m, A_m) of h's positive modes over the coordinates b touches past the
+    first, and the mean's share c(0) sum_nu b_nu of the pairing per step
+    (no amplitudes and a zero mean if b touches none of them)."""
     _check_point(cfg, x)
     if b.top_index > cfg.v:
         raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
@@ -165,12 +181,14 @@ def _setup(cfg, b, x, n_top, length, table):
     const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
     # (nu, b_nu) for the fiber coordinates the pairing vector touches
     active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
-    amps = []
+    amps, mean = [], mp.mpf(0)
     if active:
+        modes, fold, _, _ = cfg._reading
         nums, den = _coord_bases(cfg, *_seed_of(cfg, x))
         with mp.workdps(50):
-            amps = _amplitudes(cfg.h.items(), active, nums, den)
-    return table, n_top - length + 1, b1, cis(const % 1.0), amps
+            amps = _amplitudes(modes, fold, active, nums, den)
+            mean = mp.mpf(cfg.h.coeff(0).real) * sum(bv for _, bv in active)
+    return table, n_top - length + 1, b1, cis(const % 1.0), amps, mean
 
 
 def correlation_sum(
@@ -187,26 +205,29 @@ def correlation_sum(
 
     One route for every b and h: the constant phase <b, x> is taken out of
     the sum and applied once as e(<b, x> mod 1), and the rest runs the kernel
-    expansion, one phase_turns call per frequency and chunk.  So the zero
-    vector gives the exact Mertens difference, and a driving series without
-    coefficients gives e(<b, x>) times the twisted rotation sum, bit for bit.
+    expansion over h's positive frequencies, one phase_turns call per
+    positive non-resonant frequency and chunk (plus one for b_1 and one for
+    the drift, when there is one).  Each frequency m carries the modes +-m
+    at once through the folded coefficient F_m = c(m) + conj c(-m), exact
+    since h is real.  So the zero vector gives the exact Mertens difference,
+    and a driving series without coefficients gives e(<b, x>) times the
+    twisted rotation sum, bit for bit.
     """
     t0 = time.perf_counter()
-    table, n_lo, b1, turn, amps = _setup(cfg, b, x, n_top, length, table)
+    table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
     theta = _theta_of(n_top, length) if theta is None else float(theta)
 
-    # one kernel weight per frequency, folded over the active coordinates:
-    # W_m = A_m / (e(m alpha) - 1); past e(<b, x>) the pairing phase is then
-    # b_1 n alpha - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
+    # one kernel weight per positive frequency, folded over the active
+    # coordinates: W_m = A_m / (e(m alpha) - 1); past e(<b, x>) the pairing
+    # phase is then b_1 n alpha - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
     weights: List[Tuple[int, complex]] = []
     base_phase = 0.0
-    slope = mp.mpf(0)
     with mp.workdps(50):
-        for (m, _), amp in zip(cfg.h.items(), amps):
+        slope = mean  # the mean's n identical terms per step are a drift
+        for m, amp in amps:
             zden = small_divisor(m, cfg.alpha)
             if zden == 0:
-                # the snapshot makes e(m alpha) = 1 (m = 0 always does):
-                # n identical terms per step, so the mode is a drift
+                # the snapshot makes e(m alpha) = 1: a drift as well
                 slope += mp.re(amp)
                 continue
             w = complex(amp) / zden
@@ -275,28 +296,31 @@ def rational_case(
     cycles: each residue class r mod q carries a constant phase plus an
     arithmetic progression in k.  table, when given, must cover the segment
     (n_top - length, n_top], as for correlation_sum; otherwise it is sieved.
+    The prefix steps all q cycle points, so a q past flow.DIRECT_STEP_LIMIT
+    raises ResourceBudgetError before anything is sieved or allocated.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
-    t0 = time.perf_counter()
-    table, n_lo, b1, turn, amps = _setup(cfg, b, x, n_top, length, table)
     l, q = cfg.alpha.snapshot
+    if q > DIRECT_STEP_LIMIT:
+        raise ResourceBudgetError(
+            f"rational_case steps q = {q} cycle points, past the {DIRECT_STEP_LIMIT} cap"
+        )
+    t0 = time.perf_counter()
+    table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
 
     # the pairing of h summed over the first r cycle points (the class
     # prefix) and over the whole cycle (the slope per period), both to 50
     # digits and reduced mod 1 before they become floats.  At cycle point j
-    # the pairing is Re sum_m A_m e(m l/q)^j with A_m = c(m) sum b_nu e(m u_nu).
+    # the pairing is mean + Re sum_m A_m e(m l/q)^j over the positive modes m.
     prefix = np.zeros(q)
     slope = mp.mpf(0)
-    if amps:
+    if amps or mean:
         with mp.workdps(50):
-            terms = [
-                (amp, mp.expjpi(2 * mp.mpf((m * l) % q) / q))
-                for (m, _), amp in zip(cfg.h.items(), amps)
-            ]
+            terms = [(amp, mp.expjpi(2 * mp.mpf((m * l) % q) / q)) for m, amp in amps]
             for j in range(q):
                 prefix[j] = float(mp.frac(slope))
-                slope += sum(mp.re(a) for a, _ in terms)
+                slope += mean + sum(mp.re(a) for a, _ in terms)
                 terms = [(a * z, z) for a, z in terms]
     drift = _drift(slope)
 

@@ -7,26 +7,26 @@ approximation, and all the interesting arithmetic lives in the base
 coordinate: x_n = {seed + n alpha} comes from the exact phase engine
 contfrac.phase_turns, correctly rounded at every step, and the h argument of
 coordinate nu is {x_n + (nu - 2) beta}.  The engine reduces the seeded base
-orbit against the convergent contfrac.matched_convergent picks for the
+orbit against the convergent contfrac.reducing_convergent picks for the
 walk's reach and the seed's bit count (8102 on the exp k4 angle, the 66-bit
 q_4 of poly tau=4) and recomputes on the snapshot only the steps where that
-phase is dyadic.  Nothing is carried
-from one step to the next in floating point, so a 10^7-step orbit does not
-drift.
+phase is dyadic.  Nothing is carried from one step to the next in floating
+point, so a 10^7-step orbit does not drift.
 
-Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
-check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
-reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
-phase table e(m x_n) per block and weights it per row by e(m (nu - 2) beta),
-reduced exactly in fixed point.  Outside the dyadic steps, x_n is a function
-of n mod q_k for that convergent, so a walk longer than q_k (with q_k at
-most one block) evaluates x_n and the rows once per residue class and
-gathers every later step, recomputing only the dyadic ones.  The modes,
-folded coefficients and row weights are built once per FlowConfig
-(FlowConfig._walker), so a short orbit such as one step pays no set-up.
-The walker sums h less its mean c(0) in floats and adds the mean as the
-exact drift {n c(0)}, as the closed form orbit_fast does, so the fiber error
-does not grow with ulp(n c(0)).
+h is read once per FlowConfig (FlowConfig._reading): h is real, so it is
+c(0) plus the real part of a sum over its positive modes m of the folded
+coefficients F_m = c(m) + conj c(-m).  Every stepped orbit (orbit_direct,
+step, birkhoff_avg, distality_probe, check_conjugacy) comes from one walker,
+_fiber_blocks.  Every fiber row reads h on one base orbit shifted by
+(nu - 2) beta, so the walker builds one phase table e(m x_n) per block and
+weights it per row by F_m e(m (nu - 2) beta), reduced exactly in fixed
+point.  Outside the dyadic steps, x_n is a function of n mod q_k for that
+convergent, so a walk longer than q_k (with q_k at most one block) evaluates
+x_n and the rows once per residue class and gathers every later step,
+recomputing only the dyadic ones.  The reading is built once, so a short
+orbit such as one step pays no set-up.  The walker sums h less its mean c(0)
+in floats and adds the mean as the exact drift {n c(0)}, as the closed form
+orbit_fast does, so the fiber error does not grow with ulp(n c(0)).
 
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
@@ -51,8 +51,8 @@ from .contfrac import (
     cis,
     cis_minus_one,
     dyadic_angle,
-    matched_convergent,
     phase_turns,
+    reducing_convergent,
     signed_residue,
     small_divisor,
 )
@@ -160,24 +160,28 @@ class FlowConfig:
             raise ValueError("truncation dimension must be at least 2")
 
     @cached_property
-    def _walker(self) -> Tuple[List[int], np.ndarray, Optional[AngleCF]]:
-        """(modes, weights, mean) for _fiber_blocks, built once per config.
+    def _reading(self) -> Tuple[List[int], List[complex], Optional[AngleCF], np.ndarray]:
+        """(modes, fold, mean, weights): the one reading of h, once per config.
 
-        modes are the positive modes of h; weights[i, k] is the folded
-        coefficient c(m) + conj c(-m) of m = modes[k] times e(m i beta), with
+        h is real, so h(t) = c(0) + Re sum over the positive modes m of
+        F_m e(m t), with the folded coefficient F_m = c(m) + conj c(-m); the
+        fold is exact for any coefficients, since Re(a e(t)) + Re(b e(-t)) =
+        Re((a + conj b) e(t)).  modes are the positive modes of h and fold
+        their F_m; mean is the dyadic angle of c(0), or None when c(0) is an
+        integer; weights[i, k] is F_m e(m i beta) for m = modes[k], with
         m i beta reduced mod 1 in BETA_FIX fixed point, for every fiber row
-        i = nu - 2 (each entry computed on its own); mean is the dyadic angle
-        of c(0), or None when c(0) is an integer.
+        i = nu - 2 (each entry computed on its own).  The walker, orbit_fast
+        and the correlation routes all read h through it.
         """
-        modes = sorted({abs(m) for m, _ in self.h.items() if m})
-        fold = np.array([self.h.coeff(m) + self.h.coeff(-m).conjugate() for m in modes])
+        modes = sorted({abs(m) for m in self.h.support() if m})
+        fold = [self.h.coeff(m) + self.h.coeff(-m).conjugate() for m in modes]
         offs = np.array(
             [[m * i * BETA_FIX % BETA_SCALE / BETA_SCALE for m in modes]
              for i in range(self.v - 1)]
         )
         c0 = self.h.coeff(0).real
         mean = dyadic_angle(c0) if c0 % 1.0 else None
-        return modes, fold * np.exp(1j * TWO_PI * offs), mean
+        return modes, fold, mean, np.array(fold) * np.exp(1j * TWO_PI * offs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,45 +247,45 @@ def _fiber_blocks(
     e(m off_k).  So the walker builds one phase table cos, sin(2 pi {m x_s})
     on the correctly rounded base orbit, over the positive modes m, one mode
     at a time (_row_values).  Row k is sum_m (Wr[k, m] cos - Wi[k, m] sin)
-    with row weights W[k, m] = (c(m) + conj c(-m)) e(m off_k), m rows[k] beta
-    reduced mod 1 in BETA_FIX fixed point; the fold equals Re sum over +-m of
-    c(m) e(m u) for any coefficients.  A broadcast multiply-add (no matrix
-    product) keeps a row's bits independent of which other rows are asked
-    for.
+    with row weights W[k, m] = F_m e(m off_k), F_m = c(m) + conj c(-m) the
+    folded coefficient and m rows[k] beta reduced mod 1 in BETA_FIX fixed
+    point; the fold equals Re sum over +-m of c(m) e(m u) for any
+    coefficients.  A broadcast multiply-add (no matrix product) keeps a
+    row's bits independent of which other rows are asked for.
 
-    Periodicity.  Let l_k/q_k be the convergent matched_convergent picks for
-    the walk's reach, max(-start, start + n), and the seed's bit count.  By
-    its rule x_s is the rounded {seed + (start + s) l_k/q_k}, a function of
-    (start + s) mod q_k, except at the fix-ups, the s with d | start + s for
-    d = odd(q_k), where phase_turns recomputes on the snapshot.  When l_k/q_k
-    is not the snapshot, q_k < n and q_k <= BLOCK_STEPS (the class route),
-    the walker evaluates x_s and the row values once, for s = 0..q_k - 1,
-    into tables no wider than a block, and every later step s gathers class
-    s mod q_k; each fix-up step recomputes x_s with phase_turns and its row
-    values with _row_values.  The rows equal a per-step evaluation bit for
-    bit, since cos and sin give the same bits whatever an element's place in
-    its array.  Every other walk (one step, a 66-bit q_k such as poly
-    tau=4's, an exact angle, n <= q_k) evaluates each block in full.  The
-    tables live for one call.  Blocks are contiguous views of one fiber
-    buffer, and on the class route x_after is one reused buffer too, so a
-    caller copies what it keeps past the next block.
+    Periodicity.  Let l_k/q_k and d be the convergent and fix-up divisor
+    reducing_convergent gives for multiplier 1, the walk's reach
+    max(-start, start + n) and the seed.  By its rule x_s is the rounded
+    {seed + (start + s) l_k/q_k}, a function of (start + s) mod q_k, except
+    at the fix-ups, the s with d | start + s, where phase_turns recomputes on
+    the snapshot.  When d != 0 (l_k/q_k is not the snapshot), q_k < n and
+    q_k <= BLOCK_STEPS (the class route), the walker evaluates x_s and the
+    row values once, for s = 0..q_k - 1, into tables no wider than a block,
+    and every later step s gathers class s mod q_k; each fix-up step
+    recomputes x_s with phase_turns and its row values with _row_values.
+    The rows equal a per-step evaluation bit for bit, since cos and sin give
+    the same bits whatever an element's place in its array.  Every other
+    walk (one step, a 66-bit q_k such as poly tau=4's, an exact angle,
+    n <= q_k) evaluates each block in full.  The tables live for one call.
+    Blocks are contiguous views of one fiber buffer, and on the class route
+    x_after is one reused buffer too, so a caller copies what it keeps past
+    the next block.
 
     The sum of h splits in two.  h less its mean c(0) is summed as a float
     cumsum inside the block, started from the exactly rounded total of the
     blocks before it; the mean part s c(0) enters as the exact drift
     {s c(0)} from the phase engine, so c(0) never joins a float sum.  Neither
     part depends on x, so two points on one base orbit share them exactly.
-    The modes and row weights come from cfg._walker, built once per config.
+    The modes and row weights come from cfg._reading, built once per config.
     """
     seed, start = _seed_of(cfg, x)
-    modes, folded, mean = cfg._walker
-    weights = folded[list(rows)].T[:, :, None]
+    modes, _, mean, weights = cfg._reading
+    weights = weights[list(rows)].T[:, :, None]
     fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
-    e = float(seed).as_integer_ratio()[1].bit_length() - 1
-    q = matched_convergent(cfg.alpha, max(-start, start + n), e).q
-    periodic = q < n and q <= BLOCK_STEPS and q != cfg.alpha.q_snapshot
+    conv, d = reducing_convergent(cfg.alpha, 1, max(-start, start + n), seed)
+    q = conv.q
+    periodic = d and q < n and q <= BLOCK_STEPS
     if periodic:
-        d = q >> ((q & -q).bit_length() - 1)  # odd(q_k), phase_turns' fix-up rule
         x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
         g_cls = np.empty((len(rows), q))
         # the fiber buffer is the multiply-add scratch: no temporary of g_cls's size
@@ -369,12 +373,14 @@ def step(cfg: FlowConfig, x: TorusPoint) -> TorusPoint:
 
 
 def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
-    """n-fold composition in closed form, O(#coeffs) independent of n.
+    """n-fold composition in closed form, O(#modes) independent of n.
 
-    Each coefficient contributes c(m) e(m u) (e(mn alpha) - 1)/(e(m alpha) - 1)
-    with every phase taken from the exact snapshot; a frequency the snapshot
-    makes resonant (rational angles) degenerates to the n-term constant sum.
-    The zero coefficient turns into the exact dyadic drift {n h(0)}.
+    Per positive frequency m, the folded coefficient F_m = c(m) + conj c(-m)
+    contributes Re F_m e(m u) (e(mn alpha) - 1)/(e(m alpha) - 1), which is
+    the +-m pair's sum, with every phase taken from the exact snapshot; a
+    frequency the snapshot makes resonant (rational angles) degenerates to
+    the n-term constant sum.  The mean c(0) turns into the exact dyadic
+    drift {n c(0)}.  The modes, F_m and the mean come from cfg._reading.
     """
     _check_point(cfg, x)
     n = int(n)
@@ -385,19 +391,17 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     seed, start = _seed_of(cfg, x)
     l, q = cfg.alpha.snapshot
     nums, den = _coord_bases(cfg, seed, start)
-    h0 = cfg.h.coeff(0).real
-    drift = float(phase_turns(dyadic_angle(h0), 1, [n])[0])
+    modes, fold, mean, _ = cfg._reading
+    drift = 0.0 if mean is None else float(phase_turns(mean, 1, [n])[0])
     # per-frequency constants shared by every coordinate
     kernels = []
-    for m, c in cfg.h.items():
-        if m == 0:
-            continue
+    for m, f in zip(modes, fold):
         zden = small_divisor(m, cfg.alpha)
         if zden == 0:
-            kernels.append((m, c * n))
+            kernels.append((m, f * n))
             continue
         znum = cis_minus_one(signed_residue(m * n, cfg.alpha), q)
-        kernels.append((m, c * (znum / zden)))
+        kernels.append((m, f * (znum / zden)))
     coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
     for i in range(cfg.v - 1):
         base = nums[i]

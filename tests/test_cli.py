@@ -345,6 +345,15 @@ def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
     assert calls == {(500, ceil(500**0.8)): 1, (2000, ceil(2000**0.8)): 1}
 
 
+def test_sweep_rational_past_the_step_cap_is_resource_limit(capsys):
+    # the closed form would step all 10,000,019 cycle points of its prefix
+    code = main(["sweep", "--rational", "1/10000019", "--h", "analytic:1.0:8",
+                 "--v", "4", "--n", "1e4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "Traceback" not in err
+
+
 def test_sweep_rational_needs_ascending_n(exp_file, capsys):
     # the rational path cuts its segments with sweep_segments(), as sweep()
     # does, so it refuses the same lists

@@ -34,6 +34,7 @@ from mobiusflow.contfrac import (
     matched_convergent,
     phase_turns,
     rational_angle,
+    reducing_convergent,
     residue,
     signed_residue,
     _snapshot_turns,
@@ -719,6 +720,51 @@ def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     assert matched_convergent(golden, 1) == golden.convergents[-1]
     ns = range(-50, 50)
     assert phase_turns(golden, 3, ns, 0.3).tolist() == _fraction_turns(golden, 3, ns, 0.3).tolist()
+
+
+def test_reducing_convergent_is_the_fixup_rule(exp_angle, poly_angle):
+    # exp k4 with seed_q1 = 1: q_3 = 57 = 3 * 19 reduces these phases
+    small = build_exp_alpha(4, seed_q1=1)
+    assert small.convergents[3].q == 57
+    for mult, d in ((1, 57), (-1, 57), (3, 19), (-6, 19), (19, 3), (57, 1), (-114, 1)):
+        c, got = reducing_convergent(small, mult, 1000)
+        assert (c.q, got) == (57, d), mult
+        ns = range(-1000, 1001)
+        want = _fraction_turns(small, mult, ns, 0.0).view(np.int64)
+        assert np.array_equal(phase_turns(small, mult, ns).view(np.int64), want)
+    # gcd(odd(q_3), mult) = 4051 on exp k4: every index is a fix-up
+    c, d = reducing_convergent(exp_angle, 4051, 10**6)
+    assert (c.q, d) == (8102, 1)
+    assert reducing_convergent(exp_angle, 1, 10**6, 0.3) == (exp_angle.convergents[3], 4051)
+    # the seed's bit count moves the convergent as matched_convergent says
+    for e, seed in ((0, 0.0), (53, 2.0**-53), (200, 2.0**-200)):
+        c, _ = reducing_convergent(poly_angle, -3, 10**6, seed)
+        assert c == matched_convergent(poly_angle, 3 * 10**6, e)
+    # nothing to recompute: mult = 0 (whose reach 0 takes q_0 = 1), the
+    # snapshot itself, an exact angle
+    assert reducing_convergent(exp_angle, 0, 10**6) == (exp_angle.convergents[0], 0)
+    assert not phase_turns(exp_angle, 0, range(-9000, 9000)).any()
+    short = explicit_angle([2, 1000, 10**30])
+    assert reducing_convergent(short, 1, 10**14) == (short.convergents[-1], 0)
+    third = rational_angle(1, 3)
+    assert reducing_convergent(third, 5, 10**40) == (third.convergents[-1], 0)
+
+
+def test_int64_fixups_past_int64_divisors_are_n_zero(poly_angle):
+    # poly (4, 6) reduces against its 66-bit q_4, whose odd part is past
+    # int64: among int64 indices only n = 0 is a fix-up
+    l, q = poly_angle.snapshot
+    for mult, seed in ((1, 0.0), (-3, 0.0), (7, 0.0), (1, 0.1), (-1, 2.0**-54)):
+        c, d = reducing_convergent(poly_angle, mult, 10**6, seed)
+        assert c.q.bit_length() == 66 and d >= 2**63
+        ns = np.array([-(10**6), -4051, -1, 0, 1, 2, 977, 10**6], dtype=np.int64)
+        got = phase_turns(poly_angle, mult, ns, seed)
+        want = _snapshot_turns(l, q, mult, ns, seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mult, seed)
+        dense = np.arange(-3000, 3001, dtype=np.int64)
+        got = phase_turns(poly_angle, mult, dense, seed)
+        want = _snapshot_turns(l, q, mult, dense, seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mult, seed)
 
 
 def test_faithful_modulus_is_the_range_rule(exp_angle):

@@ -4,7 +4,9 @@ The generic path is checked against three independent computations: the
 sieve alone (b = 0), the twisted rotation sum (h = 0), and literal orbit
 stepping with per-point pairing.  The stepped oracle itself drifts by about
 an ulp per step, so those comparisons get the looser 5e-9 line while the
-algebraically equivalent routes must agree to 1e-10 or exactly.
+algebraically equivalent routes must agree to 1e-10 or exactly.  The fold of
+h into its positive modes is checked against a loop over every coefficient
+and against an mpmath sum of the terms one by one.
 """
 
 import math
@@ -14,12 +16,19 @@ from math import gcd
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
+from mobiusflow import experiments
 from mobiusflow.contfrac import (
+    TWO_PI,
     PrecisionFloorError,
+    ResourceBudgetError,
     cis,
+    dyadic_angle,
     explicit_angle,
+    phase_turns,
     rational_angle,
+    small_divisor,
 )
 from mobiusflow.experiments import (
     CSV_HEADER,
@@ -31,9 +40,25 @@ from mobiusflow.experiments import (
     records_to_csv,
     sweep,
 )
-from mobiusflow.flow import FlowConfig, FrequencyVector, TorusPoint, pairing, step
+from mobiusflow.flow import (
+    DIRECT_STEP_LIMIT,
+    FlowConfig,
+    FrequencyVector,
+    TorusPoint,
+    _coord_bases,
+    _seed_of,
+    pairing,
+    step,
+)
 from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
-from mobiusflow.moebius import PHASE_CHUNK, MuTable, sieve_full, sieve_segment, twisted_sum
+from mobiusflow.moebius import (
+    PHASE_CHUNK,
+    MuTable,
+    mu_phase_sum,
+    sieve_full,
+    sieve_segment,
+    twisted_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +261,160 @@ def test_chunk_seams_match_rational_case(lq, seed):
 def test_rational_needs_exact_angle(exp_cfg):
     with pytest.raises(ValueError):
         rational_case(exp_cfg, B_MIXED, X4, 1000, 1000)
+
+
+def test_rational_case_refuses_a_cycle_past_the_step_cap():
+    # the class prefix steps all q cycle points, whatever the segment
+    h = analytic_h_sample(1.0, 8, 0)
+    cfg = FlowConfig(alpha=rational_angle(1, DIRECT_STEP_LIMIT + 1), h=h, v=4)
+    for b in (B_MIXED, FrequencyVector((0, 0, 0, 0))):
+        with pytest.raises(ResourceBudgetError, match="cycle points"):
+            rational_case(cfg, b, X4, 10**4, 100)
+
+
+# ---------------------------------------------------------------------------
+# the fold: h's positive modes with F_m = c(m) + conj c(-m)
+
+
+def _unfolded_sum(cfg, b, x, n_top, length):
+    """S with h read as all its coefficients, the mean and both signs of
+    every mode, each with its own kernel weight and phase_turns call."""
+    b1 = b.entries[0]
+    const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
+    active = [(nu, bv) for nu, bv in enumerate(b.entries[1:], start=2) if bv != 0]
+    nums, den = _coord_bases(cfg, *_seed_of(cfg, x))
+    weights, base, slope = [], 0.0, mp.mpf(0)
+    with mp.workdps(50):
+        for m, c in cfg.h.items() if active else ():
+            amp = c * sum(
+                bv * mp.expjpi(2 * mp.mpf(m * nums[nu - 2] % den) / den) for nu, bv in active
+            )
+            zden = small_divisor(m, cfg.alpha)
+            if zden == 0:
+                slope += mp.re(amp)
+                continue
+            w = complex(amp) / zden
+            weights.append((m, w))
+            base -= w.real
+        slope = mp.frac(slope)
+        hi = float(slope)
+        lo = float(slope - hi)
+
+    def phases(ns):
+        phase = np.full(len(ns), base)
+        if b1:
+            phase += phase_turns(cfg.alpha, b1, ns)
+        if hi or lo:
+            phase += phase_turns(dyadic_angle(hi), 1, ns) + ns * lo
+        for m, w in weights:
+            ang = TWO_PI * phase_turns(cfg.alpha, m, ns)
+            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
+        return phase
+
+    table = sieve_segment(n_top, length)
+    return cis(const % 1.0) * mu_phase_sum(table, n_top - length + 1, n_top, 1, phases)
+
+
+def _near_symmetric(c0, modes=5):
+    """A series the constructor accepts with c(-m) = conj c(m) + 1e-13."""
+    coeffs = {0: c0}
+    for m in range(1, modes + 1):
+        c = cis(0.37 * m) * 0.3 / m
+        coeffs[m], coeffs[-m] = c, c.conjugate() + 1e-13
+    return FourierSeries(coeffs)
+
+
+FOLD_SERIES = [
+    ("analytic", lambda: analytic_h_sample(1.0, 6, 11)),
+    ("near-symmetric-c0-0", lambda: _near_symmetric(0.0)),
+    ("near-symmetric-c0-0.3", lambda: _near_symmetric(0.3)),
+    ("near-symmetric-c0-2.5", lambda: _near_symmetric(2.5)),
+    ("mean-only", lambda: FourierSeries({0: 0.3})),
+    # on 1/3 the modes 3 and 6 are resonant
+    ("six-modes-c0-0.3", lambda: _near_symmetric(0.3, 6)),
+]
+
+
+@pytest.mark.parametrize("label, series", FOLD_SERIES, ids=[f[0] for f in FOLD_SERIES])
+def test_folded_kernel_matches_the_unfolded_one(exp_angle, label, series):
+    h = series()
+    for angle in (exp_angle, rational_angle(1, 3)):
+        cfg = FlowConfig(alpha=angle, h=h, v=4)
+        for b in (B_MIXED, FrequencyVector((0, 1, 3, -1)), FrequencyVector((2, 0, 1, 0))):
+            want = _unfolded_sum(cfg, b, X4, 10**4, 1200)
+            routes = [correlation_sum] + [rational_case] * angle.exact
+            for route in routes:
+                got = route(cfg, b, X4, 10**4, 1200).value
+                assert abs(got - want) <= 1e-12, (angle.kind, b, route.__name__)
+
+
+def test_folded_kernel_keeps_the_exact_reductions(exp_angle):
+    third = rational_angle(1, 3)
+    for angle in (exp_angle, third):
+        empty = FlowConfig(alpha=angle, h=FourierSeries({}), v=4)
+        full = FlowConfig(alpha=angle, h=_near_symmetric(2.5, 6), v=4)
+        zero = FrequencyVector((0, 0, 0, 0))
+        routes = [correlation_sum] + [rational_case] * angle.exact
+        for route in routes:
+            for cfg, b in ((empty, B_MIXED), (full, zero), (empty, zero)):
+                want = _unfolded_sum(cfg, b, X4, 10**4, 1200)
+                assert route(cfg, b, X4, 10**4, 1200).value == want
+
+
+def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypatch):
+    # analytic:1.0:24 with b_1 != 0: one call for b_1 and one per positive
+    # mode (none resonant, and the mean 1 * 2 leaves no drift) in each chunk
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
+    b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
+    x = TorusPoint((0.3, 0.71, 0.05, 0.42, 0.9, 0.1, 0.5, 0.25))
+    calls, chunks = [0], [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return phase_turns(*args, **kwargs)
+
+    def chunked(table, n0, n_top, step, phases):
+        def per_chunk(ns):
+            chunks[0] += 1
+            return phases(ns)
+
+        return mu_phase_sum(table, n0, n_top, step, per_chunk)
+
+    monkeypatch.setattr(experiments, "phase_turns", counted)
+    monkeypatch.setattr(experiments, "mu_phase_sum", chunked)
+    correlation_sum(cfg, b, x, 10**6, 3 * PHASE_CHUNK)
+    assert chunks[0] == 3 and calls[0] == 25 * chunks[0]
+
+
+def test_kernel_matches_an_mpmath_per_term_oracle(exp_angle):
+    # every term from its own closed form at 40 digits: all coefficients,
+    # exact snapshot residues, no kernel weights and no chunking
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 6, 11), v=4)
+    n_top = 10**4
+    length = math.ceil(n_top**0.625)
+    l, q = exp_angle.snapshot
+    nums, den = _coord_bases(cfg, X4.coords[0], 0)
+    table = sieve_segment(n_top, length)
+    with mp.workdps(40):
+        def e(num, d):
+            return mp.expjpi(2 * mp.mpf(num % d) / d)
+
+        active = [(nu, bv) for nu, bv in enumerate(B_MIXED.entries[1:], start=2) if bv]
+        kernels = [
+            (m, mp.mpc(c) * sum(bv * e(m * nums[nu - 2], den) for nu, bv in active),
+             e(m * l, q) - 1)
+            for m, c in cfg.h.items() if m
+        ]
+        const = sum(mp.mpf(bv) * xv for bv, xv in zip(B_MIXED.entries, X4.coords))
+        drift = mp.mpf(cfg.h.coeff(0).real) * sum(bv for _, bv in active)
+        want = mp.mpc(0)
+        for n in range(n_top - length + 1, n_top + 1):
+            if table.mu(n):
+                tot = sum(a * (e(m * n * l, q) - 1) / z for m, a, z in kernels)
+                ph = const + B_MIXED.entries[0] * mp.mpf(n * l % q) / q + n * drift + mp.re(tot)
+                want += table.mu(n) * mp.expjpi(2 * mp.frac(ph))
+        want = complex(want)
+    assert abs(correlation_sum(cfg, B_MIXED, X4, n_top, length).value - want) <= 5e-13
 
 
 # ---------------------------------------------------------------------------

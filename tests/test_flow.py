@@ -17,10 +17,14 @@ from mobiusflow.contfrac import (
     ResourceBudgetError,
     angle_digest,
     cis,
+    cis_minus_one,
+    dyadic_angle,
     frac_mod1,
     matched_convergent,
     phase_turns,
     rational_angle,
+    signed_residue,
+    small_divisor,
 )
 from mobiusflow.flow import (
     BETA_FIX,
@@ -41,6 +45,7 @@ from mobiusflow.flow import (
     psi_inv,
     psi_map,
     step,
+    _coord_bases,
     _fiber_blocks,
     _seed_of,
 )
@@ -189,6 +194,55 @@ def test_fast_handles_resonant_rational():
     b = orbit_fast(cfg, x, 600)
     for u, w in zip(a.coords, b.coords):
         assert _circle(u, w) < 1e-9
+
+
+def _unfolded_fast(cfg, x, n):
+    """orbit_fast's coordinates with h read as every coefficient c(m), both
+    signs of each mode apart, and its drift from a fresh dyadic angle."""
+    seed, start = _seed_of(cfg, x)
+    q = cfg.alpha.q_snapshot
+    nums, den = _coord_bases(cfg, seed, start)
+    drift = float(phase_turns(dyadic_angle(cfg.h.coeff(0).real), 1, [n])[0])
+    kernels = []
+    for m, c in cfg.h.items():
+        if m:
+            zden = small_divisor(m, cfg.alpha)
+            znum = cis_minus_one(signed_residue(m * n, cfg.alpha), q)
+            kernels.append((m, c * n if zden == 0 else c * (znum / zden)))
+    coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
+    for i in range(cfg.v - 1):
+        total = fsum((ck * cis(((m * nums[i]) % den) / den)).real for m, ck in kernels)
+        coords.append((x.coords[i + 1] + drift + total) % 1.0)
+    return coords
+
+
+def _near_symmetric(c0, modes=6):
+    """A series the constructor accepts with c(-m) = conj c(m) + 1e-13."""
+    coeffs = {0: c0}
+    for m in range(1, modes + 1):
+        c = cis(0.37 * m) * 0.3 / m
+        coeffs[m], coeffs[-m] = c, c.conjugate() + 1e-13
+    return FourierSeries(coeffs)
+
+
+@pytest.mark.parametrize("c0", [0.0, 0.3, 2.5])
+def test_folded_fast_orbit_matches_the_unfolded_one(exp_angle, c0):
+    # 2^64 + 5 steps pass int64; on 1/3 the modes 3 and 6 are resonant, and
+    # a resonant mode sums n equal terms, so both routes round at ulp(n |c|)
+    x = TorusPoint((0.3, 0.71, 0.05, 0.42))
+    for angle, ns in ((exp_angle, (1, 5 * 10**4, 2**64 + 5)),
+                      (rational_angle(1, 3), (1, 600, 5 * 10**4))):
+        for h in (analytic_h_sample(1.0, 6, 11), _near_symmetric(c0), FourierSeries({0: c0})):
+            cfg = FlowConfig(alpha=angle, h=h, v=4)
+            for n in ns:
+                got = orbit_fast(cfg, x, n).coords
+                want = _unfolded_fast(cfg, x, n)
+                tol = 1e-12 + angle.exact * n * h.l1_norm() * 2.0**-52
+                assert got[0] == want[0]
+                assert max(_circle(a, b) for a, b in zip(got, want)) <= tol, (h, n)
+        empty = FlowConfig(alpha=angle, h=FourierSeries({}), v=4)
+        for n in ns:
+            assert list(orbit_fast(empty, x, n).coords) == _unfolded_fast(empty, x, n)
 
 
 def test_mean_drift_is_dyadic_exact(exp_angle):
@@ -343,9 +397,9 @@ def test_direct_orbit_memory_stays_bounded(exp_angle):
 
 def test_walker_setup_is_built_once_per_config(exp_angle):
     cfg = _cfg(exp_angle, v=4)
-    assert cfg._walker is cfg._walker
+    assert cfg._reading is cfg._reading
     other = replace(cfg, h=analytic_h_sample(1.0, 6, 12))
-    assert other._walker is not cfg._walker
+    assert other._reading is not cfg._reading
     x = TorusPoint((0.1, 0.2, 0.3, 0.4))
     orbit_direct(cfg, x, 5)  # fills cfg's set-up first
     fresh = FlowConfig(alpha=exp_angle, h=other.h, v=4)
@@ -389,8 +443,8 @@ def _per_block_walk(cfg, x, n, rows):
     block and one cos, sin per mode over every step of it.
     """
     seed, start = _seed_of(cfg, x)
-    modes, folded, mean = cfg._walker
-    weights = folded[list(rows)].T[:, :, None]
+    modes, _, mean, weights = cfg._reading
+    weights = weights[list(rows)].T[:, :, None]
     totals = [[] for _ in rows]
     out = []
     for done in range(0, n, BLOCK_STEPS):
