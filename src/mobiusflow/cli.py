@@ -557,8 +557,8 @@ def _cmd_sweep(args) -> int:
             batch = []
             for n_top, length in sweep_segments(theta, n_list):
                 table = sieve_segment(n_top, length)
-                generic = correlation_sum(cfg, b, x, n_top, length, table=table, theta=theta)
                 closed = rational_case(cfg, b, x, n_top, length, table=table)
+                generic = correlation_sum(cfg, b, x, n_top, length, table=table, theta=theta)
                 if abs(closed.value - generic.value) > 1e-9:
                     cross_checked = False
                 # rational_case records log M / log N; the row is the sweep's theta

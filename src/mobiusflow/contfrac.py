@@ -437,6 +437,13 @@ def cis(frac: float) -> complex:
     return complex(math.cos(a), math.sin(a))
 
 
+def mp_cis(k: int, den: int):
+    """e(k/den) at the mp precision; 2 k/den mod 2 is cut to max(200, prec + 16)
+    bits first, far cheaper than handing snapshot-sized integers to mpmath."""
+    bits = max(200, mp.prec + 16)
+    return mp.expjpi(mp.ldexp(((k % den) << (bits + 1)) // den, -bits))
+
+
 def fold_signed(r: int, q: int) -> int:
     """Fold a residue in [0, q) to the balanced range (-q/2, q/2]."""
     return r if 2 * r <= q else r - q

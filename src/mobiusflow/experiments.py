@@ -3,9 +3,9 @@
 The headline quantity is S = sum of mu(n) e(<b, T^n x>) over a short segment
 (N - M, N].  The constant phase <b, x> is taken out of every term and applied
 once, S = e(<b, x> mod 1) * sum of mu(n) e(phase(n)), and phase(n) is
-assembled algebraically instead of materializing orbits: h is real, so
-each positive frequency m of h carries the modes +-m at once through the
-folded coefficient F_m = c(m) + conj c(-m) (FlowConfig._reading), and
+assembled algebraically instead of materializing orbits: h is read through
+its fold (harmonic.FourierSeries.fold), so each positive frequency m of h
+carries the modes +-m at once through F_m = c(m) + conj c(-m), and
 contributes through the closed geometric kernel, whose weights over the
 active coordinates fold into one complex number per frequency; the base term
 b_1 n alpha and every e(m n alpha) come from the exact phase engine
@@ -23,8 +23,7 @@ for either.
 For a rational angle l/q, rational_case gives an independent route on the
 same set-up: h cycles with period q, so each residue class mod q carries a
 constant phase (the exact prefix of h over the cycle, read per positive
-frequency as above) plus a multiple of the full-cycle slope.  Its prefix
-steps all q cycle points, so q is held to flow.DIRECT_STEP_LIMIT.
+frequency as above) plus a multiple of the full-cycle slope.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .contfrac import (
     ResourceBudgetError,
     cis,
     dyadic_angle,
+    mp_cis,
     phase_turns,
     small_divisor,
 )
@@ -64,6 +64,7 @@ from .moebius import twisted_sum  # noqa: F401
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window
+PREFIX_TERM_LIMIT = 10**6  # rational_case prefix terms, about 15 us each
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,6 @@ def _theta_of(n_top: int, length: int) -> float:
     return log(length) / log(n_top)
 
 
-def _amplitudes(modes, fold, active, nums: List[int], den: int) -> list:
-    """(m, A_m) per positive mode m of h, A_m = F_m sum_nu b_nu e(m u_nu) in
-    the ambient mp precision, for the folded coefficient F_m = c(m) + conj
-    c(-m) and u_nu = nums[nu - 2] / den: the pairing of modes +-m with the
-    active coordinates k steps later is Re(A_m e(m k alpha))."""
-
-    def e(k: int):
-        # k/den is cut to 200 fractional bits first, which is far cheaper
-        # than handing snapshot-sized integers to mpmath
-        return mp.expjpi(mp.ldexp(((k % den) << 201) // den, -200))
-
-    return [
-        (m, f * sum(bv * e(m * nums[nu - 2]) for nu, bv in active))
-        for m, f in zip(modes, fold)
-    ]
-
-
 def _drift(slope) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """k -> {k * slope} for an mp slope, or None when the slope is an integer.
 
@@ -166,10 +150,9 @@ def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
 
 def _setup(cfg, b, x, n_top, length, table):
     """What both routes share: the guards, the segment's table (sieved unless
-    one is given), n_lo, b_1, the unit factor e(<b, x>), the amplitudes
-    (m, A_m) of h's positive modes over the coordinates b touches past the
-    first, and the mean's share c(0) sum_nu b_nu of the pairing per step
-    (no amplitudes and a zero mean if b touches none of them)."""
+    one is given), n_lo, b_1, the unit factor e(<b, x>), the amplitudes (m, A_m)
+    of h's positive modes over the fiber coordinates b touches, and the mean's
+    share c(0) sum_nu b_nu per step (none and zero if b touches no fiber)."""
     _check_point(cfg, x)
     if b.top_index > cfg.v:
         raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
@@ -183,11 +166,14 @@ def _setup(cfg, b, x, n_top, length, table):
     active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
     amps, mean = [], mp.mpf(0)
     if active:
-        modes, fold, _, _ = cfg._reading
+        modes, fold, c0 = cfg.h.fold
         nums, den = _coord_bases(cfg, *_seed_of(cfg, x))
         with mp.workdps(50):
-            amps = _amplitudes(modes, fold, active, nums, den)
-            mean = mp.mpf(cfg.h.coeff(0).real) * sum(bv for _, bv in active)
+            # A_m = F_m sum_nu b_nu e(m u_nu), u_nu = nums[nu - 2] / den: the
+            # pairing of modes +-m k steps later is Re(A_m e(m k alpha))
+            amps = [(m, f * sum(bv * mp_cis(m * nums[nu - 2], den) for nu, bv in active))
+                    for m, f in zip(modes, fold)]
+            mean = mp.mpf(c0) * sum(bv for _, bv in active)
     return table, n_top - length + 1, b1, cis(const % 1.0), amps, mean
 
 
@@ -207,11 +193,9 @@ def correlation_sum(
     the sum and applied once as e(<b, x> mod 1), and the rest runs the kernel
     expansion over h's positive frequencies, one phase_turns call per
     positive non-resonant frequency and chunk (plus one for b_1 and one for
-    the drift, when there is one).  Each frequency m carries the modes +-m
-    at once through the folded coefficient F_m = c(m) + conj c(-m), exact
-    since h is real.  So the zero vector gives the exact Mertens difference,
-    and a driving series without coefficients gives e(<b, x>) times the
-    twisted rotation sum, bit for bit.
+    the drift, when there is one), read through h's fold.  So the zero
+    vector gives the exact Mertens difference, and a driving series without
+    coefficients gives e(<b, x>) times the twisted rotation sum, bit for bit.
     """
     t0 = time.perf_counter()
     table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
@@ -296,15 +280,19 @@ def rational_case(
     cycles: each residue class r mod q carries a constant phase plus an
     arithmetic progression in k.  table, when given, must cover the segment
     (n_top - length, n_top], as for correlation_sum; otherwise it is sieved.
-    The prefix steps all q cycle points, so a q past flow.DIRECT_STEP_LIMIT
-    raises ResourceBudgetError before anything is sieved or allocated.
+    The prefix sums K + 1 terms to 50 digits at each of the q cycle points
+    (K positive modes of h, about 15 us a term), so a q (K + 1) past
+    PREFIX_TERM_LIMIT = 10^6 (about 15 s) raises ResourceBudgetError before
+    anything is sieved or allocated.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
     l, q = cfg.alpha.snapshot
-    if q > DIRECT_STEP_LIMIT:
+    terms = q * (len(cfg.h.fold.modes) + 1)
+    if terms > PREFIX_TERM_LIMIT:
         raise ResourceBudgetError(
-            f"rational_case steps q = {q} cycle points, past the {DIRECT_STEP_LIMIT} cap"
+            f"rational_case sums {terms} prefix terms over q = {q} cycle points, "
+            f"past the {PREFIX_TERM_LIMIT} cap"
         )
     t0 = time.perf_counter()
     table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)

@@ -13,20 +13,20 @@ q_4 of poly tau=4) and recomputes on the snapshot only the steps where that
 phase is dyadic.  Nothing is carried from one step to the next in floating
 point, so a 10^7-step orbit does not drift.
 
-h is read once per FlowConfig (FlowConfig._reading): h is real, so it is
-c(0) plus the real part of a sum over its positive modes m of the folded
-coefficients F_m = c(m) + conj c(-m).  Every stepped orbit (orbit_direct,
-step, birkhoff_avg, distality_probe, check_conjugacy) comes from one walker,
-_fiber_blocks.  Every fiber row reads h on one base orbit shifted by
-(nu - 2) beta, so the walker builds one phase table e(m x_n) per block and
-weights it per row by F_m e(m (nu - 2) beta), reduced exactly in fixed
-point.  Outside the dyadic steps, x_n is a function of n mod q_k for that
-convergent, so a walk longer than q_k (with q_k at most one block) evaluates
-x_n and the rows once per residue class and gathers every later step,
-recomputing only the dyadic ones.  The reading is built once, so a short
-orbit such as one step pays no set-up.  The walker sums h less its mean c(0)
-in floats and adds the mean as the exact drift {n c(0)}, as the closed form
-orbit_fast does, so the fiber error does not grow with ulp(n c(0)).
+h is read through its fold h.fold (harmonic.FourierSeries): c(0) plus Re of
+a sum over the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).
+Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
+check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
+reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
+phase table e(m x_n) per block and weights it per row by
+F_m e(m (nu - 2) beta), reduced exactly in fixed point.  Outside the dyadic
+steps, x_n is a function of n mod q_k for that convergent, so a walk longer
+than q_k (with q_k at most one block) evaluates x_n and the rows once per
+residue class and gathers every later step, recomputing only the dyadic
+ones.  FlowConfig._reading builds the row weights once per config, so one
+step pays no set-up.  The walker sums h less its mean c(0) in floats and
+adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
+does, so the fiber error does not grow with ulp(n c(0)).
 
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
@@ -41,6 +41,7 @@ from math import fsum, isqrt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from mpmath import mp
 
 from .contfrac import (
     TWO_PI,
@@ -51,6 +52,7 @@ from .contfrac import (
     cis,
     cis_minus_one,
     dyadic_angle,
+    mp_cis,
     phase_turns,
     reducing_convergent,
     signed_residue,
@@ -160,26 +162,19 @@ class FlowConfig:
             raise ValueError("truncation dimension must be at least 2")
 
     @cached_property
-    def _reading(self) -> Tuple[List[int], List[complex], Optional[AngleCF], np.ndarray]:
-        """(modes, fold, mean, weights): the one reading of h, once per config.
+    def _reading(self) -> Tuple[tuple, tuple, Optional[AngleCF], np.ndarray]:
+        """(modes, fold, mean, weights): the walker's reading of h, once per config.
 
-        h is real, so h(t) = c(0) + Re sum over the positive modes m of
-        F_m e(m t), with the folded coefficient F_m = c(m) + conj c(-m); the
-        fold is exact for any coefficients, since Re(a e(t)) + Re(b e(-t)) =
-        Re((a + conj b) e(t)).  modes are the positive modes of h and fold
-        their F_m; mean is the dyadic angle of c(0), or None when c(0) is an
-        integer; weights[i, k] is F_m e(m i beta) for m = modes[k], with
-        m i beta reduced mod 1 in BETA_FIX fixed point, for every fiber row
-        i = nu - 2 (each entry computed on its own).  The walker, orbit_fast
-        and the correlation routes all read h through it.
+        modes and fold are h.fold's; mean is the dyadic angle of c(0), or
+        None when c(0) is an integer; weights[i, k] is F_m e(m i beta) for
+        m = modes[k], with m i beta reduced mod 1 in BETA_FIX fixed point,
+        for every fiber row i = nu - 2 (each entry computed on its own).
         """
-        modes = sorted({abs(m) for m in self.h.support() if m})
-        fold = [self.h.coeff(m) + self.h.coeff(-m).conjugate() for m in modes]
+        modes, fold, c0 = self.h.fold
         offs = np.array(
             [[m * i * BETA_FIX % BETA_SCALE / BETA_SCALE for m in modes]
              for i in range(self.v - 1)]
         )
-        c0 = self.h.coeff(0).real
         mean = dyadic_angle(c0) if c0 % 1.0 else None
         return modes, fold, mean, np.array(fold) * np.exp(1j * TWO_PI * offs)
 
@@ -247,11 +242,10 @@ def _fiber_blocks(
     e(m off_k).  So the walker builds one phase table cos, sin(2 pi {m x_s})
     on the correctly rounded base orbit, over the positive modes m, one mode
     at a time (_row_values).  Row k is sum_m (Wr[k, m] cos - Wi[k, m] sin)
-    with row weights W[k, m] = F_m e(m off_k), F_m = c(m) + conj c(-m) the
-    folded coefficient and m rows[k] beta reduced mod 1 in BETA_FIX fixed
-    point; the fold equals Re sum over +-m of c(m) e(m u) for any
-    coefficients.  A broadcast multiply-add (no matrix product) keeps a
-    row's bits independent of which other rows are asked for.
+    with row weights W[k, m] = F_m e(m off_k) for h's folded coefficient
+    F_m, m rows[k] beta reduced mod 1 in BETA_FIX fixed point.  A broadcast
+    multiply-add (no matrix product) keeps a row's bits independent of
+    which other rows are asked for.
 
     Periodicity.  Let l_k/q_k and d be the convergent and fix-up divisor
     reducing_convergent gives for multiplier 1, the walk's reach
@@ -375,12 +369,13 @@ def step(cfg: FlowConfig, x: TorusPoint) -> TorusPoint:
 def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     """n-fold composition in closed form, O(#modes) independent of n.
 
-    Per positive frequency m, the folded coefficient F_m = c(m) + conj c(-m)
-    contributes Re F_m e(m u) (e(mn alpha) - 1)/(e(m alpha) - 1), which is
-    the +-m pair's sum, with every phase taken from the exact snapshot; a
-    frequency the snapshot makes resonant (rational angles) degenerates to
-    the n-term constant sum.  The mean c(0) turns into the exact dyadic
-    drift {n c(0)}.  The modes, F_m and the mean come from cfg._reading.
+    Per positive frequency m, the folded coefficient F_m contributes
+    Re F_m e(m u) (e(mn alpha) - 1)/(e(m alpha) - 1), the +-m pair's sum,
+    with every phase taken from the exact snapshot.  A frequency the snapshot
+    makes resonant (rational angles) adds n Re F_m e(m u) instead, summed
+    and reduced mod 1 with 50 digits past those of n, so a large n loses
+    nothing.  The mean c(0) turns into the exact dyadic drift {n c(0)}.  The
+    modes, F_m and the mean come from cfg._reading.
     """
     _check_point(cfg, x)
     n = int(n)
@@ -389,24 +384,28 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     if n == 0:
         return x
     seed, start = _seed_of(cfg, x)
-    l, q = cfg.alpha.snapshot
+    q = cfg.alpha.q_snapshot
     nums, den = _coord_bases(cfg, seed, start)
     modes, fold, mean, _ = cfg._reading
     drift = 0.0 if mean is None else float(phase_turns(mean, 1, [n])[0])
     # per-frequency constants shared by every coordinate
-    kernels = []
+    kernels, resonant = [], []
     for m, f in zip(modes, fold):
         zden = small_divisor(m, cfg.alpha)
         if zden == 0:
-            kernels.append((m, f * n))
+            resonant.append((m, f))
             continue
         znum = cis_minus_one(signed_residue(m * n, cfg.alpha), q)
         kernels.append((m, f * (znum / zden)))
     coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
     for i in range(cfg.v - 1):
         base = nums[i]
-        total = fsum((ck * cis(((m * base) % den) / den)).real for m, ck in kernels)
-        coords.append((x.coords[i + 1] + drift + total) % 1.0)
+        terms = [(ck * cis(((m * base) % den) / den)).real for m, ck in kernels]
+        if resonant:
+            with mp.workdps(50 + len(str(n))):
+                amp = sum(mp.re(f * mp_cis(m * base, den)) for m, f in resonant)
+                terms.append(float(mp.frac(n * amp)))
+        coords.append((x.coords[i + 1] + drift + fsum(terms)) % 1.0)
     return TorusPoint(
         _circle_coords(coords),
         base_seed=seed,

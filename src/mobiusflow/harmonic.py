@@ -7,6 +7,12 @@ terms whose phases {m t} come from the phase engine in contfrac, correctly
 rounded on the dyadic value of t, and an identity holds up to a number
 computed from the decay class, never up to an unspecified constant.
 
+FourierSeries owns the one reading of h, its fold: h(t) = c(0) + Re sum over
+the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).  It is exact for
+any coefficients, as Re(a e(t)) + Re(b e(-t)) = Re((a + conj b) e(t)), and has
+no imaginary part to check.  eval, check_coeff_bound, the orbit walker and
+the correlation kernel all read h through it.
+
 Small divisors e(m alpha) - 1 all come from contfrac.small_divisor: the
 exact residue of m against the angle snapshot, turned into a float through
 2 sin(pi x) forms, so a divisor of size 1e-4 near a resonant band is trusted
@@ -16,11 +22,10 @@ units.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import exp, frexp, fsum, pi
 from random import Random
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .contfrac import (
 )
 from .spectrum import SnapshotRangeError, classify, classify_tau
 
-IMAG_RESIDUE_TOL = 1e-12
 COEFF_GRID = 1 << 12
 TAIL_ENUM_LIMIT = 10**6
 
@@ -71,20 +75,26 @@ class Decay:
 FINITE = Decay("finite")
 
 
+class Fold(NamedTuple):
+    """h = mean + Re sum coeffs[k] e(modes[k] t), over the positive modes, increasing."""
+
+    modes: Tuple[int, ...]
+    coeffs: Tuple[complex, ...]
+    mean: float
+
+
 class FourierSeries:
     """Immutable finite series sum of c(m) e(mt) with a certified tail bound.
 
     Coefficients must be conjugate-symmetric (the represented function is
-    real) and must sit under decay_const times the decay envelope.  Evaluation
-    adds the terms with math.fsum; each phase {m t} is the correctly rounded
-    value on the dyadic value of t.  The modes are kept once as uint64
-    (m mod 2^64) for the engine's power-of-two kernel, and the coefficients
-    as two float arrays.
+    real) and must sit under decay_const times the decay envelope.  items,
+    coeff, support, len and l1_norm speak of the modes +-m; eval reads the
+    fold.  The positive modes are kept once as uint64 (m mod 2^64) for the
+    engine's power-of-two kernel, and F_m as a complex array.
     """
 
-    __slots__ = (
-        "_pairs", "_map", "_modes", "_re", "_im", "decay", "truncation_error", "decay_const"
-    )
+    __slots__ = ("_pairs", "_map", "_fold", "_modes", "_coef", "decay", "truncation_error",
+                 "decay_const")
 
     def __init__(
         self,
@@ -115,9 +125,11 @@ class FourierSeries:
                 )
         self._pairs = tuple(sorted(cleaned.items(), key=lambda kv: (abs(kv[0]), kv[0])))
         self._map = cleaned
-        self._modes = np.array([m & UINT64_MASK for m, _ in self._pairs], dtype=np.uint64)
-        self._re = np.array([c.real for _, c in self._pairs])
-        self._im = np.array([c.imag for _, c in self._pairs])
+        modes = tuple(sorted({abs(m) for m in cleaned if m}))
+        fold = tuple(self.coeff(m) + self.coeff(-m).conjugate() for m in modes)
+        self._fold = Fold(modes, fold, self.coeff(0).real)
+        self._modes = np.array([m & UINT64_MASK for m in modes], dtype=np.uint64)
+        self._coef = np.array(fold, dtype=complex)
         self.decay = decay
         self.truncation_error = float(truncation_error)
         self.decay_const = float(decay_const)
@@ -143,11 +155,16 @@ class FourierSeries:
         return max((abs(m) for m in self._map), default=0)
 
     def items(self):
-        """Coefficients in evaluation order: increasing (|m|, m)."""
+        """Coefficients in increasing (|m|, m) order."""
         return self._pairs
 
+    @property
+    def fold(self) -> Fold:
+        """(modes, F_m, c(0)), built once: the reading every evaluation of h uses."""
+        return self._fold
+
     def _turns(self, t: float) -> np.ndarray:
-        """{m t} for each mode, correctly rounded on the dyadic value of t.
+        """{m t} for each positive mode, correctly rounded on the dyadic value of t.
 
         t is mant / 2^k with a 53-bit integer mant.  For k <= 64 the phases
         come from the engine's power-of-two kernel; a smaller |t| (below
@@ -156,21 +173,13 @@ class FourierSeries:
         frac, e = frexp(t)
         if e >= -11:  # k = 53 - e
             return _dyadic_turns(self._modes, int(frac * 2.0**53), max(53 - e, 0))
-        return phase_turns(dyadic_angle(t), 1, [m for m, _ in self._pairs])
-
-    def eval_with_residue(self, t: float) -> Tuple[float, float]:
-        """Real and imaginary part of the sum at t, each an exact fsum."""
-        ang = TWO_PI * self._turns(t)
-        cos, sin = np.cos(ang), np.sin(ang)
-        re = self._re * cos - self._im * sin
-        im = self._re * sin + self._im * cos
-        return fsum(re.tolist()), fsum(im.tolist())
+        return phase_turns(dyadic_angle(t), 1, self._fold.modes)
 
     def eval(self, t: float) -> float:
-        re, im = self.eval_with_residue(t)
-        if abs(im) > IMAG_RESIDUE_TOL:
-            warnings.warn(f"imaginary residue {im:.3e} at t = {t!r}", stacklevel=2)
-        return re
+        """c(0) + Re sum F_m e(m t), one exact fsum of c(0) and a term per mode."""
+        ang = TWO_PI * self._turns(t)
+        terms = self._coef.real * np.cos(ang) - self._coef.imag * np.sin(ang)
+        return fsum([self._fold.mean, *terms.tolist()])
 
     def l1_norm(self) -> float:
         return float(sum(abs(c) for _, c in self._pairs))
@@ -267,14 +276,11 @@ def smooth_h_sample(tau: float, m_cut: int, seed: int) -> FourierSeries:
 def _split_by(h: FourierSeries, into_first) -> Tuple[FourierSeries, FourierSeries, float]:
     first: Dict[int, complex] = {}
     second: Dict[int, complex] = {}
-    mean = 0.0
     for m, c in h.items():
-        if m == 0:
-            mean = c.real
-            continue
-        (first if into_first(m) else second)[m] = c
+        if m:
+            (first if into_first(m) else second)[m] = c
     mk = lambda d: FourierSeries(d, h.decay, h.truncation_error, h.decay_const)
-    return mk(first), mk(second), mean
+    return mk(first), mk(second), h.fold.mean
 
 
 def split_resonant(
@@ -472,9 +478,10 @@ class CoeffBoundCertificate(Certificate):
 def check_coeff_bound(f: FourierSeries, m_limit: int) -> CoeffBoundCertificate:
     """Certify the quadratic coefficient decay of e(f) on a 4096-point grid.
 
-    Coefficients of F come from one FFT; the derivative sup-norms are grid
-    maxima of the termwise derivatives.  Frequencies past half the grid alias
-    and are refused.
+    f, f' and f'' are built from f's fold, so they are real.  Coefficients of
+    F come from one FFT; the derivative sup-norms are grid maxima of the
+    termwise derivatives.  Frequencies past half the grid alias and are
+    refused.
     """
     if m_limit < 1:
         raise ValueError("m_limit must be >= 1")
@@ -484,20 +491,18 @@ def check_coeff_bound(f: FourierSeries, m_limit: int) -> CoeffBoundCertificate:
             f"{COEFF_GRID // 2}"
         )
     ts = np.arange(COEFF_GRID) / COEFF_GRID
-    f_vals = np.zeros(COEFF_GRID, dtype=np.complex128)
-    d1 = np.zeros(COEFF_GRID, dtype=np.complex128)
-    d2 = np.zeros(COEFF_GRID, dtype=np.complex128)
-    for m, c in f.items():
-        wave = np.exp((2j * pi * m) * ts)
-        f_vals += c * wave
-        d1 += c * (2j * pi * m) * wave
-        d2 += c * (2j * pi * m) ** 2 * wave
-    if np.abs(f_vals.imag).max() > 1e-9:
-        raise ValueError("f must be real-valued to build e(f)")
-    big_f = np.exp(2j * pi * f_vals.real)
-    coeffs = np.fft.fft(big_f) / COEFF_GRID
-    n1 = float(np.abs(d1.real).max())
-    n2 = float(np.abs(d2.real).max())
+    modes, fold, mean = f.fold
+    f_vals = np.full(COEFF_GRID, mean)
+    d1, d2 = np.zeros((2, COEFF_GRID))
+    for m, c in zip(modes, fold):
+        w = 2j * pi * m
+        wave = c * np.exp(w * ts)
+        f_vals += wave.real
+        d1 += (w * wave).real
+        d2 += (w * w * wave).real
+    coeffs = np.fft.fft(np.exp(2j * pi * f_vals)) / COEFF_GRID
+    n1 = float(np.abs(d1).max())
+    n2 = float(np.abs(d2).max())
     rhs = 8.0 * (n1 * n1 + n2)
     noise = 1e-6
     passed = True

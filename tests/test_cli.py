@@ -6,6 +6,7 @@ Exit code contract: 0 pass, 1 usage error, 2 certificate failure,
 
 import argparse
 import json
+import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 from math import ceil
@@ -352,6 +353,17 @@ def test_sweep_rational_past_the_step_cap_is_resource_limit(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "resource limit" in err and "Traceback" not in err
+
+
+def test_sweep_rational_past_the_prefix_cap_exits_at_once(capsys):
+    # 8 positive modes: q (8 + 1) is just past the prefix term cap
+    q = experiments.PREFIX_TERM_LIMIT // 9 + 1
+    t0 = time.perf_counter()
+    code = main(["sweep", "--rational", f"1/{q}", "--h", "analytic:1.0:8",
+                 "--v", "4", "--n", "1e4"])
+    assert code == 3 and time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "prefix terms" in err and "Traceback" not in err
 
 
 def test_sweep_rational_needs_ascending_n(exp_file, capsys):

@@ -10,6 +10,7 @@ and against an mpmath sum of the terms one by one.
 """
 
 import math
+import time
 import warnings
 from math import gcd
 
@@ -32,6 +33,7 @@ from mobiusflow.contfrac import (
 )
 from mobiusflow.experiments import (
     CSV_HEADER,
+    PREFIX_TERM_LIMIT,
     THETA_FLOOR,
     correlation_sum,
     irregularity_demo,
@@ -270,6 +272,20 @@ def test_rational_case_refuses_a_cycle_past_the_step_cap():
     for b in (B_MIXED, FrequencyVector((0, 0, 0, 0))):
         with pytest.raises(ResourceBudgetError, match="cycle points"):
             rational_case(cfg, b, X4, 10**4, 100)
+
+
+def test_rational_case_caps_its_prefix_terms(monkeypatch):
+    # the prefix sums K + 1 terms at each of the q cycle points: with K = 8
+    # positive modes, a q just past PREFIX_TERM_LIMIT / 9 is refused at once,
+    # before the segment is sieved
+    h = analytic_h_sample(1.0, 8, 0)
+    q = PREFIX_TERM_LIMIT // 9 + 1
+    cfg = FlowConfig(alpha=rational_angle(1, q), h=h, v=4)
+    monkeypatch.setattr(experiments, "sieve_segment", lambda *a: pytest.fail("sieved"))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="prefix terms"):
+        rational_case(cfg, B_MIXED, X4, 10**6, 10**5)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------

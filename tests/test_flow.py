@@ -196,6 +196,25 @@ def test_fast_handles_resonant_rational():
         assert _circle(u, w) < 1e-9
 
 
+def test_fast_resonant_modes_stay_exact_at_large_n():
+    # on 1/3 the mode 3 is resonant: n steps add n Re(F_3 e(3 u)), which a
+    # float n F_3 rounds away once n passes 2^53
+    cfg = FlowConfig(alpha=rational_angle(1, 3), h=FourierSeries({3: 0.1, -3: 0.1}), v=3)
+    x = TorusPoint((0.2, 0.4, 0.7))
+    for n in (3 * 10**5, 2**60, 2**64 + 5):
+        got = orbit_fast(cfg, x, n).coords
+        with mp.workdps(60):
+            want = [mp.frac(mp.mpf(0.2) + mp.mpf(n) / 3)]
+            for i, xv in enumerate(x.coords[1:]):
+                u = mp.mpf(0.2) + mp.mpf(i * BETA_FIX) / mp.mpf(2) ** 128
+                want.append(mp.frac(xv + n * mp.mpf(0.2) * mp.cospi(6 * u)))
+        assert max(_circle(a, float(w)) for a, w in zip(got, want)) <= 1e-12, n
+        if n == 2**60:
+            assert abs(got[1] - 0.2709) < 1e-4
+        if n == 2**64 + 5:
+            assert abs(got[1] - 0.5251) < 1e-4
+
+
 def _unfolded_fast(cfg, x, n):
     """orbit_fast's coordinates with h read as every coefficient c(m), both
     signs of each mode apart, and its drift from a fresh dyadic angle."""

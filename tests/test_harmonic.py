@@ -80,17 +80,30 @@ def test_series_order_and_access():
     assert len(FourierSeries({1: 0.0, -1: 0.0})) == 0
 
 
+def _mp_eval(s, t):
+    """Re sum over +-m of c(m) e(m t) at 60 digits, m t taken exactly."""
+    with mp.workdps(60):
+        z = mp.fsum(mp.mpc(c) * mp.expjpi(2 * m * mp.mpf(t)) for m, c in s.items())
+        return mp.re(z)
+
+
 def test_eval_against_mpmath():
-    s = FourierSeries({0: 0.25, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 4: 0.05, -4: 0.05})
-    with mp.workdps(50):
-        for t in (0.0, 0.1, 0.625, 0.99, 3.7):
-            want = mp.mpf(0.25)
-            for m, c in ((1, mp.mpc(0.3, -0.2)), (4, mp.mpc(0.05, 0))):
-                z = c * mp.e ** (2j * mp.pi * m * mp.mpf(t))
-                want += 2 * mp.re(z)
-            assert abs(s.eval(t) - float(want)) < 1e-14
-    re, im = s.eval_with_residue(0.37)
-    assert abs(im) < 1e-13
+    cases = [
+        {0: 0.25, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 4: 0.05, -4: 0.05},
+        # near-symmetric: c(-m) is conj c(m) up to the admitted 1e-12
+        {0: -1.5, 2: 0.7 + 0.1j, -2: 0.7 - 0.1j + 3e-13j, 9: -0.2j, -9: 0.2j + 1e-13},
+        # a tiny coefficient with no mirror
+        {0: 0.5, 3: 0.4 + 0.3j, -3: 0.4 - 0.3j, 7: 5e-13, -11: -1e-12j},
+        # modes at and past 2^64
+        {1: 0.5, -1: 0.5, 2**64: 0.3j, -(2**64): -0.3j, 2**70 + 3: 0.1 - 0.2j,
+         -(2**70 + 3): 0.1 + 0.2j},
+    ]
+    ts = [0.0, 0.1, 0.625, 0.99, 3.7, -0.3, -2.25, 2.0**-13, -(2.0**-20) * 3, 1e-9, -1e-300]
+    for coeffs in cases:
+        s = FourierSeries(coeffs)
+        tol = 1e-14 * max(1.0, s.l1_norm())
+        for t in ts:
+            assert abs(s.eval(t) - float(_mp_eval(s, t))) <= tol, (coeffs, t)
 
 
 _MODES = st.integers(1, 300) | st.integers(1, 2**70) | st.sampled_from(
@@ -109,20 +122,28 @@ def _eval_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(t=_eval_points(), modes=st.lists(_MODES, min_size=1, max_size=12))
-def test_eval_phases_match_a_fraction_oracle(t, modes):
+@given(
+    t=_eval_points(),
+    modes=st.lists(_MODES, min_size=1, max_size=12),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24),
+)
+def test_eval_phases_match_a_fraction_oracle(t, modes, parts):
     coeffs = {0: 0.5}
-    for m in modes:
-        coeffs[m] = coeffs[-m] = 1.0
-    s = FourierSeries(coeffs)
-    want = np.array([float(Fraction(m) * Fraction(t) % 1) for m, _ in s.items()])
+    for m, re, im in zip(modes, parts[::2], parts[1::2]):
+        coeffs[m] = complex(re, im)
+        coeffs[-m] = complex(re, -im)
+    s = FourierSeries(coeffs, FINITE, 0.0, 2.0)
+    pos = sorted({m for m in coeffs if m > 0 and coeffs[m] != 0})
+    assert s.fold.modes == tuple(pos) and s.fold.mean == 0.5
+    assert s.fold.coeffs == tuple(coeffs[m] + coeffs[-m].conjugate() for m in pos)
+    want = np.array([float(Fraction(m) * Fraction(t) % 1) for m in pos])
     got = s._turns(t)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # eval is one fsum of c(0) and Re(F_m e(m t)) per positive mode
     ang = TWO_PI * want
-    cs = np.array([c.real for _, c in s.items()])
-    assert s.eval_with_residue(t) == (
-        fsum((cs * np.cos(ang)).tolist()), fsum((cs * np.sin(ang)).tolist())
-    )
+    fold = np.array(s.fold.coeffs, dtype=complex)
+    terms = fold.real * np.cos(ang) - fold.imag * np.sin(ang)
+    assert s.eval(t) == fsum([0.5, *terms.tolist()])
 
 
 def test_scale_and_norms():
