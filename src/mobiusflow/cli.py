@@ -43,6 +43,7 @@ from .contfrac import (
     rational_angle,
 )
 from .experiments import (
+    check_prefix_budget,
     correlation_sum,
     rational_case,
     records_digest,
@@ -545,6 +546,8 @@ def _cmd_sweep(args) -> int:
          "v": args.v, "seed": args.seed, "theta": thetas, "n": n_list,
          "x": list(coords), "rational": args.rational},
     )
+    if args.rational is not None:
+        check_prefix_budget(cfg)  # before the first segment is sieved
     records = []
     groups = []
     cross_checked = True

@@ -264,6 +264,23 @@ def sweep(
     ]
 
 
+def check_prefix_budget(cfg: FlowConfig) -> None:
+    """Refuse a rational angle whose closed form would sum too many terms.
+
+    rational_case's prefix sums K + 1 terms to 50 digits at each of the q
+    cycle points (K positive modes of h, about 15 us a term), so a q (K + 1)
+    past PREFIX_TERM_LIMIT = 10^6 (about 15 s) raises ResourceBudgetError.
+    It depends on cfg alone, so a sweep checks it once, before it sieves.
+    """
+    q = cfg.alpha.snapshot[1]
+    terms = q * (len(cfg.h.fold.modes) + 1)
+    if terms > PREFIX_TERM_LIMIT:
+        raise ResourceBudgetError(
+            f"rational_case sums {terms} prefix terms over q = {q} cycle points, "
+            f"past the {PREFIX_TERM_LIMIT} cap"
+        )
+
+
 def rational_case(
     cfg: FlowConfig,
     b: FrequencyVector,
@@ -280,20 +297,12 @@ def rational_case(
     cycles: each residue class r mod q carries a constant phase plus an
     arithmetic progression in k.  table, when given, must cover the segment
     (n_top - length, n_top], as for correlation_sum; otherwise it is sieved.
-    The prefix sums K + 1 terms to 50 digits at each of the q cycle points
-    (K positive modes of h, about 15 us a term), so a q (K + 1) past
-    PREFIX_TERM_LIMIT = 10^6 (about 15 s) raises ResourceBudgetError before
-    anything is sieved or allocated.
+    check_prefix_budget runs first, before anything is sieved or allocated.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
+    check_prefix_budget(cfg)
     l, q = cfg.alpha.snapshot
-    terms = q * (len(cfg.h.fold.modes) + 1)
-    if terms > PREFIX_TERM_LIMIT:
-        raise ResourceBudgetError(
-            f"rational_case sums {terms} prefix terms over q = {q} cycle points, "
-            f"past the {PREFIX_TERM_LIMIT} cap"
-        )
     t0 = time.perf_counter()
     table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
 

@@ -28,6 +28,17 @@ step pays no set-up.  The walker sums h less its mean c(0) in floats and
 adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
 does, so the fiber error does not grow with ulp(n c(0)).
 
+_row_values evaluates the rows on two routes with the same bits.  A block
+of thousands of steps goes one mode at a time, seven elementwise NumPy calls
+per mode on arrays one row wide.  A narrow one (one step(), the fix-up
+steps of a class walk, a short walk) builds the (width, K) phase table for
+all modes at once, takes one cos and one sin, and sums the signed products
+with one np.add.accumulate along the mode axis: a strictly left-to-right
+0 + p_1 - q_1 + p_2 - ..., the loop's own order, where np.add.reduce or a
+matrix product would reorder it.  NARROW_ELEMENTS, the largest rows x width
+x (2K + 1) term array the narrow route builds, sits below where the two
+cross on the benchmark's configs.
+
 beta only needs to be irrational; it is the golden fraction stored as the
 128-fractional-bit integer BETA_FIX, so j * beta mod 1 stays exact in fixed
 point for any j we can iterate.
@@ -73,6 +84,9 @@ BETA_FIX = isqrt(5 << (2 * BETA_BITS - 2)) - (1 << (BETA_BITS - 1))
 
 DIRECT_STEP_LIMIT = 10**7
 BLOCK_STEPS = 1 << 13
+# _row_values' narrow route up to this many terms (256 KiB): the routes
+# cross near 45k-50k terms at K = 24 with 3 or 7 rows, 110k at K = 60
+NARROW_ELEMENTS = 1 << 15
 FLOAT_SLACK = 1e-12
 
 
@@ -211,17 +225,69 @@ def _row_values(
     out: np.ndarray,
     scratch: Optional[np.ndarray] = None,
 ) -> None:
-    """out[k, j] = sum_m (Wr[k, m] cos - Wi[k, m] sin)(2 pi {m xs[j]}).
+    """out[k, j] = 0 + sum_m (Wr[k, m] cos - Wi[k, m] sin)(2 pi {m xs[j]}).
 
-    These are the fiber rows' values of h less its mean before the cumsum.
-    The modes go one at a time through elementwise NumPy calls, so column j
-    reads xs[j] alone, in the same operations and order wherever it sits,
-    and each product lands in scratch when one is given (else in a
-    temporary the shape of out).
+    These are the fiber rows' values of h less its mean before the cumsum,
+    for row weights W = weights, one row per row of out and one column per
+    mode.  Both routes take the phase 2 pi {m xs[j]} as the same three
+    elementwise steps (multiply by float(m), mod 1, times 2 pi), and add the
+    terms left to right in mode order, starting from 0.0: column j reads
+    xs[j] alone, in the same operations and order wherever it sits, so the
+    two routes give the same bits.  When out.size (2K + 1), the size of the
+    narrow route's term array, is at most NARROW_ELEMENTS, the call goes
+    through _row_values_at_once; a wider one goes through
+    _row_values_by_mode, with scratch (when given) as its product buffer.
+    With no rows there is nothing to compute.
+    """
+    if not out.size:
+        return
+    if out.size * (2 * len(modes) + 1) <= NARROW_ELEMENTS:
+        _row_values_at_once(xs, modes, weights, out)
+    else:
+        _row_values_by_mode(xs, modes, weights, out, scratch)
+
+
+def _row_values_at_once(
+    xs: np.ndarray, modes: Sequence[int], weights: np.ndarray, out: np.ndarray
+) -> None:
+    """The narrow route: every mode in one pass, about a dozen NumPy calls.
+
+    One (width, K) phase table 2 pi {m xs[j]}, one cos and one sin, then the
+    products laid out as [0.0, Wr_1 c_1, -Wi_1 s_1, Wr_2 c_2, ...] along the
+    last axis of a (rows, width, 2K + 1) array and summed by one
+    np.add.accumulate, which adds strictly left to right as the wide route's
+    out += / out -= do: x - y is x + (-y) in IEEE arithmetic, signed zeros
+    included, and the leading 0.0 is the wide route's out.fill(0.0).
+    np.add.reduce or a matrix product would reorder the sum.
+    """
+    ang = np.multiply.outer(xs, np.array(modes, dtype=float))
+    np.mod(ang, 1.0, out=ang)
+    ang *= TWO_PI
+    terms = np.empty(out.shape + (2 * len(modes) + 1,))
+    terms[..., 0] = 0.0
+    np.multiply(weights.real[:, None, :], np.cos(ang), out=terms[..., 1::2])
+    np.multiply(-weights.imag[:, None, :], np.sin(ang), out=terms[..., 2::2])
+    np.add.accumulate(terms, axis=-1, out=terms)
+    out[...] = terms[..., -1]
+
+
+def _row_values_by_mode(
+    xs: np.ndarray,
+    modes: Sequence[int],
+    weights: np.ndarray,
+    out: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
+) -> None:
+    """The wide route: one mode at a time, seven elementwise NumPy calls each.
+
+    Its arrays are one row of out wide, where the narrow route's are 2K + 1
+    times out's size, so a block of thousands of steps stays in cache.  Each
+    product lands in scratch when one is given (else in a temporary the
+    shape of out).
     """
     sn, c = np.empty((2, len(xs)))
     out.fill(0.0)
-    for m, w in zip(modes, weights):
+    for m, w in zip(modes, weights.T[:, :, None]):
         np.multiply(xs, m, out=sn)
         np.mod(sn, 1.0, out=sn)
         sn *= TWO_PI
@@ -240,12 +306,14 @@ def _fiber_blocks(
     block's j-th: x_nu plus the sum of h over the first s steps.  Row k reads
     h at u = x_s + off_k, off_k = {rows[k] beta}, and e(m u) = e(m x_s)
     e(m off_k).  So the walker builds one phase table cos, sin(2 pi {m x_s})
-    on the correctly rounded base orbit, over the positive modes m, one mode
-    at a time (_row_values).  Row k is sum_m (Wr[k, m] cos - Wi[k, m] sin)
-    with row weights W[k, m] = F_m e(m off_k) for h's folded coefficient
-    F_m, m rows[k] beta reduced mod 1 in BETA_FIX fixed point.  A broadcast
-    multiply-add (no matrix product) keeps a row's bits independent of
-    which other rows are asked for.
+    on the correctly rounded base orbit, over the positive modes m
+    (_row_values: one mode at a time on a wide block, all modes in one
+    table and one in-order np.add.accumulate on a narrow one, with the same
+    bits).  Row k is sum_m (Wr[k, m] cos - Wi[k, m] sin) with row weights
+    W[k, m] = F_m e(m off_k) for h's folded coefficient F_m, m rows[k] beta
+    reduced mod 1 in BETA_FIX fixed point.  Broadcast products summed in
+    mode order (no matrix product) keep a row's bits independent of which
+    other rows are asked for.
 
     Periodicity.  Let l_k/q_k and d be the convergent and fix-up divisor
     reducing_convergent gives for multiplier 1, the walk's reach
@@ -267,14 +335,18 @@ def _fiber_blocks(
 
     The sum of h splits in two.  h less its mean c(0) is summed as a float
     cumsum inside the block, started from the exactly rounded total of the
-    blocks before it; the mean part s c(0) enters as the exact drift
-    {s c(0)} from the phase engine, so c(0) never joins a float sum.  Neither
-    part depends on x, so two points on one base orbit share them exactly.
-    The modes and row weights come from cfg._reading, built once per config.
+    blocks before it (the last block's totals are not taken: nothing reads
+    them); the mean part s c(0) enters as the exact drift {s c(0)} from the
+    phase engine, so c(0) never joins a float sum.  Neither part depends on
+    x, so two points on one base orbit share them exactly.  Every row of a
+    block is finished at once, in the per-row order: cumsum along the row,
+    plus its carry, plus the drift, plus its start fiber, mod 1.  The modes
+    and row weights come from cfg._reading, built once per config.
     """
     seed, start = _seed_of(cfg, x)
     modes, _, mean, weights = cfg._reading
-    weights = weights[list(rows)].T[:, :, None]
+    weights = weights[list(rows)]
+    fibers = np.array([x.coords[i + 1] for i in rows])
     fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
     conv, d = reducing_convergent(cfg.alpha, 1, max(-start, start + n), seed)
     q = conv.q
@@ -305,17 +377,17 @@ def _fiber_blocks(
         else:
             xs = phase_turns(cfg.alpha, 1, range(head, head + width + 1), seed)
             _row_values(xs[:-1], modes, weights, block)
-        if rows and mean is not None:
-            drift = phase_turns(mean, 1, range(done + 1, done + width + 1))
-        for k, (i, row) in enumerate(zip(rows, block)):
-            carry = fsum(totals[k])
-            totals[k].append(fsum(memoryview(row)))  # no list of 8192 floats
-            np.cumsum(row, out=row)
-            row += carry
+        if rows:
+            carry = np.array([fsum(t) for t in totals])
+            if done + width < n:  # the last block's totals would go unread
+                for t, row in zip(totals, block):
+                    t.append(fsum(memoryview(row)))  # no list of 8192 floats
+            np.cumsum(block, axis=1, out=block)
+            block += carry[:, None]
             if mean is not None:
-                row += drift
-            row += x.coords[i + 1]
-            np.mod(row, 1.0, out=row)
+                block += phase_turns(mean, 1, range(done + 1, done + width + 1))
+            block += fibers[:, None]
+            np.mod(block, 1.0, out=block)
         yield xs[1:], block
 
 
@@ -333,6 +405,27 @@ def _check_point(cfg: FlowConfig, x: TorusPoint):
         raise ValueError(f"point has dimension {x.v}, config expects {cfg.v}")
 
 
+def _step_count(n, minimum: int, what: str) -> int:
+    """n as a step count for the walker's public callers.
+
+    n must have an integer value (5e4 reads as 50000, 2.5 is refused), at
+    least minimum, and at most DIRECT_STEP_LIMIT.
+    """
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n:
+        raise ValueError(f"step count {n!r} is not an integer")
+    if count < minimum:
+        raise ValueError(f"{what} needs at least {minimum} steps, got {count}")
+    if count > DIRECT_STEP_LIMIT:
+        raise ResourceBudgetError(
+            f"{what} of {count} steps exceeds the {DIRECT_STEP_LIMIT} cap"
+        )
+    return count
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
@@ -340,16 +433,9 @@ def _check_point(cfg: FlowConfig, x: TorusPoint):
 def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     """n-fold composition by walking the orbit with _fiber_blocks, O(n)."""
     _check_point(cfg, x)
-    n = int(n)
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
+    n = _step_count(n, 0, "direct orbit")
     if n == 0:
         return x
-    if n > DIRECT_STEP_LIMIT:
-        raise ResourceBudgetError(
-            f"direct orbit of {n} steps exceeds the {DIRECT_STEP_LIMIT} cap; "
-            "use orbit_fast"
-        )
     for x_after, fiber in _fiber_blocks(cfg, x, n, range(cfg.v - 1)):
         pass
     seed, start = _seed_of(cfg, x)
@@ -477,8 +563,7 @@ def distality_probe(
     _check_point(cfg, y)
     if x.coords == y.coords:
         raise ValueError("points coincide")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _step_count(n_max, 0, "distality probe")
     same_base = x.coords[0] == y.coords[0]
     if same_base:
         nu0 = next(
@@ -525,10 +610,7 @@ def birkhoff_avg(
         raise ValueError(
             f"vector touches coordinate {b.top_index}, config has {cfg.v}"
         )
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if n_steps > DIRECT_STEP_LIMIT:
-        raise ResourceBudgetError(f"average over {n_steps} steps exceeds the cap")
+    n_steps = _step_count(n_steps, 1, "Birkhoff average")
     rows = [i for i, bv in enumerate(b.entries[1:]) if bv != 0]
     re, im = [], []
     for x_after, fiber in _fiber_blocks(cfg, x, n_steps, rows):

@@ -366,6 +366,19 @@ def test_sweep_rational_past_the_prefix_cap_exits_at_once(capsys):
     assert "prefix terms" in err and "Traceback" not in err
 
 
+def test_sweep_rational_checks_the_prefix_cap_before_sieving(monkeypatch, capsys):
+    # q (8 + 1) = 1,000,008 is past the cap: no segment of N = 10^10 is sieved
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved before the prefix cap was checked")
+
+    monkeypatch.setattr(cli, "sieve_segment", refuse)
+    code = main(["sweep", "--rational", "1/111112", "--h", "analytic:1.0:8",
+                 "--v", "4", "--n", "1e10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "prefix terms" in err and "Traceback" not in err
+
+
 def test_sweep_rational_needs_ascending_n(exp_file, capsys):
     # the rational path cuts its segments with sweep_segments(), as sweep()
     # does, so it refuses the same lists

@@ -1,5 +1,6 @@
 """Skew-product stepping, closed-form orbits, distality, conjugacy."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from mobiusflow import build_exp_alpha
+from mobiusflow import build_exp_alpha, build_poly_alpha
 from mobiusflow.contfrac import (
     TWO_PI,
     ResourceBudgetError,
@@ -30,6 +31,7 @@ from mobiusflow.flow import (
     BETA_FIX,
     BLOCK_STEPS,
     DIRECT_STEP_LIMIT,
+    NARROW_ELEMENTS,
     ConjugacyPair,
     FlowConfig,
     FrequencyVector,
@@ -47,6 +49,9 @@ from mobiusflow.flow import (
     step,
     _coord_bases,
     _fiber_blocks,
+    _row_values,
+    _row_values_at_once,
+    _row_values_by_mode,
     _seed_of,
 )
 from mobiusflow.harmonic import (
@@ -453,6 +458,19 @@ def test_trig_bits_do_not_depend_on_array_position(fn):
             assert np.array_equal(out.view(np.int64), full[off:off + length])
     for start, stride in [(0, 2), (1, 3), (5, 7), (2, 57)]:
         assert np.array_equal(fn(xs[start::stride]).view(np.int64), full[start::stride])
+    # the narrow route of _row_values takes one cos, sin over a (width, K)
+    # phase table: each column must equal the wide route's 1-D evaluation
+    us = xs / TWO_PI
+    for modes in [(1,), (1, 2, 3), tuple(range(1, 25)), (7, 2**53 + 5, 40)]:
+        for width in (1, 2, 3, 5, 8, 17, 64, 256):
+            table = np.multiply.outer(us[:width], np.array(modes, dtype=float))
+            table = np.mod(table, 1.0) * TWO_PI
+            got = fn(table)
+            for k, m in enumerate(modes):
+                col = np.mod(np.multiply(us[:width], m), 1.0) * TWO_PI
+                assert np.array_equal(col.view(np.int64), table[:, k].view(np.int64))
+                assert np.array_equal(got[:, k].view(np.int64), fn(col).view(np.int64)), \
+                    (modes, width, k)
 
 
 def _per_block_walk(cfg, x, n, rows):
@@ -519,6 +537,86 @@ def test_class_route_matches_the_per_block_walk_bit_for_bit():
     # every walk longer than q_3 on q_3 = 8102; on q_3 = 57 the walks of
     # seeds 0 and 0.8125 from steps 0 and 4049
     assert on_route == 7 * 3 + 2 * 2 * 3
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _row_value_cases(draw):
+    k = draw(st.integers(0, 8))
+    small, huge = st.integers(1, 60), st.integers(2**53 + 1, 2**62)
+    modes = tuple(draw(st.lists(small | huge, min_size=k, max_size=k)))
+    part = _signed_zero | st.floats(-2, 2)
+    table = np.array([[complex(draw(part), draw(part)) for _ in range(k)] for _ in range(7)],
+                     dtype=complex).reshape(7, k)
+    rows = sorted(draw(st.lists(st.integers(0, 6), unique=True)))
+    at_cap = NARROW_ELEMENTS // (max(len(rows), 1) * (2 * k + 1))
+    width = draw(st.sampled_from([0, 1, at_cap, at_cap + 1]) | st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.random(width)
+    xs[rng.random(width) < 0.1] = 0.0
+    stride = draw(st.sampled_from([1, 2, 57]))  # the fix-up slice block[:, first::d]
+    return xs, modes, table[rows], stride
+
+@settings(max_examples=60, deadline=None)
+@given(case=_row_value_cases())
+@example(case=(np.array([0.0, 0.25, 0.7]), (), np.zeros((3, 0), dtype=complex), 1))
+@example(case=(np.array([0.5]), (3, 2**60 + 1), np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]]), 2))
+def test_row_value_routes_agree_bit_for_bit(case):
+    # the narrow route's in-order accumulate must give the per-mode loop's
+    # bits: every width, row subset, mode set, signed zero and out layout
+    xs, modes, weights, stride = case
+    shape = (len(weights), len(xs))
+    outs = []
+    for route in (_row_values_at_once, _row_values_by_mode, _row_values):
+        buf = np.full((shape[0], shape[1] * stride + 1), np.nan)
+        out = buf[:, 1::stride]
+        route(xs, modes, weights, out)
+        outs.append(out.copy().view(np.int64))
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+def test_chained_steps_match_the_per_block_walk_bit_for_bit():
+    # each step() is a one-step walk on the narrow route; _per_block_walk is
+    # the per-mode loop with per-row finishing, so they must agree exactly
+    h = FourierSeries({0: 0.3, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j, 5: 0.05j, -5: -0.05j,
+                       24: 0.3 - 0.1j, -24: 0.3 + 0.1j}, FINITE, 0.0, 2.0)
+    angles = [build_exp_alpha(4, seed_q1=2), build_exp_alpha(4, seed_q1=1),
+              build_poly_alpha(4, 6)]
+    rng = Random(6)
+    for alpha in angles:
+        cfg = FlowConfig(alpha=alpha, h=h, v=8)
+        p = TorusPoint(tuple(rng.random() for _ in range(8)))
+        for _ in range(60):
+            ((xs, block),) = _per_block_walk(cfg, p, 1, range(7))
+            want = [float(xs[-1]), *block[:, -1].tolist()]
+            want = np.array([0.0 if c == 1.0 else c for c in want])
+            p = step(cfg, p)
+            assert np.array_equal(np.array(p.coords).view(np.int64), want.view(np.int64))
+
+
+def test_walker_step_counts_share_one_rule(exp_angle):
+    cfg = _cfg(exp_angle, v=3)
+    x, y = TorusPoint((0.1, 0.2, 0.3)), TorusPoint((0.35, 0.2, 0.3))
+    b = FrequencyVector((1, 1, -1))
+    # a float with an integer value is that count, on every walker caller
+    assert orbit_direct(cfg, x, 5e4) == orbit_direct(cfg, x, 50000)
+    assert birkhoff_avg(cfg, b, x, 5e4) == birkhoff_avg(cfg, b, x, 50000)
+    assert distality_probe(cfg, x, y, 5e4) == distality_probe(cfg, x, y, 50000)
+    for bad in (2.5, float("nan"), float("inf"), "5"):
+        with pytest.raises(ValueError):
+            orbit_direct(cfg, x, bad)
+        with pytest.raises(ValueError):
+            birkhoff_avg(cfg, b, x, bad)
+        with pytest.raises(ValueError):
+            distality_probe(cfg, x, y, bad)
+    # past the cap the probe refuses at once instead of walking 10^9 steps
+    t0 = time.perf_counter()
+    for n in (DIRECT_STEP_LIMIT + 1, 10**9, 1e9):
+        with pytest.raises(ResourceBudgetError):
+            distality_probe(cfg, x, y, n)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_distality_memory_does_not_grow_with_the_walk(exp_angle):
