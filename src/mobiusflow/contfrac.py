@@ -15,19 +15,20 @@ phase_turns returns the correctly rounded fractional parts of phases
 against the snapshot; twisted sums, correlation sums, the rational closed
 form, orbit stepping and Fourier series all take their phases from it.
 
-- An unseeded call on an exact angle with q = 2^k, k <= 64 (the dyadic value
-  of a float, such as a drift head) takes (mult * n * l) mod 2^k as the low
-  k bits of a wrapping uint64 product, see _dyadic_turns; FourierSeries
-  evaluation calls that kernel with its modes as n.
-- Every other call, seeded or not, reduces against the one convergent
-  l_k/q_k that reducing_convergent picks for its multiplier, reach and seed
-  (the orbit walker reads the same value, spectrum's flat scan the same
-  matched_convergent): in int64 NumPy for unseeded int64 indices with
-  q_k < 2^31, else by stepping one exact residue (about 66 bits for a
-  53-bit seed on exp k4, against its 11,733-bit snapshot).  Entries whose
-  phase against l_k/q_k is dyadic (among them 0 and every midpoint), the
-  indices the fix-up divisor d divides, are recomputed on the snapshot;
-  every other one rounds alike.
+- Every call reduces against the one convergent l_k/q_k that
+  reducing_convergent picks for its multiplier, reach and seed (the orbit
+  walker reads the same value, spectrum's flat scan the same
+  matched_convergent).  Entries whose phase against l_k/q_k is dyadic
+  (among them 0 and every midpoint), the indices the fix-up divisor d
+  divides, are reduced again on the snapshot; every other one rounds alike.
+- Both reductions are one function, _residue_turns: (n u + s) mod D / D for
+  D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
+  from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
+  value of a float, such as a drift head, see _dyadic_turns, which
+  FourierSeries evaluation calls with its modes as n), int64 NumPy below
+  2^31 (q_3 = 8102 on exp k4, unseeded), else Python ints one index at a
+  time (about 66 bits for a 53-bit seed on exp k4, against its 11,733-bit
+  snapshot).
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -99,8 +100,8 @@ PRECISION_FLOOR = DEFAULT_N_MAX * DEFAULT_M_MAX * 2**60
 # One exponential step past a four-digit q_k would need ~1e3500 bits.
 BIT_BUDGET = 1 << 22
 
-# Largest modulus (exclusive) of phase_turns' int64 path: (n mod q) and
-# (mult * l mod q) both stay below 2^31, so their product stays below 2^62.
+# Largest modulus D (exclusive) of _residue_turns' int64 width: (n mod D) and
+# u = (mult l 2^e mod D) both stay below 2^31, so (n mod D) u + s < 2^63.
 INT64_MODULUS_CAP = 1 << 31
 
 UINT64_MASK = (1 << 64) - 1
@@ -533,29 +534,32 @@ def reducing_convergent(
     return c, odd // math.gcd(odd, mult)
 
 
-def _dyadic_turns(ns: np.ndarray, mant: int, k: int) -> np.ndarray:
-    """Correctly rounded {n * mant / 2^k} for each n of a uint64 array, k <= 64.
+def _dyadic_turns(ns: np.ndarray, unit: int, shift: int, k: int) -> np.ndarray:
+    """Correctly rounded ((n * unit + shift) mod 2^k) / 2^k for each n of a
+    uint64 array, k <= 64.
 
-    Only the low k bits of n * mant count, and a wrapping uint64 product keeps
-    the low 64, so n and mant may be taken mod 2^64 (two's complement).  The
+    Only the low k bits count, and wrapping uint64 arithmetic keeps the low
+    64, so n, unit and shift may be taken mod 2^64 (two's complement).  The
     masked residue is converted to float once, which rounds it correctly, and
     the scaling by 2^-k is exact.
     """
-    r = ns * np.uint64(mant & UINT64_MASK)
+    r = ns * np.uint64(unit & UINT64_MASK)
+    if shift:
+        r += np.uint64(shift & UINT64_MASK)
     r &= np.uint64((1 << k) - 1)
     return r.astype(np.float64) * 2.0**-k
 
 
-def _indices(ns):
-    """ns as an int64 array when every index fits in int64, else a list of ints."""
+def _indices(ns) -> np.ndarray:
+    """ns as an int64 array when every index fits in int64, else as an
+    object array of Python ints."""
     if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
         return ns
     if isinstance(ns, range) and max(map(abs, (ns.start, ns.stop, ns.step))) < 1 << 63:
         return np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
     ns = [int(n) for n in ns]
-    if ns and not -(1 << 63) <= min(ns) <= max(ns) < 1 << 63:
-        return ns
-    return np.array(ns, dtype=np.int64)
+    fits = not ns or -(1 << 63) <= min(ns) <= max(ns) < 1 << 63
+    return np.array(ns, dtype=np.int64 if fits else object)
 
 
 def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
@@ -564,86 +568,60 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
     Every entry is the double nearest to the exact (seed + mult * n * l/q)
     mod 1 for the snapshot l/q, after faithful_modulus has checked the range
     (so PrecisionFloorError is raised exactly where it says).  ns is read
-    once, into an int64 array or, past int64, a list of ints.  Routes:
-
-    - Unseeded int64 indices with q = 2^k, k <= 64, on an exact angle: the
-      low k bits of the wrapping uint64 products n * mult * l, see
-      _dyadic_turns.
-    - Otherwise the phases V_k are taken against the convergent l_k/q_k that
-      reducing_convergent picks.  Unseeded int64 indices with q_k < 2^31
-      compute R = ((n mod q_k) * (mult * l_k mod q_k)) mod q_k in int64
-      NumPy (every product stays below 2^62), then one IEEE division
-      R / q_k.  Every other call steps one exact residue against l_k/q_k,
-      see _snapshot_turns.
-    - Where q_k is not the snapshot, the entries whose index the fix-up
-      divisor d divides are recomputed on the snapshot.  For int64 indices
-      and d >= 2^63 that is n = 0 alone.
+    once, into an int64 array or, past int64, an object array of ints.  The
+    phases are reduced by _residue_turns against the convergent l_k/q_k that
+    reducing_convergent picks, and where l_k/q_k is not the snapshot, the
+    entries whose index the fix-up divisor d divides are reduced again on
+    the snapshot.  When d exceeds every |n| (int64 indices and d >= 2^63,
+    say) that is n = 0 alone.
     """
     ns = _indices(ns)
     if not len(ns):
         return np.empty(0)
-    packed = isinstance(ns, np.ndarray)
-    lo, hi = (int(ns.min()), int(ns.max())) if packed else (min(ns), max(ns))
-    reach = max(-lo, hi)
+    reach = max(-int(ns.min()), int(ns.max()))
     l, q = faithful_modulus(angle, mult * reach)
-    if packed and not seed and angle.exact and q & (q - 1) == 0 and q <= 1 << 64:
-        return _dyadic_turns(ns.view(np.uint64), mult * l, q.bit_length() - 1)
     c, d = reducing_convergent(angle, mult, reach, seed)
-    if packed and not seed and c.q < INT64_MODULUS_CAP:
-        r = ns % c.q
-        r *= (mult * c.l) % c.q
-        r %= c.q
-        out = r / c.q
-    else:
-        out = _snapshot_turns(c.l, c.q, mult, ns, seed)
+    out = _residue_turns(c.l, c.q, mult, ns, seed)
     if d:
-        if packed:
-            at = np.flatnonzero(ns % d == 0 if d < 1 << 63 else ns == 0)
-        else:
-            at = [i for i, n in enumerate(ns) if n % d == 0]
-        if len(at):
-            sub = ns[at] if packed else [ns[i] for i in at]
-            out[at] = _snapshot_turns(l, q, mult, sub, seed)
+        at = np.flatnonzero(ns == 0 if d > reach else ns % d == 0)
+        out[at] = _residue_turns(l, q, mult, ns[at], seed)
     return out
 
 
-def _snapshot_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarray:
-    """{seed + mult * n * l/q} for each n of ns, stepped on the exact residue.
+def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarray:
+    """{seed + mult * n * l/q} for each n of ns, from one exact residue each.
 
-    One exact residue of (seed + mult * n * l/q) mod 1 is carried across the
-    gaps of ns (one big add per entry, the step of each gap size computed
-    once), and each entry is the correctly rounded quotient of that residue
-    by its modulus.  No rounding enters before that last division, so the
-    result does not depend on how far the residue was stepped.  The range is
-    not checked here; phase_turns calls faithful_modulus first.
+    For seed = sp/2^e the phase is (n u + s) mod D / D, with D = q 2^e,
+    u = mult l 2^e mod D and s = sp q mod D; each entry is that residue
+    divided by D once, which rounds it correctly, so every width below gives
+    the same bits.  ns is an int64 array or any sequence of ints, and the
+    integer width is taken from D alone:
+
+    - D a power of two, at most 2^64: the low bits of wrapping uint64
+      products, see _dyadic_turns;
+    - D < 2^31: int64 NumPy, where (n mod D) u + s stays below 2^63;
+    - otherwise, and for indices past int64: Python ints, one index at a time.
+
+    The range is not checked here; phase_turns calls faithful_modulus first.
     """
-    if isinstance(ns, np.ndarray):
-        ns = memoryview(ns)  # Python ints one at a time, no list of them
     if not len(ns):
         return np.empty(0)
-    sp, sq = float(seed).as_integer_ratio()
-    den = q * sq
-    unit = (mult * l * sq) % den
-
-    def turns():
-        num = (sp * q + ns[0] * unit) % den
-        steps = {}  # gap -> (step, den - step), so each advance is one big add
-        prev = ns[0]
-        for n in ns:
-            gap = n - prev
-            if gap:
-                step = steps.get(gap)
-                if step is None:
-                    up = (gap * unit) % den
-                    step = steps[gap] = (up, den - up)
-                if num >= step[1]:
-                    num -= step[1]
-                else:
-                    num += step[0]
-                prev = n
-            yield num / den
-
-    return np.fromiter(turns(), np.float64, count=len(ns))
+    sp, two_e = float(seed).as_integer_ratio()
+    den = q * two_e
+    u = (mult * l * two_e) % den
+    s = (sp * q) % den
+    if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
+        if den <= 1 << 64 and den & (den - 1) == 0:
+            return _dyadic_turns(ns.view(np.uint64), u, s, den.bit_length() - 1)
+        if den < INT64_MODULUS_CAP:
+            r = ns % den
+            r *= u
+            if s:
+                r += s
+            r %= den
+            return r / den
+        ns = memoryview(ns)  # Python ints one at a time, no list of them
+    return np.fromiter(((n * u + s) % den / den for n in ns), np.float64, count=len(ns))
 
 
 def residue(mult: int, angle: AngleCF) -> int:

@@ -10,8 +10,8 @@ contributes through the closed geometric kernel, whose weights over the
 active coordinates fold into one complex number per frequency; the base term
 b_1 n alpha and every e(m n alpha) come from the exact phase engine
 contfrac.phase_turns, which rounds each phase as the snapshot does but
-reduces it in int64 against the convergent contfrac.reducing_convergent
-picks (q_3 = 8102 for the exp-type angle); and the mean of h (plus any
+reduces it against the convergent contfrac.reducing_convergent picks
+(q_3 = 8102 for the exp-type angle, so in int64); and the mean of h (plus any
 frequency the snapshot makes resonant) becomes a drift slope, reduced mod 1
 in extended precision and stepped exactly as a dyadic rational.
 moebius.mu_phase_sum evaluates the phases over fixed-size chunks of the

@@ -9,9 +9,13 @@ contfrac.phase_turns, correctly rounded at every step, and the h argument of
 coordinate nu is {x_n + (nu - 2) beta}.  The engine reduces the seeded base
 orbit against the convergent contfrac.reducing_convergent picks for the
 walk's reach and the seed's bit count (8102 on the exp k4 angle, the 66-bit
-q_4 of poly tau=4) and recomputes on the snapshot only the steps where that
-phase is dyadic.  Nothing is carried from one step to the next in floating
-point, so a 10^7-step orbit does not drift.
+q_4 of poly tau=4) and reduces again on the snapshot only the steps where
+that phase is dyadic.  Each step is one exact residue modulo q_k 2^e for a
+seed of e bits, rounded once, in the integer width that modulus allows
+(Python ints for a 53-bit seed on exp k4; the drift {n c(0)} below, on a
+power-of-two modulus, the low bits of a uint64 product).  Nothing is
+carried from one step to the next in floating point, so a 10^7-step orbit
+does not drift.
 
 h is read through its fold h.fold (harmonic.FourierSeries): c(0) plus Re of
 a sum over the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).
@@ -327,8 +331,10 @@ def _fiber_blocks(
     recomputes x_s with phase_turns and its row values with _row_values.
     The rows equal a per-step evaluation bit for bit, since cos and sin give
     the same bits whatever an element's place in its array.  Every other
-    walk (one step, a 66-bit q_k such as poly tau=4's, an exact angle,
-    n <= q_k) evaluates each block in full.  The tables live for one call.
+    walk (a 66-bit q_k such as poly tau=4's, an exact angle, n <= q_k)
+    evaluates each block in full; a one-step walk does so without picking
+    the convergent, which phase_turns then picks once.  The tables live for
+    one call.
     Blocks are contiguous views of one fiber buffer, and on the class route
     x_after is one reused buffer too, so a caller copies what it keeps past
     the next block.
@@ -341,16 +347,22 @@ def _fiber_blocks(
     x, so two points on one base orbit share them exactly.  Every row of a
     block is finished at once, in the per-row order: cumsum along the row,
     plus its carry, plus the drift, plus its start fiber, mod 1.  The modes
-    and row weights come from cfg._reading, built once per config.
+    and row weights come from cfg._reading, built once per config.  A walk
+    past DIRECT_STEP_LIMIT steps raises ResourceBudgetError before its first
+    block.
     """
+    if n > DIRECT_STEP_LIMIT:
+        raise ResourceBudgetError(f"a walk of {n} steps exceeds the {DIRECT_STEP_LIMIT} cap")
     seed, start = _seed_of(cfg, x)
     modes, _, mean, weights = cfg._reading
     weights = weights[list(rows)]
     fibers = np.array([x.coords[i + 1] for i in rows])
     fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
-    conv, d = reducing_convergent(cfg.alpha, 1, max(-start, start + n), seed)
-    q = conv.q
-    periodic = d and q < n and q <= BLOCK_STEPS
+    periodic = False
+    if n > 1:  # the class route needs q_k < n, and q_k >= 1
+        conv, d = reducing_convergent(cfg.alpha, 1, max(-start, start + n), seed)
+        q = conv.q
+        periodic = d and q < n and q <= BLOCK_STEPS
     if periodic:
         x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
         g_cls = np.empty((len(rows), q))
@@ -406,10 +418,11 @@ def _check_point(cfg: FlowConfig, x: TorusPoint):
 
 
 def _step_count(n, minimum: int, what: str) -> int:
-    """n as a step count for the walker's public callers.
+    """n as a step count for the public orbit functions.
 
-    n must have an integer value (5e4 reads as 50000, 2.5 is refused), at
-    least minimum, and at most DIRECT_STEP_LIMIT.
+    n must have an integer value (5e4 reads as 50000, 2.5 is refused) and be
+    at least minimum.  A walk's DIRECT_STEP_LIMIT is _fiber_blocks' to check;
+    orbit_fast has no cap, since its cost does not grow with n.
     """
     try:
         count = int(n)
@@ -419,10 +432,6 @@ def _step_count(n, minimum: int, what: str) -> int:
         raise ValueError(f"step count {n!r} is not an integer")
     if count < minimum:
         raise ValueError(f"{what} needs at least {minimum} steps, got {count}")
-    if count > DIRECT_STEP_LIMIT:
-        raise ResourceBudgetError(
-            f"{what} of {count} steps exceeds the {DIRECT_STEP_LIMIT} cap"
-        )
     return count
 
 
@@ -464,9 +473,7 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     modes, F_m and the mean come from cfg._reading.
     """
     _check_point(cfg, x)
-    n = int(n)
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
+    n = _step_count(n, 0, "fast orbit")
     if n == 0:
         return x
     seed, start = _seed_of(cfg, x)

@@ -172,7 +172,7 @@ class FourierSeries:
         """
         frac, e = frexp(t)
         if e >= -11:  # k = 53 - e
-            return _dyadic_turns(self._modes, int(frac * 2.0**53), max(53 - e, 0))
+            return _dyadic_turns(self._modes, int(frac * 2.0**53), 0, max(53 - e, 0))
         return phase_turns(dyadic_angle(t), 1, self._fold.modes)
 
     def eval(self, t: float) -> float:

@@ -8,9 +8,10 @@ chunk's nonzero entries, evaluates cos and sin with NumPy and adds each chunk
 with math.fsum, so working memory does not grow with the segment and
 repeated runs over the same inputs are bit-identical.  The twisted sum takes its
 phases from the exact engine contfrac.phase_turns (the correctly rounded
-phases against the angle's snapshot, computed in int64 against the
-convergent contfrac.matched_convergent picks); a float angle is read as the dyadic rational
-it is.
+phases against the angle's snapshot, reduced against the convergent
+contfrac.matched_convergent picks, in int64 when it is below 2^31); a float
+angle is read as the dyadic rational it is, whose power-of-two modulus, up
+to 2^64, the engine reduces in uint64.
 
 Memory is the binding constraint for the full sieve (about 18 bytes per
 integer while building).  Both sieves check an explicit byte budget before
@@ -235,7 +236,7 @@ def twisted_sum(
     alpha may be an AngleCF, whose snapshot fixes every phase exactly, or
     a float, which is read as the exact dyadic rational it is.  Either way the
     phases come from contfrac.phase_turns: the correctly rounded values
-    against the snapshot, reduced in int64 against the convergent
+    against the snapshot, reduced against the convergent
     contfrac.matched_convergent picks, so results are reproducible bit for
     bit.
     """

@@ -90,6 +90,40 @@ def _require_in_range(angle: AngleCF, m_abs: int, what: str) -> None:
         )
 
 
+LOG2_DIGITS = 64  # binary digits of the log2 bounds is_sharp compares
+LOG2_FIX = 128  # fraction bits of the fixed point they are read in
+
+
+def _log2_side(t: int, up: bool) -> Fraction:
+    """A bound on log2 t for an integer t >= 1: at most log2 t when up is
+    false, at least log2 t when up is true, within 2^-LOG2_DIGITS of it.
+
+    The mantissa x = t / 2^e in [1, 2) is squared LOG2_DIGITS times in
+    LOG2_FIX-bit fixed point, halved whenever it reaches 2, and each halving
+    is a binary digit 1 of log2 x.  Rounding every step down (up) keeps
+    log2 x at least (at most) the digits read after j steps plus log2 of the
+    current mantissa over 2^j, a term in [0, 2^-j).
+    """
+    e = t.bit_length() - 1
+    one, x, digits = 1 << LOG2_FIX, t << (LOG2_FIX - e), 0
+    for _ in range(LOG2_DIGITS):
+        x = -(-x * x >> LOG2_FIX) if up else x * x >> LOG2_FIX
+        digit = x >= 2 * one
+        if digit:
+            x = -(-x >> 1) if up else x >> 1
+        digits = 2 * digits + digit
+    return e + Fraction(digits + (up and x > one), 1 << LOG2_DIGITS)
+
+
+def _log2_bounds(q: int) -> tuple:
+    """(lo, hi) with lo <= log2 q <= hi for an integer q >= 1, from its bit
+    length and leading 64 bits t: t 2^z <= q < (t + 1) 2^z, and q = t 2^z
+    when the bits below are zero."""
+    z = max(q.bit_length() - 64, 0)
+    t = q >> z
+    return z + _log2_side(t, False), z + _log2_side(t + (q != t << z), True)
+
+
 def is_sharp(angle: AngleCF, k: int, tau: Union[Fraction, int, str]) -> bool:
     """Whether q_k belongs to the fast-growth subset: q_{k+1} > q_k^(tau/3).
 
@@ -97,9 +131,12 @@ def is_sharp(angle: AngleCF, k: int, tau: Union[Fraction, int, str]) -> bool:
     b0 of q_k and b1 of q_{k+1} first.  It holds when 3s (b1 - 1) >= p b0,
     since q_{k+1}^(3s) >= 2^(3s (b1 - 1)) and q_k^p < 2^(p b0) (or q_k^p <= 1
     < q_{k+1}^(3s) for p <= 0, as q_{k+1} >= 2); it fails when
-    3s b1 <= p (b0 - 1), since q_{k+1}^(3s) < 2^(3s b1).  Only in between
-    are both sides powered exactly, and a power of more than BIT_BUDGET bits
-    raises ResourceBudgetError.  The index k = 0 (value 1) never qualifies; a
+    3s b1 <= p (b0 - 1), since q_{k+1}^(3s) < 2^(3s b1).  In between (p > 0)
+    it compares 3s log2 q_{k+1} with p log2 q_k through certified bounds on
+    each logarithm (_log2_bounds, within about 2^-62), exactly in Fractions.
+    Only when those intervals overlap, a true near tie, are both sides
+    powered exactly, and a power of more than BIT_BUDGET bits raises
+    ResourceBudgetError.  The index k = 0 (value 1) never qualifies; a
     value 1 at k = 1 may.
     """
     if k < 1:
@@ -111,6 +148,11 @@ def is_sharp(angle: AngleCF, k: int, tau: Union[Fraction, int, str]) -> bool:
     if 3 * s * (b1 - 1) >= p * b0:
         return True
     if 3 * s * b1 <= p * (b0 - 1):
+        return False
+    (lo_k, hi_k), (lo_n, hi_n) = _log2_bounds(qk), _log2_bounds(qn)
+    if 3 * s * lo_n > p * hi_k:
+        return True
+    if 3 * s * hi_n <= p * lo_k:
         return False
     if max(3 * s * (b1 - 1), p * (b0 - 1)) >= BIT_BUDGET:
         raise ResourceBudgetError(

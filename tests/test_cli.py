@@ -214,11 +214,15 @@ def test_check_coboundary_variants(exp_file, poly_file, capsys):
 
 
 def test_check_coboundary_huge_tau_finishes(exp_file, capsys):
-    # tau = 10^400 is decided from bit lengths; a near tie with a huge
-    # denominator would need powers past the bit budget and exits 3
+    # tau = 10^400 is decided from bit lengths, and tau = 7.5 + 1/(2 10^21),
+    # whose exact powers would have about 10^22 bits, from certified bounds
+    # on log2 q_1 and log2 q_2 (it exited 3 when only bit lengths were read);
+    # a true near tie, 3 log2 9 to 30 digits, would need powers past the bit
+    # budget and exits 3
     base = ["check", "coboundary", "--angle", exp_file, "--samples", "10", "--tau"]
     assert main(base + ["1e400"]) == 0
-    assert main(base + [f"{15 * 10**21 + 1}/{2 * 10**21}"]) == 3
+    assert main(base + [f"{15 * 10**21 + 1}/{2 * 10**21}"]) == 0
+    assert main(base + [f"9509775004326937088722433663686/{10**30}"]) == 3
     assert "resource limit" in capsys.readouterr().err
 
 

@@ -37,7 +37,7 @@ from mobiusflow.contfrac import (
     reducing_convergent,
     residue,
     signed_residue,
-    _snapshot_turns,
+    _residue_turns,
 )
 
 # 100 examples, or 300 under the ci profile (tests/conftest.py); the
@@ -511,7 +511,8 @@ def test_phase_turns_matches_the_snapshot_generator(exp_angle, poly_angle, data)
             phase_turns(angle, mult, ns)
         return
     got = phase_turns(angle, mult, ns)
-    want = _snapshot_turns(l, q, mult, ns)
+    # the oracle on Python ints, not on the width the code under test takes
+    want = _residue_turns(l, q, mult, [int(n) for n in ns])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -519,7 +520,7 @@ def test_phase_turns_matches_the_snapshot_generator(exp_angle, poly_angle, data)
 def _dyadic_cases(draw):
     """(x, k, mult, ns) with {x} = odd / 2^k for k in 1..65.
 
-    k = 65 is one past the uint64 kernel and takes the snapshot route.  The
+    k = 65 is one past the uint64 kernel and takes the Python-int width.  The
     numerator often has its top bit set, x may be negative or past 1, mult
     runs past 2^64, and ns mixes small indices of both signs with ones near
     the int64 edges, as a list in any order or as an ascending int64 array.
@@ -551,7 +552,7 @@ def test_phase_turns_dyadic_rule_matches_fraction(case):
     got = phase_turns(angle, mult, ns)
     want = np.array([float(Fraction(mult * int(n) * l, q) % 1) for n in ns])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    stepped = _snapshot_turns(l, q, mult, [int(n) for n in ns])
+    stepped = _residue_turns(l, q, mult, [int(n) for n in ns])
     assert np.array_equal(got.view(np.int64), stepped.view(np.int64))
 
 
@@ -560,7 +561,7 @@ def test_phase_turns_zero_residue_keeps_the_snapshot_error(exp_angle):
     # snapshot error times 2001, not 0
     short = explicit_angle([2, 1000, 10**30])
     got = phase_turns(short, 1, np.array([2000, 2001, 4002]))
-    want = _snapshot_turns(*short.snapshot, 1, [2000, 2001, 4002])
+    want = _residue_turns(*short.snapshot, 1, [2000, 2001, 4002])
     assert got.tolist() == want.tolist()
     assert 0.0 < got[1] < 1e-33 and 0.0 < got[2] < 1e-32
     # {8102 alpha} on exp k4 is 1 less about 1e-3519: it rounds to 1.0
@@ -637,6 +638,60 @@ def test_seeded_phase_turns_match_fraction(exp_angle, case):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _dyadic_seed(draw, e):
+    """A float seed whose exact value has denominator 2^e, at most 3 whole."""
+    frac = Fraction(draw(st.integers(0, (1 << min(e, 53)) - 1)) | (e > 0), 1 << e)
+    whole = draw(st.integers(-3, 3))
+    seed = float(whole + frac) if float(whole + frac) == whole + frac else float(frac)
+    return -seed if draw(st.booleans()) else seed
+
+
+@st.composite
+def _width_cases(draw):
+    """(angle, mult, ns, seed) whose modulus D = q 2^e takes every width.
+
+    The angles are exact, so l/q is the snapshot and D is q times the seed's
+    2^e: a dyadic angle 2^k with a dyadic seed gives D = 2^(k+e) on either
+    side of 2^64; a rational with q < 2000 and a seed of a few bits, or one
+    of 0.5, 2.5, -0.25, gives D < 2^31, and -1e-300 gives a D past every
+    fixed width.  mult runs past 2^64, and ns mixes small indices of both
+    signs with the int64 edges, as an int64 array or a list.
+    """
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 65))
+        angle = rational_angle(draw(st.integers(0, (1 << k) - 1)) | (k > 0), 1 << k)
+        seed = _dyadic_seed(draw, draw(st.integers(max(0, 60 - k), 66 - k)))
+    else:
+        q = draw(st.integers(1, 2000))
+        l = draw(st.integers(0, q - 1).filter(lambda l: gcd(l, q) == 1))
+        angle = rational_angle(l, q)
+        if draw(st.booleans()):
+            seed = draw(st.sampled_from([0.0, 0.5, 2.5, -0.25, -1e-300, 3.0]))
+        else:
+            seed = _dyadic_seed(draw, draw(st.integers(0, 12)))
+    mult = draw(st.sampled_from([0, 1, -1, 3, 2**64 + 1, -(2**65) - 7]) | st.integers(-(2**70), 2**70))
+    edge = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 2**62])
+    ns = draw(st.lists(edge | st.integers(-1000, 1000) | st.integers(-(2**63), 2**63 - 1),
+                       min_size=1, max_size=30))
+    return angle, mult, ns, seed
+
+
+@settings(max_examples=2 * PHASE_EXAMPLES, deadline=None)
+@given(case=_width_cases())
+@example(case=(rational_angle(0, 1), 5, [-(2**63), -1, 0, 7, 2**63 - 1], 2.0))  # D = 1
+@example(case=(rational_angle(0, 1), 5, [-(2**63), 3, 2**63 - 1], -1.0))
+@example(case=(dyadic_angle(0.75), 2**64 + 3, [-(2**63), -5, 2**63 - 1], -(2**61 + 1) * 2.0**-62))  # 2^64
+@example(case=(dyadic_angle(0.75), -3, [-(2**63), -5, 2**63 - 1], (2**52 + 1) * 2.0**-63))  # 2^65
+@example(case=(rational_angle(3, 7), -1, [-(2**63), -1, 0, 2**63 - 1], -0.25))  # D = 28
+@example(case=(rational_angle(3, 7), 2**64 + 1, [-(2**63), 4, 2**63 - 1], -1e-300))
+def test_every_width_matches_fraction(case):
+    angle, mult, ns, seed = case
+    want = _fraction_turns(angle, mult, ns, seed).view(np.int64)
+    for form in (np.array(ns, dtype=np.int64), ns):
+        got = phase_turns(angle, mult, form, seed)
+        assert np.array_equal(got.view(np.int64), want), type(form)
+
+
 @pytest.mark.parametrize("mult, seed", [(3, 0.0), (-1, 2.0**-54)])
 def test_phase_turns_reads_every_index_form_alike(exp_angle, mult, seed):
     # one index set in every form; n = 4051 is an entry recomputed on the
@@ -678,9 +733,9 @@ def test_seeded_dyadic_phases_are_recomputed_on_the_snapshot(exp_angle):
     up = phase_turns(exp_angle, -1, [4051], 2.0**-54)[0]
     down = phase_turns(exp_angle, 1, [4051], 2.0**-54)[0]
     assert (down, up) == (0.5, 0.5 + 2.0**-53)
-    assert _snapshot_turns(l3, q3, -1, [4051], 2.0**-54)[0] == 0.5
+    assert _residue_turns(l3, q3, -1, [4051], 2.0**-54)[0] == 0.5
     assert phase_turns(exp_angle, 1, [4051], 0.5).tolist() == [1.0]
-    assert _snapshot_turns(l3, q3, 1, [4051], 0.5).tolist() == [0.0]
+    assert _residue_turns(l3, q3, 1, [4051], 0.5).tolist() == [0.0]
 
 
 def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
@@ -715,7 +770,7 @@ def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     seed = sp / 2**53
     got = phase_turns(short, 1, [n], seed)
     assert got.tolist() == _fraction_turns(short, 1, [n], seed).tolist()
-    assert got[0] != _snapshot_turns(1000, 2001, 1, [n], seed)[0] == 2.0**-53 / 2001
+    assert got[0] != _residue_turns(1000, 2001, 1, [n], seed)[0] == 2.0**-53 / 2001
     golden = explicit_angle([1] * 200)
     assert matched_convergent(golden, 1) == golden.convergents[-1]
     ns = range(-50, 50)
@@ -759,11 +814,11 @@ def test_int64_fixups_past_int64_divisors_are_n_zero(poly_angle):
         assert c.q.bit_length() == 66 and d >= 2**63
         ns = np.array([-(10**6), -4051, -1, 0, 1, 2, 977, 10**6], dtype=np.int64)
         got = phase_turns(poly_angle, mult, ns, seed)
-        want = _snapshot_turns(l, q, mult, ns, seed)
+        want = _residue_turns(l, q, mult, ns, seed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mult, seed)
         dense = np.arange(-3000, 3001, dtype=np.int64)
         got = phase_turns(poly_angle, mult, dense, seed)
-        want = _snapshot_turns(l, q, mult, dense, seed)
+        want = _residue_turns(l, q, mult, dense, seed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mult, seed)
 
 

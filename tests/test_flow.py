@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from mobiusflow import build_exp_alpha, build_poly_alpha
+from mobiusflow import build_exp_alpha, build_poly_alpha, contfrac, flow
 from mobiusflow.contfrac import (
     TWO_PI,
     ResourceBudgetError,
@@ -24,6 +24,7 @@ from mobiusflow.contfrac import (
     matched_convergent,
     phase_turns,
     rational_angle,
+    reducing_convergent,
     signed_residue,
     small_divisor,
 )
@@ -291,6 +292,13 @@ def test_orbit_guards(exp_angle):
     assert orbit_direct(cfg, x, 0) is x
     big = orbit_fast(cfg, x, 10**12)  # closed form has no step cap
     assert all(0.0 <= c < 1.0 for c in big.coords)
+    # the walker's integer-value rule, without its cap: 2.5 was read as 2
+    assert orbit_fast(cfg, x, 5e4) == orbit_fast(cfg, x, 50000)
+    assert orbit_fast(cfg, x, 1e13) == orbit_fast(cfg, x, 10**13)
+    assert orbit_fast(cfg, x, 0.0) is x
+    for bad in (2.5, -1, -1.0, float("nan"), float("inf"), "5"):
+        with pytest.raises(ValueError):
+            orbit_fast(cfg, x, bad)
 
 
 def test_coordinates_that_round_to_one_fold_to_zero(exp_angle):
@@ -617,6 +625,39 @@ def test_walker_step_counts_share_one_rule(exp_angle):
         with pytest.raises(ResourceBudgetError):
             distality_probe(cfg, x, y, n)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_one_step_picks_its_convergent_once(exp_angle, monkeypatch):
+    # the walker's pick decides only the class route, which needs q_k < n,
+    # so a one-step walk leaves the pick to phase_turns
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reducing_convergent(*args)
+
+    monkeypatch.setattr(flow, "reducing_convergent", counting)
+    monkeypatch.setattr(contfrac, "reducing_convergent", counting)
+    cfg = _cfg(exp_angle, v=3)
+    assert cfg._reading[2] is None  # c(0) = 1: no drift to take from phase_turns
+    x = TorusPoint((0.1, 0.2, 0.3))
+    want = orbit_direct(cfg, x, 1)
+    calls.clear()
+    assert step(cfg, x) == want
+    assert len(calls) == 1
+    # a long walk still picks q_3 = 8102 and takes the class route: one
+    # table of 8102 classes, no block evaluated in full
+    lengths = []
+
+    def recording(angle, mult, ns, seed=0.0):
+        lengths.append(len(ns))
+        return phase_turns(angle, mult, ns, seed)
+
+    monkeypatch.setattr(flow, "phase_turns", recording)
+    calls.clear()
+    orbit_direct(cfg, x, 50000)
+    assert calls[0][:3] == (exp_angle, 1, 50000)
+    assert lengths[0] == 8102 and BLOCK_STEPS + 1 not in lengths
 
 
 def test_distality_memory_does_not_grow_with_the_walk(exp_angle):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import log
 
 import pytest
+from mpmath import mp
 
 from mobiusflow import build_exp_alpha, build_poly_alpha, spectrum
 from mobiusflow.contfrac import (
@@ -24,6 +25,7 @@ from mobiusflow.spectrum import (
     is_sharp,
     sharp_denominators,
     truncation_indices,
+    _log2_bounds,
 )
 
 
@@ -108,11 +110,53 @@ def test_is_sharp_huge_tau_decides_at_once(exp_angle):
 
 def test_is_sharp_near_tie_past_the_budget(exp_angle):
     # q_1 = 2, q_2 = 9: the threshold is tau = 3 log2 9 = 9.5098..., the bit
-    # lengths decide only tau <= 4.5 and tau >= 12, and at this tau the
-    # exact powers would have about 10^22 bits
-    tau = Fraction(int(3 * log(9, 2) * 10**15) * 10**6, 10**21)
+    # lengths decide only tau <= 4.5 and tau >= 12.  Within 10^-30 of it the
+    # log2 bounds (about 2^-62 wide) overlap too, and the exact powers would
+    # have about 10^31 bits
+    with mp.workdps(60):
+        threshold = 3 * mp.log(9, 2)
+        near = Fraction(int(threshold * 10**30), 10**30)
     with pytest.raises(ResourceBudgetError, match="bits"):
-        is_sharp(exp_angle, 1, tau)
+        is_sharp(exp_angle, 1, near)
+    # 9.1e-16 past it (a float's 3 log2 9 to 15 digits) the bounds decide
+    tau = Fraction(int(3 * log(9, 2) * 10**15) * 10**6, 10**21)
+    with mp.workdps(60):
+        assert mp.mpf(tau.numerator) / tau.denominator - threshold > 9e-16
+    assert not is_sharp(exp_angle, 1, tau)
+
+
+def test_is_sharp_decides_benign_tau_without_powering(exp_angle, monkeypatch):
+    # tau = 7.5 + 1/(2 10^21) at k = 1: log2 9 = 3.17 against tau/3 = 2.5,
+    # where the bit lengths alone decided nothing and the powers would have
+    # about 10^22 bits; with no powering allowed it still decides
+    monkeypatch.setattr(spectrum, "BIT_BUDGET", 0)
+    tau = Fraction(15 * 10**21 + 1, 2 * 10**21)
+    assert is_sharp(exp_angle, 1, tau)
+    assert not is_sharp(exp_angle, 1, Fraction(10**22 + 1, 10**21))  # tau/3 > 3.33
+    rng = random.Random(7)
+    for angle in _random_angles(3, 30):
+        for k in range(1, angle.snap_index):
+            for _ in range(4):
+                tau = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**5))
+                t = mp.mpf(tau.numerator) / tau.denominator
+                lk, ln = mp.log(angle.q(k), 2), mp.log(angle.q(k + 1), 2)
+                if abs(3 * ln - t * lk) > 1e-9 * (1 + t * lk):
+                    assert is_sharp(angle, k, tau) == (3 * ln > t * lk)
+
+
+def test_log2_bounds_hold_and_are_tight():
+    rng = random.Random(11)
+    with mp.workprec(400):
+        for bits in (1, 2, 5, 53, 63, 64, 65, 66, 200, 3000):
+            for _ in range(30):
+                q = rng.getrandbits(bits) | 1 << (bits - 1)
+                lo, hi = _log2_bounds(q)
+                exact = mp.log(q, 2)
+                assert mp.mpf(lo.numerator) / lo.denominator <= exact
+                assert exact <= mp.mpf(hi.numerator) / hi.denominator
+                assert hi - lo < Fraction(1, 2**61)
+        for e in (0, 1, 63, 64, 65, 1000):
+            assert _log2_bounds(1 << e) == (e, e)
 
 
 def test_classify_tau_three_way(poly_angle):
