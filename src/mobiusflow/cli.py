@@ -289,11 +289,6 @@ def _cmd_angle_inspect(args) -> int:
         digits = len(str(q))
         head = str(q) if digits <= 24 else f"{str(q)[:12]}...({digits} digits)"
         print(f"  k={k:<3} q_k = {head}")
-    for rec in angle.growth:
-        if hasattr(rec, "ratio"):
-            print(f"  window k={rec.k}: ratio {rec.ratio:.6f} in [1/2,3]: {rec.in_window}")
-        else:
-            print(f"  cap k={rec.k}: within {rec.within_cap} sharp {rec.sharp_member}")
     return 0
 
 
@@ -341,6 +336,7 @@ def _cmd_check_spectrum(args) -> int:
         "check spectrum",
         {"angle": angle_digest(angle), "m_limit": args.m_limit},
     )
+    tidx = truncation_indices(angle, args.n)  # refuses N < 2 before any scan
     ok = True
     flat = check_flat_lower_bound(angle, args.m_limit)
     print(
@@ -359,7 +355,6 @@ def _cmd_check_spectrum(args) -> int:
         )
         scaling.append(cert.to_json())
         ok = ok and cert.passed
-    tidx = truncation_indices(angle, args.n)
     print(f"truncation at n={args.n}: K={tidx.K} K'={tidx.K_prime}")
     ok = ok and tidx.passed
     manifest.details = {
@@ -632,7 +627,9 @@ def _build_parser() -> _Parser:
     p_bp.add_argument("--out", default=None)
     p_bp.set_defaults(func=_cmd_angle_build)
 
-    p_ai = angle_sub.add_parser("inspect", help="print convergents and growth records")
+    p_ai = angle_sub.add_parser(
+        "inspect", help="print kind, k_star, digest, alpha and q_0 .. q_(k_star+2)"
+    )
     p_ai.add_argument("--angle", required=True)
     p_ai.set_defaults(func=_cmd_angle_inspect)
 
@@ -688,18 +685,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        func = getattr(args, "func", None)
+        if func is None:
+            parser.print_usage()
+            return 1
+        return func(args)
     except SystemExit as exc:  # --help
         code = exc.code
         return 0 if code in (0, None) else int(code)
-    func = getattr(args, "func", None)
-    if func is None:
-        parser.print_usage()
-        return 1
-    try:
-        return func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -153,9 +153,7 @@ def _setup(cfg, b, x, n_top, length, table):
     one is given), n_lo, b_1, the unit factor e(<b, x>), the amplitudes (m, A_m)
     of h's positive modes over the fiber coordinates b touches, and the mean's
     share c(0) sum_nu b_nu per step (none and zero if b touches no fiber)."""
-    _check_point(cfg, x)
-    if b.top_index > cfg.v:
-        raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
+    _check_point(cfg, x, b)
     if not 1 <= length <= n_top:
         raise ValueError("need 1 <= length <= n_top")
     if table is None:
@@ -167,7 +165,7 @@ def _setup(cfg, b, x, n_top, length, table):
     amps, mean = [], mp.mpf(0)
     if active:
         modes, fold, c0 = cfg.h.fold
-        nums, den = _coord_bases(cfg, *_seed_of(cfg, x))
+        nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(modes, default=0))
         with mp.workdps(50):
             # A_m = F_m sum_nu b_nu e(m u_nu), u_nu = nums[nu - 2] / den: the
             # pairing of modes +-m k steps later is Re(A_m e(m k alpha))

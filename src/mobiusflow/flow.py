@@ -67,9 +67,11 @@ from .contfrac import (
     cis,
     cis_minus_one,
     dyadic_angle,
+    faithful_modulus,
     mp_cis,
     phase_turns,
     reducing_convergent,
+    residue,
     signed_residue,
     small_divisor,
 )
@@ -207,11 +209,20 @@ def _seed_of(cfg: FlowConfig, x: TorusPoint) -> Tuple[float, int]:
     return x.coords[0], 0
 
 
-def _coord_bases(cfg: FlowConfig, seed: float, start: int) -> Tuple[List[int], int]:
-    """Numerators of {seed + start*alpha + (nu-2)*beta} for nu = 2..V, plus den."""
-    l, q = cfg.alpha.snapshot
+def _coord_bases(
+    cfg: FlowConfig, seed: float, start: int, top: int = 1
+) -> Tuple[List[int], int]:
+    """Numerators of {seed + start*alpha + (nu-2)*beta} for nu = 2..V, plus den.
+
+    top is the largest m for which the caller reduces m times these bases
+    (1 when it reads them alone); past the faithful range of top * start, or
+    of start itself, PrecisionFloorError is raised, as residue and
+    phase_turns do.
+    """
+    faithful_modulus(cfg.alpha, top * start)
+    q = cfg.alpha.q_snapshot
     sp, sq = float(seed).as_integer_ratio()
-    r0 = (start * l) % q
+    r0 = residue(start, cfg.alpha)
     den = q * sq * BETA_SCALE
     head = sp * q * BETA_SCALE + r0 * sq * BETA_SCALE
     qsq = q * sq
@@ -412,9 +423,19 @@ def _circle_coords(values: Iterable[float]) -> Tuple[float, ...]:
     return tuple(0.0 if c == 1.0 else float(c) for c in values)
 
 
-def _check_point(cfg: FlowConfig, x: TorusPoint):
+def _result_point(
+    cfg: FlowConfig, coords: Iterable[float], seed: float, steps: int
+) -> TorusPoint:
+    """T^n x as a TorusPoint, tagged with the exact base {seed + steps alpha}."""
+    return TorusPoint(_circle_coords(coords), seed, steps, angle_digest(cfg.alpha))
+
+
+def _check_point(cfg: FlowConfig, x: TorusPoint, b: Optional[FrequencyVector] = None):
+    """x has cfg's dimension, and b (when given) touches no coordinate past it."""
     if x.v != cfg.v:
         raise ValueError(f"point has dimension {x.v}, config expects {cfg.v}")
+    if b is not None and b.top_index > cfg.v:
+        raise ValueError(f"vector touches coordinate {b.top_index}, config has {cfg.v}")
 
 
 def _step_count(n, minimum: int, what: str) -> int:
@@ -448,12 +469,7 @@ def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     for x_after, fiber in _fiber_blocks(cfg, x, n, range(cfg.v - 1)):
         pass
     seed, start = _seed_of(cfg, x)
-    return TorusPoint(
-        _circle_coords([x_after[-1], *fiber[:, -1].tolist()]),
-        base_seed=seed,
-        base_steps=start + n,
-        base_angle=angle_digest(cfg.alpha),
-    )
+    return _result_point(cfg, [x_after[-1], *fiber[:, -1].tolist()], seed, start + n)
 
 
 def step(cfg: FlowConfig, x: TorusPoint) -> TorusPoint:
@@ -478,8 +494,8 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
         return x
     seed, start = _seed_of(cfg, x)
     q = cfg.alpha.q_snapshot
-    nums, den = _coord_bases(cfg, seed, start)
     modes, fold, mean, _ = cfg._reading
+    nums, den = _coord_bases(cfg, seed, start, max(modes, default=0))
     drift = 0.0 if mean is None else float(phase_turns(mean, 1, [n])[0])
     # per-frequency constants shared by every coordinate
     kernels, resonant = [], []
@@ -499,12 +515,7 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
                 amp = sum(mp.re(f * mp_cis(m * base, den)) for m, f in resonant)
                 terms.append(float(mp.frac(n * amp)))
         coords.append((x.coords[i + 1] + drift + fsum(terms)) % 1.0)
-    return TorusPoint(
-        _circle_coords(coords),
-        base_seed=seed,
-        base_steps=start + n,
-        base_angle=angle_digest(cfg.alpha),
-    )
+    return _result_point(cfg, coords, seed, start + n)
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +537,28 @@ def _circle_dist(a: float, b: float) -> float:
     return min(e, 1.0 - e)
 
 
+def _torus_distance(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
+    """d = sum over nu of 2^-nu min(e, 1 - e), e = |xs[nu-1] - ys[nu-1]|, elementwise.
+
+    xs and ys hold one array per coordinate (points along the last axis);
+    the terms are added in coordinate order, starting from 0.0.
+    """
+    d, e, f = np.zeros((3, len(xs[0])))
+    for nu, (a, b) in enumerate(zip(xs, ys), start=1):
+        np.subtract(a, b, out=e)
+        np.abs(e, out=e)
+        np.subtract(1.0, e, out=f)
+        np.minimum(e, f, out=e)
+        e *= 0.5**nu
+        d += e
+    return d
+
+
 def metric_d(x: TorusPoint, y: TorusPoint) -> float:
     """Sum of 2^-nu times the circle distance per coordinate."""
     if x.v != y.v:
         raise ValueError("dimension mismatch")
-    total = 0.0
-    scale = 0.5
-    for a, b in zip(x.coords, y.coords):
-        total += scale * _circle_dist(a, b)
-        scale *= 0.5
-    return total
+    return float(_torus_distance(np.array(x.coords)[:, None], np.array(y.coords)[:, None])[0])
 
 
 @dataclass(frozen=True)
@@ -584,14 +607,7 @@ def distality_probe(
     for (x1, fx), (y1, fy) in zip(
         _fiber_blocks(cfg, x, n_max, rows), _fiber_blocks(cfg, y, n_max, rows)
     ):
-        d, e, f = np.zeros((3, len(x1)))
-        for nu, (a, b) in enumerate(zip([x1, *fx], [y1, *fy]), start=1):
-            np.subtract(a, b, out=e)
-            np.abs(e, out=e)
-            np.subtract(1.0, e, out=f)
-            np.minimum(e, f, out=e)
-            e *= 0.5**nu
-            d += e
+        d = _torus_distance([x1, *fx], [y1, *fy])
         dmin = min(dmin, float(np.min(d)))
         dmax = max(dmax, float(np.max(d)))
     return DistalityProbe(
@@ -612,11 +628,7 @@ def birkhoff_avg(
     cfg: FlowConfig, b: FrequencyVector, x: TorusPoint, n_steps: int
 ) -> complex:
     """(1/N) sum over n = 1..N of e(<b, T^n x>)."""
-    _check_point(cfg, x)
-    if b.top_index > cfg.v:
-        raise ValueError(
-            f"vector touches coordinate {b.top_index}, config has {cfg.v}"
-        )
+    _check_point(cfg, x, b)
     n_steps = _step_count(n_steps, 1, "Birkhoff average")
     rows = [i for i, bv in enumerate(b.entries[1:]) if bv != 0]
     re, im = [], []
@@ -672,12 +684,7 @@ def psi_map(pair: ConjugacyPair, x: TorusPoint, inverse: bool = False) -> TorusP
     for i in range(cfg.v - 1):
         shift = pair.psi.series.eval(nums[i] / den)
         coords.append((x.coords[i + 1] + sign * shift) % 1.0)
-    return TorusPoint(
-        _circle_coords(coords),
-        base_seed=x.base_seed,
-        base_steps=x.base_steps,
-        base_angle=x.base_angle,
-    )
+    return replace(x, coords=_circle_coords(coords))  # x's tags, as they are
 
 
 def psi_inv(pair: ConjugacyPair, x: TorusPoint) -> TorusPoint:

@@ -226,6 +226,19 @@ def furstenberg_h(
     return FourierSeries(coeffs, FINITE, 0.0)
 
 
+def _random_phase_sample(decay: Decay, m_cut: int, seed: int, tail: float) -> FourierSeries:
+    """c(0) = 1 and c(+-m) = decay.weight(m) e(+-phase_m) for m = 1..m_cut, each
+    phase drawn uniformly in [0, 1) from Random(seed), in the order of m."""
+    rng = Random(seed)
+    coeffs: Dict[int, complex] = {0: 1.0 + 0j}
+    for m in range(1, m_cut + 1):
+        mag = decay.weight(m)
+        z = cis(rng.random())
+        coeffs[m] = complex(mag * z.real, mag * z.imag)
+        coeffs[-m] = coeffs[m].conjugate()
+    return FourierSeries(coeffs, decay, tail)
+
+
 def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
     """Random-phase series with |c(m)| = e^(-eta |m|) exactly and c(0) = 1.
 
@@ -238,15 +251,8 @@ def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
     x = exp(-eta)
     if x == 1.0:  # the tail bound below would divide by zero
         raise ValueError(f"eta = {eta} is too small: e^-eta rounds to 1")
-    rng = Random(seed)
-    coeffs: Dict[int, complex] = {0: 1.0 + 0j}
-    for m in range(1, m_cut + 1):
-        mag = exp(-eta * m)
-        z = cis(rng.random())
-        coeffs[m] = complex(mag * z.real, mag * z.imag)
-        coeffs[-m] = coeffs[m].conjugate()
     tail = 2.0 * x ** (m_cut + 1) / (1.0 - x)
-    return FourierSeries(coeffs, Decay("analytic", eta), tail)
+    return _random_phase_sample(Decay("analytic", eta), m_cut, seed, tail)
 
 
 def smooth_h_sample(tau: float, m_cut: int, seed: int) -> FourierSeries:
@@ -258,15 +264,8 @@ def smooth_h_sample(tau: float, m_cut: int, seed: int) -> FourierSeries:
         raise ValueError("tau must exceed 3")
     if m_cut < 1:
         raise ValueError("m_cut must be >= 1")
-    rng = Random(seed)
-    coeffs: Dict[int, complex] = {0: 1.0 + 0j}
-    for m in range(1, m_cut + 1):
-        mag = float(m) ** (-tau)
-        z = cis(rng.random())
-        coeffs[m] = complex(mag * z.real, mag * z.imag)
-        coeffs[-m] = coeffs[m].conjugate()
     tail = 2.0 * float(m_cut) ** (1.0 - tau) / (tau - 1.0)
-    return FourierSeries(coeffs, Decay("smooth", tau), tail)
+    return _random_phase_sample(Decay("smooth", tau), m_cut, seed, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +325,6 @@ class CoboundaryFunction:
         return abs(stepped - here - rhs.eval(t))
 
 
-def _first_moment_tail_analytic(eta: float, cut: int) -> float:
-    # sum_{m > cut} m x^m for x = e^-eta
-    x = exp(-eta)
-    return x ** (cut + 1) * ((cut + 1) - cut * x) / (1.0 - x) ** 2
-
-
 def _tail_closed_form(decay: Decay, const: float, cut: int, theorem2_tau) -> float:
     """2 sum_{|m|>cut} envelope(m)/|e(m alpha)-1| under the small-divisor bounds.
 
@@ -344,21 +337,17 @@ def _tail_closed_form(decay: Decay, const: float, cut: int, theorem2_tau) -> flo
         return 0.0
     if cut < 1:
         raise ValueError("tail bound needs a positive support radius")
-    if theorem2_tau is None:
-        # divisor >= 2/|m|
-        if decay.kind == "analytic":
-            return 2.0 * const * _first_moment_tail_analytic(decay.param, cut)
-        s = decay.param - 1.0  # sum m^(1-tau) <= cut^(2-tau)/(tau-2)
-        return 2.0 * const * float(cut) ** (1.0 - s) / (s - 1.0)
-    power = float(theorem2_tau) / 3.0
+    power = 1.0 if theorem2_tau is None else float(theorem2_tau) / 3.0
     if decay.kind == "smooth":
-        s = decay.param - power  # sum m^(power - tau)
+        s = decay.param - power  # sum m^(power - tau) <= cut^(1 - s)/(s - 1)
         if s <= 1.0:
             raise ValueError("decay too weak against tau/3 divisors")
         return 2.0 * const * float(cut) ** (1.0 - s) / (s - 1.0)
+    x = exp(-decay.param)
+    if theorem2_tau is None:  # sum_{m > cut} m x^m in closed form
+        return 2.0 * const * (x ** (cut + 1) * ((cut + 1) - cut * x) / (1.0 - x) ** 2)
     # analytic decay against m^(tau/3) divisors: numeric sum, geometric from
     # far enough out; remainder bounded by a geometric comparison
-    x = exp(-decay.param)
     total = 0.0
     m = cut + 1
     while True:

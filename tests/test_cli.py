@@ -9,13 +9,15 @@ import json
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from math import ceil
 
 import pytest
 
 from mobiusflow import cli, experiments
 from mobiusflow.cli import main
-from mobiusflow.contfrac import angle_digest, angle_from_json
+from mobiusflow.contfrac import angle_digest, angle_from_json, explicit_angle
+from mobiusflow.harmonic import furstenberg_h
 from mobiusflow.moebius import MEM_BUDGET_ENV, sieve_segment
 
 EXP_DIGEST_PREFIX = "d37b34e10939ad70"
@@ -71,6 +73,8 @@ def test_inspect(exp_file, capsys):
     assert EXP_DIGEST_PREFIX in out
     assert "0.4444581584793878" in out
     assert "(3519 digits)" in out
+    # kind, k_star, digest, alpha, then q_0 .. q_(k_star + 2): nothing else
+    assert len(out.splitlines()) == 4 + 7
 
 
 def test_verify(exp_file, poly_file, tmp_path, capsys):
@@ -191,6 +195,17 @@ def test_check_spectrum_writes_strict_json(exp_file, tmp_path, capsys):
         assert details["truncation"]["K"] == 2
 
 
+def test_check_spectrum_refuses_small_n_before_any_scan(exp_file, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the flat scan ran before --n was checked")
+
+    monkeypatch.setattr(cli, "check_flat_lower_bound", unreachable)
+    assert main(["check", "spectrum", "--angle", exp_file, "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "need N >= 2" in captured.err
+    assert "flat lower bound" not in captured.out
+
+
 def test_check_spectrum_m_limit_budget(exp_file, tmp_path, capsys):
     # 1e11 is far below q_4, but the flat scan is linear in m: it would run
     # for days, so the budget refuses it before the first step
@@ -224,6 +239,18 @@ def test_check_coboundary_huge_tau_finishes(exp_file, capsys):
     assert main(base + [f"{15 * 10**21 + 1}/{2 * 10**21}"]) == 0
     assert main(base + [f"9509775004326937088722433663686/{10**30}"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_furstenberg_default_cut_per_angle_kind(poly_file):
+    # exp-type angles cut at k = 2, poly-type at 5, any other at snap_index - 2
+    poly = angle_from_json(open(poly_file).read())
+    assert cli._parse_h("furstenberg", poly, 0) == furstenberg_h(poly, [1.0] * 5, k_cut=5)
+    assert cli._parse_h("furstenberg", poly, 0) != furstenberg_h(poly, [1.0] * 4, k_cut=4)
+    other = explicit_angle([3, 4, 5, 3, 4, 5, 3, 4, 5, 2**80])  # faithful at q_8
+    assert other.kind == "explicit" and other.snap_index == 10
+    want = furstenberg_h(other, [1.0] * 8, k_cut=8)
+    assert cli._parse_h("furstenberg", other, 0) == want
+    assert cli._parse_h("furstenberg", other, 0) != furstenberg_h(other, [1.0] * 7, k_cut=7)
 
 
 def test_check_coboundary_bad_series_flag(exp_file, capsys):
@@ -313,6 +340,24 @@ def test_sweep_rational_cross_check(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAILED" not in out
+
+
+def test_sweep_rational_cross_check_failure_exits_2(monkeypatch, tmp_path, capsys):
+    # a generic route that disagrees with the closed form by more than 1e-9
+    def off_by_one(*args, **kwargs):
+        rec = experiments.correlation_sum(*args, **kwargs)
+        return replace(rec, value=rec.value + 1.0)
+
+    monkeypatch.setattr(cli, "correlation_sum", off_by_one)
+    code = main(
+        ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
+         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "rational cross-check FAILED against the generic path" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["details"]["rational_cross_check"] is False
 
 
 def test_sweep_rational_records_the_sweep_theta(tmp_path, capsys):

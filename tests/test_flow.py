@@ -15,11 +15,14 @@ from mpmath import mp
 from mobiusflow import build_exp_alpha, build_poly_alpha, contfrac, flow
 from mobiusflow.contfrac import (
     TWO_PI,
+    PrecisionFloorError,
     ResourceBudgetError,
     angle_digest,
     cis,
     cis_minus_one,
     dyadic_angle,
+    explicit_angle,
+    faithful_modulus,
     frac_mod1,
     matched_convergent,
     phase_turns,
@@ -55,6 +58,7 @@ from mobiusflow.flow import (
     _row_values_by_mode,
     _seed_of,
 )
+from mobiusflow.experiments import correlation_sum
 from mobiusflow.harmonic import (
     FINITE,
     CoboundaryFunction,
@@ -189,6 +193,39 @@ def test_direct_walk_past_int64_matches_fast(exp_angle):
         assert a.coords[0] == b.coords[0]
         for u, w in zip(a.coords[1:], b.coords[1:]):
             assert _circle(u, w) < 1e-8
+
+
+def test_fiber_arguments_keep_the_faithful_range():
+    # a 52-bit snapshot resolves |reach| below about 1.0e13.  orbit_fast and
+    # correlation_sum reduce 20 * start * alpha for the mode 20 of h, so a
+    # chained orbit must stop at the first start with 20 * start past that
+    # range, not fold it silently
+    angle = explicit_angle([1] * 75)
+    assert angle.q_snapshot.bit_length() == 52
+    h = FourierSeries({0: 0.5, 20: 0.01 + 0.02j, -20: 0.01 - 0.02j})
+    cfg = FlowConfig(alpha=angle, h=h, v=3)
+    b = FrequencyVector((0, 1, 1))
+    # 20 * 7 * 2^36 is about 9.6e12, 20 * 8 * 2^36 about 1.1e13
+    faithful_modulus(angle, 20 * 7 * 2**36)
+    with pytest.raises(PrecisionFloorError):
+        faithful_modulus(angle, 20 * 8 * 2**36)
+    p = TorusPoint((0.1, 0.2, 0.3))
+    for _ in range(8):
+        p = orbit_fast(cfg, p, 2**36)
+    assert p.base_steps == 8 * 2**36
+    with pytest.raises(PrecisionFloorError):
+        orbit_fast(cfg, p, 2**36)
+    with pytest.raises(PrecisionFloorError):
+        correlation_sum(cfg, b, p, 1000, 100)
+    far = replace(p, base_steps=12 * 2**36)
+    with pytest.raises(PrecisionFloorError):
+        orbit_fast(cfg, far, 1)
+    with pytest.raises(PrecisionFloorError):
+        correlation_sum(cfg, b, far, 1000, 100)
+    # one call earlier, 20 * start is still inside the range and both run
+    near = replace(p, base_steps=7 * 2**36)
+    assert orbit_fast(cfg, near, 2**36).base_steps == 8 * 2**36
+    assert np.isfinite(correlation_sum(cfg, b, near, 1000, 100).value)
 
 
 def test_fast_handles_resonant_rational():

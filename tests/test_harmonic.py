@@ -26,6 +26,8 @@ from mobiusflow.harmonic import (
     solve_coboundary,
     split_resonant,
     split_tau,
+    _tail_closed_form,
+    _tail_uncovered_extra,
 )
 from mobiusflow.spectrum import SnapshotRangeError, classify, classify_tau
 
@@ -307,6 +309,51 @@ def test_analytic_tau_tail_matches_mpmath(poly_angle):
         )
     # conservative: at least the true closed sum, within a tenth of a percent
     assert float(true_tail) <= g.identity_error_bound <= float(true_tail) * 1.001
+
+
+def test_flat_split_smooth_tail_closed_form(exp_angle):
+    # check coboundary --h smooth:4.0:20 on exp k4: the flat split bounds each
+    # divisor by 2/|m|, so the bound is 2 sum_{m > 20} m^(1 - tau), at most
+    # 2 * 20^(2 - tau) / (tau - 2); the cut 20 reaches past q_2 = 9
+    _, rest, _ = split_resonant(smooth_h_sample(4.0, 20, 0), exp_angle)
+    assert rest.support_radius() == 20
+    g = solve_coboundary(rest, exp_angle)
+    assert g.identity_error_bound == pytest.approx(2.0 * 20.0**-2.0 / 2.0, rel=1e-15)
+    with mp.workdps(30):
+        true_tail = 2.0 * mp.nsum(lambda m: m ** (1 - mp.mpf(4)), [21, mp.inf])
+    assert float(true_tail) <= g.identity_error_bound <= float(true_tail) * 1.1
+
+
+def test_uncovered_divisible_modes_take_their_exact_divisors(exp_angle):
+    # check coboundary --h analytic:1.0:5 on exp k4: the cut 5 sits below
+    # q_2 = 9, so the multiples 6 and 8 of q_1 = 2 in (5, 9) have no generic
+    # divisor bound and enter with 4 e^-m / |e(m alpha) - 1|, the divisor
+    # taken here from mpmath on the snapshot
+    assert (exp_angle.q(1), exp_angle.q(2)) == (2, 9)
+    l, q = exp_angle.snapshot
+
+    def direct(ms):
+        with mp.workdps(60):
+            alpha = mp.mpf(l) / q
+            return fsum(4.0 * exp(-m) / float(2 * abs(mp.sinpi(m * alpha))) for m in ms)
+
+    h = analytic_h_sample(1.0, 5, 0)
+    _, flat, _ = split_resonant(h, exp_angle)
+    assert flat.support_radius() == 5
+    extra = _tail_uncovered_extra(exp_angle, flat.decay, flat.decay_const, 5, None)
+    assert extra == pytest.approx(direct([6, 8]), rel=1e-12)
+    g = solve_coboundary(flat, exp_angle)
+    assert g.identity_error_bound == _tail_closed_form(flat.decay, 1.0, 5, None) + extra
+    # the tau split keeps only the slow band M2: 6 and 8 are M2 at tau = 10
+    # and in the fast band M1 at tau = 4, where nothing is added
+    for tau, want in ((10, [6, 8]), (4, [])):
+        assert {classify_tau(m, exp_angle, tau).theorem2_class for m in (6, 8)} == {
+            "M2" if want else "M1"
+        }
+        _, slow, _ = split_tau(h, exp_angle, tau)
+        assert slow.support_radius() == 5
+        extra = _tail_uncovered_extra(exp_angle, slow.decay, slow.decay_const, 5, tau)
+        assert extra == pytest.approx(direct(want), rel=1e-12, abs=0.0)
 
 
 def test_coboundary_domain_errors(exp_angle, poly_angle):
