@@ -227,6 +227,8 @@ def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
                 k_cut = max(1, angle.snap_index - 2)
             if parts:
                 k_cut = int(parts[0])
+            if k_cut < 1:
+                raise ValueError(f"k_cut must be >= 1, got {k_cut}")
             return furstenberg_h(angle, [1.0] * k_cut, k_cut=k_cut)
         if head == "analytic":
             eta = float(parts[0]) if parts else 1.0

@@ -21,6 +21,11 @@ form, orbit stepping and Fourier series all take their phases from it.
   matched_convergent).  Entries whose phase against l_k/q_k is dyadic
   (among them 0 and every midpoint), the indices the fix-up divisor d
   divides, are reduced again on the snapshot; every other one rounds alike.
+- class_modulus is the one class rule built on that pick: when every
+  multiplier of a walk or a sum picks the same q_k, below the span and
+  BLOCK_STEPS, each phase off the fix-ups is a function of n mod q_k, so the
+  orbit walker (flow._fiber_blocks) and the class summer
+  (moebius.mu_class_sum) evaluate one phase per class.
 - Both reductions are one function, _residue_turns: (n u + s) mod D / D for
   D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
   from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
@@ -72,6 +77,7 @@ __all__ = [
     "faithful_modulus",
     "matched_convergent",
     "reducing_convergent",
+    "class_modulus",
     "phase_turns",
     "frac_mod1",
     "residue",
@@ -105,6 +111,10 @@ BIT_BUDGET = 1 << 22
 INT64_MODULUS_CAP = 1 << 31
 
 UINT64_MASK = (1 << 64) - 1
+
+# Steps per block of the orbit walker, and the largest class modulus
+# class_modulus hands out: a table over the classes is one block wide.
+BLOCK_STEPS = 1 << 13
 
 TWO_PI = 2.0 * math.pi
 
@@ -532,6 +542,39 @@ def reducing_convergent(
         return c, 0
     odd = c.q >> ((c.q & -c.q).bit_length() - 1)
     return c, odd // math.gcd(odd, mult)
+
+
+def class_modulus(
+    angle: AngleCF, mults: Sequence[int], reach: int, span: int, seed: float = 0.0
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(q_k, the fix-up divisors d_m) when every phase is a function of n mod q_k.
+
+    This is the one class rule, for the orbit walker and the correlation
+    kernel alike.  For phases {seed + m * n * alpha} with |n| <= reach and m
+    in mults, each multiplier's phase_turns reduces against the convergent
+    reducing_convergent picks.  When every multiplier picks the same q_k and
+    that q_k is not the snapshot (every d_m != 0), each phase off its
+    fix-ups is the rounded {seed + m n l_k/q_k}, a function of n mod q_k; the
+    fix-ups, the n that d_m divides, are whole classes, since d_m | q_k.
+    The rule returns (q_k, (d_m per multiplier)) only when, further,
+    q_k < span, so that a span of that many indices repeats a class, and
+    q_k <= BLOCK_STEPS, so that a table over the classes stays one walker
+    block wide; else, and for no multipliers, it returns None.  Each m *
+    reach must lie in the faithful range, or PrecisionFloorError is raised,
+    as phase_turns would on the same indices.
+    """
+    picks, divisors = set(), []
+    for m in mults:
+        faithful_modulus(angle, m * reach)
+        c, d = reducing_convergent(angle, m, reach, seed)
+        if not d:
+            return None
+        picks.add(c.q)
+        divisors.append(d)
+    if len(picks) != 1:
+        return None
+    (q,) = picks
+    return (q, tuple(divisors)) if q < span and q <= BLOCK_STEPS else None
 
 
 def _dyadic_turns(ns: np.ndarray, unit: int, shift: int, k: int) -> np.ndarray:

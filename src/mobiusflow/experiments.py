@@ -14,9 +14,16 @@ reduces it against the convergent contfrac.reducing_convergent picks
 (q_3 = 8102 for the exp-type angle, so in int64); and the mean of h (plus any
 frequency the snapshot makes resonant) becomes a drift slope, reduced mod 1
 in extended precision and stepped exactly as a dyadic rational.
-moebius.mu_phase_sum evaluates the phases over fixed-size chunks of the
-nonzero-mu indices and adds them with math.fsum, so every record is
-reproducible bit for bit.  The one route covers b = 0 (the Mertens
+Off the fix-ups every one of those phases is a function of n mod q_k, so
+when there is no drift and contfrac.class_modulus, the one class rule, holds
+for b_1 and every weighted mode (one q_k for all, not the snapshot,
+q_k < M and q_k <= BLOCK_STEPS; q_3 = 8102 on exp k4 with fix-ups
+n = 0 mod 4051), moebius.mu_class_sum sums the mu-histogram H(r) over the
+classes against one phase per class, read by the same closure, and the
+fix-up classes term by term.  Otherwise (a drift row, M <= q_k, poly tau=4,
+an exact angle) moebius.mu_phase_sum evaluates the phases over fixed-size
+chunks of the nonzero-mu indices.  Both add with math.fsum, so every record
+is reproducible bit for bit.  The one route covers b = 0 (the Mertens
 difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
 
@@ -42,6 +49,7 @@ from .contfrac import (
     TWO_PI,
     ResourceBudgetError,
     cis,
+    class_modulus,
     dyadic_angle,
     mp_cis,
     phase_turns,
@@ -57,7 +65,7 @@ from .flow import (
     _seed_of,
     birkhoff_avg,
 )
-from .moebius import MuTable, mu_phase_sum, sieve_segment
+from .moebius import MuTable, mu_class_sum, mu_phase_sum, sieve_segment
 # not called here since the kernel route covers h = 0, but the benchmark's
 # tracer (perfbench/tracing.py) wraps experiments.twisted_sum by name
 from .moebius import twisted_sum  # noqa: F401
@@ -190,8 +198,10 @@ def correlation_sum(
     One route for every b and h: the constant phase <b, x> is taken out of
     the sum and applied once as e(<b, x> mod 1), and the rest runs the kernel
     expansion over h's positive frequencies, one phase_turns call per
-    positive non-resonant frequency and chunk (plus one for b_1 and one for
-    the drift, when there is one), read through h's fold.  So the zero
+    positive non-resonant frequency and batch of phases (plus one for b_1
+    and one for the drift, when there is one), read through h's fold.  The
+    batches are the class table and the fix-up chunks when the class rule
+    holds and there is no drift, else the table's chunks.  So the zero
     vector gives the exact Mertens difference, and a driving series without
     coefficients gives e(<b, x>) times the twisted rotation sum, bit for bit.
     """
@@ -228,7 +238,12 @@ def correlation_sum(
             phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
         return phase
 
-    value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
+    mults = ([b1] if b1 else []) + [m for m, _ in weights]
+    rule = None if drift else class_modulus(cfg.alpha, mults, n_top, length)
+    if rule:
+        value = turn * mu_class_sum(table, n_lo, n_top, *rule, phases)
+    else:
+        value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
     return _record(b, x, n_top, length, theta, value, t0)
 
 

@@ -25,9 +25,9 @@ reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
 phase table e(m x_n) per block and weights it per row by
 F_m e(m (nu - 2) beta), reduced exactly in fixed point.  Outside the dyadic
 steps, x_n is a function of n mod q_k for that convergent, so a walk longer
-than q_k (with q_k at most one block) evaluates x_n and the rows once per
-residue class and gathers every later step, recomputing only the dyadic
-ones.  FlowConfig._reading builds the row weights once per config, so one
+than q_k (with q_k at most one block; contfrac.class_modulus is the rule)
+evaluates x_n and the rows once per residue class and gathers every later
+step, recomputing only the dyadic ones.  FlowConfig._reading builds the row weights once per config, so one
 step pays no set-up.  The walker sums h less its mean c(0) in floats and
 adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
 does, so the fiber error does not grow with ulp(n c(0)).
@@ -59,6 +59,7 @@ import numpy as np
 from mpmath import mp
 
 from .contfrac import (
+    BLOCK_STEPS,
     TWO_PI,
     AngleCF,
     Certificate,
@@ -66,11 +67,11 @@ from .contfrac import (
     angle_digest,
     cis,
     cis_minus_one,
+    class_modulus,
     dyadic_angle,
     faithful_modulus,
     mp_cis,
     phase_turns,
-    reducing_convergent,
     residue,
     signed_residue,
     small_divisor,
@@ -89,7 +90,6 @@ BETA_SCALE = 1 << BETA_BITS
 BETA_FIX = isqrt(5 << (2 * BETA_BITS - 2)) - (1 << (BETA_BITS - 1))
 
 DIRECT_STEP_LIMIT = 10**7
-BLOCK_STEPS = 1 << 13
 # _row_values' narrow route up to this many terms (256 KiB): the routes
 # cross near 45k-50k terms at K = 24 with 3 or 7 rows, 110k at K = 60
 NARROW_ELEMENTS = 1 << 15
@@ -330,17 +330,16 @@ def _fiber_blocks(
     mode order (no matrix product) keep a row's bits independent of which
     other rows are asked for.
 
-    Periodicity.  Let l_k/q_k and d be the convergent and fix-up divisor
-    reducing_convergent gives for multiplier 1, the walk's reach
-    max(-start, start + n) and the seed.  By its rule x_s is the rounded
+    Periodicity.  contfrac.class_modulus, the one class rule, is asked for
+    multiplier 1, the walk's reach max(-start, start + n), the span n and
+    the seed.  When it gives q_k and d (l_k/q_k is not the snapshot,
+    q_k < n and q_k <= BLOCK_STEPS: the class route), x_s is the rounded
     {seed + (start + s) l_k/q_k}, a function of (start + s) mod q_k, except
     at the fix-ups, the s with d | start + s, where phase_turns recomputes on
-    the snapshot.  When d != 0 (l_k/q_k is not the snapshot), q_k < n and
-    q_k <= BLOCK_STEPS (the class route), the walker evaluates x_s and the
-    row values once, for s = 0..q_k - 1, into tables no wider than a block,
-    and every later step s gathers class s mod q_k; each fix-up step
-    recomputes x_s with phase_turns and its row values with _row_values.
-    The rows equal a per-step evaluation bit for bit, since cos and sin give
+    the snapshot.  The walker then evaluates x_s and the row values once,
+    for s = 0..q_k - 1, into tables no wider than a block, and every later
+    step s gathers class s mod q_k; each fix-up step recomputes x_s with
+    phase_turns and its row values with _row_values.  The rows equal a per-step evaluation bit for bit, since cos and sin give
     the same bits whatever an element's place in its array.  Every other
     walk (a 66-bit q_k such as poly tau=4's, an exact angle, n <= q_k)
     evaluates each block in full; a one-step walk does so without picking
@@ -369,12 +368,10 @@ def _fiber_blocks(
     weights = weights[list(rows)]
     fibers = np.array([x.coords[i + 1] for i in rows])
     fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
-    periodic = False
-    if n > 1:  # the class route needs q_k < n, and q_k >= 1
-        conv, d = reducing_convergent(cfg.alpha, 1, max(-start, start + n), seed)
-        q = conv.q
-        periodic = d and q < n and q <= BLOCK_STEPS
+    # the class route needs q_k < n, and q_k >= 1
+    periodic = n > 1 and class_modulus(cfg.alpha, (1,), max(-start, start + n), n, seed)
     if periodic:
+        q, (d,) = periodic
         x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
         g_cls = np.empty((len(rows), q))
         # the fiber buffer is the multiply-add scratch: no temporary of g_cls's size

@@ -23,20 +23,23 @@ units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, frexp, fsum, pi
+from math import exp, frexp, fsum, inf, pi
 from random import Random
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .contfrac import (
-    TWO_PI, UINT64_MASK, AngleCF, Certificate, _dyadic_turns, angle_digest, cis,
-    dyadic_angle, phase_turns, small_divisor,
+    TWO_PI, UINT64_MASK, AngleCF, Certificate, ResourceBudgetError, _dyadic_turns,
+    angle_digest, cis, dyadic_angle, phase_turns, small_divisor,
 )
 from .spectrum import SnapshotRangeError, classify, classify_tau
 
 COEFF_GRID = 1 << 12
 TAIL_ENUM_LIMIT = 10**6
+# Largest m_cut the random samplers build (2 * 10^4 stored coefficients); the
+# benchmark and the tests use at most 200
+SAMPLE_MODE_LIMIT = 10**4
 
 
 class CoboundaryDomainError(ValueError):
@@ -239,15 +242,26 @@ def _random_phase_sample(decay: Decay, m_cut: int, seed: int, tail: float) -> Fo
     return FourierSeries(coeffs, decay, tail)
 
 
+def _check_m_cut(m_cut: int) -> None:
+    """Refuse m_cut < 1 (ValueError) or past SAMPLE_MODE_LIMIT (ResourceBudgetError)."""
+    if m_cut < 1:
+        raise ValueError("m_cut must be >= 1")
+    if m_cut > SAMPLE_MODE_LIMIT:
+        raise ResourceBudgetError(
+            f"m_cut = {m_cut} is past the {SAMPLE_MODE_LIMIT} cap on sampled modes"
+        )
+
+
 def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
     """Random-phase series with |c(m)| = e^(-eta |m|) exactly and c(0) = 1.
 
     The tail bound is the closed geometric sum of the discarded envelope.
+    eta must be finite and positive (an infinite eta would leave c(0)
+    alone), and m_cut at most SAMPLE_MODE_LIMIT, checked before any mode.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    if m_cut < 1:
-        raise ValueError("m_cut must be >= 1")
+    if not 0 < eta < inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    _check_m_cut(m_cut)
     x = exp(-eta)
     if x == 1.0:  # the tail bound below would divide by zero
         raise ValueError(f"eta = {eta} is too small: e^-eta rounds to 1")
@@ -258,12 +272,13 @@ def analytic_h_sample(eta: float, m_cut: int, seed: int) -> FourierSeries:
 def smooth_h_sample(tau: float, m_cut: int, seed: int) -> FourierSeries:
     """Random-phase series with |c(m)| = |m|^(-tau) exactly and c(0) = 1.
 
-    Tail bound by integral comparison: 2 m_cut^(1-tau) / (tau - 1).
+    Tail bound by integral comparison: 2 m_cut^(1-tau) / (tau - 1).  tau
+    must be finite (an infinite tau would leave mode 1 alone), and m_cut at
+    most SAMPLE_MODE_LIMIT, checked before any mode.
     """
-    if not tau > 3:
-        raise ValueError("tau must exceed 3")
-    if m_cut < 1:
-        raise ValueError("m_cut must be >= 1")
+    if not 3 < tau < inf:
+        raise ValueError(f"tau must be finite and exceed 3, got {tau}")
+    _check_m_cut(m_cut)
     tail = 2.0 * float(m_cut) ** (1.0 - tau) / (tau - 1.0)
     return _random_phase_sample(Decay("smooth", tau), m_cut, seed, tail)
 

@@ -2,16 +2,30 @@
 
 Sieving is exact integer work: an entry is -1, 0 or +1 because of the
 factorization of its index, never because a float rounded somewhere.
-mu_phase_sum pairs those exact weights with unit-modulus phases: it walks the
-table in fixed-size chunks, asks the caller for the phases (in turns) of the
-chunk's nonzero entries, evaluates cos and sin with NumPy and adds each chunk
-with math.fsum, so working memory does not grow with the segment and
-repeated runs over the same inputs are bit-identical.  The twisted sum takes its
-phases from the exact engine contfrac.phase_turns (the correctly rounded
-phases against the angle's snapshot, reduced against the convergent
-contfrac.matched_convergent picks, in int64 when it is below 2^31); a float
-angle is read as the dyadic rational it is, whose power-of-two modulus, up
-to 2^64, the engine reduces in uint64.
+Two summers pair those exact weights with unit-modulus phases, evaluate cos
+and sin with NumPy and add with math.fsum, so working memory does not grow
+with the segment and repeated runs over the same inputs are bit-identical.
+
+- mu_phase_sum, the per-term route, walks the table in fixed-size chunks
+  and asks the caller for the phases (in turns) of each chunk's nonzero
+  entries.
+- mu_class_sum, the class route, serves phases that are a function of
+  n mod q_k outside the fix-ups, the n that a divisor d_m of q_k divides:
+  it sums H(r) e(phase(r)) over the classes r, with H(r) the exact sum of
+  mu over the class (one reshape-sum of whole rows of q_k, O(q_k) memory)
+  and the phase asked once per class, at a member, and sums the fix-up
+  classes term by term.  contfrac.class_modulus, the one class rule, says
+  when it applies: every multiplier picks the same q_k, not the snapshot,
+  below the segment length and BLOCK_STEPS.  Drift rows, segments no longer
+  than q_k, poly tau=4 (66-bit q_4), exact angles and progressions with a
+  step past 1 run per term.
+
+The twisted sum takes its phases from the exact engine contfrac.phase_turns
+(the correctly rounded phases against the angle's snapshot, reduced against
+the convergent contfrac.matched_convergent picks, in int64 when it is below
+2^31), on the class route when q = 1 and the rule holds; a float angle is
+read as the dyadic rational it is, whose power-of-two modulus, up to 2^64,
+the engine reduces in uint64 (an exact angle: always per term).
 
 Memory is the binding constraint for the full sieve (about 18 bytes per
 integer while building).  Both sieves check an explicit byte budget before
@@ -24,11 +38,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .contfrac import TWO_PI, AngleCF, dyadic_angle, phase_turns
+from .contfrac import TWO_PI, AngleCF, class_modulus, dyadic_angle, phase_turns
 
 MEM_BUDGET_ENV = "MDL_MEM_BUDGET"
 DEFAULT_MEM_BUDGET = 2 << 30  # bytes
@@ -184,19 +198,28 @@ class TwistedSum:
         return abs(self.value) / self.length
 
 
+def _add_terms(re: list, im: list, weights: np.ndarray, turns: np.ndarray) -> None:
+    """Append the math.fsum of weights * cos and of weights * sin at 2 pi turns."""
+    ang = TWO_PI * np.mod(turns, 1.0)
+    re.append(fsum((weights * np.cos(ang)).tolist()))
+    im.append(fsum((weights * np.sin(ang)).tolist()))
+
+
 def mu_phase_sum(
     table: MuTable,
     n0: int,
     n_top: int,
     step: int,
     phases: Callable[[np.ndarray], np.ndarray],
+    skip: Sequence[int] = (),
 ) -> complex:
     """sum of mu(n) e(phase(n)) over n = n0, n0 + step, ... <= n_top.
 
     phases maps an ascending int64 array of indices with nonzero mu to their
     phases in turns.  The table is walked PHASE_CHUNK entries at a time and
     each chunk is added with math.fsum, so the result is a fixed function of
-    the inputs.  A table that does not cover [n0, n_top] raises ValueError.
+    the inputs.  An n that some element of skip divides is left out.  A
+    table that does not cover [n0, n_top] raises ValueError.
     """
     if table.n_lo > n0 or table.n_hi < n_top:
         raise ValueError(
@@ -207,12 +230,60 @@ def mu_phase_sum(
     for lo in range(0, len(vals), PHASE_CHUNK):
         mu = vals[lo : lo + PHASE_CHUNK]
         nz = np.flatnonzero(mu)
-        if not len(nz):
-            continue
-        ang = TWO_PI * np.mod(phases(n0 + step * (lo + nz)), 1.0)
-        sign = mu[nz].astype(np.float64)
-        re.append(fsum((sign * np.cos(ang)).tolist()))
-        im.append(fsum((sign * np.sin(ang)).tolist()))
+        ns = n0 + step * (lo + nz)
+        for d in skip:
+            keep = ns % d != 0
+            nz, ns = nz[keep], ns[keep]
+        if len(nz):
+            _add_terms(re, im, mu[nz].astype(np.float64), phases(ns))
+    return complex(fsum(re), fsum(im))
+
+
+def mu_class_sum(
+    table: MuTable,
+    n0: int,
+    n_top: int,
+    q: int,
+    divisors: Sequence[int],
+    phases: Callable[[np.ndarray], np.ndarray],
+) -> complex:
+    """sum of mu(n) e(phase(n)) over n = n0..n_top, one phase per class mod q.
+
+    phases must be a function of n mod q except at the n that some d of
+    divisors divides, each d dividing q, as contfrac.class_modulus promises.
+    The sum is S = sum_r H(r) e(phase(r)) + the fix-ups' terms, where H(r),
+    the sum of mu over the segment's n = r (mod q), is built exactly in
+    int64 from the int8 table: whole rows of q entries summed as one
+    (rows, q) view and the tail row added, so working memory is O(q).  The
+    classes are counted from n0, and phases is called once, at the first n
+    of each class with H(r) != 0 that no d divides, so each phase(r) is the
+    per-term phase bit for bit.  The fix-up classes are summed term by term
+    with mu_phase_sum along range(first multiple of d, n_top + 1, d), for
+    each d that no smaller one divides, skipping the n a smaller d took.
+    Every part is added with math.fsum.  A table that does not cover
+    [n0, n_top] raises ValueError.
+    """
+    if table.n_lo > n0 or table.n_hi < n_top:
+        raise ValueError(
+            f"table covers [{table.n_lo}, {table.n_hi}], need [{n0}, {n_top}]"
+        )
+    vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1]
+    rows, tail = divmod(len(vals), q)
+    hist = vals[: rows * q].reshape(rows, q).sum(axis=0, dtype=np.int64)
+    hist[:tail] += vals[rows * q :]
+    ds = []
+    for d in sorted(set(divisors)):
+        hist[-n0 % d :: d] = 0
+        if all(d % e for e in ds):
+            ds.append(d)
+    re, im = [], []
+    offs = np.flatnonzero(hist)
+    if len(offs):
+        _add_terms(re, im, hist[offs].astype(np.float64), phases(n0 + offs))
+    for i, d in enumerate(ds):
+        part = mu_phase_sum(table, n0 + -n0 % d, n_top, d, phases, ds[:i])
+        re.append(part.real)
+        im.append(part.imag)
     return complex(fsum(re), fsum(im))
 
 
@@ -238,7 +309,9 @@ def twisted_sum(
     phases come from contfrac.phase_turns: the correctly rounded values
     against the snapshot, reduced against the convergent
     contfrac.matched_convergent picks, so results are reproducible bit for
-    bit.
+    bit.  With q = 1, when contfrac.class_modulus holds for mult over the
+    segment, the sum runs the class route, mu_class_sum; otherwise it runs
+    per term, mu_phase_sum.
     """
     if not 1 <= length <= n_top:
         raise ValueError(f"need 1 <= length <= n_top, got length={length}, n_top={n_top}")
@@ -256,5 +329,13 @@ def twisted_sum(
     else:
         alpha_float = float(alpha)
         alpha = dyadic_angle(alpha_float)
-    value = mu_phase_sum(table, n0, n_top, q, lambda ns: phase_turns(alpha, mult, ns))
+
+    def phases(ns: np.ndarray) -> np.ndarray:
+        return phase_turns(alpha, mult, ns)
+
+    rule = class_modulus(alpha, (mult,), n_top, length) if q == 1 else None
+    if rule:
+        value = mu_class_sum(table, n0, n_top, *rule, phases)
+    else:
+        value = mu_phase_sum(table, n0, n_top, q, phases)
     return TwistedSum(n_top, length, q, r, alpha_float, value)

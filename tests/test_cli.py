@@ -480,6 +480,30 @@ def test_bad_tau_and_vanishing_eta_are_usage_errors(exp_file, capsys):
     assert "--angle FILE or --rational l/q, not both" in err
 
 
+def test_empty_or_infinite_series_flags_are_usage_errors(exp_file, capsys):
+    # furstenberg:0 and :-3 built h = 0, analytic:inf:3 h = c(0) and
+    # smooth:inf:3 a lone mode 1, and each run exited 0
+    specs = ["furstenberg:0", "furstenberg:-3", "analytic:inf:3", "smooth:inf:3"]
+    for spec in specs:
+        assert main(["sweep", "--angle", exp_file, "--h", spec, "--v", "2", "--n", "1e4"]) == 1
+        assert main(["check", "coboundary", "--angle", exp_file, "--h", spec,
+                     "--samples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: bad --h value") == 2 * len(specs)
+    assert err.count("k_cut must be >= 1") == 4 and err.count("must be finite") == 4
+
+
+def test_series_flag_past_the_mode_cap_is_resource_limit(exp_file, capsys):
+    # smooth:4.0:100000 built 2 * 10^5 coefficients before any check (and
+    # 10^8 modes exhausted memory); the cap is checked before the first mode
+    spec = "smooth:4.0:100000"
+    t0 = time.perf_counter()
+    assert main(["sweep", "--angle", exp_file, "--h", spec, "--v", "2", "--n", "1e4"]) == 3
+    assert main(["check", "coboundary", "--angle", exp_file, "--h", spec]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().err.count("past the 10000 cap") == 2
+
+
 def test_sweep_n_is_parsed_exactly(monkeypatch, capsys):
     # 2^53 + 1 has no float; the refusal message shows the N that arrived
     monkeypatch.setenv(MEM_BUDGET_ENV, "1000")

@@ -26,6 +26,7 @@ from mobiusflow.contfrac import (
     build_exp_alpha,
     build_poly_alpha,
     check_convergent_bounds,
+    class_modulus,
     dyadic_angle,
     explicit_angle,
     faithful_modulus,
@@ -803,6 +804,29 @@ def test_reducing_convergent_is_the_fixup_rule(exp_angle, poly_angle):
     assert reducing_convergent(short, 1, 10**14) == (short.convergents[-1], 0)
     third = rational_angle(1, 3)
     assert reducing_convergent(third, 5, 10**40) == (third.convergents[-1], 0)
+
+
+def test_class_modulus_is_the_one_class_rule(exp_angle, poly_angle):
+    # every multiplier picks q_3 = 8102 at reach 10^6, below the span
+    assert class_modulus(exp_angle, (1, -2, 24), 10**6, 8103) == (8102, (4051, 4051, 4051))
+    assert class_modulus(exp_angle, (1, 4051), 10**6, 9000) == (8102, (4051, 1))
+    # a span of q_3 or less, no multiplier, mult = 0, an exact angle
+    assert class_modulus(exp_angle, (1,), 10**6, 8102) is None
+    assert class_modulus(exp_angle, (), 10**6, 10**6) is None
+    assert class_modulus(exp_angle, (1, 0), 10**6, 10**6) is None
+    assert class_modulus(rational_angle(1, 3), (1,), 10**6, 10**6) is None
+    # poly (4, 6) picks its 66-bit q_4, past BLOCK_STEPS
+    assert class_modulus(poly_angle, (1,), 10**6, 10**6) is None
+    # on exp k4 with seed_q1 = 1, 10^7 n moves past q_3 = 57: the picks differ
+    small = build_exp_alpha(4, seed_q1=1)
+    assert class_modulus(small, (1, 19), 10**5, 100) == (57, (57, 3))
+    assert class_modulus(small, (1, 10**7), 10**5, 100) is None
+    # the seed's bit count moves the pick: a 53-bit seed needs a longer q_k
+    assert class_modulus(exp_angle, (1,), 10**6, 10**6, 0.3) == (8102, (4051,))
+    assert class_modulus(small, (1,), 10**5, 100, 0.3) is None
+    # past the faithful range it refuses, as phase_turns does
+    with pytest.raises(PrecisionFloorError):
+        class_modulus(explicit_angle([2, 9, 2, 1]), (1,), 100, 100)
 
 
 def test_int64_fixups_past_int64_divisors_are_n_zero(poly_angle):

@@ -24,6 +24,7 @@ from mobiusflow.contfrac import (
     TWO_PI,
     PrecisionFloorError,
     ResourceBudgetError,
+    build_exp_alpha,
     cis,
     dyadic_angle,
     explicit_angle,
@@ -56,6 +57,7 @@ from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
 from mobiusflow.moebius import (
     PHASE_CHUNK,
     MuTable,
+    mu_class_sum,
     mu_phase_sum,
     sieve_full,
     sieve_segment,
@@ -379,11 +381,13 @@ def test_folded_kernel_keeps_the_exact_reductions(exp_angle):
 
 def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypatch):
     # analytic:1.0:24 with b_1 != 0: one call for b_1 and one per positive
-    # mode (none resonant, and the mean 1 * 2 leaves no drift) in each chunk
+    # mode (none resonant, and the mean 1 * 2 leaves no drift) per batch of
+    # phases.  Below q_3 = 8102 the kernel runs per term, one batch per
+    # chunk; past it, one batch for the class table and one per fix-up batch
     cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
     b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
     x = TorusPoint((0.3, 0.71, 0.05, 0.42, 0.9, 0.1, 0.5, 0.25))
-    calls, chunks = [0], [0]
+    calls, chunks, batches = [0], [0], []
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -396,10 +400,73 @@ def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypat
 
         return mu_phase_sum(table, n0, n_top, step, per_chunk)
 
+    def classed(table, n0, n_top, q, divisors, phases):
+        def per_batch(ns):
+            batches.append(len(ns))
+            return phases(ns)
+
+        return mu_class_sum(table, n0, n_top, q, divisors, per_batch)
+
     monkeypatch.setattr(experiments, "phase_turns", counted)
     monkeypatch.setattr(experiments, "mu_phase_sum", chunked)
+    monkeypatch.setattr(experiments, "mu_class_sum", classed)
+    correlation_sum(cfg, b, x, 10**6, 8000)
+    assert chunks[0] == 1 and not batches and calls[0] == 25 * chunks[0]
+    calls[0] = chunks[0] = 0
     correlation_sum(cfg, b, x, 10**6, 3 * PHASE_CHUNK)
-    assert chunks[0] == 3 and calls[0] == 25 * chunks[0]
+    # 6189 classes hold mu != 0 off the fix-ups; 2 nonzero mu lie on n = 0 mod 4051
+    assert chunks[0] == 0 and batches == [6189, 2] and calls[0] == 25 + 25 * 1
+
+
+def _routes(monkeypatch, cfg, b, n_top, length):
+    """correlation_sum's value, and for each class route it took, that
+    route's sum beside the per-term sum of the same phases closure."""
+    seen = []
+
+    def both(table, n0, top, q, divisors, phases):
+        got = mu_class_sum(table, n0, top, q, divisors, phases)
+        seen.append((got, mu_phase_sum(table, n0, top, 1, phases), q, divisors))
+        return got
+
+    monkeypatch.setattr(experiments, "mu_class_sum", both)
+    return correlation_sum(cfg, b, X4, n_top, length).value, seen
+
+
+EXP_Q1 = build_exp_alpha(4, seed_q1=1)  # q_3 = 57 = 3 * 19
+
+
+@pytest.mark.parametrize("angle, h, b, length, q, fixups", [
+    # the route boundary: q_3 = 8102 < M is needed
+    (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8000, None, None),
+    (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8102, None, None),
+    (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8103, 8102, {4051}),
+    # dense fix-ups: modes 3, 6, .. take d = 19 and mode 19 takes d = 3
+    (EXP_Q1, analytic_h_sample(1.0, 24, 1), B_MIXED, 5000, 57, {57, 19, 3}),
+    # h = 0 with b_1 != 0, and b_1 = 3 sharing the factor 3 with q_3 = 57
+    (None, FourierSeries({}), FrequencyVector((-2, 0, 3, 0)), 20000, 8102, {4051}),
+    (EXP_Q1, FourierSeries({}), FrequencyVector((3, 0, 3, 0)), 5000, 57, {19}),
+])
+def test_class_route_matches_the_per_term_sum(exp_angle, monkeypatch, angle, h, b, length,
+                                              q, fixups):
+    cfg = FlowConfig(alpha=angle or exp_angle, h=h, v=4)
+    _, seen = _routes(monkeypatch, cfg, b, 10**5, length)
+    if q is None:
+        assert not seen  # M <= q_3: per term, as before
+        return
+    ((got, want, got_q, divisors),) = seen
+    assert (got_q, set(divisors)) == (q, fixups)
+    # only the order of the sum changes: each H(r) cos rounds once
+    assert abs(got - want) <= 1e-12
+
+
+def test_drift_rows_stay_per_term(exp_angle, monkeypatch):
+    # c(0) = 0.3 makes a drift {0.3 k}, which no class table can carry
+    h = FourierSeries({0: 0.3, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j, 2: 0.05j, -2: -0.05j})
+    cfg = FlowConfig(alpha=exp_angle, h=h, v=4)
+    value, seen = _routes(monkeypatch, cfg, B_MIXED, 10**5, 20000)
+    assert not seen
+    monkeypatch.setattr(experiments, "class_modulus", lambda *args: None)
+    assert correlation_sum(cfg, B_MIXED, X4, 10**5, 20000).value == value
 
 
 def test_kernel_matches_an_mpmath_per_term_oracle(exp_angle):

@@ -673,7 +673,7 @@ def test_one_step_picks_its_convergent_once(exp_angle, monkeypatch):
         calls.append(args)
         return reducing_convergent(*args)
 
-    monkeypatch.setattr(flow, "reducing_convergent", counting)
+    # the walker picks through contfrac.class_modulus, phase_turns directly
     monkeypatch.setattr(contfrac, "reducing_convergent", counting)
     cfg = _cfg(exp_angle, v=3)
     assert cfg._reading[2] is None  # c(0) = 1: no drift to take from phase_turns

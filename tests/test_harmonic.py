@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from mobiusflow.contfrac import TWO_PI, PrecisionFloorError, rational_angle
+from mobiusflow import harmonic
+from mobiusflow.contfrac import TWO_PI, PrecisionFloorError, ResourceBudgetError, rational_angle
 from mobiusflow.harmonic import (
     FINITE,
+    SAMPLE_MODE_LIMIT,
     CoboundaryDomainError,
     Decay,
     FourierSeries,
@@ -221,6 +223,31 @@ def test_smooth_sample_shape():
     assert h.truncation_error == 2.0 * 100.0**-3 / 3.0
     with pytest.raises(ValueError):
         smooth_h_sample(3.0, 10, 1)
+
+
+def test_samples_refuse_infinite_envelopes():
+    # eta = inf left c(0) alone and tau = inf a lone mode 1, without a word
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            analytic_h_sample(bad, 3, 1)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            smooth_h_sample(bad, 3, 1)
+
+
+def test_samples_refuse_m_cut_past_the_cap_before_any_mode(monkeypatch):
+    # m_cut = 10^8 would store 2 * 10^8 coefficients; the cap is checked first
+    def no_modes(*args):
+        raise AssertionError("a mode was sampled")
+
+    monkeypatch.setattr(harmonic, "_random_phase_sample", no_modes)
+    for sample, shape in ((analytic_h_sample, 1.0), (smooth_h_sample, 4.0)):
+        with pytest.raises(ResourceBudgetError, match="10000 cap"):
+            sample(shape, SAMPLE_MODE_LIMIT + 1, 1)
+        with pytest.raises(ResourceBudgetError):
+            sample(shape, 10**8, 1)
+    monkeypatch.undo()
+    assert SAMPLE_MODE_LIMIT == 10**4
+    assert len(smooth_h_sample(4.0, SAMPLE_MODE_LIMIT, 1)) == 2 * SAMPLE_MODE_LIMIT + 1
 
 
 def test_samples_are_seeded():

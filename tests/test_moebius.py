@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from mobiusflow.contfrac import (
     PrecisionFloorError,
     cis,
+    class_modulus,
     explicit_angle,
     frac_mod1,
+    phase_turns,
     rational_angle,
 )
 from mobiusflow.moebius import (
@@ -21,6 +23,8 @@ from mobiusflow.moebius import (
     MemoryBudgetError,
     MuTable,
     memory_budget,
+    mu_class_sum,
+    mu_phase_sum,
     sieve_full,
     sieve_segment,
     twisted_sum,
@@ -275,3 +279,30 @@ def test_twisted_chunk_seams_against_brute(exp_angle, q, r):
     ]
     want = complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
     assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("n_top, length, q, divisors", [
+    (10**5, 10**4, 8102, (4051,)),  # a tail row of 1898 entries
+    (10**5, 57 * 40, 57, (57, 19, 3)),  # whole rows only; 57 lies inside 3 and 19
+    (5000, 300, 400, (5,)),  # q past the span: the tail row alone
+])
+def test_class_sum_with_zero_phases_is_the_mertens_difference(n_top, length, q, divisors):
+    # H and the fix-up terms are exact, so the b = 0 sum is M(N) - M(N - M)
+    # bit for bit, from a table that reaches below the segment as well
+    full = sieve_full(n_top)
+    want = int(full.values[n_top - length :].sum())
+    table = sieve_segment(n_top, length + 37)
+    got = mu_class_sum(table, n_top - length + 1, n_top, q, divisors,
+                       lambda ns: np.zeros(len(ns)))
+    assert got == complex(want, 0.0)
+
+
+@pytest.mark.parametrize("mult", [1, -2, 3])
+def test_twisted_class_route_matches_the_per_term_sum(exp_angle, mult):
+    n_top, length = 10**5, 3 * 8102 + 5
+    assert class_modulus(exp_angle, (mult,), n_top, length) == (8102, (4051,))
+    table = sieve_segment(n_top, length)
+    got = twisted_sum(n_top, length, alpha=exp_angle, table=table, mult=mult).value
+    want = mu_phase_sum(table, n_top - length + 1, n_top, 1,
+                        lambda ns: phase_turns(exp_angle, mult, ns))
+    assert abs(got - want) <= 1e-12
