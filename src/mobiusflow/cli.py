@@ -219,6 +219,11 @@ def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
         if head == "none":
             return FourierSeries({})
         if head == "furstenberg":
+            if angle.k_star <= 1:  # the ladder is q_1 .. q_(k_star - 1)
+                raise _UsageError(
+                    f"--h {spec!r}: the angle has no ladder term below its snapshot "
+                    f"(k_star = {angle.k_star}); use --h none, analytic or smooth"
+                )
             if angle.kind == "exp-type":
                 k_cut = 2
             elif angle.kind == "poly-type":

@@ -448,6 +448,23 @@ def cis(frac: float) -> complex:
     return complex(math.cos(a), math.sin(a))
 
 
+def cis_ratio(k: int, den: int) -> complex:
+    """e(k/den) in double precision, the float twin of mp_cis.
+
+    k mod den is read as a 64-bit binary fraction x / 2^64 of a turn (cut
+    short by under 2^-64) and split at the nearest quarter turn,
+    x / 2^64 = j/4 + t with |t| <= 1/8, so cos and sin see an angle of at
+    most pi/4 and each part lands within 2^-53 of e(k/den) (rounding
+    2 pi k/den on the whole turn put it up to 1e-15 off); the factor i^j is
+    a swap of parts and signs, exact.
+    """
+    x = ((k % den) << 64) // den
+    j = (4 * x + (1 << 63)) >> 64
+    a = TWO_PI * ((4 * x - (j << 64)) / 2.0**66)
+    c, s = math.cos(a), math.sin(a)
+    return (complex(c, s), complex(-s, c), complex(-c, -s), complex(s, -c))[j % 4]
+
+
 def mp_cis(k: int, den: int):
     """e(k/den) at the mp precision; 2 k/den mod 2 is cut to max(200, prec + 16)
     bits first, far cheaper than handing snapshot-sized integers to mpmath."""

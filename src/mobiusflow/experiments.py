@@ -27,10 +27,19 @@ is reproducible bit for bit.  The one route covers b = 0 (the Mertens
 difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
 
+Everything but the mu-table depends on (cfg, b, x) alone, so it is built
+once, as a plan (_plan): b_1, e(<b, x>), the kernel weights, their constant
+part and the drift.  correlation_sum builds one per call and sweep one for
+all its rows; nothing keeps a plan past the call.  A non-resonant amplitude
+is a float sum of e(m u_nu) from contfrac.cis_ratio, the rule orbit_fast
+uses; mp is left only where a slope is reduced mod 1 (the mean, the
+resonant modes and _drift).
+
 For a rational angle l/q, rational_case gives an independent route on the
-same set-up: h cycles with period q, so each residue class mod q carries a
-constant phase (the exact prefix of h over the cycle, read per positive
-frequency as above) plus a multiple of the full-cycle slope.
+same fiber bases: h cycles with period q, so each residue class mod q
+carries a constant phase (the exact prefix of h over the cycle, read per
+positive frequency as above, with every amplitude at 50 digits and no small
+divisor) plus a multiple of the full-cycle slope.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from .contfrac import (
     TWO_PI,
     ResourceBudgetError,
     cis,
+    cis_ratio,
     class_modulus,
     dyadic_angle,
     mp_cis,
@@ -156,31 +166,115 @@ def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
     )
 
 
-def _setup(cfg, b, x, n_top, length, table):
-    """What both routes share: the guards, the segment's table (sieved unless
-    one is given), n_lo, b_1, the unit factor e(<b, x>), the amplitudes (m, A_m)
-    of h's positive modes over the fiber coordinates b touches, and the mean's
-    share c(0) sum_nu b_nu per step (none and zero if b touches no fiber)."""
+def _setup(cfg, b, x):
+    """What the plan and rational_case share, all fixed by (cfg, b, x): the
+    guards on x and b, b_1, the unit factor e(<b, x>), and (b_nu, num_nu) for
+    the fiber coordinates b touches, with the common denominator den of
+    their arguments u_nu = num_nu / den (none, and den 0, if b touches no
+    fiber).  The bases come from flow._coord_bases, range-checked for the
+    largest positive mode of h."""
     _check_point(cfg, x, b)
-    if not 1 <= length <= n_top:
-        raise ValueError("need 1 <= length <= n_top")
-    if table is None:
-        table = sieve_segment(n_top, length)
     b1 = b.entries[0] if b.entries else 0
     const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
     # (nu, b_nu) for the fiber coordinates the pairing vector touches
     active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
-    amps, mean = [], mp.mpf(0)
+    fibers, den = [], 0
     if active:
-        modes, fold, c0 = cfg.h.fold
-        nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(modes, default=0))
-        with mp.workdps(50):
-            # A_m = F_m sum_nu b_nu e(m u_nu), u_nu = nums[nu - 2] / den: the
-            # pairing of modes +-m k steps later is Re(A_m e(m k alpha))
-            amps = [(m, f * sum(bv * mp_cis(m * nums[nu - 2], den) for nu, bv in active))
-                    for m, f in zip(modes, fold)]
-            mean = mp.mpf(c0) * sum(bv for _, bv in active)
-    return table, n_top - length + 1, b1, cis(const % 1.0), amps, mean
+        nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(cfg.h.fold.modes, default=0))
+        fibers = [(bv, nums[nu - 2]) for nu, bv in active]
+    return b1, cis(const % 1.0), fibers, den
+
+
+def _mp_amplitude(m, f, fibers, den):
+    """A_m = F_m sum_nu b_nu e(m u_nu) at the mp precision: the pairing of the
+    modes +-m k steps later is Re(A_m e(m k alpha))."""
+    return f * sum(bv * mp_cis(m * num, den) for bv, num in fibers)
+
+
+def _segment(n_top, length, table) -> Tuple[MuTable, int]:
+    """The segment's guard, its table (sieved unless one is given) and n_lo."""
+    if not 1 <= length <= n_top:
+        raise ValueError("need 1 <= length <= n_top")
+    if table is None:
+        table = sieve_segment(n_top, length)
+    return table, n_top - length + 1
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything of S that (cfg, b, x) fix, built once by _plan.
+
+    b1 and turn = e(<b, x> mod 1) come from _setup; weights holds one kernel
+    weight W_m = A_m / (e(m alpha) - 1) per non-resonant positive mode, and
+    base_phase = -sum Re W_m.  Past turn the pairing phase at n is
+    b_1 n alpha + base_phase + sum Re(W_m e(m n alpha)) + drift(n), with
+    drift None when its slope is an integer.  A plan lives for one
+    correlation_sum or one sweep; nothing caches it across calls.
+    """
+
+    cfg: FlowConfig
+    b: FrequencyVector
+    x: TorusPoint
+    b1: int
+    turn: complex
+    weights: Tuple[Tuple[int, complex], ...]
+    base_phase: float
+    drift: Optional[Callable[[np.ndarray], np.ndarray]]
+
+    def phases(self, ns: np.ndarray) -> np.ndarray:
+        phase = np.full(len(ns), self.base_phase)
+        if self.b1 != 0:
+            phase += phase_turns(self.cfg.alpha, self.b1, ns)
+        if self.drift:
+            phase += self.drift(ns)
+        for m, w in self.weights:
+            ang = TWO_PI * phase_turns(self.cfg.alpha, m, ns)
+            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
+        return phase
+
+    def record(self, n_top, length, table=None, theta=None, t0=None) -> CorrelationRecord:
+        """The segment (n_top - length, n_top] summed on the class route
+        when the class rule holds and there is no drift, else per term."""
+        t0 = time.perf_counter() if t0 is None else t0
+        table, n_lo = _segment(n_top, length, table)
+        theta = _theta_of(n_top, length) if theta is None else float(theta)
+        mults = ([self.b1] if self.b1 else []) + [m for m, _ in self.weights]
+        rule = None if self.drift else class_modulus(self.cfg.alpha, mults, n_top, length)
+        if rule:
+            value = self.turn * mu_class_sum(table, n_lo, n_top, *rule, self.phases)
+        else:
+            value = self.turn * mu_phase_sum(table, n_lo, n_top, 1, self.phases)
+        return _record(self.b, self.x, n_top, length, theta, value, t0)
+
+
+def _plan(cfg: FlowConfig, b: FrequencyVector, x: TorusPoint) -> _Plan:
+    """The plan of S for (cfg, b, x), amplitudes in floats where they can be.
+
+    A non-resonant mode's amplitude A_m = F_m sum_nu b_nu e(m u_nu) is a
+    float sum, each e(m u_nu) from contfrac.cis_ratio as orbit_fast reads it,
+    and W_m = A_m / small_divisor(m, alpha).  mp is kept where a slope is
+    reduced mod 1: the mean's share c(0) sum_nu b_nu per step and the
+    amplitude of each mode the snapshot makes resonant (small_divisor 0),
+    both summed at 50 digits into the drift's slope, which _drift reduces.
+    """
+    b1, turn, fibers, den = _setup(cfg, b, x)
+    weights: List[Tuple[int, complex]] = []
+    base_phase = 0.0
+    with mp.workdps(50):
+        slope = mp.mpf(0)  # the mean's n identical terms per step are a drift
+        if fibers:
+            modes, fold, c0 = cfg.h.fold
+            slope = mp.mpf(c0) * sum(bv for bv, _ in fibers)
+            for m, f in zip(modes, fold):
+                zden = small_divisor(m, cfg.alpha)
+                if zden == 0:
+                    # the snapshot makes e(m alpha) = 1: a drift as well
+                    slope += mp.re(_mp_amplitude(m, f, fibers, den))
+                    continue
+                w = f * sum(bv * cis_ratio(m * num, den) for bv, num in fibers) / zden
+                weights.append((m, w))
+                base_phase -= w.real
+    return _Plan(cfg, b, x, b1, turn, tuple(weights), base_phase, _drift(slope))
 
 
 def correlation_sum(
@@ -195,56 +289,20 @@ def correlation_sum(
 ) -> CorrelationRecord:
     """S = sum of mu(n) e(<b, T^n x>) for n in (n_top - length, n_top].
 
-    One route for every b and h: the constant phase <b, x> is taken out of
-    the sum and applied once as e(<b, x> mod 1), and the rest runs the kernel
-    expansion over h's positive frequencies, one phase_turns call per
-    positive non-resonant frequency and batch of phases (plus one for b_1
-    and one for the drift, when there is one), read through h's fold.  The
-    batches are the class table and the fix-up chunks when the class rule
-    holds and there is no drift, else the table's chunks.  So the zero
-    vector gives the exact Mertens difference, and a driving series without
-    coefficients gives e(<b, x>) times the twisted rotation sum, bit for bit.
+    One route for every b and h, through one plan built for this call
+    (_plan): the constant phase <b, x> is taken out of the sum and applied
+    once as e(<b, x> mod 1), and the rest runs the kernel expansion over h's
+    positive frequencies, with float amplitudes for the non-resonant ones,
+    one phase_turns call per positive non-resonant frequency and batch of
+    phases (plus one for b_1 and one for the drift, when there is one), read
+    through h's fold.  The batches are the class table and the fix-up chunks
+    when the class rule holds and there is no drift, else the table's
+    chunks.  So the zero vector gives the exact Mertens difference, and a
+    driving series without coefficients gives e(<b, x>) times the twisted
+    rotation sum, bit for bit.
     """
     t0 = time.perf_counter()
-    table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
-    theta = _theta_of(n_top, length) if theta is None else float(theta)
-
-    # one kernel weight per positive frequency, folded over the active
-    # coordinates: W_m = A_m / (e(m alpha) - 1); past e(<b, x>) the pairing
-    # phase is then b_1 n alpha - sum Re W_m + sum Re(W_m e(m n alpha)) + drift(n)
-    weights: List[Tuple[int, complex]] = []
-    base_phase = 0.0
-    with mp.workdps(50):
-        slope = mean  # the mean's n identical terms per step are a drift
-        for m, amp in amps:
-            zden = small_divisor(m, cfg.alpha)
-            if zden == 0:
-                # the snapshot makes e(m alpha) = 1: a drift as well
-                slope += mp.re(amp)
-                continue
-            w = complex(amp) / zden
-            weights.append((m, w))
-            base_phase -= w.real
-    drift = _drift(slope)
-
-    def phases(ns: np.ndarray) -> np.ndarray:
-        phase = np.full(len(ns), base_phase)
-        if b1 != 0:
-            phase += phase_turns(cfg.alpha, b1, ns)
-        if drift:
-            phase += drift(ns)
-        for m, w in weights:
-            ang = TWO_PI * phase_turns(cfg.alpha, m, ns)
-            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
-        return phase
-
-    mults = ([b1] if b1 else []) + [m for m, _ in weights]
-    rule = None if drift else class_modulus(cfg.alpha, mults, n_top, length)
-    if rule:
-        value = turn * mu_class_sum(table, n_lo, n_top, *rule, phases)
-    else:
-        value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
-    return _record(b, x, n_top, length, theta, value, t0)
+    return _plan(cfg, b, x).record(n_top, length, table, theta, t0)
 
 
 def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]:
@@ -270,11 +328,11 @@ def sweep(
     theta: float,
     n_list: Sequence[int],
 ) -> List[CorrelationRecord]:
-    """One record per N with M = ceil(N^theta)."""
-    return [
-        correlation_sum(cfg, b, x, n_top, length, theta=theta)
-        for n_top, length in sweep_segments(theta, n_list)
-    ]
+    """One record per N with M = ceil(N^theta), every row read through one
+    plan, built once for (cfg, b, x) after the segments are checked."""
+    segments = sweep_segments(theta, n_list)
+    plan = _plan(cfg, b, x)
+    return [plan.record(n_top, length, theta=theta) for n_top, length in segments]
 
 
 def check_prefix_budget(cfg: FlowConfig) -> None:
@@ -308,26 +366,38 @@ def rational_case(
     For alpha = l/q the h argument cycles with period q, so the orbit sum up
     to n = r + k q splits into the prefix of the cycle below r plus k whole
     cycles: each residue class r mod q carries a constant phase plus an
-    arithmetic progression in k.  table, when given, must cover the segment
-    (n_top - length, n_top], as for correlation_sum; otherwise it is sieved.
-    check_prefix_budget runs first, before anything is sieved or allocated.
+    arithmetic progression in k.  It shares _setup (guards, b_1, e(<b, x>),
+    fiber bases) with correlation_sum but no plan: its amplitudes are its
+    own, at 50 digits, and it reads no kernel weight or small divisor, so
+    the CLI's 1e-9 cross-check compares two independent routes.  table, when
+    given, must cover the segment (n_top - length, n_top], as for
+    correlation_sum; otherwise it is sieved.  check_prefix_budget runs
+    first, before anything is sieved or allocated.
     """
     if not cfg.alpha.exact:
         raise ValueError("rational_case needs an angle with an exact snapshot")
     check_prefix_budget(cfg)
     l, q = cfg.alpha.snapshot
     t0 = time.perf_counter()
-    table, n_lo, b1, turn, amps, mean = _setup(cfg, b, x, n_top, length, table)
+    b1, turn, fibers, den = _setup(cfg, b, x)
+    table, n_lo = _segment(n_top, length, table)
 
     # the pairing of h summed over the first r cycle points (the class
     # prefix) and over the whole cycle (the slope per period), both to 50
     # digits and reduced mod 1 before they become floats.  At cycle point j
-    # the pairing is mean + Re sum_m A_m e(m l/q)^j over the positive modes m.
+    # the pairing is mean + Re sum_m A_m e(m l/q)^j over the positive modes
+    # m, with every A_m at 50 digits: this route computes no float amplitude
+    # and no small divisor, so it stays independent of correlation_sum's
     prefix = np.zeros(q)
-    slope = mp.mpf(0)
-    if amps or mean:
-        with mp.workdps(50):
-            terms = [(amp, mp.expjpi(2 * mp.mpf((m * l) % q) / q)) for m, amp in amps]
+    with mp.workdps(50):
+        slope = mp.mpf(0)
+        modes, fold, c0 = cfg.h.fold
+        mean = mp.mpf(c0) * sum(bv for bv, _ in fibers)
+        terms = [
+            (_mp_amplitude(m, f, fibers, den), mp.expjpi(2 * mp.mpf((m * l) % q) / q))
+            for m, f in zip(modes, fold)
+        ] if fibers else []
+        if terms or mean:
             for j in range(q):
                 prefix[j] = float(mp.frac(slope))
                 slope += mean + sum(mp.re(a) for a, _ in terms)

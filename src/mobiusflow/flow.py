@@ -65,8 +65,8 @@ from .contfrac import (
     Certificate,
     ResourceBudgetError,
     angle_digest,
-    cis,
     cis_minus_one,
+    cis_ratio,
     class_modulus,
     dyadic_angle,
     faithful_modulus,
@@ -506,7 +506,7 @@ def orbit_fast(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     coords = [float(phase_turns(cfg.alpha, 1, [start + n], seed)[0])]
     for i in range(cfg.v - 1):
         base = nums[i]
-        terms = [(ck * cis(((m * base) % den) / den)).real for m, ck in kernels]
+        terms = [(ck * cis_ratio(m * base, den)).real for m, ck in kernels]
         if resonant:
             with mp.workdps(50 + len(str(n))):
                 amp = sum(mp.re(f * mp_cis(m * base, den)) for m, f in resonant)

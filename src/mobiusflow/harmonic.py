@@ -38,8 +38,12 @@ from .spectrum import SnapshotRangeError, classify, classify_tau
 COEFF_GRID = 1 << 12
 TAIL_ENUM_LIMIT = 10**6
 # Largest m_cut the random samplers build (2 * 10^4 stored coefficients); the
-# benchmark and the tests use at most 200
+# benchmark uses at most 200
 SAMPLE_MODE_LIMIT = 10**4
+# Absolute slack of the envelope check beside its relative 1e-9: a
+# coefficient under 2^-1022 is subnormal, and rounding its parts and its
+# modulus can each move it by half of 2^-1074, far more than 1e-9 of it
+SUBNORMAL_SLACK = 2.0**-1072
 
 
 class CoboundaryDomainError(ValueError):
@@ -90,7 +94,8 @@ class FourierSeries:
     """Immutable finite series sum of c(m) e(mt) with a certified tail bound.
 
     Coefficients must be conjugate-symmetric (the represented function is
-    real) and must sit under decay_const times the decay envelope.  items,
+    real) and must sit under decay_const times the decay envelope, up to a
+    relative 1e-9 and SUBNORMAL_SLACK for rounding.  items,
     coeff, support, len and l1_norm speak of the modes +-m; eval reads the
     fold.  The positive modes are kept once as uint64 (m mod 2^64) for the
     engine's power-of-two kernel, and F_m as a complex array.
@@ -121,7 +126,7 @@ class FourierSeries:
             if m == 0:
                 continue
             cap = decay_const * decay.weight(m)
-            if abs(c) > cap * (1 + 1e-9):
+            if abs(c) > cap * (1 + 1e-9) + SUBNORMAL_SLACK:
                 raise ValueError(
                     f"|c({m})| = {abs(c):.3e} breaks the declared "
                     f"{decay.kind} envelope {cap:.3e}"
@@ -226,7 +231,10 @@ def furstenberg_h(
         minus = small_divisor(qk, angle)  # e(q_k alpha) - 1
         coeffs[qk] = complex(-t * minus.real, -t * minus.imag)
         coeffs[-qk] = coeffs[qk].conjugate()
-    return FourierSeries(coeffs, FINITE, 0.0)
+    # |1 - e(q_k alpha)| reaches 2 on a short ladder, so the envelope is the
+    # largest |c|; a finite series has no tail, so no bound reads it
+    cap = max((abs(c) for c in coeffs.values()), default=0.0)
+    return FourierSeries(coeffs, FINITE, 0.0, max(1.0, cap))
 
 
 def _random_phase_sample(decay: Decay, m_cut: int, seed: int, tail: float) -> FourierSeries:

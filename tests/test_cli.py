@@ -253,6 +253,32 @@ def test_furstenberg_default_cut_per_angle_kind(poly_file):
     assert cli._parse_h("furstenberg", other, 0) != furstenberg_h(other, [1.0] * 7, k_cut=7)
 
 
+@pytest.mark.parametrize("lq", ["1/3", "1/2", "0/1"])
+def test_furstenberg_on_an_angle_without_a_ladder_is_a_usage_error(lq, capsys):
+    # the default cut max(1, snap_index - 2) = 1 reached past a ladder of
+    # k_star - 1 <= 0 terms, and the error spoke of a "built ladder (max 0)"
+    assert main(["sweep", "--rational", lq, "--v", "2", "--n", "1e3"]) == 1
+    err = capsys.readouterr().err
+    assert "no ladder term below its snapshot" in err
+    assert "use --h none, analytic or smooth" in err
+    assert "built ladder" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lq", ["2/7", "355/1131", "5/8", "13/21"])
+def test_furstenberg_default_runs_on_rational_ladders(lq, capsys):
+    # on 5/8 and 13/21, |c(1)| = 1.848 broke the declared envelope 1 (exit 1)
+    assert main(["sweep", "--rational", lq, "--v", "2", "--n", "1e3"]) == 0
+    assert "FAILED" not in capsys.readouterr().out
+
+
+def test_check_coboundary_builds_subnormal_modes(exp_file, capsys):
+    # with seed 1, c(727) rounded past its subnormal envelope and exited 1
+    for seed in ("0", "1"):
+        assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:1.0:800",
+                     "--seed", seed, "--samples", "50"]) == 0
+    assert capsys.readouterr().out.count("samples: pass") == 2
+
+
 def test_check_coboundary_bad_series_flag(exp_file, capsys):
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "garbage"]) == 1
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:zzz"]) == 1

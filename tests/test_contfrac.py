@@ -26,6 +26,7 @@ from mobiusflow.contfrac import (
     build_exp_alpha,
     build_poly_alpha,
     check_convergent_bounds,
+    cis_ratio,
     class_modulus,
     dyadic_angle,
     explicit_angle,
@@ -47,6 +48,33 @@ PHASE_EXAMPLES = settings.default.max_examples
 
 EXP_SMALL_QS = (1, 2, 9, 8102)  # exp k4 denominators below its 11,689-bit q_4
 EXP_DIGEST = "d37b34e10939ad70d2fbd83837086816281bb9278e6e4fa3929e6954104bdea8"
+
+
+# ---------------------------------------------------------------------------
+# e(k/den) in double precision
+
+
+@settings(max_examples=PHASE_EXAMPLES, deadline=None)
+@given(
+    st.integers(-(2**3100), 2**3100),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**64), st.integers(2**64, 2**3000)),
+)
+@example(k=7, den=8)
+@example(k=-1, den=3 * 2**70 + 1)
+def test_cis_ratio_is_within_an_ulp_on_every_turn(k, den):
+    # the quarter-turn split keeps cos and sin on |angle| <= pi/4; the whole
+    # turn 2 pi k/den rounded at once can be off by several ulps near 1
+    z = cis_ratio(k, den)
+    with mp.workdps(40):
+        want = mp.expjpi(2 * mp.mpf(k % den) / den)
+    assert abs(z.real - float(want.real)) <= 2**-52
+    assert abs(z.imag - float(want.imag)) <= 2**-52
+
+
+def test_cis_ratio_quarter_turns_are_exact():
+    for den in (4, 8, 4 * 8102, 4 * (2**200 + 1)):
+        got = [cis_ratio(j * den // 4 + t * den, den) for j in range(4) for t in (-3, 0, 5)]
+        assert got == [z for z in (1, 1j, -1, -1j) for _ in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ and against an mpmath sum of the terms one by one.
 import math
 import time
 import warnings
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -25,6 +26,7 @@ from mobiusflow.contfrac import (
     PrecisionFloorError,
     ResourceBudgetError,
     build_exp_alpha,
+    build_poly_alpha,
     cis,
     dyadic_angle,
     explicit_angle,
@@ -34,6 +36,9 @@ from mobiusflow.contfrac import (
 )
 from mobiusflow.experiments import (
     CSV_HEADER,
+    _Plan,
+    _drift,
+    _plan,
     PREFIX_TERM_LIMIT,
     THETA_FLOOR,
     correlation_sum,
@@ -498,6 +503,109 @@ def test_kernel_matches_an_mpmath_per_term_oracle(exp_angle):
                 want += table.mu(n) * mp.expjpi(2 * mp.frac(ph))
         want = complex(want)
     assert abs(correlation_sum(cfg, B_MIXED, X4, n_top, length).value - want) <= 5e-13
+
+
+# ---------------------------------------------------------------------------
+# the plan: what (cfg, b, x) fix, built once
+
+
+def _mp_plan(cfg, b, x):
+    """The plan with every amplitude summed at 50 digits and rounded once,
+    each e(m u_nu) from mp.expjpi on the exact residue: a route for the
+    weights that shares no float arithmetic with _plan's."""
+    active = [(nu, bv) for nu, bv in enumerate(b.entries[1:], start=2) if bv]
+    modes, fold, c0 = cfg.h.fold
+    nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(modes))
+    weights, base = [], 0.0
+    with mp.workdps(50):
+        slope = mp.mpf(c0) * sum(bv for _, bv in active)
+        for m, f in zip(modes, fold):
+            amp = mp.mpc(f) * sum(
+                bv * mp.expjpi(2 * mp.mpf(m * nums[nu - 2] % den) / den) for nu, bv in active
+            )
+            zden = small_divisor(m, cfg.alpha)
+            if zden == 0:
+                slope += mp.re(amp)
+                continue
+            w = complex(amp) / zden
+            weights.append((m, w))
+            base -= w.real
+    const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv)
+    return _Plan(cfg, b, x, b.entries[0], cis(const % 1.0), tuple(weights), base, _drift(slope))
+
+
+B_ONE_FIBER = FrequencyVector((0, 0, 2, 0))
+B_THREE_FIBERS = FrequencyVector((1, 2, -1, 3))
+
+
+@pytest.mark.parametrize("angle", [
+    None,  # exp k4, seed_q1 = 2: q_3 = 8102, so M = 9000 takes the class route
+    EXP_Q1,
+    build_poly_alpha(4, 6),
+    rational_angle(355, 1131),
+    rational_angle(1, 3),  # modes 3 and 6 are resonant: a drift
+], ids=["exp-k4-q1-2", "exp-k4-q1-1", "poly-4-6", "355/1131", "1/3"])
+@pytest.mark.parametrize("b", [B_ONE_FIBER, B_THREE_FIBERS], ids=["one-fiber", "three-fibers"])
+def test_float_amplitudes_match_the_50_digit_route(exp_angle, angle, b):
+    cfg = FlowConfig(alpha=angle or exp_angle, h=analytic_h_sample(1.0, 8, 3), v=4)
+    plan, want = _plan(cfg, b, X4), _mp_plan(cfg, b, X4)
+    assert [m for m, _ in plan.weights] == [m for m, _ in want.weights]
+    for (_, w), (_, ref) in zip(plan.weights, want.weights):
+        assert abs(w - ref) <= 1e-15 * max(1.0, abs(ref))
+    ks = np.arange(-5, 10**6, 997)
+    if cfg.alpha.snapshot == (1, 3):
+        assert [m for m, _ in plan.weights] == [1, 2, 4, 5, 7, 8]
+        # the resonant amplitudes reach the drift through the 50-digit slope
+        assert plan.drift is not None
+        assert np.array_equal(plan.drift(ks), want.drift(ks))
+    else:
+        assert plan.drift is None and want.drift is None
+    for n_top, length in ((10**4, 10**4), (10**5, 3000), (10**6, 9000)):
+        got = correlation_sum(cfg, b, X4, n_top, length).value
+        assert abs(got - want.record(n_top, length).value) <= 1e-12
+
+
+def test_sweep_builds_one_plan(exp_angle, monkeypatch):
+    # analytic:1.0:24 on exp k4 has no resonant mode: a 3-row sweep reads
+    # the fiber bases once, each small divisor once, and no 50-digit cis
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+
+    for name in ("_coord_bases", "small_divisor", "mp_cis"):
+        counted(name, getattr(experiments, name))
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
+    b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
+    x = TorusPoint((0.3, 0.71, 0.05, 0.42, 0.9, 0.1, 0.5, 0.25))
+    recs = sweep(cfg, b, x, 0.7, [10**4, 10**5, 3 * 10**5])
+    assert len(recs) == 3
+    assert counts == {"_coord_bases": 1, "small_divisor": 24}
+    # on 1/3 the resonant modes 3 and 6 read 50-digit cis once per sweep,
+    # once for each of the three fibers b touches
+    counts.clear()
+    cfg = FlowConfig(alpha=rational_angle(1, 3), h=analytic_h_sample(1.0, 8, 3), v=4)
+    sweep(cfg, B_THREE_FIBERS, X4, 0.7, [10**3, 10**4, 10**5])
+    assert counts == {"_coord_bases": 1, "small_divisor": 8, "mp_cis": 2 * 3}
+
+
+def test_rational_case_reads_no_small_divisor(monkeypatch):
+    # the closed form keeps its own 50-digit amplitudes, so the CLI's
+    # cross-check compares two routes that share no kernel weight
+    cfg = FlowConfig(alpha=rational_angle(1, 3), h=analytic_h_sample(1.0, 8, 3), v=4)
+    want = rational_case(cfg, B_THREE_FIBERS, X4, 10**4, 2000).value
+
+    def refuse(*args):
+        raise AssertionError("rational_case called small_divisor")
+
+    monkeypatch.setattr(experiments, "small_divisor", refuse)
+    assert rational_case(cfg, B_THREE_FIBERS, X4, 10**4, 2000).value == want
+    with pytest.raises(AssertionError, match="small_divisor"):
+        correlation_sum(cfg, B_THREE_FIBERS, X4, 10**4, 2000)
 
 
 # ---------------------------------------------------------------------------

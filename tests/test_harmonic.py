@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from mobiusflow import harmonic
-from mobiusflow.contfrac import TWO_PI, PrecisionFloorError, ResourceBudgetError, rational_angle
+from mobiusflow.contfrac import (
+    TWO_PI, PrecisionFloorError, ResourceBudgetError, cis, rational_angle,
+)
 from mobiusflow.harmonic import (
     FINITE,
     SAMPLE_MODE_LIMIT,
@@ -187,6 +189,18 @@ def test_furstenberg_guards(exp_angle):
     assert len(furstenberg_h(exp_angle, {1: 0.0})) == 0
 
 
+@pytest.mark.parametrize("lq", [(5, 8), (13, 21), (2, 7), (355, 1131)])
+def test_furstenberg_declares_the_envelope_of_a_short_ladder(lq):
+    # |1 - e(q_k alpha)| reaches 2 when ||q_k alpha|| is near 1/2: on 5/8
+    # the unit weights made |c(1)| = 1.848 against a declared envelope of 1
+    angle = rational_angle(*lq)
+    k_cut = angle.k_star - 1
+    h = furstenberg_h(angle, [1.0] * k_cut, k_cut=k_cut)
+    top = max(abs(c) for _, c in h.items())
+    assert h.decay_const == max(1.0, top)
+    assert h.decay == FINITE and h.truncation_error == 0.0
+
+
 def test_furstenberg_precision_floor(exp_angle, poly_angle):
     # ||q_3 alpha|| ~ e^-8102 underflows any float
     with pytest.raises(PrecisionFloorError):
@@ -248,6 +262,33 @@ def test_samples_refuse_m_cut_past_the_cap_before_any_mode(monkeypatch):
     monkeypatch.undo()
     assert SAMPLE_MODE_LIMIT == 10**4
     assert len(smooth_h_sample(4.0, SAMPLE_MODE_LIMIT, 1)) == 2 * SAMPLE_MODE_LIMIT + 1
+
+
+@pytest.mark.parametrize("m_cut", [700, 727, 730, 740, 1000, 5000])
+def test_analytic_samples_build_past_the_subnormal_line(m_cut):
+    # e^-m is subnormal from m = 709 and 0 from m = 746.  Rounding the parts
+    # of a subnormal c(m) moved |c(m)| past its envelope by far more than a
+    # relative 1e-9, so seeds 1, 2, 4 and 5 raised ValueError from m_cut = 727
+    decay = Decay("analytic", 1.0)
+    for seed in range(6):
+        h = analytic_h_sample(1.0, m_cut, seed)
+        # every coefficient is still e^-m e(phase_m), rounded as before
+        rng = Random(seed)
+        for m in range(1, m_cut + 1):
+            z, mag = cis(rng.random()), decay.weight(m)
+            assert h.coeff(m) == complex(mag * z.real, mag * z.imag)
+        assert h.coeff(0) == 1.0 and h.support_radius() <= 745
+
+
+def test_envelope_slack_is_absolute_only_below_the_normal_range():
+    tiny = 2.0**-1074
+    # a subnormal coefficient two least subnormals past its envelope is rounding
+    FourierSeries({7: 1e-316 + 2 * tiny, -7: 1e-316 + 2 * tiny}, FINITE, 0.0, 1e-316)
+    # further past, or a normal coefficient past 1e-9 of its envelope, is refused
+    with pytest.raises(ValueError, match="envelope"):
+        FourierSeries({7: 1e-320, -7: 1e-320}, FINITE, 0.0, 1e-321)
+    with pytest.raises(ValueError, match="envelope"):
+        FourierSeries({7: 1e-300 * (1 + 1e-8), -7: 1e-300 * (1 + 1e-8)}, FINITE, 0.0, 1e-300)
 
 
 def test_samples_are_seeded():
