@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 from xml.sax.saxutils import escape
 
 from .contfrac import (
+    BIT_BUDGET,
     AngleCF,
     AngleDocumentError,
     PrecisionFloorError,
@@ -210,11 +211,24 @@ def _parse_tau(text: str) -> str:
     return text
 
 
+# the most fields after its kind each --h series takes
+_H_FIELDS = {"none": 0, "furstenberg": 1, "analytic": 2, "smooth": 2}
+
+
 def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
     """Driving-series flag: furstenberg[:k_cut] | analytic:eta[:m_cut] |
-    smooth:tau[:m_cut] | none."""
-    head, _, rest = spec.partition(":")
-    parts = [p for p in rest.split(":") if p] if rest else []
+    smooth:tau[:m_cut] | none.  An empty field, or more fields than the kind
+    takes, is a usage error."""
+    head, *parts = spec.split(":")
+    if head not in _H_FIELDS:
+        raise _UsageError(
+            f"unknown --h kind {head!r}; use furstenberg, analytic, smooth, or none"
+        )
+    if "" in parts or len(parts) > _H_FIELDS[head]:
+        raise _UsageError(
+            f"bad --h value {spec!r}: {head} takes no empty field and at most "
+            f"{_H_FIELDS[head]} after its kind"
+        )
     try:
         if head == "none":
             return FourierSeries({})
@@ -239,17 +253,13 @@ def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
             eta = float(parts[0]) if parts else 1.0
             m_cut = int(parts[1]) if len(parts) > 1 else 24
             return analytic_h_sample(eta, m_cut, seed)
-        if head == "smooth":
-            tau = float(parts[0]) if parts else 4.0
-            m_cut = int(parts[1]) if len(parts) > 1 else 120
-            return smooth_h_sample(tau, m_cut, seed)
+        tau = float(parts[0]) if parts else 4.0  # smooth, the kind left
+        m_cut = int(parts[1]) if len(parts) > 1 else 120
+        return smooth_h_sample(tau, m_cut, seed)
     except (ValueError, IndexError) as exc:
         if isinstance(exc, PrecisionFloorError):
             raise
         raise _UsageError(f"bad --h value {spec!r}: {exc}")
-    raise _UsageError(
-        f"unknown --h kind {head!r}; use furstenberg, analytic, smooth, or none"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +269,7 @@ def _parse_h(spec: str, angle: AngleCF, seed: int) -> FourierSeries:
 def _cmd_angle_build(args) -> int:
     kwargs = {"seed_q1": args.seed_q1}
     if os.environ.get(MEM_BUDGET_ENV) is not None:
-        kwargs["bit_budget"] = memory_budget() * 8
+        kwargs["bit_budget"] = min(BIT_BUDGET, memory_budget() * 8)  # only lowers it
     if args.subcommand == "build-exp":
         angle = build_exp_alpha(args.k_star, **kwargs)
         name = f"angle-exp-k{args.k_star}.json"
@@ -563,7 +573,7 @@ def _cmd_sweep(args) -> int:
             for n_top, length in sweep_segments(theta, n_list):
                 table = sieve_segment(n_top, length)
                 closed = rational_case(cfg, b, x, n_top, length, table=table)
-                generic = correlation_sum(cfg, b, x, n_top, length, table=table, theta=theta)
+                generic = correlation_sum(cfg, b, x, n_top, length, table=table)
                 if abs(closed.value - generic.value) > 1e-9:
                     cross_checked = False
                 # rational_case records log M / log N; the row is the sweep's theta

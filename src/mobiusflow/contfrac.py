@@ -21,11 +21,13 @@ form, orbit stepping and Fourier series all take their phases from it.
   matched_convergent).  Entries whose phase against l_k/q_k is dyadic
   (among them 0 and every midpoint), the indices the fix-up divisor d
   divides, are reduced again on the snapshot; every other one rounds alike.
-- class_modulus is the one class rule built on that pick: when every
-  multiplier of a walk or a sum picks the same q_k, below the span and
-  BLOCK_STEPS, each phase off the fix-ups is a function of n mod q_k, so the
-  orbit walker (flow._fiber_blocks) and the class summer
-  (moebius.mu_class_sum) evaluate one phase per class.
+- class_modulus is the one class rule built on that pick, and it answers
+  as reducing_convergent does, with (q_k, d): when every multiplier of a
+  walk or a sum picks the same q_k, below the span and BLOCK_STEPS, each
+  phase off the multiples of d, the gcd of the multipliers' fix-up
+  divisors, is a function of n mod q_k, so the orbit walker
+  (flow._fiber_blocks) and the class summer (moebius.mu_class_sum)
+  evaluate one phase per class and recompute the multiples of d.
 - Both reductions are one function, _residue_turns: (n u + s) mod D / D for
   D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
   from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
@@ -563,35 +565,40 @@ def reducing_convergent(
 
 def class_modulus(
     angle: AngleCF, mults: Sequence[int], reach: int, span: int, seed: float = 0.0
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(q_k, the fix-up divisors d_m) when every phase is a function of n mod q_k.
+) -> Optional[tuple[int, int]]:
+    """(q_k, d) when every phase is a function of n mod q_k off the multiples of d.
 
     This is the one class rule, for the orbit walker and the correlation
-    kernel alike.  For phases {seed + m * n * alpha} with |n| <= reach and m
-    in mults, each multiplier's phase_turns reduces against the convergent
-    reducing_convergent picks.  When every multiplier picks the same q_k and
-    that q_k is not the snapshot (every d_m != 0), each phase off its
-    fix-ups is the rounded {seed + m n l_k/q_k}, a function of n mod q_k; the
-    fix-ups, the n that d_m divides, are whole classes, since d_m | q_k.
-    The rule returns (q_k, (d_m per multiplier)) only when, further,
-    q_k < span, so that a span of that many indices repeats a class, and
-    q_k <= BLOCK_STEPS, so that a table over the classes stays one walker
-    block wide; else, and for no multipliers, it returns None.  Each m *
-    reach must lie in the faithful range, or PrecisionFloorError is raised,
-    as phase_turns would on the same indices.
+    kernel alike, and it answers as reducing_convergent does: a modulus and
+    one fix-up divisor.  For phases {seed + m * n * alpha} with |n| <= reach
+    and m in mults, each multiplier's phase_turns reduces against the
+    convergent reducing_convergent picks, with fix-up divisor
+    d_m = odd(q_k) / gcd(odd(q_k), m).  When every multiplier picks the same
+    q_k and that q_k is not the snapshot (every d_m != 0), each phase off its
+    fix-ups is the rounded {seed + m n l_k/q_k}, a function of n mod q_k.
+    d is the gcd of the d_m, so every fix-up index is a multiple of d and
+    the multiples of d are whole classes, since d | q_k; a multiple of d that
+    no d_m divides has the same phase per term as per class, because
+    phase_turns rounds correctly whichever convergent reduces it.  The rule
+    returns (q_k, d) only when, further, d > 1 (with d = 1 every index would
+    be recomputed), q_k < span, so that a span of that many indices repeats
+    a class, and q_k <= BLOCK_STEPS, so that a table over the classes stays
+    one walker block wide; else, and for no multipliers, it returns None.
+    Each m * reach must lie in the faithful range, or PrecisionFloorError is
+    raised, as phase_turns would on the same indices.
     """
-    picks, divisors = set(), []
+    picks, d = set(), 0
     for m in mults:
         faithful_modulus(angle, m * reach)
-        c, d = reducing_convergent(angle, m, reach, seed)
-        if not d:
+        c, d_m = reducing_convergent(angle, m, reach, seed)
+        if not d_m:
             return None
         picks.add(c.q)
-        divisors.append(d)
+        d = math.gcd(d, d_m)
     if len(picks) != 1:
         return None
     (q,) = picks
-    return (q, tuple(divisors)) if q < span and q <= BLOCK_STEPS else None
+    return (q, d) if d > 1 and q < span and q <= BLOCK_STEPS else None
 
 
 def _dyadic_turns(ns: np.ndarray, unit: int, shift: int, k: int) -> np.ndarray:

@@ -16,13 +16,14 @@ frequency the snapshot makes resonant) becomes a drift slope, reduced mod 1
 in extended precision and stepped exactly as a dyadic rational.
 Off the fix-ups every one of those phases is a function of n mod q_k, so
 when there is no drift and contfrac.class_modulus, the one class rule, holds
-for b_1 and every weighted mode (one q_k for all, not the snapshot,
-q_k < M and q_k <= BLOCK_STEPS; q_3 = 8102 on exp k4 with fix-ups
-n = 0 mod 4051), moebius.mu_class_sum sums the mu-histogram H(r) over the
+for b_1 and every weighted mode, it gives (q_k, d): one q_k for all, not the
+snapshot, q_k < M and q_k <= BLOCK_STEPS, and d > 1 the gcd of the modes'
+fix-up divisors, so every fix-up is a multiple of d (q_3 = 8102 on exp k4,
+d = 4051).  moebius.mu_class_sum then sums the mu-histogram H(r) over the
 classes against one phase per class, read by the same closure, and the
-fix-up classes term by term.  Otherwise (a drift row, M <= q_k, poly tau=4,
-an exact angle) moebius.mu_phase_sum evaluates the phases over fixed-size
-chunks of the nonzero-mu indices.  Both add with math.fsum, so every record
+multiples of d term by term.  Otherwise (a drift row, M <= q_k, d = 1,
+poly tau=4, an exact angle) moebius.mu_phase_sum evaluates the phases over
+fixed-size chunks of the nonzero-mu indices.  Both add with math.fsum, so every record
 is reproducible bit for bit.  The one route covers b = 0 (the Mertens
 difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
@@ -285,7 +286,6 @@ def correlation_sum(
     length: int,
     *,
     table: Optional[MuTable] = None,
-    theta: Optional[float] = None,
 ) -> CorrelationRecord:
     """S = sum of mu(n) e(<b, T^n x>) for n in (n_top - length, n_top].
 
@@ -295,14 +295,14 @@ def correlation_sum(
     positive frequencies, with float amplitudes for the non-resonant ones,
     one phase_turns call per positive non-resonant frequency and batch of
     phases (plus one for b_1 and one for the drift, when there is one), read
-    through h's fold.  The batches are the class table and the fix-up chunks
-    when the class rule holds and there is no drift, else the table's
-    chunks.  So the zero vector gives the exact Mertens difference, and a
+    through h's fold.  The batches are the class table and the chunks of
+    the multiples of d when the class rule holds and there is no drift, else
+    the table's chunks.  So the zero vector gives the exact Mertens difference, and a
     driving series without coefficients gives e(<b, x>) times the twisted
     rotation sum, bit for bit.
     """
     t0 = time.perf_counter()
-    return _plan(cfg, b, x).record(n_top, length, table, theta, t0)
+    return _plan(cfg, b, x).record(n_top, length, table, t0=t0)
 
 
 def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]:

@@ -25,12 +25,14 @@ reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
 phase table e(m x_n) per block and weights it per row by
 F_m e(m (nu - 2) beta), reduced exactly in fixed point.  Outside the dyadic
 steps, x_n is a function of n mod q_k for that convergent, so a walk longer
-than q_k (with q_k at most one block; contfrac.class_modulus is the rule)
-evaluates x_n and the rows once per residue class and gathers every later
-step, recomputing only the dyadic ones.  FlowConfig._reading builds the row weights once per config, so one
-step pays no set-up.  The walker sums h less its mean c(0) in floats and
-adds the mean as the exact drift {n c(0)}, as the closed form orbit_fast
-does, so the fiber error does not grow with ulp(n c(0)).
+than q_k (with q_k at most one block) evaluates x_n and the rows once per
+residue class and gathers every later step, recomputing only the dyadic
+ones, the multiples of d = odd(q_k); contfrac.class_modulus is the rule
+and gives the pair (q_k, d).  FlowConfig._reading builds the row weights
+once per config, so one step pays no set-up.  The walker sums h less its
+mean c(0) in floats and adds the mean as the exact drift {n c(0)}, as the
+closed form orbit_fast does, so the fiber error does not grow with
+ulp(n c(0)).
 
 _row_values evaluates the rows on two routes with the same bits.  A block
 of thousands of steps goes one mode at a time, seven elementwise NumPy calls
@@ -332,19 +334,20 @@ def _fiber_blocks(
 
     Periodicity.  contfrac.class_modulus, the one class rule, is asked for
     multiplier 1, the walk's reach max(-start, start + n), the span n and
-    the seed.  When it gives q_k and d (l_k/q_k is not the snapshot,
-    q_k < n and q_k <= BLOCK_STEPS: the class route), x_s is the rounded
-    {seed + (start + s) l_k/q_k}, a function of (start + s) mod q_k, except
-    at the fix-ups, the s with d | start + s, where phase_turns recomputes on
-    the snapshot.  The walker then evaluates x_s and the row values once,
-    for s = 0..q_k - 1, into tables no wider than a block, and every later
-    step s gathers class s mod q_k; each fix-up step recomputes x_s with
-    phase_turns and its row values with _row_values.  The rows equal a per-step evaluation bit for bit, since cos and sin give
-    the same bits whatever an element's place in its array.  Every other
-    walk (a 66-bit q_k such as poly tau=4's, an exact angle, n <= q_k)
-    evaluates each block in full; a one-step walk does so without picking
-    the convergent, which phase_turns then picks once.  The tables live for
-    one call.
+    the seed.  When it gives (q_k, d) (l_k/q_k is not the snapshot,
+    d = odd(q_k) > 1, q_k < n and q_k <= BLOCK_STEPS: the class route), x_s
+    is the rounded {seed + (start + s) l_k/q_k}, a function of
+    (start + s) mod q_k, except at the fix-ups, the s with d | start + s,
+    where phase_turns recomputes on the snapshot.  The walker then
+    evaluates x_s and the row values once, for s = 0..q_k - 1, into tables
+    no wider than a block, and every later step s gathers class s mod q_k;
+    each fix-up step recomputes x_s with phase_turns and its row values with
+    _row_values.  The rows equal a per-step evaluation bit for bit, since
+    cos and sin give the same bits whatever an element's place in its
+    array.  Every other walk (a 66-bit q_k such as poly tau=4's, a q_k that
+    is a power of two, an exact angle, n <= q_k) evaluates each block in
+    full; a one-step walk does so without picking the convergent, which
+    phase_turns then picks once.  The tables live for one call.
     Blocks are contiguous views of one fiber buffer, and on the class route
     x_after is one reused buffer too, so a caller copies what it keeps past
     the next block.
@@ -371,7 +374,7 @@ def _fiber_blocks(
     # the class route needs q_k < n, and q_k >= 1
     periodic = n > 1 and class_modulus(cfg.alpha, (1,), max(-start, start + n), n, seed)
     if periodic:
-        q, (d,) = periodic
+        q, d = periodic
         x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
         g_cls = np.empty((len(rows), q))
         # the fiber buffer is the multiply-add scratch: no temporary of g_cls's size

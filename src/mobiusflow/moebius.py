@@ -10,15 +10,16 @@ with the segment and repeated runs over the same inputs are bit-identical.
   and asks the caller for the phases (in turns) of each chunk's nonzero
   entries.
 - mu_class_sum, the class route, serves phases that are a function of
-  n mod q_k outside the fix-ups, the n that a divisor d_m of q_k divides:
-  it sums H(r) e(phase(r)) over the classes r, with H(r) the exact sum of
-  mu over the class (one reshape-sum of whole rows of q_k, O(q_k) memory)
-  and the phase asked once per class, at a member, and sums the fix-up
-  classes term by term.  contfrac.class_modulus, the one class rule, says
-  when it applies: every multiplier picks the same q_k, not the snapshot,
-  below the segment length and BLOCK_STEPS.  Drift rows, segments no longer
-  than q_k, poly tau=4 (66-bit q_4), exact angles and progressions with a
-  step past 1 run per term.
+  n mod q_k outside the multiples of one divisor d of q_k: it sums
+  H(r) e(phase(r)) over the classes r, with H(r) the exact sum of mu over
+  the class (one reshape-sum of whole rows of q_k, O(q_k) memory) and the
+  phase asked once per class, at a member, and sums the multiples of d in
+  one per-term walk with step d.  contfrac.class_modulus, the one class
+  rule, says when it applies and gives (q_k, d): every multiplier picks
+  the same q_k, not the snapshot, below the segment length and
+  BLOCK_STEPS, and d, the gcd of the multipliers' fix-up divisors, is
+  above 1.  Drift rows, segments no longer than q_k, poly tau=4 (66-bit
+  q_4), exact angles and progressions with a step past 1 run per term.
 
 The twisted sum takes its phases from the exact engine contfrac.phase_turns
 (the correctly rounded phases against the angle's snapshot, reduced against
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -211,15 +212,13 @@ def mu_phase_sum(
     n_top: int,
     step: int,
     phases: Callable[[np.ndarray], np.ndarray],
-    skip: Sequence[int] = (),
 ) -> complex:
     """sum of mu(n) e(phase(n)) over n = n0, n0 + step, ... <= n_top.
 
     phases maps an ascending int64 array of indices with nonzero mu to their
     phases in turns.  The table is walked PHASE_CHUNK entries at a time and
     each chunk is added with math.fsum, so the result is a fixed function of
-    the inputs.  An n that some element of skip divides is left out.  A
-    table that does not cover [n0, n_top] raises ValueError.
+    the inputs.  A table that does not cover [n0, n_top] raises ValueError.
     """
     if table.n_lo > n0 or table.n_hi < n_top:
         raise ValueError(
@@ -230,12 +229,8 @@ def mu_phase_sum(
     for lo in range(0, len(vals), PHASE_CHUNK):
         mu = vals[lo : lo + PHASE_CHUNK]
         nz = np.flatnonzero(mu)
-        ns = n0 + step * (lo + nz)
-        for d in skip:
-            keep = ns % d != 0
-            nz, ns = nz[keep], ns[keep]
         if len(nz):
-            _add_terms(re, im, mu[nz].astype(np.float64), phases(ns))
+            _add_terms(re, im, mu[nz].astype(np.float64), phases(n0 + step * (lo + nz)))
     return complex(fsum(re), fsum(im))
 
 
@@ -244,24 +239,23 @@ def mu_class_sum(
     n0: int,
     n_top: int,
     q: int,
-    divisors: Sequence[int],
+    d: int,
     phases: Callable[[np.ndarray], np.ndarray],
 ) -> complex:
     """sum of mu(n) e(phase(n)) over n = n0..n_top, one phase per class mod q.
 
-    phases must be a function of n mod q except at the n that some d of
-    divisors divides, each d dividing q, as contfrac.class_modulus promises.
-    The sum is S = sum_r H(r) e(phase(r)) + the fix-ups' terms, where H(r),
-    the sum of mu over the segment's n = r (mod q), is built exactly in
-    int64 from the int8 table: whole rows of q entries summed as one
-    (rows, q) view and the tail row added, so working memory is O(q).  The
-    classes are counted from n0, and phases is called once, at the first n
-    of each class with H(r) != 0 that no d divides, so each phase(r) is the
-    per-term phase bit for bit.  The fix-up classes are summed term by term
-    with mu_phase_sum along range(first multiple of d, n_top + 1, d), for
-    each d that no smaller one divides, skipping the n a smaller d took.
-    Every part is added with math.fsum.  A table that does not cover
-    [n0, n_top] raises ValueError.
+    phases must be a function of n mod q except at the multiples of d, with
+    d dividing q, as contfrac.class_modulus promises.  The sum is
+    S = sum_r H(r) e(phase(r)) + the multiples' terms, where H(r), the sum
+    of mu over the segment's n = r (mod q), is built exactly in int64 from
+    the int8 table: whole rows of q entries summed as one (rows, q) view and
+    the tail row added, so working memory is O(q).  The classes are counted
+    from n0, and phases is called once, at the first n of each class with
+    H(r) != 0 that d does not divide, so each phase(r) is the per-term phase
+    bit for bit.  The multiples of d, whole classes since d | q, are summed
+    term by term in one mu_phase_sum walk with step d.  Every part is added
+    with math.fsum.  A table that does not cover [n0, n_top] raises
+    ValueError.
     """
     if table.n_lo > n0 or table.n_hi < n_top:
         raise ValueError(
@@ -271,19 +265,15 @@ def mu_class_sum(
     rows, tail = divmod(len(vals), q)
     hist = vals[: rows * q].reshape(rows, q).sum(axis=0, dtype=np.int64)
     hist[:tail] += vals[rows * q :]
-    ds = []
-    for d in sorted(set(divisors)):
-        hist[-n0 % d :: d] = 0
-        if all(d % e for e in ds):
-            ds.append(d)
+    first = -n0 % d
+    hist[first::d] = 0
     re, im = [], []
     offs = np.flatnonzero(hist)
     if len(offs):
         _add_terms(re, im, hist[offs].astype(np.float64), phases(n0 + offs))
-    for i, d in enumerate(ds):
-        part = mu_phase_sum(table, n0 + -n0 % d, n_top, d, phases, ds[:i])
-        re.append(part.real)
-        im.append(part.imag)
+    part = mu_phase_sum(table, n0 + first, n_top, d, phases)
+    re.append(part.real)
+    im.append(part.imag)
     return complex(fsum(re), fsum(im))
 
 

@@ -13,10 +13,17 @@ from dataclasses import replace
 from math import ceil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mobiusflow import cli, experiments
 from mobiusflow.cli import main
-from mobiusflow.contfrac import angle_digest, angle_from_json, explicit_angle
+from mobiusflow.contfrac import (
+    BIT_BUDGET,
+    ResourceBudgetError,
+    angle_digest,
+    angle_from_json,
+    explicit_angle,
+)
 from mobiusflow.harmonic import furstenberg_h
 from mobiusflow.moebius import MEM_BUDGET_ENV, sieve_segment
 
@@ -135,6 +142,25 @@ def test_build_past_document_digit_limit_is_resource_limit(tmp_path, capsys):
 def test_env_budget_reaches_builder(monkeypatch, capsys):
     monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
     assert main(["angle", "build-exp", "--k-star", "4"]) == 3
+    capsys.readouterr()
+
+
+def test_env_budget_never_raises_the_bit_budget(monkeypatch, capsys):
+    # 10^8 bytes read as 8 * 10^8 bits, past BIT_BUDGET = 2^22, and
+    # build-poly --tau 4 --k-star 40 ran for minutes instead of exiting 3
+    seen = []
+
+    def builder(*args, bit_budget=BIT_BUDGET, **kwargs):
+        seen.append(bit_budget)
+        raise ResourceBudgetError("stopped before building")
+
+    for name in ("build_exp_alpha", "build_poly_alpha"):
+        monkeypatch.setattr(cli, name, builder)
+    for budget, bits in (("100000000", BIT_BUDGET), ("1000", 8000)):
+        monkeypatch.setenv(MEM_BUDGET_ENV, budget)
+        assert main(["angle", "build-exp", "--k-star", "4"]) == 3
+        assert main(["angle", "build-poly", "--tau", "4", "--k-star", "40"]) == 3
+        assert seen[-2:] == [bits, bits]
     capsys.readouterr()
 
 
@@ -517,6 +543,37 @@ def test_empty_or_infinite_series_flags_are_usage_errors(exp_file, capsys):
     err = capsys.readouterr().err
     assert err.count("error: bad --h value") == 2 * len(specs)
     assert err.count("k_cut must be >= 1") == 4 and err.count("must be finite") == 4
+
+
+def test_series_flag_with_empty_or_extra_fields_is_a_usage_error(exp_file, capsys):
+    # empty fields were dropped, so analytic::4 ran with eta = 4 and
+    # m_cut = 24, and an extra field was ignored; each run exited 0
+    specs = ["analytic::4", "analytic:", "analytic:1.0:4:9", "smooth:4.0:20:3",
+             "furstenberg:2:7", "none:5"]
+    for spec in specs:
+        assert main(["sweep", "--angle", exp_file, "--h", spec, "--v", "2", "--n", "1e4"]) == 1
+        assert main(["check", "coboundary", "--angle", exp_file, "--h", spec,
+                     "--samples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: bad --h value") == 2 * len(specs)
+    assert err.count("takes no empty field") == 2 * len(specs)
+
+
+_H_TOKENS = ["", "0", "1", "-1", "2", "4", "24", "0.5", "1.0", "3.5", "-0", "1e-300",
+             "inf", "nan", "abc", "1/2"]
+
+
+@settings(max_examples=settings.default.max_examples // 4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
+       fields=st.lists(st.sampled_from(_H_TOKENS), max_size=3))
+def test_series_flag_exits_with_a_documented_code(exp_file, monkeypatch, head, fields):
+    # every --h spec either runs or is refused with a documented code; an
+    # exception that escapes main fails the test
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    spec = ":".join([head, *fields])
+    code = main(["sweep", "--angle", exp_file, "--h", spec, "--v", "2", "--n", "1e3"])
+    assert code in (0, 1, 3), spec
 
 
 def test_series_flag_past_the_mode_cap_is_resource_limit(exp_file, capsys):

@@ -835,9 +835,13 @@ def test_reducing_convergent_is_the_fixup_rule(exp_angle, poly_angle):
 
 
 def test_class_modulus_is_the_one_class_rule(exp_angle, poly_angle):
-    # every multiplier picks q_3 = 8102 at reach 10^6, below the span
-    assert class_modulus(exp_angle, (1, -2, 24), 10**6, 8103) == (8102, (4051, 4051, 4051))
-    assert class_modulus(exp_angle, (1, 4051), 10**6, 9000) == (8102, (4051, 1))
+    # every multiplier picks q_3 = 8102 at reach 10^6, below the span; d is
+    # the gcd of the fix-up divisors d_m, as reducing_convergent's d
+    assert class_modulus(exp_angle, (1, -2, 24), 10**6, 8103) == (8102, 4051)
+    c, d = reducing_convergent(exp_angle, 1, 10**6)
+    assert class_modulus(exp_angle, (1,), 10**6, 8103) == (c.q, d)
+    # d_m = 4051 and 1 leave d = 1: every index would be recomputed
+    assert class_modulus(exp_angle, (1, 4051), 10**6, 9000) is None
     # a span of q_3 or less, no multiplier, mult = 0, an exact angle
     assert class_modulus(exp_angle, (1,), 10**6, 8102) is None
     assert class_modulus(exp_angle, (), 10**6, 10**6) is None
@@ -847,10 +851,12 @@ def test_class_modulus_is_the_one_class_rule(exp_angle, poly_angle):
     assert class_modulus(poly_angle, (1,), 10**6, 10**6) is None
     # on exp k4 with seed_q1 = 1, 10^7 n moves past q_3 = 57: the picks differ
     small = build_exp_alpha(4, seed_q1=1)
-    assert class_modulus(small, (1, 19), 10**5, 100) == (57, (57, 3))
+    assert class_modulus(small, (1, 19), 10**5, 100) == (57, 3)
+    assert class_modulus(small, (1, 3), 10**5, 100) == (57, 19)
+    assert class_modulus(small, (3, 19), 10**5, 100) is None  # d_m = 19, 3
     assert class_modulus(small, (1, 10**7), 10**5, 100) is None
     # the seed's bit count moves the pick: a 53-bit seed needs a longer q_k
-    assert class_modulus(exp_angle, (1,), 10**6, 10**6, 0.3) == (8102, (4051,))
+    assert class_modulus(exp_angle, (1,), 10**6, 10**6, 0.3) == (8102, 4051)
     assert class_modulus(small, (1,), 10**5, 100, 0.3) is None
     # past the faithful range it refuses, as phase_turns does
     with pytest.raises(PrecisionFloorError):

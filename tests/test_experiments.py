@@ -405,12 +405,12 @@ def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypat
 
         return mu_phase_sum(table, n0, n_top, step, per_chunk)
 
-    def classed(table, n0, n_top, q, divisors, phases):
+    def classed(table, n0, n_top, q, d, phases):
         def per_batch(ns):
             batches.append(len(ns))
             return phases(ns)
 
-        return mu_class_sum(table, n0, n_top, q, divisors, per_batch)
+        return mu_class_sum(table, n0, n_top, q, d, per_batch)
 
     monkeypatch.setattr(experiments, "phase_turns", counted)
     monkeypatch.setattr(experiments, "mu_phase_sum", chunked)
@@ -428,9 +428,9 @@ def _routes(monkeypatch, cfg, b, n_top, length):
     route's sum beside the per-term sum of the same phases closure."""
     seen = []
 
-    def both(table, n0, top, q, divisors, phases):
-        got = mu_class_sum(table, n0, top, q, divisors, phases)
-        seen.append((got, mu_phase_sum(table, n0, top, 1, phases), q, divisors))
+    def both(table, n0, top, q, d, phases):
+        got = mu_class_sum(table, n0, top, q, d, phases)
+        seen.append((got, mu_phase_sum(table, n0, top, 1, phases), q, d))
         return got
 
     monkeypatch.setattr(experiments, "mu_class_sum", both)
@@ -445,21 +445,25 @@ EXP_Q1 = build_exp_alpha(4, seed_q1=1)  # q_3 = 57 = 3 * 19
     (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8000, None, None),
     (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8102, None, None),
     (None, analytic_h_sample(1.0, 6, 11), B_MIXED, 8103, 8102, {4051}),
-    # dense fix-ups: modes 3, 6, .. take d = 19 and mode 19 takes d = 3
+    # modes 3, 6, .. take d_m = 19 and mode 19 takes d_m = 3: their gcd
+    # d = 1 would recompute every n, so the row runs per term
     (EXP_Q1, analytic_h_sample(1.0, 24, 1), B_MIXED, 5000, 57, {57, 19, 3}),
     # h = 0 with b_1 != 0, and b_1 = 3 sharing the factor 3 with q_3 = 57
     (None, FourierSeries({}), FrequencyVector((-2, 0, 3, 0)), 20000, 8102, {4051}),
     (EXP_Q1, FourierSeries({}), FrequencyVector((3, 0, 3, 0)), 5000, 57, {19}),
+    # mixed fix-up divisors on the class route: d_m = 57 and 19 give d = 19
+    (EXP_Q1, analytic_h_sample(1.0, 6, 1), B_MIXED, 5000, 57, {57, 19}),
 ])
 def test_class_route_matches_the_per_term_sum(exp_angle, monkeypatch, angle, h, b, length,
                                               q, fixups):
+    # fixups holds the multipliers' fix-up divisors d_m; the rule's d is their gcd
     cfg = FlowConfig(alpha=angle or exp_angle, h=h, v=4)
     _, seen = _routes(monkeypatch, cfg, b, 10**5, length)
-    if q is None:
-        assert not seen  # M <= q_3: per term, as before
+    if q is None or gcd(*fixups) == 1:
+        assert not seen  # M <= q_3, or d = 1: per term, as before
         return
-    ((got, want, got_q, divisors),) = seen
-    assert (got_q, set(divisors)) == (q, fixups)
+    ((got, want, got_q, d),) = seen
+    assert (got_q, d) == (q, gcd(*fixups))
     # only the order of the sum changes: each H(r) cos rounds once
     assert abs(got - want) <= 1e-12
 
