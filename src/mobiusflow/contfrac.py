@@ -26,8 +26,9 @@ form, orbit stepping and Fourier series all take their phases from it.
   walk or a sum picks the same q_k, below the span and BLOCK_STEPS, each
   phase off the multiples of d, the gcd of the multipliers' fix-up
   divisors, is a function of n mod q_k, so the orbit walker
-  (flow._fiber_blocks) and the class summer (moebius.mu_class_sum)
-  evaluate one phase per class and recompute the multiples of d.
+  (flow._fiber_blocks) and the summer (moebius.mu_phase_sum, given the
+  rule's answer) evaluate one phase per class and recompute the multiples
+  of d.
 - Both reductions are one function, _residue_turns: (n u + s) mod D / D for
   D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
   from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
@@ -877,6 +878,16 @@ def angle_from_json(doc: Union[str, dict]) -> AngleCF:
     exact = doc.get("exact", False)
     if not isinstance(exact, bool):  # "false" would read as true
         raise AngleDocumentError(f"malformed angle document: exact is {exact!r}")
+    # q_k only grows, so the denominators alone are stepped first and the
+    # document refused once one passes the stored q: the full recurrence
+    # costs time quadratic in the quotients' digits and would run to the end
+    q_prev, q = 0, 1
+    for a in quotients:
+        if a < 1:
+            break  # explicit_angle refuses it
+        q_prev, q = q, a * q + q_prev
+        if q > snap_q:
+            raise AngleDocumentError("the quotients give a q past the stored snapshot's")
     angle = explicit_angle(
         quotients, a0=a0, kind=kind, k_star=k_star, tau=tau, exact=exact
     )

@@ -19,12 +19,13 @@ when there is no drift and contfrac.class_modulus, the one class rule, holds
 for b_1 and every weighted mode, it gives (q_k, d): one q_k for all, not the
 snapshot, q_k < M and q_k <= BLOCK_STEPS, and d > 1 the gcd of the modes'
 fix-up divisors, so every fix-up is a multiple of d (q_3 = 8102 on exp k4,
-d = 4051).  moebius.mu_class_sum then sums the mu-histogram H(r) over the
+d = 4051).  Every row is one call of moebius.mu_phase_sum, the one summer,
+with that answer: given (q_k, d) it sums the mu-histogram H(r) over the
 classes against one phase per class, read by the same closure, and the
-multiples of d term by term.  Otherwise (a drift row, M <= q_k, d = 1,
-poly tau=4, an exact angle) moebius.mu_phase_sum evaluates the phases over
-fixed-size chunks of the nonzero-mu indices.  Both add with math.fsum, so every record
-is reproducible bit for bit.  The one route covers b = 0 (the Mertens
+multiples of d term by term; without it (a drift row, M <= q_k, d = 1,
+poly tau=4, an exact angle) it evaluates the phases over fixed-size chunks
+of the nonzero-mu indices.  It adds with math.fsum, so every record is
+reproducible bit for bit.  The one route covers b = 0 (the Mertens
 difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
 
@@ -76,7 +77,7 @@ from .flow import (
     _seed_of,
     birkhoff_avg,
 )
-from .moebius import MuTable, mu_class_sum, mu_phase_sum, sieve_segment
+from .moebius import MuTable, mu_phase_sum, sieve_segment
 # not called here since the kernel route covers h = 0, but the benchmark's
 # tracer (perfbench/tracing.py) wraps experiments.twisted_sum by name
 from .moebius import twisted_sum  # noqa: F401
@@ -172,8 +173,8 @@ def _setup(cfg, b, x):
     guards on x and b, b_1, the unit factor e(<b, x>), and (b_nu, num_nu) for
     the fiber coordinates b touches, with the common denominator den of
     their arguments u_nu = num_nu / den (none, and den 0, if b touches no
-    fiber).  The bases come from flow._coord_bases, range-checked for the
-    largest positive mode of h."""
+    fiber).  flow._coord_bases builds those bases alone, not all V - 1,
+    range-checked for the largest positive mode of h."""
     _check_point(cfg, x, b)
     b1 = b.entries[0] if b.entries else 0
     const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
@@ -181,8 +182,9 @@ def _setup(cfg, b, x):
     active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
     fibers, den = [], 0
     if active:
-        nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(cfg.h.fold.modes, default=0))
-        fibers = [(bv, nums[nu - 2]) for nu, bv in active]
+        top = max(cfg.h.fold.modes, default=0)
+        nums, den = _coord_bases(cfg, *_seed_of(cfg, x), top, [nu for nu, _ in active])
+        fibers = [(bv, num) for (_, bv), num in zip(active, nums)]
     return b1, cis(const % 1.0), fibers, den
 
 
@@ -234,17 +236,14 @@ class _Plan:
         return phase
 
     def record(self, n_top, length, table=None, theta=None, t0=None) -> CorrelationRecord:
-        """The segment (n_top - length, n_top] summed on the class route
-        when the class rule holds and there is no drift, else per term."""
+        """The segment (n_top - length, n_top] summed by mu_phase_sum, on
+        the class route when the class rule holds and there is no drift."""
         t0 = time.perf_counter() if t0 is None else t0
         table, n_lo = _segment(n_top, length, table)
         theta = _theta_of(n_top, length) if theta is None else float(theta)
         mults = ([self.b1] if self.b1 else []) + [m for m, _ in self.weights]
         rule = None if self.drift else class_modulus(self.cfg.alpha, mults, n_top, length)
-        if rule:
-            value = self.turn * mu_class_sum(table, n_lo, n_top, *rule, self.phases)
-        else:
-            value = self.turn * mu_phase_sum(table, n_lo, n_top, 1, self.phases)
+        value = self.turn * mu_phase_sum(table, n_lo, n_top, 1, self.phases, rule)
         return _record(self.b, self.x, n_top, length, theta, value, t0)
 
 

@@ -212,9 +212,11 @@ def _seed_of(cfg: FlowConfig, x: TorusPoint) -> Tuple[float, int]:
 
 
 def _coord_bases(
-    cfg: FlowConfig, seed: float, start: int, top: int = 1
+    cfg: FlowConfig, seed: float, start: int, top: int = 1,
+    nus: Optional[Sequence[int]] = None,
 ) -> Tuple[List[int], int]:
-    """Numerators of {seed + start*alpha + (nu-2)*beta} for nu = 2..V, plus den.
+    """Numerators of {seed + start*alpha + (nu-2)*beta} for the fiber
+    coordinates nus (all of nu = 2..V when None), in that order, plus den.
 
     top is the largest m for which the caller reduces m times these bases
     (1 when it reads them alone); past the faithful range of top * start, or
@@ -229,7 +231,7 @@ def _coord_bases(
     head = sp * q * BETA_SCALE + r0 * sq * BETA_SCALE
     qsq = q * sq
     nums = []
-    for nu in range(2, cfg.v + 1):
+    for nu in range(2, cfg.v + 1) if nus is None else nus:
         off = ((nu - 2) * BETA_FIX) % BETA_SCALE
         nums.append((head + off * qsq) % den)
     return nums, den

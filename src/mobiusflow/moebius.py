@@ -2,24 +2,22 @@
 
 Sieving is exact integer work: an entry is -1, 0 or +1 because of the
 factorization of its index, never because a float rounded somewhere.
-Two summers pair those exact weights with unit-modulus phases, evaluate cos
-and sin with NumPy and add with math.fsum, so working memory does not grow
-with the segment and repeated runs over the same inputs are bit-identical.
-
-- mu_phase_sum, the per-term route, walks the table in fixed-size chunks
-  and asks the caller for the phases (in turns) of each chunk's nonzero
-  entries.
-- mu_class_sum, the class route, serves phases that are a function of
-  n mod q_k outside the multiples of one divisor d of q_k: it sums
-  H(r) e(phase(r)) over the classes r, with H(r) the exact sum of mu over
-  the class (one reshape-sum of whole rows of q_k, O(q_k) memory) and the
-  phase asked once per class, at a member, and sums the multiples of d in
-  one per-term walk with step d.  contfrac.class_modulus, the one class
-  rule, says when it applies and gives (q_k, d): every multiplier picks
-  the same q_k, not the snapshot, below the segment length and
-  BLOCK_STEPS, and d, the gcd of the multipliers' fix-up divisors, is
-  above 1.  Drift rows, segments no longer than q_k, poly tau=4 (66-bit
-  q_4), exact angles and progressions with a step past 1 run per term.
+One summer, mu_phase_sum, pairs those exact weights with unit-modulus
+phases, evaluates cos and sin with NumPy and adds with math.fsum, so working
+memory does not grow with the segment and repeated runs over the same
+inputs are bit-identical.  It walks the table in fixed-size chunks and asks
+the caller for the phases (in turns) of each chunk's nonzero entries.
+Given the class rule's answer (q_k, d), for phases that are a function of
+n mod q_k outside the multiples of one divisor d of q_k, it first sums
+H(r) e(phase(r)) over the classes r, with H(r) the exact sum of mu over the
+class (one reshape-sum of whole rows of q_k, O(q_k) memory) and the phase
+asked once per class, at a member, and then walks only the multiples of d,
+with step d.  contfrac.class_modulus, the one class rule, says when that
+applies and gives (q_k, d): every multiplier picks the same q_k, not the
+snapshot, below the segment length and BLOCK_STEPS, and d, the gcd of the
+multipliers' fix-up divisors, is above 1.  Drift rows, segments no longer
+than q_k, poly tau=4 (66-bit q_4), exact angles and progressions with a
+step past 1 are walked term by term.
 
 The twisted sum takes its phases from the exact engine contfrac.phase_turns
 (the correctly rounded phases against the angle's snapshot, reduced against
@@ -39,7 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -212,6 +210,7 @@ def mu_phase_sum(
     n_top: int,
     step: int,
     phases: Callable[[np.ndarray], np.ndarray],
+    rule: Optional[Tuple[int, int]] = None,
 ) -> complex:
     """sum of mu(n) e(phase(n)) over n = n0, n0 + step, ... <= n_top.
 
@@ -219,6 +218,18 @@ def mu_phase_sum(
     phases in turns.  The table is walked PHASE_CHUNK entries at a time and
     each chunk is added with math.fsum, so the result is a fixed function of
     the inputs.  A table that does not cover [n0, n_top] raises ValueError.
+
+    rule is the (q, d) of contfrac.class_modulus, or None.  With a rule
+    (step 1 only), phases must be a function of n mod q except at the
+    multiples of d, and the sum is S = sum_r H(r) e(phase(r)) + the
+    multiples' terms: H(r), the sum of mu over the segment's n = r (mod q),
+    is built exactly in int64 from the int8 table (whole rows of q entries
+    summed as one (rows, q) view and the tail row added, so working memory
+    is O(q)), counted from n0, and phases is called once, at the first n
+    of each class with H(r) != 0 that d does not divide, so each phase(r)
+    is the per-term phase bit for bit.  The multiples of d, whole classes
+    since d | q, are then walked term by term with step d.  Without a rule
+    every term is walked, which is the class route's test oracle.
     """
     if table.n_lo > n0 or table.n_hi < n_top:
         raise ValueError(
@@ -226,54 +237,22 @@ def mu_phase_sum(
         )
     vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1 : step]
     re, im = [], []
+    if rule:
+        q, d = rule
+        rows, tail = divmod(len(vals), q)
+        hist = vals[: rows * q].reshape(rows, q).sum(axis=0, dtype=np.int64)
+        hist[:tail] += vals[rows * q :]
+        first = -n0 % d
+        hist[first::d] = 0
+        offs = np.flatnonzero(hist)
+        if len(offs):
+            _add_terms(re, im, hist[offs].astype(np.float64), phases(n0 + offs))
+        n0, step, vals = n0 + first, d, vals[first::d]
     for lo in range(0, len(vals), PHASE_CHUNK):
         mu = vals[lo : lo + PHASE_CHUNK]
         nz = np.flatnonzero(mu)
         if len(nz):
             _add_terms(re, im, mu[nz].astype(np.float64), phases(n0 + step * (lo + nz)))
-    return complex(fsum(re), fsum(im))
-
-
-def mu_class_sum(
-    table: MuTable,
-    n0: int,
-    n_top: int,
-    q: int,
-    d: int,
-    phases: Callable[[np.ndarray], np.ndarray],
-) -> complex:
-    """sum of mu(n) e(phase(n)) over n = n0..n_top, one phase per class mod q.
-
-    phases must be a function of n mod q except at the multiples of d, with
-    d dividing q, as contfrac.class_modulus promises.  The sum is
-    S = sum_r H(r) e(phase(r)) + the multiples' terms, where H(r), the sum
-    of mu over the segment's n = r (mod q), is built exactly in int64 from
-    the int8 table: whole rows of q entries summed as one (rows, q) view and
-    the tail row added, so working memory is O(q).  The classes are counted
-    from n0, and phases is called once, at the first n of each class with
-    H(r) != 0 that d does not divide, so each phase(r) is the per-term phase
-    bit for bit.  The multiples of d, whole classes since d | q, are summed
-    term by term in one mu_phase_sum walk with step d.  Every part is added
-    with math.fsum.  A table that does not cover [n0, n_top] raises
-    ValueError.
-    """
-    if table.n_lo > n0 or table.n_hi < n_top:
-        raise ValueError(
-            f"table covers [{table.n_lo}, {table.n_hi}], need [{n0}, {n_top}]"
-        )
-    vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1]
-    rows, tail = divmod(len(vals), q)
-    hist = vals[: rows * q].reshape(rows, q).sum(axis=0, dtype=np.int64)
-    hist[:tail] += vals[rows * q :]
-    first = -n0 % d
-    hist[first::d] = 0
-    re, im = [], []
-    offs = np.flatnonzero(hist)
-    if len(offs):
-        _add_terms(re, im, hist[offs].astype(np.float64), phases(n0 + offs))
-    part = mu_phase_sum(table, n0 + first, n_top, d, phases)
-    re.append(part.real)
-    im.append(part.imag)
     return complex(fsum(re), fsum(im))
 
 
@@ -299,9 +278,9 @@ def twisted_sum(
     phases come from contfrac.phase_turns: the correctly rounded values
     against the snapshot, reduced against the convergent
     contfrac.matched_convergent picks, so results are reproducible bit for
-    bit.  With q = 1, when contfrac.class_modulus holds for mult over the
-    segment, the sum runs the class route, mu_class_sum; otherwise it runs
-    per term, mu_phase_sum.
+    bit.  mu_phase_sum sums it, with the answer of contfrac.class_modulus
+    for mult over the segment when q = 1 (the class route when the rule
+    holds), per term otherwise.
     """
     if not 1 <= length <= n_top:
         raise ValueError(f"need 1 <= length <= n_top, got length={length}, n_top={n_top}")
@@ -324,8 +303,5 @@ def twisted_sum(
         return phase_turns(alpha, mult, ns)
 
     rule = class_modulus(alpha, (mult,), n_top, length) if q == 1 else None
-    if rule:
-        value = mu_class_sum(table, n0, n_top, *rule, phases)
-    else:
-        value = mu_phase_sum(table, n0, n_top, q, phases)
+    value = mu_phase_sum(table, n0, n_top, q, phases, rule)
     return TwistedSum(n_top, length, q, r, alpha_float, value)

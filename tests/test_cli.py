@@ -563,17 +563,48 @@ _H_TOKENS = ["", "0", "1", "-1", "2", "4", "24", "0.5", "1.0", "3.5", "-0", "1e-
              "inf", "nan", "abc", "1/2"]
 
 
-@settings(max_examples=settings.default.max_examples // 4, deadline=None,
+def _joined(tokens, junk, sep):
+    """Lists of 1-4 tokens joined by sep, either all well formed or mixed
+    with junk, so most drawn values reach past the parser."""
+    return (st.lists(st.sampled_from(tokens), min_size=1, max_size=4)
+            | st.lists(st.sampled_from(tokens + junk), min_size=1, max_size=4)).map(sep.join)
+
+
+# values of the sweep flags, each drawn or left at its default; every size
+# stays small (N below 10^10, V at most 12) so an example that runs finishes
+# in well under a second
+_SWEEP_FLAGS = {
+    "--h": st.builds(
+        lambda head, fields: ":".join([head, *fields]),
+        st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
+        st.lists(st.sampled_from(_H_TOKENS), max_size=3),
+    ),
+    "--b": _joined(["0", "1", "-1", "2", "-3"], ["", "x"], ";"),
+    "--x": _joined(["0.3", "0", "0.999", "1e-320"], ["1.0", "-0.2", "nan", "inf", "a"], ","),
+    "--v": st.sampled_from(["2", "3", "4", "12"]) | st.sampled_from(["1", "0", "-1", "x"]),
+    "--theta": _joined(["0.7", "0.9", "0.625", "1", "1e-300"], ["0", "1.5", "nan", "inf"],
+                       ","),
+    "--n": _joined(["1e3", "2e3", "5000", "1", "2", "1e9", "9007199254740993"],
+                   ["0", "-5", "1e30", "2.5", "x", ""], ","),
+}
+
+
+@pytest.mark.filterwarnings("ignore:theta = .* window floor:RuntimeWarning")
+@settings(max_examples=settings.default.max_examples // 4, deadline=10_000,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(head=st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
-       fields=st.lists(st.sampled_from(_H_TOKENS), max_size=3))
-def test_series_flag_exits_with_a_documented_code(exp_file, monkeypatch, head, fields):
-    # every --h spec either runs or is refused with a documented code; an
-    # exception that escapes main fails the test
+@given(flags=st.fixed_dictionaries({}, optional=_SWEEP_FLAGS))
+def test_series_flag_exits_with_a_documented_code(exp_file, monkeypatch, flags):
+    # any of --h, --b, --x, --v, --theta and --n, each drawn or left at its
+    # default, either runs or is refused with a documented code; an
+    # exception that escapes main fails the test, and so does an example
+    # past the 10 s deadline
     monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
-    spec = ":".join([head, *fields])
-    code = main(["sweep", "--angle", exp_file, "--h", spec, "--v", "2", "--n", "1e3"])
-    assert code in (0, 1, 3), spec
+    argv = ["sweep", "--angle", exp_file, "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"]
+    # --b=-1;2 keeps a value with a leading minus from reading as a flag;
+    # argparse keeps the last of a repeated flag
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_series_flag_past_the_mode_cap_is_resource_limit(exp_file, capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from mobiusflow import contfrac
 from mobiusflow.contfrac import (
     AngleDocumentError,
     Convergent,
@@ -401,6 +402,25 @@ def test_angle_json_round_trip(angle, field, delta):
     doc["snapshot"] = dict(doc["snapshot"], **{field: str(int(doc["snapshot"][field]) + delta)})
     with pytest.raises(AngleDocumentError):
         angle_from_json(doc)
+
+
+@pytest.mark.parametrize("quotients", [
+    [10**3999 + i for i in range(500)],  # 2 MB of digits: tens of seconds of recurrence
+    [1] * 40_000,  # q_n >= F_(n+1): quadratic as well
+])
+def test_document_past_its_snapshot_is_refused_before_the_recurrence(monkeypatch,
+                                                                      quotients):
+    # the full recurrence ran over every quotient before q was compared with
+    # the stored snapshot; the denominators passing q = 2 refuse it at once
+    doc = {"kind": "explicit", "k_star": 3, "a0": "0", "exact": False,
+           "quotients": [str(a) for a in quotients], "snapshot": {"l": "1", "q": "2"}}
+
+    def refuse(*args):
+        raise AssertionError("the full recurrence ran")
+
+    monkeypatch.setattr(contfrac, "convergents_from_quotients", refuse)
+    with pytest.raises(AngleDocumentError, match="past the stored snapshot"):
+        angle_from_json(json.dumps(doc))
 
 
 def test_explicit_angle_defaults():

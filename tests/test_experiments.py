@@ -62,7 +62,6 @@ from mobiusflow.harmonic import FourierSeries, analytic_h_sample, furstenberg_h
 from mobiusflow.moebius import (
     PHASE_CHUNK,
     MuTable,
-    mu_class_sum,
     mu_phase_sum,
     sieve_full,
     sieve_segment,
@@ -392,48 +391,43 @@ def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypat
     cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
     b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
     x = TorusPoint((0.3, 0.71, 0.05, 0.42, 0.9, 0.1, 0.5, 0.25))
-    calls, chunks, batches = [0], [0], []
+    calls, batches, rules = [0], [], []
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return phase_turns(*args, **kwargs)
 
-    def chunked(table, n0, n_top, step, phases):
-        def per_chunk(ns):
-            chunks[0] += 1
-            return phases(ns)
-
-        return mu_phase_sum(table, n0, n_top, step, per_chunk)
-
-    def classed(table, n0, n_top, q, d, phases):
+    def batched(table, n0, n_top, step, phases, rule=None):
         def per_batch(ns):
             batches.append(len(ns))
             return phases(ns)
 
-        return mu_class_sum(table, n0, n_top, q, d, per_batch)
+        rules.append(rule)
+        return mu_phase_sum(table, n0, n_top, step, per_batch, rule)
 
     monkeypatch.setattr(experiments, "phase_turns", counted)
-    monkeypatch.setattr(experiments, "mu_phase_sum", chunked)
-    monkeypatch.setattr(experiments, "mu_class_sum", classed)
+    monkeypatch.setattr(experiments, "mu_phase_sum", batched)
     correlation_sum(cfg, b, x, 10**6, 8000)
-    assert chunks[0] == 1 and not batches and calls[0] == 25 * chunks[0]
-    calls[0] = chunks[0] = 0
+    assert rules == [None] and len(batches) == 1 and calls[0] == 25
+    calls[0] = 0
+    batches.clear()
     correlation_sum(cfg, b, x, 10**6, 3 * PHASE_CHUNK)
     # 6189 classes hold mu != 0 off the fix-ups; 2 nonzero mu lie on n = 0 mod 4051
-    assert chunks[0] == 0 and batches == [6189, 2] and calls[0] == 25 + 25 * 1
+    assert rules == [None, (8102, 4051)] and batches == [6189, 2] and calls[0] == 25 + 25 * 1
 
 
 def _routes(monkeypatch, cfg, b, n_top, length):
-    """correlation_sum's value, and for each class route it took, that
-    route's sum beside the per-term sum of the same phases closure."""
+    """correlation_sum's value, and for each call that passed a class rule,
+    the summer's value beside the per-term sum of the same phases closure."""
     seen = []
 
-    def both(table, n0, top, q, d, phases):
-        got = mu_class_sum(table, n0, top, q, d, phases)
-        seen.append((got, mu_phase_sum(table, n0, top, 1, phases), q, d))
+    def both(table, n0, top, step, phases, rule=None):
+        got = mu_phase_sum(table, n0, top, step, phases, rule)
+        if rule:
+            seen.append((got, mu_phase_sum(table, n0, top, step, phases), *rule))
         return got
 
-    monkeypatch.setattr(experiments, "mu_class_sum", both)
+    monkeypatch.setattr(experiments, "mu_phase_sum", both)
     return correlation_sum(cfg, b, X4, n_top, length).value, seen
 
 
@@ -610,6 +604,27 @@ def test_rational_case_reads_no_small_divisor(monkeypatch):
     assert rational_case(cfg, B_THREE_FIBERS, X4, 10**4, 2000).value == want
     with pytest.raises(AssertionError, match="small_divisor"):
         correlation_sum(cfg, B_THREE_FIBERS, X4, 10**4, 2000)
+
+
+def test_setup_builds_bases_only_for_the_fibers_b_touches(exp_angle, monkeypatch):
+    # each base is a snapshot-sized integer (about 12k bits on exp k4); all
+    # V - 1 were built and the untouched ones dropped, so --v 10^6 took
+    # 1.6 GiB for a vector on two coordinates
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 6, 0), v=3000)
+    x = TorusPoint(tuple((0.37 * i) % 1.0 for i in range(3000)))
+    b = FrequencyVector((1, 2) + (0,) * 1500 + (-3,))
+    built = []
+
+    def recorded(*args):
+        nums, den = _coord_bases(*args)
+        built.append(len(nums))
+        return nums, den
+
+    monkeypatch.setattr(experiments, "_coord_bases", recorded)
+    _, _, fibers, den = experiments._setup(cfg, b, x)
+    assert built == [2]
+    nums, want_den = _coord_bases(cfg, *_seed_of(cfg, x), 6)
+    assert den == want_den and fibers == [(2, nums[0]), (-3, nums[1501])]
 
 
 # ---------------------------------------------------------------------------
