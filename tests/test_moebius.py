@@ -1,10 +1,10 @@
 """Sieves against independent factorization, twisted sums."""
 
-from math import fsum, isqrt
+from math import fsum, gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mobiusflow.contfrac import (
     PrecisionFloorError,
@@ -280,6 +280,23 @@ def test_twisted_chunk_seams_against_brute(exp_angle, q, r):
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("n_top, length, q, divisors", [
+    (10**5, 10**4, 8102, (4051,)),  # a tail row of 1898 entries
+    (10**5, 57 * 40, 57, (57, 19)),  # whole rows only; d = 19 takes 3 classes of 57
+    (5000, 300, 400, (5,)),  # q past the span: the tail row alone
+])
+def test_class_sum_with_zero_phases_is_the_mertens_difference(n_top, length, q, divisors):
+    # H and the fix-up terms are exact, so the b = 0 sum is M(N) - M(N - M)
+    # bit for bit, from a table that reaches below the segment as well
+    full = sieve_full(n_top)
+    want = int(full.values[n_top - length :].sum())
+    table = sieve_segment(n_top, length + 37)
+    # the fix-up divisors d_m meet in d = gcd(d_m), as contfrac.class_modulus has it
+    got = mu_phase_sum(table, n_top - length + 1, n_top, 1, lambda ns: np.zeros(len(ns)),
+                       (q, gcd(*divisors)))
+    assert got == complex(want, 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     q=st.sampled_from([8102, 57, 400, 12, 2]),
@@ -289,16 +306,10 @@ def test_twisted_chunk_seams_against_brute(exp_angle, q, r):
     below=st.integers(0, 40),
     pick=st.integers(0, 10**6),
 )
-# a tail row of 1898 entries; whole rows only, d = 19 taking 3 classes of 57;
-# q past the span, the tail row alone (pick indexes the divisors of q)
-@example(q=8102, start=90_001, rows=1, tail=1898, below=37, pick=2)
-@example(q=57, start=97_721, rows=40, tail=0, below=37, pick=2)
-@example(q=400, start=4701, rows=0, tail=300, below=37, pick=3)
-def test_class_sum_with_zero_phases_is_the_mertens_difference(q, start, rows, tail, below,
-                                                              pick):
-    # H and the fix-up terms are exact, so the b = 0 sum is M(N) - M(N - M)
-    # bit for bit for any d | q, whole rows of q, a tail row shorter than q
-    # or both, and a table that reaches below the segment as well
+def test_class_sum_with_zero_phases_is_the_mertens_difference_anywhere(q, start, rows, tail,
+                                                                       below, pick):
+    # the same identity for any d | q (pick indexes the divisors of q), whole
+    # rows of q, a tail row shorter than q or both, and any reach below
     length = max(1, rows * q + tail % q)
     n_top = start + length - 1
     divisors = [d for d in range(1, q + 1) if q % d == 0]
