@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
@@ -43,17 +43,12 @@ from .contfrac import (
     legendre_locate,
     rational_angle,
 )
-from .experiments import (
-    check_prefix_budget,
-    correlation_sum,
-    rational_case,
-    records_digest,
-    records_to_csv,
-    sweep,
-    sweep_segments,
-)
+from .experiments import rational_sweep, records_digest, records_to_csv, sweep
+# not called here since rational_sweep reads both routes' plans, but the
+# benchmark's tracer (perfbench/tracing.py) wraps them by name on this module
+from .experiments import correlation_sum, rational_case  # noqa: F401
 from .flow import FlowConfig, FrequencyVector, TorusPoint
-from .moebius import MEM_BUDGET_ENV, MemoryBudgetError, memory_budget, sieve_segment
+from .moebius import MEM_BUDGET_ENV, MemoryBudgetError, memory_budget
 from .harmonic import (
     FINITE,
     FourierSeries,
@@ -558,8 +553,6 @@ def _cmd_sweep(args) -> int:
          "v": args.v, "seed": args.seed, "theta": thetas, "n": n_list,
          "x": list(coords), "rational": args.rational},
     )
-    if args.rational is not None:
-        check_prefix_budget(cfg)  # before the first segment is sieved
     records = []
     groups = []
     cross_checked = True
@@ -567,17 +560,12 @@ def _cmd_sweep(args) -> int:
         if args.rational is None:
             batch = sweep(cfg, b, x, theta, n_list)
         else:
-            # report the closed form; the generic path cross-checks it on the
-            # same sieved segment
-            batch = []
-            for n_top, length in sweep_segments(theta, n_list):
-                table = sieve_segment(n_top, length)
-                closed = rational_case(cfg, b, x, n_top, length, table=table)
-                generic = correlation_sum(cfg, b, x, n_top, length, table=table)
-                if abs(closed.value - generic.value) > 1e-9:
-                    cross_checked = False
-                # rational_case records log M / log N; the row is the sweep's theta
-                batch.append(replace(closed, theta=theta))
+            # report the closed form, at the sweep's theta; the kernel
+            # cross-checks it on the same sieved segment
+            rows = rational_sweep(cfg, b, x, theta, n_list)
+            if any(abs(rec.value - generic) > 1e-9 for rec, generic in rows):
+                cross_checked = False
+            batch = [rec for rec, _ in rows]
         records.extend(batch)
         groups.append(
             (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])
@@ -686,7 +674,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--angle", default=None)
     p_sw.add_argument("--rational", default=None, help="exact rational angle l/q")
     p_sw.add_argument("--h", default="furstenberg")
-    p_sw.add_argument("--b", default="0;1", help="pairing vector, e.g. '0;1'")
+    p_sw.add_argument("--b", default="0;1", help="pairing vector, e.g. '0;1' or --b=-1;2")
     p_sw.add_argument("--x", default=None, help="starting coordinates, comma list")
     p_sw.add_argument("--v", type=int, default=8)
     p_sw.add_argument("--seed", type=int, default=0)

@@ -30,18 +30,24 @@ difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
 
 Everything but the mu-table depends on (cfg, b, x) alone, so it is built
-once, as a plan (_plan): b_1, e(<b, x>), the kernel weights, their constant
-part and the drift.  correlation_sum builds one per call and sweep one for
-all its rows; nothing keeps a plan past the call.  A non-resonant amplitude
-is a float sum of e(m u_nu) from contfrac.cis_ratio, the rule orbit_fast
-uses; mp is left only where a slope is reduced mod 1 (the mean, the
-resonant modes and _drift).
+once, as a plan (_Plan): b, x, e(<b, x>), a phases closure and the
+multipliers the class rule reads.  _Plan.record is the one row path: it
+guards the segment, sieves it unless a table is given, asks class_modulus
+and makes the one mu_phase_sum call.  _plan builds the kernel's plan: b_1,
+the kernel weights, their constant part and the drift.  A non-resonant
+amplitude is a float sum of e(m u_nu) from contfrac.cis_ratio, the rule
+orbit_fast uses; mp is left only where a slope is reduced mod 1 (the mean,
+the resonant modes and _drift).  correlation_sum builds one plan per call
+and sweep one for all its rows; nothing keeps a plan past the call.
 
-For a rational angle l/q, rational_case gives an independent route on the
+For a rational angle l/q, _closed_form builds an independent plan on the
 same fiber bases: h cycles with period q, so each residue class mod q
 carries a constant phase (the exact prefix of h over the cycle, read per
 positive frequency as above, with every amplitude at 50 digits and no small
-divisor) plus a multiple of the full-cycle slope.
+divisor) plus a multiple of the full-cycle slope.  Its multipliers are (),
+so its rows run per term.  rational_case reads one row of it, and
+rational_sweep reads both plans, each built once, on one sieved segment
+per row.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from mpmath import mp
 
 from .contfrac import (
     TWO_PI,
+    AngleCF,
     ResourceBudgetError,
     cis,
     cis_ratio,
@@ -156,27 +163,15 @@ def _drift(slope) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     return lambda ks: phase_turns(head, 1, ks) + ks * lo
 
 
-def _record(b, x, n_top, length, theta, value, t0) -> CorrelationRecord:
-    return CorrelationRecord(
-        n_top=n_top,
-        length=length,
-        theta=theta,
-        b=b,
-        x=x,
-        value=value,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
 def _setup(cfg, b, x):
-    """What the plan and rational_case share, all fixed by (cfg, b, x): the
+    """What _plan and _closed_form share, all fixed by (cfg, b, x): the
     guards on x and b, b_1, the unit factor e(<b, x>), and (b_nu, num_nu) for
     the fiber coordinates b touches, with the common denominator den of
     their arguments u_nu = num_nu / den (none, and den 0, if b touches no
     fiber).  flow._coord_bases builds those bases alone, not all V - 1,
     range-checked for the largest positive mode of h."""
     _check_point(cfg, x, b)
-    b1 = b.entries[0] if b.entries else 0
+    b1 = b.entries[0]
     const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv != 0)
     # (nu, b_nu) for the fiber coordinates the pairing vector touches
     active = [(nu, bv) for nu, bv in enumerate(b.entries[1 : cfg.v], start=2) if bv != 0]
@@ -194,72 +189,56 @@ def _mp_amplitude(m, f, fibers, den):
     return f * sum(bv * mp_cis(m * num, den) for bv, num in fibers)
 
 
-def _segment(n_top, length, table) -> Tuple[MuTable, int]:
-    """The segment's guard, its table (sieved unless one is given) and n_lo."""
-    if not 1 <= length <= n_top:
-        raise ValueError("need 1 <= length <= n_top")
-    if table is None:
-        table = sieve_segment(n_top, length)
-    return table, n_top - length + 1
-
-
 @dataclass(frozen=True)
 class _Plan:
-    """Everything of S that (cfg, b, x) fix, built once by _plan.
+    """Everything of S that (cfg, b, x) fix: the one row path of both routes.
 
-    b1 and turn = e(<b, x> mod 1) come from _setup; weights holds one kernel
-    weight W_m = A_m / (e(m alpha) - 1) per non-resonant positive mode, and
-    base_phase = -sum Re W_m.  Past turn the pairing phase at n is
-    b_1 n alpha + base_phase + sum Re(W_m e(m n alpha)) + drift(n), with
-    drift None when its slope is an integer.  A plan lives for one
-    correlation_sum or one sweep; nothing caches it across calls.
+    turn = e(<b, x> mod 1) is taken out of every term, and phases maps an
+    ascending int64 array of indices n to the rest of the pairing phase in
+    turns.  mults are the multipliers of alpha in phases, which the class
+    rule reads; they are () for a drift row and for the closed form, whose
+    rows then run per term.  _plan builds the kernel's plan and _closed_form
+    the rational closed form's.  A plan lives for one correlation_sum,
+    rational_case, sweep or rational_sweep call; nothing caches it across
+    calls.
     """
 
-    cfg: FlowConfig
+    alpha: AngleCF
     b: FrequencyVector
     x: TorusPoint
-    b1: int
     turn: complex
-    weights: Tuple[Tuple[int, complex], ...]
-    base_phase: float
-    drift: Optional[Callable[[np.ndarray], np.ndarray]]
+    phases: Callable[[np.ndarray], np.ndarray]
+    mults: Tuple[int, ...]
 
-    def phases(self, ns: np.ndarray) -> np.ndarray:
-        phase = np.full(len(ns), self.base_phase)
-        if self.b1 != 0:
-            phase += phase_turns(self.cfg.alpha, self.b1, ns)
-        if self.drift:
-            phase += self.drift(ns)
-        for m, w in self.weights:
-            ang = TWO_PI * phase_turns(self.cfg.alpha, m, ns)
-            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
-        return phase
-
-    def record(self, n_top, length, table=None, theta=None, t0=None) -> CorrelationRecord:
-        """The segment (n_top - length, n_top] summed by mu_phase_sum, on
-        the class route when the class rule holds and there is no drift."""
-        t0 = time.perf_counter() if t0 is None else t0
-        table, n_lo = _segment(n_top, length, table)
+    def record(self, n_top, length, table=None, theta=None) -> CorrelationRecord:
+        """The segment (n_top - length, n_top] summed by mu_phase_sum with
+        the class rule's answer for mults.  table, when given, must cover
+        the segment; otherwise it is sieved.  theta defaults to
+        log M / log N, and runtime_ms times the row, not the plan."""
+        t0 = time.perf_counter()
+        if not 1 <= length <= n_top:
+            raise ValueError("need 1 <= length <= n_top")
+        if table is None:
+            table = sieve_segment(n_top, length)
         theta = _theta_of(n_top, length) if theta is None else float(theta)
-        mults = ([self.b1] if self.b1 else []) + [m for m, _ in self.weights]
-        rule = None if self.drift else class_modulus(self.cfg.alpha, mults, n_top, length)
-        value = self.turn * mu_phase_sum(table, n_lo, n_top, 1, self.phases, rule)
-        return _record(self.b, self.x, n_top, length, theta, value, t0)
+        rule = class_modulus(self.alpha, self.mults, n_top, length)
+        value = self.turn * mu_phase_sum(table, n_top - length + 1, n_top, 1, self.phases, rule)
+        runtime_ms = (time.perf_counter() - t0) * 1e3
+        return CorrelationRecord(n_top, length, theta, self.b, self.x, value, runtime_ms)
 
 
-def _plan(cfg: FlowConfig, b: FrequencyVector, x: TorusPoint) -> _Plan:
-    """The plan of S for (cfg, b, x), amplitudes in floats where they can be.
+def _weights(cfg: FlowConfig, fibers, den):
+    """The kernel weights and the drift, amplitudes in floats where they can be.
 
-    A non-resonant mode's amplitude A_m = F_m sum_nu b_nu e(m u_nu) is a
-    float sum, each e(m u_nu) from contfrac.cis_ratio as orbit_fast reads it,
-    and W_m = A_m / small_divisor(m, alpha).  mp is kept where a slope is
-    reduced mod 1: the mean's share c(0) sum_nu b_nu per step and the
-    amplitude of each mode the snapshot makes resonant (small_divisor 0),
-    both summed at 50 digits into the drift's slope, which _drift reduces.
+    One weight W_m = A_m / small_divisor(m, alpha) per non-resonant positive
+    mode, its amplitude A_m = F_m sum_nu b_nu e(m u_nu) a float sum, each
+    e(m u_nu) from contfrac.cis_ratio as orbit_fast reads it.  mp is kept
+    where a slope is reduced mod 1: the mean's share c(0) sum_nu b_nu per
+    step and the amplitude of each mode the snapshot makes resonant
+    (small_divisor 0), both summed at 50 digits into the drift's slope,
+    which _drift reduces.
     """
-    b1, turn, fibers, den = _setup(cfg, b, x)
     weights: List[Tuple[int, complex]] = []
-    base_phase = 0.0
     with mp.workdps(50):
         slope = mp.mpf(0)  # the mean's n identical terms per step are a drift
         if fibers:
@@ -273,8 +252,91 @@ def _plan(cfg: FlowConfig, b: FrequencyVector, x: TorusPoint) -> _Plan:
                     continue
                 w = f * sum(bv * cis_ratio(m * num, den) for bv, num in fibers) / zden
                 weights.append((m, w))
-                base_phase -= w.real
-    return _Plan(cfg, b, x, b1, turn, tuple(weights), base_phase, _drift(slope))
+    return weights, _drift(slope)
+
+
+def _plan(cfg: FlowConfig, b: FrequencyVector, x: TorusPoint) -> _Plan:
+    """The kernel's plan of S for (cfg, b, x).
+
+    Past turn, the pairing phase at n is b_1 n alpha + base_phase +
+    sum Re(W_m e(m n alpha)) + drift(n) over the weights of _weights, with
+    base_phase = -sum Re W_m and drift None when its slope is an integer.
+    With no drift the class rule reads b_1 (when nonzero) and every
+    weighted mode.
+    """
+    b1, turn, fibers, den = _setup(cfg, b, x)
+    weights, drift = _weights(cfg, fibers, den)
+    base_phase = 0.0
+    for _, w in weights:
+        base_phase -= w.real
+
+    def phases(ns: np.ndarray) -> np.ndarray:
+        phase = np.full(len(ns), base_phase)
+        if b1 != 0:
+            phase += phase_turns(cfg.alpha, b1, ns)
+        if drift:
+            phase += drift(ns)
+        for m, w in weights:
+            ang = TWO_PI * phase_turns(cfg.alpha, m, ns)
+            phase += w.real * np.cos(ang) - w.imag * np.sin(ang)
+        return phase
+
+    mults = () if drift else ((b1,) if b1 else ()) + tuple(m for m, _ in weights)
+    return _Plan(cfg.alpha, b, x, turn, phases, mults)
+
+
+def _closed_form(cfg: FlowConfig, b: FrequencyVector, x: TorusPoint) -> _Plan:
+    """The residue-class plan of S for a rational angle l/q.
+
+    An angle without an exact snapshot is refused.  The class prefix sums
+    K + 1 terms to 50 digits at each of the q cycle points (K positive modes
+    of h, about 15 us a term), so a q (K + 1) past PREFIX_TERM_LIMIT = 10^6
+    (about 15 s) raises ResourceBudgetError, before anything is built,
+    sieved or allocated.
+    """
+    if not cfg.alpha.exact:
+        raise ValueError("rational_case needs an angle with an exact snapshot")
+    l, q = cfg.alpha.snapshot
+    cost = q * (len(cfg.h.fold.modes) + 1)
+    if cost > PREFIX_TERM_LIMIT:
+        raise ResourceBudgetError(
+            f"rational_case sums {cost} prefix terms over q = {q} cycle points, "
+            f"past the {PREFIX_TERM_LIMIT} cap"
+        )
+    b1, turn, fibers, den = _setup(cfg, b, x)
+
+    # the pairing of h summed over the first r cycle points (the class
+    # prefix) and over the whole cycle (the slope per period), both to 50
+    # digits and reduced mod 1 before they become floats.  At cycle point j
+    # the pairing is mean + Re sum_m A_m e(m l/q)^j over the positive modes
+    # m, with every A_m at 50 digits: this route computes no float amplitude
+    # and no small divisor, so it stays independent of the kernel's
+    prefix = np.zeros(q)
+    with mp.workdps(50):
+        slope = mp.mpf(0)
+        modes, fold, c0 = cfg.h.fold
+        mean = mp.mpf(c0) * sum(bv for bv, _ in fibers)
+        terms = [
+            (_mp_amplitude(m, f, fibers, den), mp.expjpi(2 * mp.mpf((m * l) % q) / q))
+            for m, f in zip(modes, fold)
+        ] if fibers else []
+        if terms or mean:
+            for j in range(q):
+                prefix[j] = float(mp.frac(slope))
+                slope += mean + sum(mp.re(a) for a, _ in terms)
+                terms = [(a * z, z) for a, z in terms]
+    drift = _drift(slope)
+
+    def phases(ns: np.ndarray) -> np.ndarray:
+        # n = r + k q: the class prefix, b1 {n alpha}, and k whole cycles
+        phase = prefix[ns % q]
+        if b1 != 0:
+            phase += phase_turns(cfg.alpha, b1, ns)
+        if drift:
+            phase += drift(ns // q)
+        return phase
+
+    return _Plan(cfg.alpha, b, x, turn, phases, ())
 
 
 def correlation_sum(
@@ -300,8 +362,7 @@ def correlation_sum(
     driving series without coefficients gives e(<b, x>) times the twisted
     rotation sum, bit for bit.
     """
-    t0 = time.perf_counter()
-    return _plan(cfg, b, x).record(n_top, length, table, t0=t0)
+    return _plan(cfg, b, x).record(n_top, length, table)
 
 
 def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]:
@@ -334,23 +395,6 @@ def sweep(
     return [plan.record(n_top, length, theta=theta) for n_top, length in segments]
 
 
-def check_prefix_budget(cfg: FlowConfig) -> None:
-    """Refuse a rational angle whose closed form would sum too many terms.
-
-    rational_case's prefix sums K + 1 terms to 50 digits at each of the q
-    cycle points (K positive modes of h, about 15 us a term), so a q (K + 1)
-    past PREFIX_TERM_LIMIT = 10^6 (about 15 s) raises ResourceBudgetError.
-    It depends on cfg alone, so a sweep checks it once, before it sieves.
-    """
-    q = cfg.alpha.snapshot[1]
-    terms = q * (len(cfg.h.fold.modes) + 1)
-    if terms > PREFIX_TERM_LIMIT:
-        raise ResourceBudgetError(
-            f"rational_case sums {terms} prefix terms over q = {q} cycle points, "
-            f"past the {PREFIX_TERM_LIMIT} cap"
-        )
-
-
 def rational_case(
     cfg: FlowConfig,
     b: FrequencyVector,
@@ -365,55 +409,38 @@ def rational_case(
     For alpha = l/q the h argument cycles with period q, so the orbit sum up
     to n = r + k q splits into the prefix of the cycle below r plus k whole
     cycles: each residue class r mod q carries a constant phase plus an
-    arithmetic progression in k.  It shares _setup (guards, b_1, e(<b, x>),
-    fiber bases) with correlation_sum but no plan: its amplitudes are its
-    own, at 50 digits, and it reads no kernel weight or small divisor, so
-    the CLI's 1e-9 cross-check compares two independent routes.  table, when
-    given, must cover the segment (n_top - length, n_top], as for
-    correlation_sum; otherwise it is sieved.  check_prefix_budget runs
-    first, before anything is sieved or allocated.
+    arithmetic progression in k.  Its plan (_closed_form) shares _setup
+    (guards, b_1, e(<b, x>), fiber bases) and _Plan.record with
+    correlation_sum, but its amplitudes are its own, at 50 digits, and it
+    reads no kernel weight or small divisor, so the CLI's 1e-9 cross-check
+    compares two independent routes.  table, when given, must cover the
+    segment (n_top - length, n_top], as for correlation_sum; otherwise it is
+    sieved.  The prefix cap is checked first, before anything is sieved or
+    allocated.
     """
-    if not cfg.alpha.exact:
-        raise ValueError("rational_case needs an angle with an exact snapshot")
-    check_prefix_budget(cfg)
-    l, q = cfg.alpha.snapshot
-    t0 = time.perf_counter()
-    b1, turn, fibers, den = _setup(cfg, b, x)
-    table, n_lo = _segment(n_top, length, table)
+    return _closed_form(cfg, b, x).record(n_top, length, table)
 
-    # the pairing of h summed over the first r cycle points (the class
-    # prefix) and over the whole cycle (the slope per period), both to 50
-    # digits and reduced mod 1 before they become floats.  At cycle point j
-    # the pairing is mean + Re sum_m A_m e(m l/q)^j over the positive modes
-    # m, with every A_m at 50 digits: this route computes no float amplitude
-    # and no small divisor, so it stays independent of correlation_sum's
-    prefix = np.zeros(q)
-    with mp.workdps(50):
-        slope = mp.mpf(0)
-        modes, fold, c0 = cfg.h.fold
-        mean = mp.mpf(c0) * sum(bv for bv, _ in fibers)
-        terms = [
-            (_mp_amplitude(m, f, fibers, den), mp.expjpi(2 * mp.mpf((m * l) % q) / q))
-            for m, f in zip(modes, fold)
-        ] if fibers else []
-        if terms or mean:
-            for j in range(q):
-                prefix[j] = float(mp.frac(slope))
-                slope += mean + sum(mp.re(a) for a, _ in terms)
-                terms = [(a * z, z) for a, z in terms]
-    drift = _drift(slope)
 
-    def phases(ns: np.ndarray) -> np.ndarray:
-        # n = r + k q: the class prefix, b1 {n alpha}, and k whole cycles
-        phase = prefix[ns % q]
-        if b1 != 0:
-            phase += phase_turns(cfg.alpha, b1, ns)
-        if drift:
-            phase += drift(ns // q)
-        return phase
-
-    value = turn * mu_phase_sum(table, n_lo, n_top, 1, phases)
-    return _record(b, x, n_top, length, _theta_of(n_top, length), value, t0)
+def rational_sweep(
+    cfg: FlowConfig,
+    b: FrequencyVector,
+    x: TorusPoint,
+    theta: float,
+    n_list: Sequence[int],
+) -> List[Tuple[CorrelationRecord, complex]]:
+    """Both routes of a rational angle over the rows of sweep(cfg, b, x,
+    theta, n_list): per row, the closed form's record at the sweep's theta
+    and the kernel's S on the same sieved segment, for the CLI to compare.
+    Each route's plan is built once, the closed form's first, so its prefix
+    cap is checked before any segment is sieved."""
+    segments = sweep_segments(theta, n_list)
+    closed, kernel = _closed_form(cfg, b, x), _plan(cfg, b, x)
+    rows = []
+    for n_top, length in segments:
+        table = sieve_segment(n_top, length)
+        rec = closed.record(n_top, length, table, theta)
+        rows.append((rec, kernel.record(n_top, length, table).value))
+    return rows
 
 
 @dataclass(frozen=True)

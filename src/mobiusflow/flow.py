@@ -134,6 +134,8 @@ class FrequencyVector:
 
     rho and norm follow the convention that the base coordinate does not
     count: rho = sum of b_nu and norm = sum of |b_nu| over nu >= 2 only.
+    Every consumer pairs b with float coordinates, so an entry past 2^53 in
+    size, which has no exact float, is refused with ValueError.
     """
 
     entries: Tuple[int, ...]
@@ -142,6 +144,8 @@ class FrequencyVector:
         entries = tuple(int(b) for b in self.entries)
         if not entries:
             entries = (0,)
+        if any(abs(b) > 2**53 for b in entries):
+            raise ValueError("a pairing vector entry past 2^53 has no exact float")
         object.__setattr__(self, "entries", entries)
 
     @classmethod

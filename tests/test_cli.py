@@ -395,12 +395,15 @@ def test_sweep_rational_cross_check(capsys):
 
 
 def test_sweep_rational_cross_check_failure_exits_2(monkeypatch, tmp_path, capsys):
-    # a generic route that disagrees with the closed form by more than 1e-9
-    def off_by_one(*args, **kwargs):
-        rec = experiments.correlation_sum(*args, **kwargs)
-        return replace(rec, value=rec.value + 1.0)
+    # a kernel route that disagrees with the closed form by more than 1e-9:
+    # its plan reads -S
+    kernel_plan = experiments._plan
 
-    monkeypatch.setattr(cli, "correlation_sum", off_by_one)
+    def negated(*args):
+        plan = kernel_plan(*args)
+        return replace(plan, turn=-plan.turn)
+
+    monkeypatch.setattr(experiments, "_plan", negated)
     code = main(
         ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
          "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000",
@@ -447,6 +450,32 @@ def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
     assert calls == {(500, ceil(500**0.8)): 1, (2000, ceil(2000**0.8)): 1}
 
 
+def test_sweep_rational_builds_each_plan_once(monkeypatch, capsys):
+    # three rows on one theta: the closed form's 50-digit amplitudes (one
+    # per positive mode of h) and the kernel's small divisors are each
+    # computed once per sweep, not once per row
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+
+    for name in ("_mp_amplitude", "small_divisor"):
+        counted(name)
+    code = main(
+        ["sweep", "--rational", "355/1131", "--h", "analytic:1.0:8", "--b", "1;2;0;-1",
+         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "1e3,1e4,1e5"]
+    )
+    assert code == 0
+    assert "rational_cross_check\": true" in capsys.readouterr().out
+    assert counts == {"_mp_amplitude": 8, "small_divisor": 8}
+
+
 def test_sweep_rational_past_the_step_cap_is_resource_limit(capsys):
     # the closed form would step all 10,000,019 cycle points of its prefix
     code = main(["sweep", "--rational", "1/10000019", "--h", "analytic:1.0:8",
@@ -472,7 +501,7 @@ def test_sweep_rational_checks_the_prefix_cap_before_sieving(monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("sieved before the prefix cap was checked")
 
-    monkeypatch.setattr(cli, "sieve_segment", refuse)
+    monkeypatch.setattr(experiments, "sieve_segment", refuse)
     code = main(["sweep", "--rational", "1/111112", "--h", "analytic:1.0:8",
                  "--v", "4", "--n", "1e10"])
     assert code == 3
@@ -490,6 +519,27 @@ def test_sweep_rational_needs_ascending_n(exp_file, capsys):
         )
         assert code == 1, source
     assert capsys.readouterr().err.count("strictly ascending") == 2
+
+
+def test_sweep_b_entry_past_2_53_is_a_usage_error(exp_file, capsys):
+    # a 400-digit entry has no float: b_nu x_nu raised OverflowError, which
+    # escaped main
+    code = main(["sweep", "--angle", exp_file, "--h", "analytic:1.0:4", "--v", "2",
+                 "--n", "1e3", "--b", "0;1" + "0" * 400])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "past 2^53" in err and "Traceback" not in err
+
+
+def test_sweep_b_with_a_leading_minus(exp_file, capsys):
+    # argparse reads a separate value with a leading minus as a flag, so
+    # such a vector is written --b=-1;2, as the --b help says
+    argv = ["sweep", "--angle", exp_file, "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"]
+    assert main(argv + ["--b=-1;2"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--b", "-1;2"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --b: expected one argument" in err and "Traceback" not in err
 
 
 def test_sweep_usage_errors(exp_file, capsys):
@@ -579,7 +629,7 @@ _SWEEP_FLAGS = {
         st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
         st.lists(st.sampled_from(_H_TOKENS), max_size=3),
     ),
-    "--b": _joined(["0", "1", "-1", "2", "-3"], ["", "x"], ";"),
+    "--b": _joined(["0", "1", "-1", "2", "-3", "1" + "0" * 400], ["", "x"], ";"),
     "--x": _joined(["0.3", "0", "0.999", "1e-320"], ["1.0", "-0.2", "nan", "inf", "a"], ","),
     "--v": st.sampled_from(["2", "3", "4", "12"]) | st.sampled_from(["1", "0", "-1", "x"]),
     "--theta": _joined(["0.7", "0.9", "0.625", "1", "1e-300"], ["0", "1.5", "nan", "inf"],

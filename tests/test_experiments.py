@@ -36,9 +36,10 @@ from mobiusflow.contfrac import (
 )
 from mobiusflow.experiments import (
     CSV_HEADER,
-    _Plan,
     _drift,
     _plan,
+    _setup,
+    _weights,
     PREFIX_TERM_LIMIT,
     THETA_FLOOR,
     correlation_sum,
@@ -507,29 +508,24 @@ def test_kernel_matches_an_mpmath_per_term_oracle(exp_angle):
 # the plan: what (cfg, b, x) fix, built once
 
 
-def _mp_plan(cfg, b, x):
-    """The plan with every amplitude summed at 50 digits and rounded once,
+def _mp_weights(cfg, fibers, den):
+    """_weights with every amplitude summed at 50 digits and rounded once,
     each e(m u_nu) from mp.expjpi on the exact residue: a route for the
-    weights that shares no float arithmetic with _plan's."""
-    active = [(nu, bv) for nu, bv in enumerate(b.entries[1:], start=2) if bv]
+    weights that shares no float arithmetic with _weights."""
     modes, fold, c0 = cfg.h.fold
-    nums, den = _coord_bases(cfg, *_seed_of(cfg, x), max(modes))
-    weights, base = [], 0.0
+    weights = []
     with mp.workdps(50):
-        slope = mp.mpf(c0) * sum(bv for _, bv in active)
+        slope = mp.mpf(c0) * sum(bv for bv, _ in fibers)
         for m, f in zip(modes, fold):
             amp = mp.mpc(f) * sum(
-                bv * mp.expjpi(2 * mp.mpf(m * nums[nu - 2] % den) / den) for nu, bv in active
+                bv * mp.expjpi(2 * mp.mpf(m * num % den) / den) for bv, num in fibers
             )
             zden = small_divisor(m, cfg.alpha)
             if zden == 0:
                 slope += mp.re(amp)
                 continue
-            w = complex(amp) / zden
-            weights.append((m, w))
-            base -= w.real
-    const = sum(bv * xv for bv, xv in zip(b.entries, x.coords) if bv)
-    return _Plan(cfg, b, x, b.entries[0], cis(const % 1.0), tuple(weights), base, _drift(slope))
+            weights.append((m, complex(amp) / zden))
+    return weights, _drift(slope)
 
 
 B_ONE_FIBER = FrequencyVector((0, 0, 2, 0))
@@ -544,23 +540,28 @@ B_THREE_FIBERS = FrequencyVector((1, 2, -1, 3))
     rational_angle(1, 3),  # modes 3 and 6 are resonant: a drift
 ], ids=["exp-k4-q1-2", "exp-k4-q1-1", "poly-4-6", "355/1131", "1/3"])
 @pytest.mark.parametrize("b", [B_ONE_FIBER, B_THREE_FIBERS], ids=["one-fiber", "three-fibers"])
-def test_float_amplitudes_match_the_50_digit_route(exp_angle, angle, b):
+def test_float_amplitudes_match_the_50_digit_route(exp_angle, angle, b, monkeypatch):
     cfg = FlowConfig(alpha=angle or exp_angle, h=analytic_h_sample(1.0, 8, 3), v=4)
-    plan, want = _plan(cfg, b, X4), _mp_plan(cfg, b, X4)
-    assert [m for m, _ in plan.weights] == [m for m, _ in want.weights]
-    for (_, w), (_, ref) in zip(plan.weights, want.weights):
+    _, _, fibers, den = _setup(cfg, b, X4)
+    weights, drift = _weights(cfg, fibers, den)
+    want, want_drift = _mp_weights(cfg, fibers, den)
+    assert [m for m, _ in weights] == [m for m, _ in want]
+    for (_, w), (_, ref) in zip(weights, want):
         assert abs(w - ref) <= 1e-15 * max(1.0, abs(ref))
     ks = np.arange(-5, 10**6, 997)
     if cfg.alpha.snapshot == (1, 3):
-        assert [m for m, _ in plan.weights] == [1, 2, 4, 5, 7, 8]
+        assert [m for m, _ in weights] == [1, 2, 4, 5, 7, 8]
         # the resonant amplitudes reach the drift through the 50-digit slope
-        assert plan.drift is not None
-        assert np.array_equal(plan.drift(ks), want.drift(ks))
+        assert drift is not None
+        assert np.array_equal(drift(ks), want_drift(ks))
     else:
-        assert plan.drift is None and want.drift is None
+        assert drift is None and want_drift is None
+    plan = _plan(cfg, b, X4)
+    monkeypatch.setattr(experiments, "_weights", _mp_weights)
+    mp_plan = _plan(cfg, b, X4)
     for n_top, length in ((10**4, 10**4), (10**5, 3000), (10**6, 9000)):
-        got = correlation_sum(cfg, b, X4, n_top, length).value
-        assert abs(got - want.record(n_top, length).value) <= 1e-12
+        got = plan.record(n_top, length).value
+        assert abs(got - mp_plan.record(n_top, length).value) <= 1e-12
 
 
 def test_sweep_builds_one_plan(exp_angle, monkeypatch):

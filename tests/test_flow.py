@@ -92,6 +92,13 @@ def test_torus_point_validation():
     assert p.v == 3
 
 
+def test_frequency_vector_refuses_an_entry_past_2_53():
+    # every entry is paired with float coordinates: past 2^53 it has no float
+    assert FrequencyVector((2**53, -(2**53))).entries == (2**53, -(2**53))
+    with pytest.raises(ValueError, match="2\\^53"):
+        FrequencyVector((0, -(2**53) - 1))
+
+
 def test_frequency_vector_conventions():
     b = FrequencyVector((3, 1, -2))
     assert b.rho == -1  # base entry does not count
