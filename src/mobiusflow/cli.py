@@ -22,11 +22,11 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha256
+from html import escape
 from math import log10
 from pathlib import Path
 from random import Random
 from typing import List, Optional, Tuple
-from xml.sax.saxutils import escape
 
 from .contfrac import (
     BIT_BUDGET,
@@ -71,6 +71,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors (exit 1).  Flags match only
+    in full: with argparse's prefix matching, --h on a command without an
+    --h flag would read as --help and exit 0 without running anything."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -480,7 +487,7 @@ def _svg_chart(groups: List[Tuple[str, List[Tuple[float, float]]]], title: str) 
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">'
-        f"{escape(title)}</text>",
+        f"{escape(title, quote=False)}</text>",
         f'<line x1="{ml}" y1="{py(0)}" x2="{width - mr}" y2="{py(0)}" '
         f'stroke="#444" stroke-width="1"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{py(0)}" '
@@ -515,7 +522,7 @@ def _svg_chart(groups: List[Tuple[str, List[Tuple[float, float]]]], title: str) 
         parts.append(
             f'<text x="{width - mr - 8}" y="{mt + 16 * i + 12}" '
             f'font-family="sans-serif" font-size="12" text-anchor="end" '
-            f'fill="{color}">{escape(label)}</text>'
+            f'fill="{color}">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -556,16 +563,16 @@ def _cmd_sweep(args) -> int:
     records = []
     groups = []
     cross_checked = True
-    for theta in thetas:
-        if args.rational is None:
-            batch = sweep(cfg, b, x, theta, n_list)
-        else:
-            # report the closed form, at the sweep's theta; the kernel
-            # cross-checks it on the same sieved segment
-            rows = rational_sweep(cfg, b, x, theta, n_list)
-            if any(abs(rec.value - generic) > 1e-9 for rec, generic in rows):
-                cross_checked = False
-            batch = [rec for rec, _ in rows]
+    if args.rational is None:
+        batches = (sweep(cfg, b, x, theta, n_list) for theta in thetas)
+    else:
+        # report the closed form, at each theta; the kernel cross-checks it
+        # on the same sieved segment
+        pairs = rational_sweep(cfg, b, x, thetas, n_list)
+        if any(abs(rec.value - generic) > 1e-9 for rows in pairs for rec, generic in rows):
+            cross_checked = False
+        batches = ([rec for rec, _ in rows] for rows in pairs)
+    for theta, batch in zip(thetas, batches):
         records.extend(batch)
         groups.append(
             (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])

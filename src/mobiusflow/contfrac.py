@@ -47,7 +47,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Optional, Sequence, Union
@@ -63,8 +63,6 @@ __all__ = [
     "Convergent",
     "PartialQuotients",
     "AngleCF",
-    "ExpWindowRecord",
-    "PolyCapRecord",
     "Certificate",
     "BoundsCertificate",
     "QuotientsExhausted",
@@ -159,28 +157,13 @@ class PartialQuotients:
 
 
 @dataclass(frozen=True)
-class ExpWindowRecord:
-    """Ratio q_{k+1} / e^{q_k}; the [1/2, 3] window is this package's
-    acceptance band for 'comparable to e^{q_k}'."""
-
-    k: int
-    ratio: float
-    in_window: bool
-
-
-@dataclass(frozen=True)
-class PolyCapRecord:
-    k: int
-    within_cap: bool      # q_{k+1} <= 2 * q_k**tau, checked exactly
-    sharp_member: bool    # q_{k+1} > q_k**(tau/3), checked exactly
-
-
-@dataclass(frozen=True)
 class AngleCF:
     """A rotation angle pinned to an exact rational snapshot.
 
     convergents runs from index 0 through the snapshot index; k_star is the
-    advertised index, past which the quotients are the padding tail.
+    advertised index, past which the quotients are the padding tail.  Every
+    field is in the angle document, so an angle equals its JSON round trip;
+    explicit_angle is the one constructor.
     """
 
     pq: PartialQuotients
@@ -188,7 +171,6 @@ class AngleCF:
     k_star: int
     kind: str
     tau: Optional[Fraction] = None
-    growth: tuple = field(default=())
     exact: bool = False  # True when the quotients are the complete expansion
 
     @property
@@ -269,12 +251,12 @@ def _finish_angle(
     k_star: int,
     kind: str,
     tau: Optional[Fraction],
-    growth: tuple,
     precision_floor: int,
 ) -> AngleCF:
-    quotients = quotients + [1] * GOLDEN_TAIL_STEPS
-    convs = convergents_from_quotients(0, quotients)
-    q_snap = convs[-1].q
+    angle = explicit_angle(
+        quotients + [1] * GOLDEN_TAIL_STEPS, kind=kind, k_star=k_star, tau=tau
+    )
+    q_snap = angle.q_snapshot
     # the angle document stores the snapshot in decimal, which CPython caps
     digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_cap and q_snap >= 10**digit_cap:
@@ -288,14 +270,7 @@ def _finish_angle(
             f"snapshot denominator has {len(str(q_snap))} digits, below the "
             f"precision floor; choose a larger k_star"
         )
-    return AngleCF(
-        pq=PartialQuotients(0, tuple(quotients)),
-        convergents=tuple(convs),
-        k_star=k_star,
-        kind=kind,
-        tau=tau,
-        growth=growth,
-    )
+    return angle
 
 
 def build_exp_alpha(
@@ -322,7 +297,6 @@ def build_exp_alpha(
         raise ValueError("seed_q1 must be positive")
     quotients = [seed_q1]
     q_prev, q_cur = 1, seed_q1
-    records: list[ExpWindowRecord] = []
     for k in range(1, k_star):
         if q_cur * 14427 > bit_budget * 10000:  # q_cur * log2(e) bits, integer-safe
             need = str(q_cur * 14427 // 10000)
@@ -336,17 +310,13 @@ def build_exp_alpha(
         q_next = a_next * q_cur + q_prev
         if k >= 2:
             ratio = _exp_ratio(q_next, q_cur)
-            ok = 0.5 <= ratio <= 3.0
-            records.append(ExpWindowRecord(k, ratio, ok))
-            if not ok:
+            if not 0.5 <= ratio <= 3.0:
                 raise ValueError(
                     f"growth ratio {ratio} at k={k} escaped the [1/2, 3] window"
                 )
         quotients.append(a_next)
         q_prev, q_cur = q_cur, q_next
-    return _finish_angle(
-        quotients, k_star, "exp-type", None, tuple(records), precision_floor
-    )
+    return _finish_angle(quotients, k_star, "exp-type", None, precision_floor)
 
 
 def build_poly_alpha(
@@ -376,7 +346,6 @@ def build_poly_alpha(
     p, r = tau.numerator, tau.denominator
     quotients = [seed_q1]
     q_prev, q_cur = 1, seed_q1
-    records: list[PolyCapRecord] = []
     for k in range(1, k_star):
         if q_cur.bit_length() * p // r > bit_budget:
             raise ResourceBudgetError(
@@ -384,16 +353,11 @@ def build_poly_alpha(
             )
         a_next = max(1, _iroot(q_cur ** (p - r), r))
         q_next = a_next * q_cur + q_prev
-        within = q_next**r <= 2**r * q_cur**p
-        sharp = q_next ** (3 * r) > q_cur**p
-        records.append(PolyCapRecord(k, within, sharp))
-        if not within:
+        if q_next**r > 2**r * q_cur**p:
             raise ValueError(f"cap q_(k+1) <= 2 q_k**tau violated at k={k}")
         quotients.append(a_next)
         q_prev, q_cur = q_cur, q_next
-    return _finish_angle(
-        quotients, k_star, "poly-type", tau, tuple(records), precision_floor
-    )
+    return _finish_angle(quotients, k_star, "poly-type", tau, precision_floor)
 
 
 def explicit_angle(
@@ -405,7 +369,10 @@ def explicit_angle(
     tau: Optional[Fraction] = None,
     exact: bool = False,
 ) -> AngleCF:
-    """Wrap user-supplied quotients without padding or floor checks."""
+    """Wrap quotients without padding or floor checks: the one AngleCF
+    constructor.  The builders pad the golden tail and check the floor
+    around it (_finish_angle); rational_angle, dyadic_angle and
+    angle_from_json call it too."""
     pq = PartialQuotients(a0, tuple(int(a) for a in quotients))
     convs = convergents_from_quotients(pq.a0, pq.quotients)
     return AngleCF(

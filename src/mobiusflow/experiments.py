@@ -127,16 +127,20 @@ def records_to_csv(records: Iterable[CorrelationRecord]) -> str:
 
 
 def records_digest(records: Iterable[CorrelationRecord]) -> str:
-    """Reproducibility hash over everything except wall-clock noise."""
+    """Reproducibility hash over everything except wall-clock noise.
+
+    Each point's coordinates are serialized once per call, keyed by the
+    point object (which the cache keeps alive, so its id is not reused),
+    not by hashing its coordinate tuple: a sweep's rows share one point,
+    and with V coordinates a per-row serialization is O(rows V) work."""
     h = sha256()
+    coords = {}  # id(x) -> (x, its serialized coordinates)
     for rec in records:
-        h.update(
-            (
-                f"{rec.n_top},{rec.length},{rec.theta!r},{rec.b.label()},"
-                f"{','.join(repr(c) for c in rec.x.coords)},"
-                f"{rec.value.real!r},{rec.value.imag!r}\n"
-            ).encode()
-        )
+        if id(rec.x) not in coords:
+            coords[id(rec.x)] = (rec.x, ",".join(repr(c) for c in rec.x.coords).encode())
+        h.update(f"{rec.n_top},{rec.length},{rec.theta!r},{rec.b.label()},".encode())
+        h.update(coords[id(rec.x)][1])
+        h.update(f",{rec.value.real!r},{rec.value.imag!r}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -425,22 +429,26 @@ def rational_sweep(
     cfg: FlowConfig,
     b: FrequencyVector,
     x: TorusPoint,
-    theta: float,
+    thetas: Sequence[float],
     n_list: Sequence[int],
-) -> List[Tuple[CorrelationRecord, complex]]:
+) -> List[List[Tuple[CorrelationRecord, complex]]]:
     """Both routes of a rational angle over the rows of sweep(cfg, b, x,
-    theta, n_list): per row, the closed form's record at the sweep's theta
-    and the kernel's S on the same sieved segment, for the CLI to compare.
-    Each route's plan is built once, the closed form's first, so its prefix
-    cap is checked before any segment is sieved."""
-    segments = sweep_segments(theta, n_list)
+    theta, n_list), one list per theta of thetas: per row, the closed form's
+    record at that theta and the kernel's S on the same sieved segment, for
+    the CLI to compare.  Neither plan depends on theta, so each is built
+    once per call, the closed form's first, after every theta's segments
+    are checked, so its prefix cap is checked before any segment is sieved."""
+    per_theta = []
+    for theta in thetas:  # a loop, so a window warning names the caller's line
+        per_theta.append((theta, sweep_segments(theta, n_list)))
     closed, kernel = _closed_form(cfg, b, x), _plan(cfg, b, x)
-    rows = []
-    for n_top, length in segments:
+
+    def row(theta, n_top, length):
         table = sieve_segment(n_top, length)
         rec = closed.record(n_top, length, table, theta)
-        rows.append((rec, kernel.record(n_top, length, table).value))
-    return rows
+        return rec, kernel.record(n_top, length, table).value
+
+    return [[row(theta, *segment) for segment in segments] for theta, segments in per_theta]
 
 
 @dataclass(frozen=True)

@@ -499,6 +499,12 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
     The 2 ln N comparison runs in floats; ties against an integer q_k cannot
     occur to double precision for the q ladders in scope (growth is at least
     Fibonacci), and a 1e-12 relative guard raises rather than misplace K.
+
+    K' is read off the sharp ladder (sharp_denominators up to N) in one
+    pass: it is the number of sharp values q~ < N, and the bracket is the
+    last of them with its successor denominator q~^+.  Those denominators
+    ascend from k = 1, so every earlier successor lies below that value;
+    when N > q~^+ too, N falls in a gap and SnapshotRangeError is raised.
     """
     if n < 2:
         raise ValueError("need N >= 2")
@@ -518,29 +524,18 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
         witness["K_loglog"] = K / log(log(n))
     if tau is not None:
         ladder = sharp_denominators(angle, tau, n)
-        K_prime = None
-        for pos, (k, qk, qk_next) in enumerate(ladder, start=1):
-            if qk >= n:
-                if pos == 1:
-                    K_prime = 0  # N at or below the first sharp value
-                    witness["sharp_bracket"] = "below first sharp value"
-                    break
-                # a previous sharp value had n > its successor denominator
+        K_prime = sum(qk < n for _, qk, _ in ladder)
+        if K_prime:
+            k, qk, qk_next = ladder[K_prime - 1]
+            if n > qk_next:
                 raise SnapshotRangeError(
                     f"N = {n} falls in a gap of the sharp ladder; no K' exists"
                 )
-            if n <= qk_next:
-                K_prime = pos
-                witness["sharp_bracket"] = [k, str(qk), str(qk_next)]
-                break
-        if K_prime is None:
-            if not ladder:
-                K_prime = 0
-                witness["sharp_bracket"] = "no sharp values below N"
-            else:
-                raise SnapshotRangeError(
-                    f"N = {n} falls in a gap of the sharp ladder; no K' exists"
-                )
+            witness["sharp_bracket"] = [k, str(qk), str(qk_next)]
+        elif ladder:  # the first sharp value is N itself
+            witness["sharp_bracket"] = "below first sharp value"
+        else:
+            witness["sharp_bracket"] = "no sharp values below N"
     passed = qs[K] <= target < qs[K + 1]
     if K_prime:
         _, qk, qk_next = ladder[K_prime - 1]

@@ -451,9 +451,9 @@ def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
 
 
 def test_sweep_rational_builds_each_plan_once(monkeypatch, capsys):
-    # three rows on one theta: the closed form's 50-digit amplitudes (one
-    # per positive mode of h) and the kernel's small divisors are each
-    # computed once per sweep, not once per row
+    # three rows on each of two thetas: the closed form's 50-digit
+    # amplitudes (one per positive mode of h) and the kernel's small
+    # divisors are each computed once per sweep, not once per row or theta
     counts = Counter()
 
     def counted(name):
@@ -469,10 +469,13 @@ def test_sweep_rational_builds_each_plan_once(monkeypatch, capsys):
         counted(name)
     code = main(
         ["sweep", "--rational", "355/1131", "--h", "analytic:1.0:8", "--b", "1;2;0;-1",
-         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "1e3,1e4,1e5"]
+         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.7,0.8",
+         "--n", "1e3,1e4,1e5"]
     )
     assert code == 0
-    assert "rational_cross_check\": true" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "rational_cross_check\": true" in out
+    assert out.count("theta=0.7 N=") == 3 and out.count("theta=0.8 N=") == 3
     assert counts == {"_mp_amplitude": 8, "small_divisor": 8}
 
 
@@ -710,6 +713,47 @@ def test_help_and_dispatch(capsys):
     assert main(["angle"]) == 1
     assert main(["check"]) == 1
     capsys.readouterr()
+
+
+def test_check_spectrum_h_is_no_help_abbreviation(exp_file, capsys):
+    # check spectrum has no --h: argparse's prefix matching reads it as
+    # --help, which prints usage and exits 0 without running a certificate
+    code = main(["check", "spectrum", "--angle", exp_file, "--h", "x"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "flat lower bound" not in out and "unrecognized arguments: --h" in err
+
+
+def test_check_coeff_bound_h_is_no_help_abbreviation(capsys):
+    code = main(["check", "coeff-bound", "--h", "analytic:nan:3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "series 0" not in out and "unrecognized arguments: --h" in err
+
+
+def test_sweep_flag_prefix_is_no_abbreviation(capsys):
+    # prefix matching reads --the as --theta
+    code = main(["sweep", "--rational", "1/2", "--h", "none", "--v", "2",
+                 "--the", "0.8", "--n", "1e3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "|S|/M" not in out and "unrecognized arguments: --the" in err
+
+
+def test_every_parser_matches_flags_in_full():
+    assert all(not parser.allow_abbrev for parser in _parsers(cli._build_parser()))
+
+
+def test_svg_escapes_as_saxutils_did(monkeypatch):
+    # html.escape without quotes makes saxutils' three replacements, & < >
+    from xml.sax.saxutils import escape
+
+    title, label = 'a & b < c > d "e" \'f\'', "<&>\"'"
+    groups = [(label, [(3.0, 0.1), (4.0, 0.05)])]
+    svg = cli._svg_chart(groups, title)
+    assert "&amp; b &lt; c &gt; d \"e\" 'f'" in svg and "&lt;&amp;&gt;\"'" in svg
+    monkeypatch.setattr(cli, "escape", lambda text, quote=False: escape(text))
+    assert cli._svg_chart(groups, title) == svg
 
 
 def _manifest_without_clock(path):

@@ -9,10 +9,12 @@ h into its positive modes is checked against a loop over every coefficient
 and against an mpmath sum of the terms one by one.
 """
 
+import builtins
 import math
 import time
 import warnings
 from collections import Counter
+from hashlib import sha256
 from math import gcd
 
 import numpy as np
@@ -36,6 +38,7 @@ from mobiusflow.contfrac import (
 )
 from mobiusflow.experiments import (
     CSV_HEADER,
+    CorrelationRecord,
     _drift,
     _plan,
     _setup,
@@ -670,6 +673,52 @@ def test_csv_and_digest_reproducibility(exp_cfg):
     assert records_digest(again) == records_digest(recs)
     # the digest pins everything except the wall-clock column
     assert len(records_digest(recs)) == 16
+
+
+def _digest_by_formula(records):
+    """records_digest's formula, with x serialized again for every record."""
+    h = sha256()
+    for rec in records:
+        h.update(
+            (
+                f"{rec.n_top},{rec.length},{rec.theta!r},{rec.b.label()},"
+                f"{','.join(repr(c) for c in rec.x.coords)},"
+                f"{rec.value.real!r},{rec.value.imag!r}\n"
+            ).encode()
+        )
+    return h.hexdigest()[:16]
+
+
+def _records(points):
+    b = FrequencyVector((1, 2, 0, -1))
+    for i, x in enumerate(points):
+        yield CorrelationRecord(10**3 * (i + 1), 100 + i, 0.7, b, x, complex(i, -0.1 / 3), 1.5)
+
+
+def test_records_digest_keeps_its_formula():
+    # rows on two different points, interleaved, so every rows_digest stays
+    x1, x2 = TorusPoint((0.1, 0.2, 0.3, 0.4)), TorusPoint((0.5, 1 / 3, 0.0, 0.875))
+    recs = list(_records([x1, x2, x1, x2, x2]))
+    assert records_digest(recs) == _digest_by_formula(recs)
+
+    def fresh():  # points made per record and dropped with it: no id is reused
+        return (TorusPoint((0.01 * i, 0.5, 0.25, 0.125)) for i in range(8))
+
+    assert records_digest(_records(fresh())) == _digest_by_formula(_records(fresh()))
+
+
+def test_records_digest_serializes_each_point_once(monkeypatch):
+    # V = 1000 coordinates on 6 rows: 1000 reprs, not 6000
+    calls = Counter()
+
+    def counting(obj):
+        calls["repr"] += 1
+        return builtins.repr(obj)
+
+    monkeypatch.setattr(experiments, "repr", counting, raising=False)
+    x = TorusPoint(tuple(i / 1024 for i in range(1000)))
+    records_digest(_records([x] * 6))
+    assert calls["repr"] == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Band placement, the flat lower bound, in-band scaling, truncation depths."""
 
 import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from math import log
 
@@ -478,6 +480,93 @@ def test_truncation_errors(exp_angle):
     shallow = explicit_angle([2, 9], k_star=2)
     with pytest.raises(SnapshotRangeError):
         truncation_indices(shallow, 20000)
+
+
+def _truncation_by_loop(angle, n, tau=None):
+    """The sharp-ladder walk truncation_indices ran before its one pass, four
+    exits and all, kept whole as the oracle of the differential test."""
+    if n < 2:
+        raise ValueError("need N >= 2")
+    target = 2.0 * log(n)
+    qs = [c.q for c in angle.convergents]
+    if target >= qs[angle.k_star]:
+        raise SnapshotRangeError(f"2 ln N = {target:.3f} reaches past the built ladder")
+    K = bisect_right(qs, target) - 1
+    near = min(abs(target - qs[K]), abs(qs[K + 1] - target))
+    if near < 1e-12 * max(1.0, target):
+        raise SnapshotRangeError("2 ln N sits on a ladder rung; cannot certify K")
+    if tau is None:
+        tau = angle.tau
+    K_prime = None
+    witness = {"two_log_n": target, "q_K": str(qs[K]), "K_loglog": 0.0}
+    if n > 2:
+        witness["K_loglog"] = K / log(log(n))
+    if tau is not None:
+        ladder = sharp_denominators(angle, tau, n)
+        for pos, (k, qk, qk_next) in enumerate(ladder, start=1):
+            if qk >= n:
+                if pos == 1:
+                    K_prime = 0
+                    witness["sharp_bracket"] = "below first sharp value"
+                    break
+                raise SnapshotRangeError(
+                    f"N = {n} falls in a gap of the sharp ladder; no K' exists"
+                )
+            if n <= qk_next:
+                K_prime = pos
+                witness["sharp_bracket"] = [k, str(qk), str(qk_next)]
+                break
+        if K_prime is None:
+            if not ladder:
+                K_prime = 0
+                witness["sharp_bracket"] = "no sharp values below N"
+            else:
+                raise SnapshotRangeError(
+                    f"N = {n} falls in a gap of the sharp ladder; no K' exists"
+                )
+    passed = qs[K] <= target < qs[K + 1]
+    if K_prime:
+        _, qk, qk_next = ladder[K_prime - 1]
+        passed = passed and qk < n <= qk_next
+    elif K_prime == 0 and ladder:
+        passed = passed and n <= ladder[0][1]
+    return spectrum.TruncationIndex(n, K, K_prime, witness, passed)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ResourceBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+def test_truncation_one_pass_matches_the_ladder_walk():
+    # explicit ladders mixing unit quotients (slow, non-sharp bands) with
+    # wide ones, at every rung q_k, its neighbours and points between rungs
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(30):
+        quotients = [
+            rng.choice([1, 1, 2, 3, rng.randint(2, 40), rng.randint(10, 10**4)])
+            for _ in range(10)
+        ]
+        angle = explicit_angle(quotients)
+        qs = [angle.q(k) for k in range(1, 9)]
+        ns = {2, 3, 5, 10, 50}
+        for q, q_next in zip(qs, qs[1:]):
+            ns.update({q - 1, q, q + 1, (q + q_next) // 2, q_next - 1})
+        for tau in (Fraction(10, 3), 4, 6, 12):
+            for n in sorted(m for m in ns if m >= 2):
+                want = _outcome(_truncation_by_loop, angle, n, tau)
+                assert _outcome(truncation_indices, angle, n, tau) == want, (quotients, n, tau)
+                if isinstance(want, tuple):
+                    seen["gap" if "gap of the sharp ladder" in want[1] else want[1]] += 1
+                else:
+                    bracket = want.witness["sharp_bracket"]
+                    seen[bracket if isinstance(bracket, str) else "bracket"] += 1
+    # every exit of the walk is reached
+    assert seen["gap"] and seen["bracket"]
+    assert seen["no sharp values below N"] and seen["below first sharp value"]
 
 
 def test_sharp_denominators_ladder(exp_angle, poly_angle):
