@@ -1,13 +1,17 @@
 """Command line driver: build angles, run certificates, sweep correlations.
 
 Exit codes: 0 pass, 1 usage error, 2 certificate failure, 3 resource limit.
-Every run that writes files also writes a manifest.json referencing them;
-without --out the manifest is printed instead.  Certificate commands put
-each certificate's own document (claim, pass, then its fields; see
-contfrac.Certificate) in the manifest details, and nowhere else: angle
-verify a certificates list, check spectrum flat, scaling and truncation,
-check coeff-bound one certificate per series.  The manifest keeps every
-document's declared key order.
+Every command but angle inspect ends in one call of _report, the one
+writer: it writes the command's files under --out, then the manifest
+(command, config_digest, outputs, started, finished, details) to
+manifest.json there, or to stdout without --out, and returns the exit code,
+2 when the run's verdict is false and 0 otherwise.  The verdict is passed
+for a certificate command and rational_cross_check for a sweep.
+Certificate commands put each certificate's own document (claim, pass, then
+its fields; see contfrac.Certificate) in the manifest details, and nowhere
+else: angle verify a certificates list, check spectrum flat, scaling and
+truncation, check coeff-bound one certificate per series.  The manifest
+keeps every document's declared key order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +29,7 @@ from html import escape
 from math import log10
 from pathlib import Path
 from random import Random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .contfrac import (
     BIT_BUDGET,
@@ -83,57 +86,48 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# run manifest
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    outputs: List[str] = field(default_factory=list)
-    started: str = ""
-    finished: str = ""
-    details: dict = field(default_factory=dict)
+# run report
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _config_digest(payload: dict) -> str:
+def _report(args, command: str, payload: dict, details: dict, files=()) -> int:
+    """The end of every run that writes a manifest; returns its exit code.
+
+    Each (name, text) of files is written under --out; without --out none
+    is written.  The manifest {command, config_digest (of payload), outputs
+    (the names written), started (main's stamp), finished, details} goes to
+    manifest.json under --out, or to stdout.  The exit code is 2 when the
+    run's verdict, details["passed"] of a certificate command or
+    details["rational_cross_check"] of a sweep, is false, else 0.
+    """
+    outputs = []
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            path = Path(args.out) / name
+            path.write_text(text)
+            print(f"written: {path}")
+            outputs.append(name)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return sha256(blob.encode()).hexdigest()[:16]
-
-
-def _start_manifest(command: str, payload: dict) -> RunManifest:
-    return RunManifest(
-        command=command, config_digest=_config_digest(payload), started=_utc_now()
-    )
-
-
-def _finish(manifest: RunManifest, out_dir: Optional[str]) -> None:
-    manifest.finished = _utc_now()
-    doc = json.dumps(asdict(manifest), indent=2) + "\n"
-    if out_dir is not None:
-        path = Path(out_dir) / "manifest.json"
+    doc = json.dumps({
+        "command": command,
+        "config_digest": sha256(blob.encode()).hexdigest()[:16],
+        "outputs": outputs,
+        "started": args.started,
+        "finished": _utc_now(),
+        "details": details,
+    }, indent=2) + "\n"
+    if args.out is not None:
+        path = Path(args.out) / "manifest.json"
         path.write_text(doc)
         print(f"manifest: {path}")
     else:
         print(f"manifest: {doc}", end="")
-
-
-def _out_dir(args) -> Optional[str]:
-    out = getattr(args, "out", None)
-    if out is not None:
-        Path(out).mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_artifact(manifest: RunManifest, out_dir: str, name: str, text: str) -> Path:
-    path = Path(out_dir) / name
-    path.write_text(text)
-    manifest.outputs.append(name)
-    return path
+    verdict = details.get("passed", details.get("rational_cross_check", True))
+    return 0 if verdict else 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +273,17 @@ def _cmd_angle_build(args) -> int:
         angle = build_poly_alpha(args.tau, args.k_star, **kwargs)
         name = f"angle-poly-t{args.tau.replace('/', '_')}-k{args.k_star}.json"
     doc = json.dumps(angle_to_json(angle), indent=2, sort_keys=True) + "\n"
-    manifest = _start_manifest(
+    if args.out is None:
+        print(doc, end="")
+    return _report(
+        args,
         f"angle {args.subcommand}",
         {"k_star": args.k_star, "seed_q1": args.seed_q1,
          "tau": getattr(args, "tau", None), "digest": angle_digest(angle)},
+        {"angle_digest": angle_digest(angle),
+         "snapshot_digits": len(str(angle.q_snapshot))},
+        [(name, doc)],
     )
-    out = _out_dir(args)
-    if out is not None:
-        path = _write_artifact(manifest, out, name, doc)
-        print(f"angle written: {path}")
-    else:
-        print(doc, end="")
-    manifest.details["angle_digest"] = angle_digest(angle)
-    manifest.details["snapshot_digits"] = len(str(angle.q_snapshot))
-    _finish(manifest, out)
-    return 0
 
 
 def _cmd_angle_inspect(args) -> int:
@@ -313,9 +303,6 @@ def _cmd_angle_inspect(args) -> int:
 
 def _cmd_angle_verify(args) -> int:
     angle = _load_angle(args.angle)
-    manifest = _start_manifest(
-        "angle verify", {"angle": angle_digest(angle), "all": args.all}
-    )
     ok = True
     top = angle.snap_index - 2
     certs = []
@@ -339,10 +326,10 @@ def _cmd_angle_verify(args) -> int:
                 good = found is None
             print(f"legendre round-trip k={k}: {'pass' if good else 'FAIL'}")
             ok = ok and good
-    manifest.details["certificates"] = certs
-    manifest.details["passed"] = ok
-    _finish(manifest, _out_dir(args))
-    return 0 if ok else 2
+    return _report(
+        args, "angle verify", {"angle": angle_digest(angle), "all": args.all},
+        {"certificates": certs, "passed": ok},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +338,6 @@ def _cmd_angle_verify(args) -> int:
 
 def _cmd_check_spectrum(args) -> int:
     angle = _load_angle(args.angle)
-    manifest = _start_manifest(
-        "check spectrum",
-        {"angle": angle_digest(angle), "m_limit": args.m_limit},
-    )
     tidx = truncation_indices(angle, args.n)  # refuses N < 2 before any scan
     ok = True
     flat = check_flat_lower_bound(angle, args.m_limit)
@@ -376,14 +359,11 @@ def _cmd_check_spectrum(args) -> int:
         ok = ok and cert.passed
     print(f"truncation at n={args.n}: K={tidx.K} K'={tidx.K_prime}")
     ok = ok and tidx.passed
-    manifest.details = {
-        "flat": flat.to_json(),
-        "scaling": scaling,
-        "truncation": tidx.to_json(),
-        "passed": ok,
-    }
-    _finish(manifest, _out_dir(args))
-    return 0 if ok else 2
+    return _report(
+        args, "check spectrum", {"angle": angle_digest(angle), "m_limit": args.m_limit},
+        {"flat": flat.to_json(), "scaling": scaling,
+         "truncation": tidx.to_json(), "passed": ok},
+    )
 
 
 def _cmd_check_coboundary(args) -> int:
@@ -391,11 +371,6 @@ def _cmd_check_coboundary(args) -> int:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     angle = _load_angle(args.angle)
     h = _parse_h(args.h, angle, args.seed)
-    manifest = _start_manifest(
-        "check coboundary",
-        {"angle": angle_digest(angle), "h": args.h, "seed": args.seed,
-         "tau": args.tau, "samples": args.samples},
-    )
     use_tau = args.tau if args.tau is not None else angle.tau
     if use_tau is not None:
         _, h2, _ = split_tau(h, angle, use_tau)
@@ -414,12 +389,13 @@ def _cmd_check_coboundary(args) -> int:
         f"coboundary identity over {args.samples} samples: "
         f"{'pass' if ok else 'FAIL'} (worst {worst:.3e}, budget {budget:.3e})"
     )
-    manifest.details = {
-        "worst_defect": worst, "budget": budget,
-        "psi_support": len(psi.series), "passed": ok,
-    }
-    _finish(manifest, _out_dir(args))
-    return 0 if ok else 2
+    return _report(
+        args, "check coboundary",
+        {"angle": angle_digest(angle), "h": args.h, "seed": args.seed,
+         "tau": args.tau, "samples": args.samples},
+        {"worst_defect": worst, "budget": budget,
+         "psi_support": len(psi.series), "passed": ok},
+    )
 
 
 def _random_finite_series(rng: Random) -> FourierSeries:
@@ -436,10 +412,6 @@ def _random_finite_series(rng: Random) -> FourierSeries:
 def _cmd_check_coeff_bound(args) -> int:
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
-    manifest = _start_manifest(
-        "check coeff-bound",
-        {"seed": args.seed, "count": args.count, "m_limit": args.m_limit},
-    )
     rng = Random(args.seed)
     ok = True
     rows = []
@@ -452,9 +424,11 @@ def _cmd_check_coeff_bound(args) -> int:
             f"(worst m={cert.worst_m}, lhs {cert.worst_lhs:.3e}, rhs {cert.rhs:.3e})"
         )
         ok = ok and cert.passed
-    manifest.details = {"certificates": rows, "passed": ok}
-    _finish(manifest, _out_dir(args))
-    return 0 if ok else 2
+    return _report(
+        args, "check coeff-bound",
+        {"seed": args.seed, "count": args.count, "m_limit": args.m_limit},
+        {"certificates": rows, "passed": ok},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -554,56 +528,44 @@ def _cmd_sweep(args) -> int:
         coords = tuple(rng.random() for _ in range(args.v))
     x = TorusPoint(coords)
 
-    manifest = _start_manifest(
-        "sweep",
-        {"angle": angle_digest(angle), "h": args.h, "b": b.label(),
-         "v": args.v, "seed": args.seed, "theta": thetas, "n": n_list,
-         "x": list(coords), "rational": args.rational},
-    )
-    records = []
-    groups = []
     cross_checked = True
     if args.rational is None:
-        batches = (sweep(cfg, b, x, theta, n_list) for theta in thetas)
+        batches = sweep(cfg, b, x, thetas, n_list)
     else:
         # report the closed form, at each theta; the kernel cross-checks it
         # on the same sieved segment
         pairs = rational_sweep(cfg, b, x, thetas, n_list)
-        if any(abs(rec.value - generic) > 1e-9 for rows in pairs for rec, generic in rows):
-            cross_checked = False
-        batches = ([rec for rec, _ in rows] for rows in pairs)
-    for theta, batch in zip(thetas, batches):
-        records.extend(batch)
-        groups.append(
-            (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])
+        cross_checked = not any(
+            abs(rec.value - generic) > 1e-9 for rows in pairs for rec, generic in rows
         )
-        for rec in batch:
-            print(
-                f"theta={theta} N={rec.n_top} M={rec.length} "
-                f"|S|/M={rec.normalized:.6f}"
-            )
+        batches = [[rec for rec, _ in rows] for rows in pairs]
+    records = [rec for batch in batches for rec in batch]
+    for rec in records:  # each row carries the theta it ran at
+        print(f"theta={rec.theta} N={rec.n_top} M={rec.length} |S|/M={rec.normalized:.6f}")
     if not cross_checked:
         print("rational cross-check FAILED against the generic path")
 
-    csv_text = records_to_csv(records)
-    manifest.details = {
-        "rows_digest": records_digest(records),
-        "observations": [
-            {"theta": r.theta, "N": r.n_top, "M": r.length, "norm": r.normalized}
-            for r in records
-        ],
-        "rational_cross_check": cross_checked,
-    }
-    out = _out_dir(args)
-    if out is not None:
-        _write_artifact(manifest, out, "sweep.csv", csv_text)
-        _write_artifact(
-            manifest, out, "sweep.svg",
-            _svg_chart(groups, "Moebius correlation decay"),
-        )
-        print(f"csv + svg written under {out}")
-    _finish(manifest, out)
-    return 0 if cross_checked else 2
+    files = ()
+    if args.out is not None:
+        groups = [
+            (f"theta={theta}", [(log10(r.n_top), r.normalized) for r in batch])
+            for theta, batch in zip(thetas, batches)
+        ]
+        files = [("sweep.csv", records_to_csv(records)),
+                 ("sweep.svg", _svg_chart(groups, "Moebius correlation decay"))]
+    return _report(
+        args, "sweep",
+        {"angle": angle_digest(angle), "h": args.h, "b": b.label(),
+         "v": args.v, "seed": args.seed, "theta": thetas, "n": n_list,
+         "x": sha256(x.serialized).hexdigest(), "rational": args.rational},
+        {"rows_digest": records_digest(records),
+         "observations": [
+             {"theta": r.theta, "N": r.n_top, "M": r.length, "norm": r.normalized}
+             for r in records
+         ],
+         "rational_cross_check": cross_checked},
+        files,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +663,7 @@ def main(argv=None) -> int:
         if func is None:
             parser.print_usage()
             return 1
+        args.started = _utc_now()
         return func(args)
     except SystemExit as exc:  # --help
         code = exc.code

@@ -38,7 +38,8 @@ the kernel weights, their constant part and the drift.  A non-resonant
 amplitude is a float sum of e(m u_nu) from contfrac.cis_ratio, the rule
 orbit_fast uses; mp is left only where a slope is reduced mod 1 (the mean,
 the resonant modes and _drift).  correlation_sum builds one plan per call
-and sweep one for all its rows; nothing keeps a plan past the call.
+and sweep one for all its rows, on every theta of its list; nothing keeps
+a plan past the call.
 
 For a rational angle l/q, _closed_form builds an independent plan on the
 same fiber bases: h cycles with period q, so each residue class mod q
@@ -129,17 +130,13 @@ def records_to_csv(records: Iterable[CorrelationRecord]) -> str:
 def records_digest(records: Iterable[CorrelationRecord]) -> str:
     """Reproducibility hash over everything except wall-clock noise.
 
-    Each point's coordinates are serialized once per call, keyed by the
-    point object (which the cache keeps alive, so its id is not reused),
-    not by hashing its coordinate tuple: a sweep's rows share one point,
-    and with V coordinates a per-row serialization is O(rows V) work."""
+    A point's coordinates enter as TorusPoint.serialized, which the point
+    builds once: a sweep's rows share one point, and with V coordinates a
+    per-row serialization is O(rows V) work."""
     h = sha256()
-    coords = {}  # id(x) -> (x, its serialized coordinates)
     for rec in records:
-        if id(rec.x) not in coords:
-            coords[id(rec.x)] = (rec.x, ",".join(repr(c) for c in rec.x.coords).encode())
         h.update(f"{rec.n_top},{rec.length},{rec.theta!r},{rec.b.label()},".encode())
-        h.update(coords[id(rec.x)][1])
+        h.update(rec.x.serialized)
         h.update(f",{rec.value.real!r},{rec.value.imag!r}\n".encode())
     return h.hexdigest()[:16]
 
@@ -389,14 +386,21 @@ def sweep(
     cfg: FlowConfig,
     b: FrequencyVector,
     x: TorusPoint,
-    theta: float,
+    thetas: Sequence[float],
     n_list: Sequence[int],
-) -> List[CorrelationRecord]:
-    """One record per N with M = ceil(N^theta), every row read through one
-    plan, built once for (cfg, b, x) after the segments are checked."""
-    segments = sweep_segments(theta, n_list)
+) -> List[List[CorrelationRecord]]:
+    """One list of records per theta of thetas, one record per N with
+    M = ceil(N^theta).  The plan does not depend on theta, so every row is
+    read through one plan, built once for (cfg, b, x) after every theta's
+    segments are checked."""
+    per_theta = []
+    for theta in thetas:  # a loop, so a window warning names the caller's line
+        per_theta.append((theta, sweep_segments(theta, n_list)))
     plan = _plan(cfg, b, x)
-    return [plan.record(n_top, length, theta=theta) for n_top, length in segments]
+    return [
+        [plan.record(n_top, length, theta=theta) for n_top, length in segments]
+        for theta, segments in per_theta
+    ]
 
 
 def rational_case(
@@ -433,7 +437,7 @@ def rational_sweep(
     n_list: Sequence[int],
 ) -> List[List[Tuple[CorrelationRecord, complex]]]:
     """Both routes of a rational angle over the rows of sweep(cfg, b, x,
-    theta, n_list), one list per theta of thetas: per row, the closed form's
+    thetas, n_list), one list per theta of thetas: per row, the closed form's
     record at that theta and the kernel's S on the same sieved segment, for
     the CLI to compare.  Neither plan depends on theta, so each is built
     once per call, the closed form's first, after every theta's segments

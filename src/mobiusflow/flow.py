@@ -127,6 +127,13 @@ class TorusPoint:
     def v(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def serialized(self) -> bytes:
+        """The coordinates as comma-joined reprs, built once per point:
+        experiments.records_digest hashes them for every row on the point,
+        and the CLI's config digest hashes them once."""
+        return ",".join(map(repr, self.coords)).encode()
+
 
 @dataclass(frozen=True)
 class FrequencyVector:

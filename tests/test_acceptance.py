@@ -219,7 +219,7 @@ def test_criterion_09_qualitative_decay(exp_angle, capsys):
         b = FrequencyVector.unit(2, 2)
         rng = Random(9)
         x = TorusPoint((rng.random(), rng.random()))
-        recs = sweep(cfg, b, x, 0.7, [10**4, 10**5, 10**6, 10**7])
+        recs, = sweep(cfg, b, x, [0.7], [10**4, 10**5, 10**6, 10**7])
         norms = [r.normalized for r in recs]
         with capsys.disabled():
             for r in recs:

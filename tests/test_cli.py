@@ -384,31 +384,34 @@ def test_sweep_prints_manifest_without_out(exp_file, capsys):
     assert "manifest: {" in out
 
 
+RATIONAL_ARGS = [
+    "sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
+    "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000",
+]
+
+
 def test_sweep_rational_cross_check(capsys):
-    code = main(
-        ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
-         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000"]
-    )
+    code = main(RATIONAL_ARGS)
     out = capsys.readouterr().out
     assert code == 0
     assert "FAILED" not in out
 
 
+def _negated_plan(plan):
+    """A kernel route that disagrees with the closed form by more than 1e-9:
+    its plan reads -S."""
+    return replace(plan, turn=-plan.turn)
+
+
+def _patch_result(monkeypatch, module, name, change):
+    """Make module.name return change(its result)."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(fn(*args, **kwargs)))
+
+
 def test_sweep_rational_cross_check_failure_exits_2(monkeypatch, tmp_path, capsys):
-    # a kernel route that disagrees with the closed form by more than 1e-9:
-    # its plan reads -S
-    kernel_plan = experiments._plan
-
-    def negated(*args):
-        plan = kernel_plan(*args)
-        return replace(plan, turn=-plan.turn)
-
-    monkeypatch.setattr(experiments, "_plan", negated)
-    code = main(
-        ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
-         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000",
-         "--out", str(tmp_path)]
-    )
+    _patch_result(monkeypatch, experiments, "_plan", _negated_plan)
+    code = main(RATIONAL_ARGS + ["--out", str(tmp_path)])
     assert code == 2
     assert "rational cross-check FAILED against the generic path" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -440,10 +443,7 @@ def test_sweep_rational_sieves_each_segment_once(monkeypatch, capsys):
 
     for module in (cli, experiments):
         monkeypatch.setattr(module, "sieve_segment", counting, raising=False)
-    code = main(
-        ["sweep", "--rational", "1/2", "--h", "analytic:1.0:6", "--b", "1;2;0;-1",
-         "--x", "0.3,0.71,0.05,0.42", "--v", "4", "--theta", "0.8", "--n", "500,2000"]
-    )
+    code = main(RATIONAL_ARGS)
     assert code == 0
     assert "rational_cross_check\": true" in capsys.readouterr().out
     # the closed form and its generic cross-check share one sieved segment
@@ -754,6 +754,63 @@ def test_svg_escapes_as_saxutils_did(monkeypatch):
     assert "&amp; b &lt; c &gt; d \"e\" 'f'" in svg and "&lt;&amp;&gt;\"'" in svg
     monkeypatch.setattr(cli, "escape", lambda text, quote=False: escape(text))
     assert cli._svg_chart(groups, title) == svg
+
+
+# ---------------------------------------------------------------------------
+# run report
+
+MANIFEST_KEYS = ["command", "config_digest", "outputs", "started", "finished", "details"]
+
+# every command that ends in cli._report: its argv (EXP stands for the exp
+# k4 angle file), the files it writes under --out, and the patch that makes
+# its verdict false (None for angle build, which has no verdict, and for a
+# kernel sweep, which has no cross-check to fail)
+REPORT_RUNS = {
+    "build-exp": (["angle", "build-exp", "--k-star", "4"], ["angle-exp-k4.json"], None),
+    "build-poly": (["angle", "build-poly", "--tau", "4", "--k-star", "6"],
+                   ["angle-poly-t4-k6.json"], None),
+    "verify": (["angle", "verify", "--angle", "EXP", "--all"], [],
+               (cli, "check_convergent_bounds", lambda c: replace(c, det_ok=False))),
+    "spectrum": (["check", "spectrum", "--angle", "EXP", "--m-limit", "1000"], [],
+                 (cli, "check_flat_lower_bound", lambda c: replace(c, passed=False))),
+    "coboundary": (["check", "coboundary", "--angle", "EXP", "--samples", "50"], [],
+                   (cli, "solve_coboundary", lambda g: replace(g, identity_error_bound=-1.0))),
+    "coeff-bound": (["check", "coeff-bound", "--count", "2", "--m-limit", "100"], [],
+                    (cli, "check_coeff_bound", lambda c: replace(c, passed=False))),
+    "sweep": (SWEEP_ARGS + ["--angle", "EXP"], ["sweep.csv", "sweep.svg"], None),
+    "sweep-rational": (RATIONAL_ARGS, ["sweep.csv", "sweep.svg"],
+                       (experiments, "_plan", _negated_plan)),
+}
+
+
+@pytest.mark.parametrize("run", list(REPORT_RUNS))
+def test_report_writes_files_and_manifest_and_picks_the_exit_code(
+    run, exp_file, tmp_path, monkeypatch, capsys
+):
+    argv, files, failing = REPORT_RUNS[run]
+    argv = [exp_file if arg == "EXP" else arg for arg in argv]
+    verdict = "rational_cross_check" if argv[0] == "sweep" else "passed"
+
+    def manifests(code):
+        """Run argv without and with --out; both must exit with code."""
+        out_dir = tmp_path / str(code)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        printed = json.loads(out[out.index("manifest: {") + len("manifest: "):])
+        assert main(argv + ["--out", str(out_dir)]) == code
+        capsys.readouterr()
+        written = json.loads((out_dir / "manifest.json").read_text())
+        assert list(printed) == list(written) == MANIFEST_KEYS
+        assert printed["outputs"] == [] and written["outputs"] == files
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(files + ["manifest.json"])
+        for key in ("command", "config_digest", "details"):
+            assert printed[key] == written[key]
+        return written["details"]
+
+    assert manifests(0).get(verdict, True) is True
+    if failing is not None:
+        _patch_result(monkeypatch, *failing)
+        assert manifests(2)[verdict] is False
 
 
 def _manifest_without_clock(path):

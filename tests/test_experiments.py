@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from mobiusflow import experiments
+from mobiusflow import experiments, flow
 from mobiusflow.contfrac import (
     TWO_PI,
     PrecisionFloorError,
@@ -568,8 +568,9 @@ def test_float_amplitudes_match_the_50_digit_route(exp_angle, angle, b, monkeypa
 
 
 def test_sweep_builds_one_plan(exp_angle, monkeypatch):
-    # analytic:1.0:24 on exp k4 has no resonant mode: a 3-row sweep reads
-    # the fiber bases once, each small divisor once, and no 50-digit cis
+    # analytic:1.0:24 on exp k4 has no resonant mode: three rows on each of
+    # three thetas build one plan, which reads the fiber bases once, each
+    # small divisor once, and no 50-digit cis
     counts = Counter()
 
     def counted(name, fn):
@@ -579,20 +580,20 @@ def test_sweep_builds_one_plan(exp_angle, monkeypatch):
 
         monkeypatch.setattr(experiments, name, wrapper)
 
-    for name in ("_coord_bases", "small_divisor", "mp_cis"):
+    for name in ("_plan", "_coord_bases", "small_divisor", "mp_cis"):
         counted(name, getattr(experiments, name))
     cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
     b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
     x = TorusPoint((0.3, 0.71, 0.05, 0.42, 0.9, 0.1, 0.5, 0.25))
-    recs = sweep(cfg, b, x, 0.7, [10**4, 10**5, 3 * 10**5])
-    assert len(recs) == 3
-    assert counts == {"_coord_bases": 1, "small_divisor": 24}
+    per_theta = sweep(cfg, b, x, [0.7, 0.8, 0.9], [10**4, 10**5, 3 * 10**5])
+    assert [[r.theta for r in recs] for recs in per_theta] == [[t] * 3 for t in (0.7, 0.8, 0.9)]
+    assert counts == {"_plan": 1, "_coord_bases": 1, "small_divisor": 24}
     # on 1/3 the resonant modes 3 and 6 read 50-digit cis once per sweep,
     # once for each of the three fibers b touches
     counts.clear()
     cfg = FlowConfig(alpha=rational_angle(1, 3), h=analytic_h_sample(1.0, 8, 3), v=4)
-    sweep(cfg, B_THREE_FIBERS, X4, 0.7, [10**3, 10**4, 10**5])
-    assert counts == {"_coord_bases": 1, "small_divisor": 8, "mp_cis": 2 * 3}
+    sweep(cfg, B_THREE_FIBERS, X4, [0.7], [10**3, 10**4, 10**5])
+    assert counts == {"_plan": 1, "_coord_bases": 1, "small_divisor": 8, "mp_cis": 2 * 3}
 
 
 def test_rational_case_reads_no_small_divisor(monkeypatch):
@@ -636,7 +637,7 @@ def test_setup_builds_bases_only_for_the_fibers_b_touches(exp_angle, monkeypatch
 
 
 def test_sweep_shapes_and_window(exp_cfg):
-    recs = sweep(exp_cfg, B_MIXED, X4, 0.7, [10**3, 10**4, 10**5])
+    recs, = sweep(exp_cfg, B_MIXED, X4, [0.7], [10**3, 10**4, 10**5])
     assert [r.n_top for r in recs] == [10**3, 10**4, 10**5]
     for r in recs:
         assert r.length == min(r.n_top, math.ceil(r.n_top**0.7))
@@ -644,23 +645,23 @@ def test_sweep_shapes_and_window(exp_cfg):
         assert abs(r.value) <= r.length + 1e-9
         assert 0.0 <= r.normalized <= 1.0
         assert r.in_window
-    full = sweep(exp_cfg, B_MIXED, X4, 1.0, [100])[0]
+    full = sweep(exp_cfg, B_MIXED, X4, [1.0], [100])[0][0]
     assert full.length == 100 and full.in_window
 
 
 def test_sweep_guards(exp_cfg):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sweep(exp_cfg, B_MIXED, X4, THETA_FLOOR, [100])
+        sweep(exp_cfg, B_MIXED, X4, [THETA_FLOOR], [100])
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
     with pytest.raises(ValueError):
-        sweep(exp_cfg, B_MIXED, X4, 0.7, [100, 100])
+        sweep(exp_cfg, B_MIXED, X4, [0.7], [100, 100])
     with pytest.raises(ValueError):
-        sweep(exp_cfg, B_MIXED, X4, 0.7, [200, 100])
+        sweep(exp_cfg, B_MIXED, X4, [0.7], [200, 100])
 
 
 def test_csv_and_digest_reproducibility(exp_cfg):
-    recs = sweep(exp_cfg, B_MIXED, X4, 0.7, [10**3, 10**4])
+    recs, = sweep(exp_cfg, B_MIXED, X4, [0.7], [10**3, 10**4])
     csv = records_to_csv(recs)
     lines = csv.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -668,7 +669,7 @@ def test_csv_and_digest_reproducibility(exp_cfg):
     assert lines[1].startswith("1000,")
     cells = lines[1].split(",")
     assert cells[3] == B_MIXED.label() == "1;2;0;-1"
-    again = sweep(exp_cfg, B_MIXED, X4, 0.7, [10**3, 10**4])
+    again, = sweep(exp_cfg, B_MIXED, X4, [0.7], [10**3, 10**4])
     assert [r.value for r in again] == [r.value for r in recs]
     assert records_digest(again) == records_digest(recs)
     # the digest pins everything except the wall-clock column
@@ -708,16 +709,20 @@ def test_records_digest_keeps_its_formula():
 
 
 def test_records_digest_serializes_each_point_once(monkeypatch):
-    # V = 1000 coordinates on 6 rows: 1000 reprs, not 6000
+    # V = 1000 coordinates on 6 rows: 1000 reprs, not 6000, and none more
+    # for a second digest or the bytes the CLI's config digest hashes
     calls = Counter()
 
     def counting(obj):
         calls["repr"] += 1
         return builtins.repr(obj)
 
-    monkeypatch.setattr(experiments, "repr", counting, raising=False)
+    monkeypatch.setattr(flow, "repr", counting, raising=False)
     x = TorusPoint(tuple(i / 1024 for i in range(1000)))
-    records_digest(_records([x] * 6))
+    first = records_digest(_records([x] * 6))
+    assert calls["repr"] == 1000
+    assert records_digest(_records([x] * 6)) == first
+    assert x.serialized == ",".join(builtins.repr(c) for c in x.coords).encode()
     assert calls["repr"] == 1000
 
 
