@@ -407,7 +407,10 @@ def rational_angle(l: int, q: int) -> AngleCF:
 
 
 def dyadic_angle(x: float) -> AngleCF:
-    """The exact rational {x} of a float, whose denominator is a power of two."""
+    """The exact rational {x} of a finite float, whose denominator is a power
+    of two; an infinite or nan x is refused with ValueError."""
+    if not math.isfinite(x):
+        raise ValueError(f"angle {x!r} is not a finite float")
     f = Fraction(x) % 1
     return rational_angle(f.numerator, f.denominator)
 

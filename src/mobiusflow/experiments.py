@@ -29,6 +29,15 @@ reproducible bit for bit.  The one route covers b = 0 (the Mertens
 difference) and h = 0 (the twisted rotation sum) exactly, with no shortcut
 for either.
 
+twisted_sum, the paper's input estimate sum of mu(n) e(mult n alpha) over
+the segment or over one progression n = r (mod q), is that h = 0 row: the
+kernel plan of no series, v = 2, b = (mult,) and x = 0, read by
+_Plan.record, so it returns the plan's CorrelationRecord and a mult past
+2^53 in size is refused, as FrequencyVector refuses it.  For q > 1 the
+table is cut to its class, mu set to 0 off n = r (mod q) in one int8 array
+of the segment, and the cut row takes the class route when the rule holds,
+as any row does.
+
 Everything but the mu-table depends on (cfg, b, x) alone, so it is built
 once, as a plan (_Plan): b, x, e(<b, x>), a phases closure and the
 multipliers the class rule reads.  _Plan.record is the one row path: it
@@ -37,9 +46,10 @@ and makes the one mu_phase_sum call.  _plan builds the kernel's plan: b_1,
 the kernel weights, their constant part and the drift.  A non-resonant
 amplitude is a float sum of e(m u_nu) from contfrac.cis_ratio, the rule
 orbit_fast uses; mp is left only where a slope is reduced mod 1 (the mean,
-the resonant modes and _drift).  correlation_sum builds one plan per call
-and sweep one for all its rows, on every theta of its list; nothing keeps
-a plan past the call.
+the resonant modes and _drift).  correlation_sum and twisted_sum build one
+plan per call and sweep one for all its rows, on every theta of its list;
+nothing keeps a plan past the call.  sweep_segments checks the segments of
+every theta for sweep and rational_sweep alike.
 
 For a rational angle l/q, _closed_form builds an independent plan on the
 same fiber bases: h cycles with period q, so each residue class mod q
@@ -57,8 +67,8 @@ import time
 import warnings
 from dataclasses import dataclass
 from hashlib import sha256
-from math import ceil, log
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from math import ceil, gcd, log
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from mpmath import mp
@@ -85,10 +95,8 @@ from .flow import (
     _seed_of,
     birkhoff_avg,
 )
+from .harmonic import FourierSeries
 from .moebius import MuTable, mu_phase_sum, sieve_segment
-# not called here since the kernel route covers h = 0, but the benchmark's
-# tracer (perfbench/tracing.py) wraps experiments.twisted_sum by name
-from .moebius import twisted_sum  # noqa: F401
 
 CSV_HEADER = "N,M,theta,b,re_S,im_S,norm,runtime_ms"
 THETA_FLOOR = 0.625  # short intervals below N^(5/8) are outside the window
@@ -223,7 +231,7 @@ class _Plan:
             table = sieve_segment(n_top, length)
         theta = _theta_of(n_top, length) if theta is None else float(theta)
         rule = class_modulus(self.alpha, self.mults, n_top, length)
-        value = self.turn * mu_phase_sum(table, n_top - length + 1, n_top, 1, self.phases, rule)
+        value = self.turn * mu_phase_sum(table, n_top - length + 1, n_top, self.phases, rule)
         runtime_ms = (time.perf_counter() - t0) * 1e3
         return CorrelationRecord(n_top, length, theta, self.b, self.x, value, runtime_ms)
 
@@ -366,20 +374,74 @@ def correlation_sum(
     return _plan(cfg, b, x).record(n_top, length, table)
 
 
-def sweep_segments(theta: float, n_list: Sequence[int]) -> List[Tuple[int, int]]:
-    """(N, M) with M = ceil(N^theta) for each N of a strictly ascending list."""
-    if theta <= THETA_FLOOR:
-        warnings.warn(
-            f"theta = {theta} is at or below the 5/8 window floor; "
-            "running anyway",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def twisted_sum(
+    n_top: int,
+    length: int,
+    q: int = 1,
+    r: int = 0,
+    alpha: Union[AngleCF, float] = 0.0,
+    *,
+    table: Optional[MuTable] = None,
+    mult: int = 1,
+) -> CorrelationRecord:
+    """sum of mu(n) e(mult * alpha * n) over n in (n_top - length, n_top]
+    with n = r (mod q): the h = 0 row of the kernel plan.
+
+    It is correlation_sum with no driving series, v = 2, b = (mult,) and
+    x = 0, so e(<b, x>) = 1 and the phases are contfrac.phase_turns of mult
+    against alpha, through the class rule like every row.  A mult past 2^53
+    in size is refused with ValueError, as FrequencyVector refuses it.
+    alpha may be an AngleCF, whose snapshot fixes every phase exactly, or a
+    float, read as the exact dyadic rational it is (a non-finite float is
+    refused with ValueError).
+
+    For q > 1, r is taken mod q and must be prime to q (the classes sharing
+    a factor with q hold O(log) terms and are left to callers that need
+    the whole decomposition).  The table, given or sieved, must cover the
+    segment; it is cut to its class, mu set to 0 off n = r (mod q) in one
+    int8 array of the segment, and that row may take the class route too.
+    """
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    r %= q
+    if q > 1 and gcd(r, q) != 1:
+        raise ValueError(f"residue {r} shares a factor with modulus {q}")
+    if not isinstance(alpha, AngleCF):
+        alpha = dyadic_angle(float(alpha))
+    cfg = FlowConfig(alpha, FourierSeries({}), 2)
+    plan = _plan(cfg, FrequencyVector((mult,)), TorusPoint((0.0, 0.0)))
+    if q > 1:
+        if not 1 <= length <= n_top:
+            raise ValueError("need 1 <= length <= n_top")
+        table = sieve_segment(n_top, length) if table is None else table
+        lo = n_top - length + 1
+        first = (r - lo) % q
+        cut = np.zeros(length, dtype=np.int8)
+        cut[first::q] = table.window(lo, n_top)[first::q]
+        table = MuTable(lo, n_top, cut)
+    return plan.record(n_top, length, table)
+
+
+def sweep_segments(
+    thetas: Sequence[float], n_list: Sequence[int]
+) -> List[Tuple[float, List[Tuple[int, int]]]]:
+    """(theta, [(N, M) with M = ceil(N^theta) for each N]) for each theta of
+    thetas, over a strictly ascending n_list, all checked before any row
+    runs.  A theta at or below the window floor warns, at the line that
+    called sweep or rational_sweep."""
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("n_list must be strictly ascending")
     if n_list and n_list[0] < 1:
         raise ValueError(f"every N must be at least 1, got {n_list[0]}")
-    return [(n_top, min(int(n_top), ceil(n_top**theta))) for n_top in n_list]
+    per_theta = []
+    for theta in thetas:
+        if theta <= THETA_FLOOR:
+            warnings.warn(f"theta = {theta} is at or below the 5/8 window floor; running anyway",
+                          RuntimeWarning, stacklevel=3)
+        per_theta.append(
+            (theta, [(n_top, min(int(n_top), ceil(n_top**theta))) for n_top in n_list])
+        )
+    return per_theta
 
 
 def sweep(
@@ -393,9 +455,7 @@ def sweep(
     M = ceil(N^theta).  The plan does not depend on theta, so every row is
     read through one plan, built once for (cfg, b, x) after every theta's
     segments are checked."""
-    per_theta = []
-    for theta in thetas:  # a loop, so a window warning names the caller's line
-        per_theta.append((theta, sweep_segments(theta, n_list)))
+    per_theta = sweep_segments(thetas, n_list)
     plan = _plan(cfg, b, x)
     return [
         [plan.record(n_top, length, theta=theta) for n_top, length in segments]
@@ -442,9 +502,7 @@ def rational_sweep(
     the CLI to compare.  Neither plan depends on theta, so each is built
     once per call, the closed form's first, after every theta's segments
     are checked, so its prefix cap is checked before any segment is sieved."""
-    per_theta = []
-    for theta in thetas:  # a loop, so a window warning names the caller's line
-        per_theta.append((theta, sweep_segments(theta, n_list)))
+    per_theta = sweep_segments(thetas, n_list)
     closed, kernel = _closed_form(cfg, b, x), _plan(cfg, b, x)
 
     def row(theta, n_top, length):

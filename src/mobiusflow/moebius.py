@@ -1,4 +1,4 @@
-"""Mobius tables and twisted exponential sums over short segments.
+"""Mobius tables and the one summer of mu-weighted phases over short segments.
 
 Sieving is exact integer work: an entry is -1, 0 or +1 because of the
 factorization of its index, never because a float rounded somewhere.
@@ -11,20 +11,12 @@ Given the class rule's answer (q_k, d), for phases that are a function of
 n mod q_k outside the multiples of one divisor d of q_k, it first sums
 H(r) e(phase(r)) over the classes r, with H(r) the exact sum of mu over the
 class (one reshape-sum of whole rows of q_k, O(q_k) memory) and the phase
-asked once per class, at a member, and then walks only the multiples of d,
-with step d.  contfrac.class_modulus, the one class rule, says when that
-applies and gives (q_k, d): every multiplier picks the same q_k, not the
-snapshot, below the segment length and BLOCK_STEPS, and d, the gcd of the
-multipliers' fix-up divisors, is above 1.  Drift rows, segments no longer
-than q_k, poly tau=4 (66-bit q_4), exact angles and progressions with a
-step past 1 are walked term by term.
-
-The twisted sum takes its phases from the exact engine contfrac.phase_turns
-(the correctly rounded phases against the angle's snapshot, reduced against
-the convergent contfrac.matched_convergent picks, in int64 when it is below
-2^31), on the class route when q = 1 and the rule holds; a float angle is
-read as the dyadic rational it is, whose power-of-two modulus, up to 2^64,
-the engine reduces in uint64 (an exact angle: always per term).
+asked once per class, at a member, and then walks only the multiples of d.
+contfrac.class_modulus, the one class rule, says when that applies and
+gives (q_k, d); the callers (experiments._Plan.record, whose h = 0 row is
+the twisted sum) ask it.  Any table works with a rule, so a progression
+n = r (mod q), a table with mu set to 0 off the class, takes the class
+route as well.
 
 Memory is the binding constraint for the full sieve (about 18 bytes per
 integer while building).  Both sieves check an explicit byte budget before
@@ -36,12 +28,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import fsum, gcd, isqrt
-from typing import Callable, Optional, Tuple, Union
+from math import fsum, isqrt
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contfrac import TWO_PI, AngleCF, class_modulus, dyadic_angle, phase_turns
+from .contfrac import TWO_PI
 
 MEM_BUDGET_ENV = "MDL_MEM_BUDGET"
 DEFAULT_MEM_BUDGET = 2 << 30  # bytes
@@ -99,6 +91,13 @@ class MuTable:
         if not self.n_lo <= n <= self.n_hi:
             raise IndexError(f"{n} outside [{self.n_lo}, {self.n_hi}]")
         return int(self.values[n - self.n_lo])
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The values of mu on [lo, hi]; a range the table does not cover
+        raises ValueError (a slice would wrap a negative offset silently)."""
+        if self.n_lo > lo or self.n_hi < hi:
+            raise ValueError(f"table covers [{self.n_lo}, {self.n_hi}], need [{lo}, {hi}]")
+        return self.values[lo - self.n_lo : hi - self.n_lo + 1]
 
 
 def _primes_upto(limit: int) -> np.ndarray:
@@ -179,22 +178,7 @@ def sieve_segment(n_top: int, length: int) -> MuTable:
 
 
 # ---------------------------------------------------------------------------
-# twisted sums
-
-@dataclass(frozen=True)
-class TwistedSum:
-    """Sum of mu(n) e(alpha n) over n in (n_top - length, n_top], n = r mod q."""
-
-    n_top: int
-    length: int
-    q: int
-    r: int
-    alpha_float: float
-    value: complex
-
-    @property
-    def normalized(self) -> float:
-        return abs(self.value) / self.length
+# the summer
 
 
 def _add_terms(re: list, im: list, weights: np.ndarray, turns: np.ndarray) -> None:
@@ -208,34 +192,29 @@ def mu_phase_sum(
     table: MuTable,
     n0: int,
     n_top: int,
-    step: int,
     phases: Callable[[np.ndarray], np.ndarray],
     rule: Optional[Tuple[int, int]] = None,
 ) -> complex:
-    """sum of mu(n) e(phase(n)) over n = n0, n0 + step, ... <= n_top.
+    """sum of mu(n) e(phase(n)) over n0 <= n <= n_top.
 
     phases maps an ascending int64 array of indices with nonzero mu to their
     phases in turns.  The table is walked PHASE_CHUNK entries at a time and
     each chunk is added with math.fsum, so the result is a fixed function of
     the inputs.  A table that does not cover [n0, n_top] raises ValueError.
 
-    rule is the (q, d) of contfrac.class_modulus, or None.  With a rule
-    (step 1 only), phases must be a function of n mod q except at the
-    multiples of d, and the sum is S = sum_r H(r) e(phase(r)) + the
-    multiples' terms: H(r), the sum of mu over the segment's n = r (mod q),
-    is built exactly in int64 from the int8 table (whole rows of q entries
-    summed as one (rows, q) view and the tail row added, so working memory
-    is O(q)), counted from n0, and phases is called once, at the first n
-    of each class with H(r) != 0 that d does not divide, so each phase(r)
-    is the per-term phase bit for bit.  The multiples of d, whole classes
-    since d | q, are then walked term by term with step d.  Without a rule
-    every term is walked, which is the class route's test oracle.
+    rule is the (q, d) of contfrac.class_modulus, or None.  With a rule,
+    phases must be a function of n mod q except at the multiples of d, and
+    the sum is S = sum_r H(r) e(phase(r)) + the multiples' terms: H(r), the
+    sum of mu over the segment's n = r (mod q), is built exactly in int64
+    from the int8 table (whole rows of q entries summed as one (rows, q)
+    view and the tail row added, so working memory is O(q)), counted from
+    n0, and phases is called once, at the first n of each class with
+    H(r) != 0 that d does not divide, so each phase(r) is the per-term phase
+    bit for bit.  The multiples of d, whole classes since d | q, are then
+    walked term by term with step d.  Without a rule every term is walked,
+    which is the class route's test oracle.
     """
-    if table.n_lo > n0 or table.n_hi < n_top:
-        raise ValueError(
-            f"table covers [{table.n_lo}, {table.n_hi}], need [{n0}, {n_top}]"
-        )
-    vals = table.values[n0 - table.n_lo : n_top - table.n_lo + 1 : step]
+    vals, d = table.window(n0, n_top), 1
     re, im = [], []
     if rule:
         q, d = rule
@@ -247,61 +226,10 @@ def mu_phase_sum(
         offs = np.flatnonzero(hist)
         if len(offs):
             _add_terms(re, im, hist[offs].astype(np.float64), phases(n0 + offs))
-        n0, step, vals = n0 + first, d, vals[first::d]
+        n0, vals = n0 + first, vals[first::d]
     for lo in range(0, len(vals), PHASE_CHUNK):
         mu = vals[lo : lo + PHASE_CHUNK]
         nz = np.flatnonzero(mu)
         if len(nz):
-            _add_terms(re, im, mu[nz].astype(np.float64), phases(n0 + step * (lo + nz)))
+            _add_terms(re, im, mu[nz].astype(np.float64), phases(n0 + d * (lo + nz)))
     return complex(fsum(re), fsum(im))
-
-
-def twisted_sum(
-    n_top: int,
-    length: int,
-    q: int = 1,
-    r: int = 0,
-    alpha: Union[AngleCF, float] = 0.0,
-    *,
-    table: Optional[MuTable] = None,
-    mult: int = 1,
-) -> TwistedSum:
-    """Twisted segment sum over an arithmetic progression.
-
-    Computes sum of mu(n) e(mult * alpha * n) for n in (n_top - length, n_top]
-    with n = r (mod q).  Requires gcd(r, q) = 1 unless q = 1; the congruence
-    classes sharing a factor with q contribute O(log) terms and are excluded
-    by the callers that need the progression decomposition.
-
-    alpha may be an AngleCF, whose snapshot fixes every phase exactly, or
-    a float, which is read as the exact dyadic rational it is.  Either way the
-    phases come from contfrac.phase_turns: the correctly rounded values
-    against the snapshot, reduced against the convergent
-    contfrac.matched_convergent picks, so results are reproducible bit for
-    bit.  mu_phase_sum sums it, with the answer of contfrac.class_modulus
-    for mult over the segment when q = 1 (the class route when the rule
-    holds), per term otherwise.
-    """
-    if not 1 <= length <= n_top:
-        raise ValueError(f"need 1 <= length <= n_top, got length={length}, n_top={n_top}")
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    r %= q
-    if q > 1 and gcd(r, q) != 1:
-        raise ValueError(f"residue {r} shares a factor with modulus {q}")
-    lo = n_top - length + 1
-    if table is None:
-        table = sieve_segment(n_top, length)
-    n0 = lo + (r - lo) % q
-    if isinstance(alpha, AngleCF):
-        alpha_float = alpha.float_value
-    else:
-        alpha_float = float(alpha)
-        alpha = dyadic_angle(alpha_float)
-
-    def phases(ns: np.ndarray) -> np.ndarray:
-        return phase_turns(alpha, mult, ns)
-
-    rule = class_modulus(alpha, (mult,), n_top, length) if q == 1 else None
-    value = mu_phase_sum(table, n0, n_top, q, phases, rule)
-    return TwistedSum(n_top, length, q, r, alpha_float, value)

@@ -16,7 +16,7 @@ import pytest
 
 from mobiusflow.cli import _random_finite_series
 from mobiusflow.contfrac import check_convergent_bounds, cis, rational_angle
-from mobiusflow.experiments import correlation_sum, rational_case, sweep
+from mobiusflow.experiments import correlation_sum, rational_case, sweep, twisted_sum
 from mobiusflow.flow import (
     FlowConfig,
     FrequencyVector,
@@ -37,7 +37,7 @@ from mobiusflow.harmonic import (
     split_resonant,
     split_tau,
 )
-from mobiusflow.moebius import sieve_full, sieve_segment, twisted_sum
+from mobiusflow.moebius import sieve_full, sieve_segment
 from mobiusflow.spectrum import check_flat_lower_bound, check_resonant_scaling
 
 

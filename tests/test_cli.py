@@ -10,6 +10,7 @@ import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from math import ceil
 
 import pytest
@@ -655,6 +656,42 @@ def test_series_flag_exits_with_a_documented_code(exp_file, monkeypatch, flags):
     argv = ["sweep", "--angle", exp_file, "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"]
     # --b=-1;2 keeps a value with a leading minus from reading as a flag;
     # argparse keeps the last of a repeated flag
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+
+
+# (l, q) in lowest terms with 0 <= l < q <= 500
+_LOWEST = st.builds(lambda l, q: Fraction(l % q, q), st.integers(0, 499), st.integers(1, 500)).map(
+    lambda f: (f.numerator, f.denominator))
+
+# --rational values: lowest-terms l/q with q <= 500, l >= q, non-lowest
+# terms, q <= 0, three fields, non-integers, and a q past the prefix cap
+_RATIONAL_SPECS = st.one_of(
+    _LOWEST.map(lambda lq: "%d/%d" % lq),
+    st.builds(lambda q, k: f"{q + k}/{q}", st.integers(1, 500), st.integers(0, 500)),
+    st.builds(lambda lq, k: f"{k * lq[0]}/{k * lq[1]}", _LOWEST, st.integers(2, 9)),
+    st.builds(lambda l, q: f"{l}/{q}", st.integers(-3, 3), st.integers(-500, 0)),
+    st.sampled_from(["1/2/3", "0/1/1", "1.5/3", "1/2.5", "1e3/7", "a/b", "1/", "/3", "", "x"]),
+    st.builds(lambda q: f"1/{q}", st.integers(experiments.PREFIX_TERM_LIMIT + 1, 10**7)),
+)
+
+# the same flags with N at most 10^6: the closed form's rows run per term
+_RATIONAL_FLAGS = {
+    **_SWEEP_FLAGS,
+    "--n": _joined(["1e3", "2e3", "5000", "1", "2", "1e6"], ["0", "-5", "2.5", "x", ""], ","),
+}
+
+
+@pytest.mark.filterwarnings("ignore:theta = .* window floor:RuntimeWarning")
+@settings(max_examples=settings.default.max_examples // 4, deadline=10_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_RATIONAL_SPECS, flags=st.fixed_dictionaries({}, optional=_RATIONAL_FLAGS))
+def test_rational_flag_exits_with_a_documented_code(monkeypatch, spec, flags):
+    # sweep --rational with a drawn l/q and the drawn sweep flags either runs
+    # (its two routes cross-checked) or is refused with a documented code
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    argv = ["sweep", f"--rational={spec}", "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     code = main(argv)
     assert code in (0, 1, 2, 3), argv

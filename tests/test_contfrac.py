@@ -42,6 +42,7 @@ from mobiusflow.contfrac import (
     signed_residue,
     _residue_turns,
 )
+from mobiusflow.experiments import twisted_sum
 from mobiusflow.spectrum import is_sharp
 
 # 100 examples, or 300 under the ci profile (tests/conftest.py); the
@@ -934,6 +935,15 @@ def test_dyadic_angle_is_exact():
     assert dyadic_angle(3.0).snapshot == (0, 1)
     a = dyadic_angle(0.1)
     assert Fraction(*a.snapshot) == Fraction(0.1) and a.exact
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_dyadic_angle_refuses_a_non_finite_float(x):
+    # Fraction(inf) raised OverflowError, an error no caller documents
+    with pytest.raises(ValueError, match="not a finite float"):
+        dyadic_angle(x)
+    with pytest.raises(ValueError, match="not a finite float"):
+        twisted_sum(100, 50, alpha=x)
 
 
 def test_angle_digest_is_cached(exp_angle):

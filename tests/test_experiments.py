@@ -51,6 +51,7 @@ from mobiusflow.experiments import (
     records_digest,
     records_to_csv,
     sweep,
+    twisted_sum,
 )
 from mobiusflow.flow import (
     DIRECT_STEP_LIMIT,
@@ -69,7 +70,6 @@ from mobiusflow.moebius import (
     mu_phase_sum,
     sieve_full,
     sieve_segment,
-    twisted_sum,
 )
 
 
@@ -338,7 +338,7 @@ def _unfolded_sum(cfg, b, x, n_top, length):
         return phase
 
     table = sieve_segment(n_top, length)
-    return cis(const % 1.0) * mu_phase_sum(table, n_top - length + 1, n_top, 1, phases)
+    return cis(const % 1.0) * mu_phase_sum(table, n_top - length + 1, n_top, phases)
 
 
 def _near_symmetric(c0, modes=5):
@@ -401,13 +401,13 @@ def test_kernel_makes_one_phase_call_per_positive_frequency(exp_angle, monkeypat
         calls[0] += 1
         return phase_turns(*args, **kwargs)
 
-    def batched(table, n0, n_top, step, phases, rule=None):
+    def batched(table, n0, n_top, phases, rule=None):
         def per_batch(ns):
             batches.append(len(ns))
             return phases(ns)
 
         rules.append(rule)
-        return mu_phase_sum(table, n0, n_top, step, per_batch, rule)
+        return mu_phase_sum(table, n0, n_top, per_batch, rule)
 
     monkeypatch.setattr(experiments, "phase_turns", counted)
     monkeypatch.setattr(experiments, "mu_phase_sum", batched)
@@ -425,10 +425,10 @@ def _routes(monkeypatch, cfg, b, n_top, length):
     the summer's value beside the per-term sum of the same phases closure."""
     seen = []
 
-    def both(table, n0, top, step, phases, rule=None):
-        got = mu_phase_sum(table, n0, top, step, phases, rule)
+    def both(table, n0, top, phases, rule=None):
+        got = mu_phase_sum(table, n0, top, phases, rule)
         if rule:
-            seen.append((got, mu_phase_sum(table, n0, top, step, phases), *rule))
+            seen.append((got, mu_phase_sum(table, n0, top, phases), *rule))
         return got
 
     monkeypatch.setattr(experiments, "mu_phase_sum", both)

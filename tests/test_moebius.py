@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mobiusflow import experiments
 from mobiusflow.contfrac import (
     PrecisionFloorError,
     cis,
@@ -15,6 +16,7 @@ from mobiusflow.contfrac import (
     phase_turns,
     rational_angle,
 )
+from mobiusflow.experiments import twisted_sum
 from mobiusflow.moebius import (
     BLOCK,
     DEFAULT_MEM_BUDGET,
@@ -26,7 +28,6 @@ from mobiusflow.moebius import (
     mu_phase_sum,
     sieve_full,
     sieve_segment,
-    twisted_sum,
 )
 
 
@@ -212,12 +213,15 @@ def test_twisted_validation():
     short = sieve_segment(50, 10)
     with pytest.raises(ValueError):
         twisted_sum(100, 50, table=short)
+    with pytest.raises(ValueError):  # no exact float, as FrequencyVector has it
+        twisted_sum(100, 50, mult=2**53 + 1)
 
 
 def test_twisted_residue_normalization_and_empty_class():
     a = twisted_sum(100, 50, 3, 1)
     b = twisted_sum(100, 50, 3, 4)
-    assert a.value == b.value and a.r == b.r == 1
+    table = sieve_segment(100, 50)
+    assert a.value == b.value == sum(table.mu(n) for n in range(51, 101) if n % 3 == 1)
     empty = twisted_sum(10, 1, 3, 2)  # the single n = 10 is not 2 mod 3
     assert empty.value == 0j
 
@@ -226,8 +230,8 @@ def test_twisted_angle_matches_dyadic_float():
     # 1/8 is dyadic, so the float path reduces exactly too: identical bits
     a = twisted_sum(3000, 1500, alpha=rational_angle(1, 8))
     b = twisted_sum(3000, 1500, alpha=0.125)
-    assert a.value == b.value
-    assert a.alpha_float == 0.125
+    c = twisted_sum(3000, 1500, alpha=0.125 + 7)  # only {alpha} counts
+    assert a.value == b.value == c.value
 
 
 def test_twisted_mult_folds_into_angle():
@@ -265,19 +269,24 @@ def test_twisted_faithful_range_guard():
         twisted_sum(100, 50, alpha=shallow)
 
 
+def _residue_brute(angle, table, n_top, length, q, r):
+    """sum mu(n) e(n alpha) over the segment's n = r (mod q), each phase
+    reduced exactly against the snapshot and added with fsum."""
+    terms = [
+        table.mu(n) * cis(frac_mod1(n, angle))
+        for n in range(n_top - length + 1, n_top + 1)
+        if table.mu(n) and n % q == r
+    ]
+    return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+
+
 @pytest.mark.parametrize("q, r", [(1, 0), (3, 2)])
 def test_twisted_chunk_seams_against_brute(exp_angle, q, r):
     # the progression slice spans more than two chunks of the phase sum
     n_top, length = 100_000, 7 * PHASE_CHUNK + 123
     table = sieve_segment(n_top, length)
     got = twisted_sum(n_top, length, q, r, exp_angle, table=table).value
-    terms = [
-        table.mu(n) * cis(frac_mod1(n, exp_angle))
-        for n in range(n_top - length + 1, n_top + 1)
-        if table.mu(n) and n % q == r
-    ]
-    want = complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
-    assert abs(got - want) < 1e-12
+    assert abs(got - _residue_brute(exp_angle, table, n_top, length, q, r)) < 1e-12
 
 
 @pytest.mark.parametrize("n_top, length, q, divisors", [
@@ -292,7 +301,7 @@ def test_class_sum_with_zero_phases_is_the_mertens_difference(n_top, length, q, 
     want = int(full.values[n_top - length :].sum())
     table = sieve_segment(n_top, length + 37)
     # the fix-up divisors d_m meet in d = gcd(d_m), as contfrac.class_modulus has it
-    got = mu_phase_sum(table, n_top - length + 1, n_top, 1, lambda ns: np.zeros(len(ns)),
+    got = mu_phase_sum(table, n_top - length + 1, n_top, lambda ns: np.zeros(len(ns)),
                        (q, gcd(*divisors)))
     assert got == complex(want, 0.0)
 
@@ -317,7 +326,7 @@ def test_class_sum_with_zero_phases_is_the_mertens_difference_anywhere(q, start,
     full = sieve_full(n_top)
     want = int(full.values[start - 1 :].sum())
     table = sieve_segment(n_top, min(n_top, length + below))
-    got = mu_phase_sum(table, start, n_top, 1, lambda ns: np.zeros(len(ns)), (q, d))
+    got = mu_phase_sum(table, start, n_top, lambda ns: np.zeros(len(ns)), (q, d))
     assert got == complex(want, 0.0)
 
 
@@ -327,6 +336,35 @@ def test_twisted_class_route_matches_the_per_term_sum(exp_angle, mult):
     assert class_modulus(exp_angle, (mult,), n_top, length) == (8102, 4051)
     table = sieve_segment(n_top, length)
     got = twisted_sum(n_top, length, alpha=exp_angle, table=table, mult=mult).value
-    want = mu_phase_sum(table, n_top - length + 1, n_top, 1,
+    want = mu_phase_sum(table, n_top - length + 1, n_top,
                         lambda ns: phase_turns(exp_angle, mult, ns))
     assert abs(got - want) <= 1e-12
+
+
+def test_twisted_progression_takes_the_class_route(exp_angle, monkeypatch):
+    # the table cut to n = 2 (mod 3) is summed on q_3 = 8102's classes, and
+    # the multiples of d = 4051 term by term
+    n_top, length = 10**5, 3 * 8102 + 5
+    rules = []
+
+    def spied(table, n0, top, phases, rule=None):
+        rules.append(rule)
+        return mu_phase_sum(table, n0, top, phases, rule)
+
+    monkeypatch.setattr(experiments, "mu_phase_sum", spied)
+    got = twisted_sum(n_top, length, 3, 2, exp_angle).value
+    assert rules == [(8102, 4051)]
+    want = _residue_brute(exp_angle, sieve_segment(n_top, length), n_top, length, 3, 2)
+    assert abs(got - want) < 1e-12
+
+
+def test_twisted_progression_reads_any_covering_table(exp_angle):
+    n_top, length = 10**5, 3 * 8102 + 5
+    own = twisted_sum(n_top, length, 7, 3, exp_angle).value
+    wide = sieve_segment(n_top + 500, length + 900)
+    assert twisted_sum(n_top, length, 7, 3, exp_angle, table=wide).value == own
+    # a table starting above the segment (a negative offset into it) or
+    # ending below it is refused, never wrapped
+    for table in (sieve_segment(n_top, length - 1), sieve_segment(n_top - 1, length)):
+        with pytest.raises(ValueError):
+            twisted_sum(n_top, length, 7, 3, exp_angle, table=table)
