@@ -10,8 +10,9 @@ for a certificate command and rational_cross_check for a sweep.
 Certificate commands put each certificate's own document (claim, pass, then
 its fields; see contfrac.Certificate) in the manifest details, and nowhere
 else: angle verify a certificates list, check spectrum flat, scaling and
-truncation, check coeff-bound one certificate per series.  The manifest
-keeps every document's declared key order.
+truncation, check coeff-bound one certificate per series, and check
+coboundary its one certificate's keys beside passed.  The manifest keeps
+every document's declared key order.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .harmonic import (
     FINITE,
     FourierSeries,
     analytic_h_sample,
+    check_coboundary,
     check_coeff_bound,
     furstenberg_h,
     smooth_h_sample,
@@ -378,23 +380,17 @@ def _cmd_check_coboundary(args) -> int:
     else:
         _, h2, _ = split_resonant(h, angle)
         psi = solve_coboundary(h2, angle)
-    budget = psi.identity_error_bound + 1e-12
-    rng = Random(args.seed)
-    alpha_f = angle.float_value
-    worst = 0.0
-    for _ in range(args.samples):
-        worst = max(worst, psi.defect(rng.random(), h2, alpha_f))
-    ok = worst <= budget
+    cert = check_coboundary(psi, h2, angle, args.samples, args.seed)
     print(
-        f"coboundary identity over {args.samples} samples: "
-        f"{'pass' if ok else 'FAIL'} (worst {worst:.3e}, budget {budget:.3e})"
+        f"coboundary identity over {cert.samples} samples: "
+        f"{'pass' if cert.passed else 'FAIL'} "
+        f"(worst {cert.worst_defect:.3e}, budget {cert.budget:.3e})"
     )
     return _report(
         args, "check coboundary",
         {"angle": angle_digest(angle), "h": args.h, "seed": args.seed,
          "tau": args.tau, "samples": args.samples},
-        {"worst_defect": worst, "budget": budget,
-         "psi_support": len(psi.series), "passed": ok},
+        {**cert.to_json(), "passed": cert.passed},
     )
 
 

@@ -33,7 +33,8 @@ form, orbit stepping and Fourier series all take their phases from it.
   D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
   from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
   value of a float, such as a drift head, see _dyadic_turns, which
-  FourierSeries evaluation calls with its modes as n), int64 NumPy below
+  FourierSeries evaluation calls with its modes as n and one unit and
+  width per point), int64 NumPy below
   2^31 (q_3 = 8102 on exp k4, unseeded), else Python ints one index at a
   time (about 66 bits for a 53-bit seed on exp k4, against its 11,733-bit
   snapshot).
@@ -112,6 +113,12 @@ BIT_BUDGET = 1 << 22
 INT64_MODULUS_CAP = 1 << 31
 
 UINT64_MASK = (1 << 64) - 1
+
+# The masks 2^k - 1 and scales 2^-k of _dyadic_turns for k = 0..64, looked
+# up rather than shifted: a uint64 shift by 64 is undefined, and before
+# NEP 50 (numpy 1.24) uint64 << int promotes to float64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+_INV_POW2 = np.array([2.0**-k for k in range(65)])
 
 # Steps per block of the orbit walker, and the largest class modulus
 # class_modulus hands out: a table over the classes is one block wide.
@@ -572,20 +579,24 @@ def class_modulus(
     return (q, d) if d > 1 and q < span and q <= BLOCK_STEPS else None
 
 
-def _dyadic_turns(ns: np.ndarray, unit: int, shift: int, k: int) -> np.ndarray:
+def _dyadic_turns(ns: np.ndarray, unit, shift: int, k) -> np.ndarray:
     """Correctly rounded ((n * unit + shift) mod 2^k) / 2^k for each n of a
-    uint64 array, k <= 64.
+    uint64 array, 0 <= k <= 64.
 
-    Only the low k bits count, and wrapping uint64 arithmetic keeps the low
-    64, so n, unit and shift may be taken mod 2^64 (two's complement).  The
-    masked residue is converted to float once, which rounds it correctly, and
-    the scaling by 2^-k is exact.
+    unit and k are ints, or (P, 1) columns of uint64 units and integer
+    widths, one per row of a (P, len(ns)) table.  Only the low k bits count,
+    and wrapping uint64 arithmetic keeps the low 64, so n, unit and shift
+    may be taken mod 2^64 (two's complement).  The masked residue is
+    converted to float once, which rounds it correctly, and the scaling by
+    2^-k is exact.
     """
-    r = ns * np.uint64(unit & UINT64_MASK)
+    if not isinstance(unit, np.ndarray):
+        unit = np.uint64(unit & UINT64_MASK)
+    r = ns * unit
     if shift:
         r += np.uint64(shift & UINT64_MASK)
-    r &= np.uint64((1 << k) - 1)
-    return r.astype(np.float64) * 2.0**-k
+    r &= _LOW_BITS.take(k)
+    return r.astype(np.float64) * _INV_POW2.take(k)
 
 
 def _indices(ns) -> np.ndarray:

@@ -687,16 +687,17 @@ def build_conjugacy(cfg: FlowConfig, tau: float) -> ConjugacyPair:
 
 
 def psi_map(pair: ConjugacyPair, x: TorusPoint, inverse: bool = False) -> TorusPoint:
-    """Shift coordinate nu by -psi (or +psi) at the exact h argument."""
+    """Shift coordinate nu by -psi (or +psi) at the exact h argument, psi
+    evaluated at every coordinate's argument in one array call."""
     cfg = pair.base
     _check_point(cfg, x)
     seed, start = _seed_of(cfg, x)
     nums, den = _coord_bases(cfg, seed, start)
     sign = 1.0 if inverse else -1.0
+    shifts = pair.psi.series.eval(np.array([num / den for num in nums]))
     coords = [x.coords[0]]
-    for i in range(cfg.v - 1):
-        shift = pair.psi.series.eval(nums[i] / den)
-        coords.append((x.coords[i + 1] + sign * shift) % 1.0)
+    for xi, shift in zip(x.coords[1:], shifts.tolist()):
+        coords.append((xi + sign * shift) % 1.0)
     return replace(x, coords=_circle_coords(coords))  # x's tags, as they are
 
 

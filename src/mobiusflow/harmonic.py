@@ -11,7 +11,13 @@ FourierSeries owns the one reading of h, its fold: h(t) = c(0) + Re sum over
 the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).  It is exact for
 any coefficients, as Re(a e(t)) + Re(b e(-t)) = Re((a + conj b) e(t)), and has
 no imaginary part to check.  eval, check_coeff_bound, the orbit walker and
-the correlation kernel all read h through it.
+the correlation kernel all read h through it.  eval takes a float or a 1-D
+array of points: one (points x modes) phase table, one exact fsum per
+point, and a float is the one-row case, with the same bits as in any block.
+
+check_coboundary certifies g(t + alpha) - g(t) = h2(t) on sampled t.  It
+draws its samples in blocks of DEFECT_BLOCK table elements, and within a
+block g(t) and h2(t) share one cos and one sin table when their modes agree.
 
 Small divisors e(m alpha) - 1 all come from contfrac.small_divisor: the
 exact residue of m against the angle snapshot, turned into a float through
@@ -23,7 +29,8 @@ units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, frexp, fsum, inf, pi
+from fractions import Fraction
+from math import exp, fsum, inf, pi
 from random import Random
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -40,6 +47,8 @@ TAIL_ENUM_LIMIT = 10**6
 # Largest m_cut the random samplers build (2 * 10^4 stored coefficients); the
 # benchmark uses at most 200
 SAMPLE_MODE_LIMIT = 10**4
+# Points x modes of one block of check_coboundary's phase tables
+DEFECT_BLOCK = 1 << 13
 # Absolute slack of the envelope check beside its relative 1e-9: a
 # coefficient under 2^-1022 is subnormal, and rounding its parts and its
 # modulus can each move it by half of 2^-1074, far more than 1e-9 of it
@@ -171,23 +180,55 @@ class FourierSeries:
         """(modes, F_m, c(0)), built once: the reading every evaluation of h uses."""
         return self._fold
 
-    def _turns(self, t: float) -> np.ndarray:
+    def _turns(self, t) -> np.ndarray:
         """{m t} for each positive mode, correctly rounded on the dyadic value of t.
 
-        t is mant / 2^k with a 53-bit integer mant.  For k <= 64 the phases
-        come from the engine's power-of-two kernel; a smaller |t| (below
-        2^-12) takes them from phase_turns on dyadic_angle(t).
+        t is a float, giving one row of phases, or a 1-D array of points,
+        giving a (points, modes) table.  Each t is mant / 2^k with a 53-bit
+        integer mant (np.frexp).  For k <= 64 the row comes from the
+        engine's power-of-two kernel, one unit and width per row; a row with
+        a smaller |t| (below 2^-12) takes its phases from phase_turns on
+        dyadic_angle(t).  A non-finite t is refused with ValueError.
         """
-        frac, e = frexp(t)
-        if e >= -11:  # k = 53 - e
-            return _dyadic_turns(self._modes, int(frac * 2.0**53), 0, max(53 - e, 0))
-        return phase_turns(dyadic_angle(t), 1, self._fold.modes)
+        ts = np.asarray(t, dtype=np.float64)
+        rows = ts.reshape(-1)
+        if not np.isfinite(rows).all():
+            raise ValueError(f"series evaluated at a non-finite point: {t!r}")
+        frac, e = np.frexp(rows)
+        mant = (frac * 2.0**53).astype(np.int64).view(np.uint64)
+        k = np.maximum(np.minimum(53 - e, 64), 0)  # 64 on the rows below
+        out = _dyadic_turns(self._modes, mant[:, None], 0, k[:, None])
+        for i in np.flatnonzero(e < -11):
+            out[i] = phase_turns(dyadic_angle(float(rows[i])), 1, self._fold.modes)
+        return out.reshape(ts.shape + self._modes.shape)
 
-    def eval(self, t: float) -> float:
-        """c(0) + Re sum F_m e(m t), one exact fsum of c(0) and a term per mode."""
+    def _waves(self, t) -> Tuple[np.ndarray, np.ndarray]:
+        """cos and sin of 2 pi {m t}: the tables every series on these modes reads."""
         ang = TWO_PI * self._turns(t)
-        terms = self._coef.real * np.cos(ang) - self._coef.imag * np.sin(ang)
-        return fsum([self._fold.mean, *terms.tolist()])
+        return np.cos(ang), np.sin(ang)
+
+    def _sums(self, waves: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """c(0) + Re sum F_m e(m t) per point of waves, as one exact fsum of
+        a row [c(0), one term per mode]; waves come from _waves on this
+        series' modes (or another series' equal ones)."""
+        cos, sin = waves
+        table = np.empty(cos.shape[:-1] + (cos.shape[-1] + 1,))
+        table[..., 0] = self._fold.mean
+        terms = table[..., 1:]
+        np.multiply(self._coef.real, cos, out=terms)
+        terms -= self._coef.imag * sin
+        flat = table.reshape(-1, table.shape[-1])
+        sums = np.fromiter(map(fsum, map(memoryview, flat)), np.float64, len(flat))
+        return sums.reshape(cos.shape[:-1])
+
+    def eval(self, t):
+        """c(0) + Re sum F_m e(m t), one exact fsum of c(0) and a term per mode.
+
+        t is a float, and the value a float, or a 1-D array of points, and
+        the values an array; a float is the one-row case of the same path.
+        """
+        sums = self._sums(self._waves(t))
+        return float(sums) if np.ndim(t) == 0 else sums
 
     def l1_norm(self) -> float:
         return float(sum(abs(c) for _, c in self._pairs))
@@ -341,11 +382,30 @@ class CoboundaryFunction:
     source: dict
     identity_error_bound: float
 
-    def defect(self, t: float, rhs: FourierSeries, alpha_float: float) -> float:
-        """|g(t + alpha) - g(t) - rhs(t)| evaluated at one point."""
-        stepped = self.series.eval(t + alpha_float)
-        here = self.series.eval(t)
-        return abs(stepped - here - rhs.eval(t))
+    def defect(self, t, rhs: FourierSeries, alpha_float: float):
+        """|g(t + alpha) - g(t) - rhs(t)| at a float t (a float), or at each
+        point of a 1-D array t (an array).
+
+        When rhs has g's positive modes, as the split it was solved from
+        does unless a quotient underflowed, g(t) and rhs(t) read one cos and
+        one sin table; g(t + alpha) takes its own at the rounded t + alpha.
+        """
+        g = self.series
+        waves = g._waves(t)
+        here = g._sums(waves)
+        driven = rhs._sums(waves if rhs.fold.modes == g.fold.modes else rhs._waves(t))
+        stepped = g._sums(g._waves(t + alpha_float))
+        out = np.abs(stepped - here - driven)
+        return float(out) if np.ndim(t) == 0 else out
+
+
+def _float_tau(tau) -> float:
+    """tau, an int, float, Fraction or exact string such as "10/3", as a
+    float; inf past the float range."""
+    try:
+        return float(Fraction(tau))
+    except OverflowError:
+        return inf
 
 
 def _tail_closed_form(decay: Decay, const: float, cut: int, theorem2_tau) -> float:
@@ -360,7 +420,7 @@ def _tail_closed_form(decay: Decay, const: float, cut: int, theorem2_tau) -> flo
         return 0.0
     if cut < 1:
         raise ValueError("tail bound needs a positive support radius")
-    power = 1.0 if theorem2_tau is None else float(theorem2_tau) / 3.0
+    power = 1.0 if theorem2_tau is None else _float_tau(theorem2_tau) / 3.0
     if decay.kind == "smooth":
         s = decay.param - power  # sum m^(power - tau) <= cut^(1 - s)/(s - 1)
         if s <= 1.0:
@@ -457,6 +517,54 @@ def solve_coboundary(
         "mode": "flat-split" if tau is None else f"tau-split:{tau}",
     }
     return CoboundaryFunction(g, source, bound)
+
+
+@dataclass(frozen=True)
+class CoboundaryCertificate(Certificate):
+    """Sampled check of the coboundary identity g(t + alpha) - g(t) = h2(t).
+
+    The points are the first samples draws of Random(seed).random(), in
+    [0, 1).  worst_defect is the largest |g(t + alpha) - g(t) - h2(t)| among
+    them (nan, and a failure, if any defect is nan); budget is g's
+    identity_error_bound plus 1e-12 of float slack; psi_support counts the
+    coefficients of g.
+    """
+
+    claim = "|g(t+alpha) - g(t) - h2(t)| <= budget on sampled t"
+
+    samples: int
+    seed: int
+    worst_defect: float
+    budget: float
+    psi_support: int
+    passed: bool
+
+
+def check_coboundary(
+    psi: CoboundaryFunction, rhs: FourierSeries, angle: AngleCF, samples: int, seed: int
+) -> CoboundaryCertificate:
+    """Certify g(t + alpha) - g(t) = rhs(t) up to the budget on sampled t.
+
+    The samples are drawn in blocks of max(1, DEFECT_BLOCK // K) points for
+    K positive modes, and each block's defects come from one psi.defect
+    call on its phase tables, so memory stays O(DEFECT_BLOCK) whatever
+    samples is.  Every defect is bit for bit the one-point defect at the
+    same t.  samples < 1 is refused with ValueError.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    modes = max(len(psi.series.fold.modes), len(rhs.fold.modes), 1)
+    rows = max(1, DEFECT_BLOCK // modes)
+    rng = Random(seed)
+    alpha_f = angle.float_value
+    worst = 0.0
+    for start in range(0, samples, rows):
+        ts = np.array([rng.random() for _ in range(min(rows, samples - start))])
+        worst = float(np.max(psi.defect(ts, rhs, alpha_f), initial=worst))
+    budget = psi.identity_error_bound + 1e-12
+    return CoboundaryCertificate(
+        samples, seed, worst, budget, len(psi.series), worst <= budget
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,14 @@ from mobiusflow.flow import (
     check_conjugacy,
     distality_probe,
 )
-from mobiusflow.harmonic import FourierSeries, check_coeff_bound, smooth_h_sample
+from mobiusflow.harmonic import (
+    FourierSeries,
+    check_coboundary,
+    check_coeff_bound,
+    smooth_h_sample,
+    solve_coboundary,
+    split_tau,
+)
 from mobiusflow.spectrum import (
     ScalingCertificate,
     check_flat_lower_bound,
@@ -30,6 +37,11 @@ from mobiusflow.spectrum import (
 def _distality(exp_angle):
     cfg = FlowConfig(alpha=exp_angle, h=FourierSeries({1: 0.1, -1: 0.1}), v=3)
     return distality_probe(cfg, TorusPoint((0.1, 0.2, 0.3)), TorusPoint((0.6, 0.2, 0.3)), 50)
+
+
+def _coboundary(poly_angle):
+    _, h2, _ = split_tau(smooth_h_sample(4.0, 20, 9), poly_angle, 4)
+    return check_coboundary(solve_coboundary(h2, poly_angle, tau=4), h2, poly_angle, 40, 3)
 
 
 def _conjugacy(poly_angle):
@@ -52,6 +64,7 @@ CASES = {
     ),
     "truncation": lambda e, p: truncation_indices(p, 10**6),
     "coeff-bound": lambda e, p: check_coeff_bound(FourierSeries({1: 0.25, -1: 0.25}), 64),
+    "coboundary": lambda e, p: _coboundary(p),
     "distality": lambda e, p: _distality(e),
     "conjugacy": lambda e, p: _conjugacy(p),
 }

@@ -268,6 +268,17 @@ def test_check_coboundary_huge_tau_finishes(exp_file, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_check_coboundary_takes_a_fractional_tau(exp_file, capsys):
+    # --tau 10/3 passed the flag's parser, but the tail bound read it with
+    # float(), so every series with a tail exited 1
+    for spec in ("smooth:4.0:40", "analytic:1.0:24"):
+        assert main(["check", "coboundary", "--angle", exp_file, "--h", spec,
+                     "--tau", "10/3", "--samples", "50"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("coboundary identity over 50 samples: pass") == 2
+    assert "error" not in captured.err
+
+
 def test_furstenberg_default_cut_per_angle_kind(poly_file):
     # exp-type angles cut at k = 2, poly-type at 5, any other at snap_index - 2
     poly = angle_from_json(open(poly_file).read())
@@ -310,6 +321,43 @@ def test_check_coboundary_bad_series_flag(exp_file, capsys):
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "garbage"]) == 1
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:zzz"]) == 1
     capsys.readouterr()
+
+
+# worst_defect of check coboundary before its samples were evaluated in
+# blocks (one psi.defect call per point), at --seed 0 unless given: exp k4
+# analytic:1.0:24 has 22 modes, so a block holds 8192 // 22 = 372 points, and
+# poly (4, 6) smooth:4.0:120 has 105 modes, 78 points a block
+PINNED_DEFECTS = {
+    ("exp", 1): "0x1.0000000000000p-51",
+    ("exp", 373): "0x1.0000000000000p-50",
+    ("exp", 1000): "0x1.0000000000000p-50",
+    ("exp", 5000, 7): "0x1.1400000000000p-50",
+    ("poly", 1): "0x1.2000000000000p-50",
+    ("poly", 79): "0x1.4000000000000p-50",
+    ("poly", 1000): "0x1.5800000000000p-50",
+    ("poly", 5000, 7): "0x1.8800000000000p-50",
+}
+PINNED_RUNS = {
+    "exp": ("analytic:1.0:24", "0x1.35435c76b3e4dp-30", 44),
+    "poly": ("smooth:4.0:120", "0x1.af0075f25c268p-12", 210),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DEFECTS))
+def test_check_coboundary_worst_defect_is_pinned(case, exp_file, poly_file, tmp_path, capsys):
+    angle, samples, *seed = case
+    spec, budget, support = PINNED_RUNS[angle]
+    argv = ["check", "coboundary", "--angle", exp_file if angle == "exp" else poly_file,
+            "--h", spec, "--samples", str(samples), "--seed", str(seed[0] if seed else 0)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    details = json.loads((tmp_path / "manifest.json").read_text())["details"]
+    assert details["worst_defect"].hex() == PINNED_DEFECTS[case]
+    assert details["budget"].hex() == budget
+    assert details["psi_support"] == support and details["passed"] is True
+    assert details["pass"] is True and details["samples"] == samples
+    worst = float.fromhex(PINNED_DEFECTS[case])
+    assert (f"coboundary identity over {samples} samples: pass "
+            f"(worst {worst:.3e}, budget {float.fromhex(budget):.3e})") in capsys.readouterr().out
 
 
 def test_check_refuses_empty_sample_counts(exp_file, tmp_path, capsys):
@@ -692,6 +740,43 @@ def test_rational_flag_exits_with_a_documented_code(monkeypatch, spec, flags):
     # (its two routes cross-checked) or is refused with a documented code
     monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
     argv = ["sweep", f"--rational={spec}", "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+
+
+# values of the check coboundary flags: --samples at and around a block of
+# 8192 // 22 = 372 points (exp k4, analytic:1.0:24) and up to 5000, --tau as
+# exact rationals, huge ones, near ties, and malformed ones
+_COBOUNDARY_FLAGS = {
+    "--samples": st.sampled_from(["1", "371", "372", "373", "5000", "0", "-3", "x", "1.5"])
+    | st.integers(1, 5000).map(str),
+    "--seed": st.integers(-2, 2**64).map(str) | st.sampled_from(["x", ""]),
+    "--tau": st.sampled_from([
+        "4", "10/3", "7.5", "3", "3.0000001", "1/0", "0", "-4", "1e400", "1" + "0" * 400,
+        f"{15 * 10**21 + 1}/{2 * 10**21}", f"9509775004326937088722433663686/{10**30}",
+        "nan", "inf", "x", "",
+    ]),
+    "--h": st.builds(
+        lambda head, fields: ":".join([head, *fields]),
+        st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
+        st.lists(st.sampled_from(_H_TOKENS), max_size=3),
+    ),
+}
+
+
+@settings(max_examples=settings.default.max_examples // 4, deadline=10_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(poly=st.booleans(), flags=st.fixed_dictionaries({}, optional=_COBOUNDARY_FLAGS))
+def test_coboundary_flags_exit_with_a_documented_code(exp_file, poly_file, monkeypatch,
+                                                      poly, flags):
+    # check coboundary with any of --samples, --seed, --tau and --h drawn
+    # or left at its default either runs or is refused with a documented
+    # code; an exception that escapes main fails the test, and so does an
+    # example past the 10 s deadline
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    argv = ["check", "coboundary", "--angle", poly_file if poly else exp_file,
+            "--h", "analytic:1.0:24", "--samples", "50"]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     code = main(argv)
     assert code in (0, 1, 2, 3), argv

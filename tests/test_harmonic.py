@@ -24,6 +24,7 @@ from mobiusflow.harmonic import (
     Decay,
     FourierSeries,
     analytic_h_sample,
+    check_coboundary,
     check_coeff_bound,
     furstenberg_h,
     smooth_h_sample,
@@ -150,6 +151,53 @@ def test_eval_phases_match_a_fraction_oracle(t, modes, parts):
     fold = np.array(s.fold.coeffs, dtype=complex)
     terms = fold.real * np.cos(ang) - fold.imag * np.sin(ang)
     assert s.eval(t) == fsum([0.5, *terms.tolist()])
+
+
+# |t| below 2^-12, subnormals among them, whose rows leave the kernel for
+# phase_turns; 2^-12 itself is the kernel's k = 64 edge
+_TINY_POINTS = st.floats(-(2.0**-12), 2.0**-12) | st.sampled_from(
+    [5e-324, -5e-324, 2.0**-1022, 2.0**-13, 2.0**-12, 2.0**-12 * (1 - 2.0**-53), 3 * 2.0**-40]
+)
+
+
+def _series_on(modes, parts):
+    coeffs = {0: 0.5}
+    for m, re, im in zip(modes, parts[::2], parts[1::2]):
+        coeffs[m] = complex(re, im)
+        coeffs[-m] = complex(re, -im)
+    return FourierSeries(coeffs, FINITE, 0.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ts=st.lists(_eval_points() | _TINY_POINTS, min_size=1, max_size=10),
+    modes=st.lists(_MODES, min_size=1, max_size=12),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24),
+)
+def test_batched_eval_is_the_scalar_eval_row_by_row(ts, modes, parts):
+    # a block of points, kernel rows and phase_turns rows mixed, gives each
+    # row the bits of the one-point call and of the Fraction oracle
+    s = _series_on(modes, parts)
+    pos = s.fold.modes
+    block = np.array(ts)
+    turns = s._turns(block)
+    want = np.array([[float(Fraction(m) * Fraction(t) % 1) for m in pos] for t in ts])
+    assert turns.shape == (len(ts), len(pos))
+    assert np.array_equal(turns.view(np.int64), want.view(np.int64))
+    one = np.array([s.eval(t) for t in ts])
+    assert all(type(s.eval(t)) is float for t in ts[:1])
+    assert np.array_equal(s.eval(block).view(np.int64), one.view(np.int64))
+
+
+def test_eval_blocks_of_any_length_and_refuses_non_finite_points():
+    s = FourierSeries({0: 0.25, 3: 0.5j, -3: -0.5j}, FINITE, 0.0, 1.0)
+    assert s.eval(np.empty(0)).shape == (0,)
+    assert s._turns(0.1).shape == (1,) and s._turns(np.array([0.1])).shape == (1, 1)
+    empty = FourierSeries({})
+    assert empty.eval(0.3) == 0.0 and empty.eval(np.array([0.1, 5e-324])).tolist() == [0.0, 0.0]
+    for bad in (float("nan"), float("inf"), np.array([0.1, -float("inf")])):
+        with pytest.raises(ValueError, match="non-finite"):
+            s.eval(bad)
 
 
 def test_scale_and_norms():
@@ -365,6 +413,62 @@ def test_tau_coboundary_identity(poly_angle):
     budget = g.identity_error_bound + 1e-12 * max(1.0, g.series.l1_norm())
     assert _max_defect(g, rest, poly_angle.float_value) <= budget
     assert g.source["mode"] == "tau-split:4"
+
+
+@pytest.mark.parametrize("case", ["shared", "separate"])
+def test_batched_defect_is_the_scalar_defect(case, exp_angle, monkeypatch):
+    # g solves every mode of h2, so g(t) and h2(t) read one phase table; h,
+    # with its resonant modes and mean, has other modes and takes its own
+    h = analytic_h_sample(1.0, 745, 0)
+    _, h2, _ = split_resonant(h, exp_angle)
+    g = solve_coboundary(h2, exp_angle)
+    rhs = {"shared": h2, "separate": h}[case]
+    assert (g.series.fold.modes == rhs.fold.modes) == (case == "shared")
+    alpha = exp_angle.float_value
+    rng = Random(5)
+    ts = [rng.random() for _ in range(50)] + [0.0, 2.0**-12, 2.0**-30, 5e-324, -0.25]
+    one = np.array([g.defect(t, rhs, alpha) for t in ts])
+    assert type(g.defect(ts[0], rhs, alpha)) is float
+    calls = []
+    waves = FourierSeries._waves
+    monkeypatch.setattr(FourierSeries, "_waves", lambda s, t: calls.append(t) or waves(s, t))
+    block = g.defect(np.array(ts), rhs, alpha)
+    assert np.array_equal(block.view(np.int64), one.view(np.int64))
+    assert len(calls) == {"shared": 2, "separate": 3}[case]
+
+
+def test_check_coboundary_certificate(exp_angle):
+    _, h2, _ = split_resonant(analytic_h_sample(1.0, 24, 0), exp_angle)
+    g = solve_coboundary(h2, exp_angle)
+    rows = harmonic.DEFECT_BLOCK // len(h2.fold.modes)
+    alpha = exp_angle.float_value
+    for samples in (1, rows, rows + 1, 2 * rows + 5):
+        cert = check_coboundary(g, h2, exp_angle, samples, 7)
+        rng = Random(7)
+        worst = max(g.defect(rng.random(), h2, alpha) for _ in range(samples))
+        assert cert.worst_defect.hex() == worst.hex()
+        assert (cert.samples, cert.seed, cert.psi_support) == (samples, 7, len(g.series))
+        assert cert.budget == g.identity_error_bound + 1e-12
+        assert cert.passed is (worst <= cert.budget) is True
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_coboundary(g, h2, exp_angle, 0, 7)
+
+
+def test_check_coboundary_fails_on_a_nan_defect(exp_angle, monkeypatch):
+    # the one-point loop kept max(worst, nan) = worst, so a nan defect passed
+    _, h2, _ = split_resonant(analytic_h_sample(1.0, 24, 0), exp_angle)
+    g = solve_coboundary(h2, exp_angle)
+    defect = harmonic.CoboundaryFunction.defect
+
+    def poisoned(self, t, rhs, alpha_float):
+        out = defect(self, t, rhs, alpha_float)
+        out[len(out) // 2] = float("nan")
+        return out
+
+    monkeypatch.setattr(harmonic.CoboundaryFunction, "defect", poisoned)
+    cert = check_coboundary(g, h2, exp_angle, 1000, 0)
+    assert cert.worst_defect != cert.worst_defect and cert.passed is False
+    assert cert.to_json()["worst_defect"] is None
 
 
 def test_analytic_tau_tail_matches_mpmath(poly_angle):
