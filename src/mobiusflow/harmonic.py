@@ -430,19 +430,28 @@ def _tail_closed_form(decay: Decay, const: float, cut: int, theorem2_tau) -> flo
     if theorem2_tau is None:  # sum_{m > cut} m x^m in closed form
         return 2.0 * const * (x ** (cut + 1) * ((cut + 1) - cut * x) / (1.0 - x) ** 2)
     # analytic decay against m^(tau/3) divisors: numeric sum, geometric from
-    # far enough out; remainder bounded by a geometric comparison
+    # far enough out; remainder bounded by a geometric comparison.  A sum
+    # past the float range (a large tau: 25^(1000/3) already is) bounds
+    # nothing and is refused
     total = 0.0
     m = cut + 1
-    while True:
-        term = float(m) ** power * x**m
-        total += term
-        m += 1
-        ratio = x * (1.0 + 1.0 / (m - 1)) ** power
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < total * 1e-18 + 1e-300:
-            total += term * ratio / (1.0 - ratio)
-            break
-        if m > cut + 10**6:
-            raise ValueError("analytic tail refuses to settle; eta too small")
+    try:
+        while total < inf:
+            term = float(m) ** power * x**m
+            total += term
+            m += 1
+            ratio = x * (1.0 + 1.0 / (m - 1)) ** power
+            if ratio < 1.0 and term * ratio / (1.0 - ratio) < total * 1e-18 + 1e-300:
+                total += term * ratio / (1.0 - ratio)
+                break
+            if m > cut + 10**6:
+                raise ValueError("analytic tail refuses to settle; eta too small")
+    except OverflowError:
+        total = inf
+    if total == inf:
+        raise ValueError(
+            f"the analytic tail against tau/3 divisors passes the float range (tau = {theorem2_tau})"
+        )
     return 2.0 * const * total
 
 

@@ -279,6 +279,20 @@ def test_check_coboundary_takes_a_fractional_tau(exp_file, capsys):
     assert "error" not in captured.err
 
 
+def test_check_coboundary_tail_past_the_float_range_is_refused(exp_file, capsys):
+    # an analytic tail against |m|^(tau/3) divisors with tau = 1000 powers
+    # 25^333 and raised OverflowError out of main; tau = 1e400 looped 10^6
+    # terms and blamed eta
+    for tau in ("1000", "1e300", "1e400"):
+        t0 = time.perf_counter()
+        assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:1.0:24",
+                     "--tau", tau, "--samples", "10"]) == 1
+        assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err.count("the analytic tail against tau/3 divisors passes the float range") == 3
+    assert "eta too small" not in err
+
+
 def test_furstenberg_default_cut_per_angle_kind(poly_file):
     # exp-type angles cut at k = 2, poly-type at 5, any other at snap_index - 2
     poly = angle_from_json(open(poly_file).read())
@@ -756,7 +770,7 @@ _COBOUNDARY_FLAGS = {
         "4", "10/3", "7.5", "3", "3.0000001", "1/0", "0", "-4", "1e400", "1" + "0" * 400,
         f"{15 * 10**21 + 1}/{2 * 10**21}", f"9509775004326937088722433663686/{10**30}",
         "nan", "inf", "x", "",
-    ]),
+    ]) | st.integers(3, 10**30).map(str),
     "--h": st.builds(
         lambda head, fields: ":".join([head, *fields]),
         st.sampled_from(["none", "furstenberg", "analytic", "smooth", "", "bogus"]),
