@@ -34,10 +34,11 @@ form, orbit stepping and Fourier series all take their phases from it.
   from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
   value of a float, such as a drift head, see _dyadic_turns, which
   FourierSeries evaluation calls with its modes as n and one unit and
-  width per point), int64 NumPy below
-  2^31 (q_3 = 8102 on exp k4, unseeded), else Python ints one index at a
-  time (about 66 bits for a 53-bit seed on exp k4, against its 11,733-bit
-  snapshot).
+  width per point), int64 NumPy below 2^31 (q_3 = 8102 on exp k4,
+  unseeded), int64 long division for q_k < 2^31 and a seed of at most 64
+  bits (about 66 bits for a 53-bit seed on exp k4, see _seeded_turns), else
+  Python ints one index at a time (the 66-bit q_4 of poly tau=4, the
+  11,733-bit snapshot of exp k4).
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -649,6 +650,9 @@ def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarr
     - D a power of two, at most 2^64: the low bits of wrapping uint64
       products, see _dyadic_turns;
     - D < 2^31: int64 NumPy, where (n mod D) u + s stays below 2^63;
+    - q < 2^31 and 2^e <= 2^64 (a seeded phase on a small convergent, such
+      as q_3 = 8102 on exp k4 with a 53-bit seed): int64 long division, see
+      _seeded_turns;
     - otherwise, and for indices past int64: Python ints, one index at a time.
 
     The range is not checked here; phase_turns calls faithful_modulus first.
@@ -669,8 +673,66 @@ def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarr
                 r += s
             r %= den
             return r / den
+        if q < INT64_MODULUS_CAP and two_e <= 1 << 64:
+            return _seeded_turns(ns, q, two_e, u, s)
+    return _exact_turns(ns, u, s, den)
+
+
+def _exact_turns(ns, u: int, s: int, den: int) -> np.ndarray:
+    """(n u + s) mod den / den for each n of ns, in Python ints one index at a
+    time: the width for any modulus, and _residue_turns' test oracle."""
+    if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
         ns = memoryview(ns)  # Python ints one at a time, no list of them
     return np.fromiter(((n * u + s) % den / den for n in ns), np.float64, count=len(ns))
+
+
+def _seeded_turns(ns: np.ndarray, q: int, two_e: int, u: int, s: int) -> np.ndarray:
+    """Correctly rounded (n u + s) mod D / D, D = q 2^e, for each n of an
+    int64 array, in int64 NumPy, when q < 2^31 and e <= 64.
+
+    Why the bits are the Python-int width's.  u = mult l 2^e mod D is
+    2^e u_q for u_q = u / 2^e < q, and s = s_hi 2^e + s_lo with
+    0 <= s_lo < 2^e, so (n u + s) mod D = A 2^e + s_lo with
+    A = (n u_q + s_hi) mod q, and the phase is (A 2^64 + B) / (q 2^64) with
+    the constant B = s_lo 2^(64-e) < 2^64.  A comes from (n mod q) u_q +
+    s_hi < 2^62.  Two long-division steps by q, on A 2^32 + B_hi and then
+    r1 2^32 + B_lo (B's high and low 32 bits), keep every numerator below
+    q 2^32 < 2^63 and give Q = floor((A 2^64 + B) / q) = q1 2^32 + q2 with
+    q1, q2 < 2^32 and the remainder r2; the phase is (Q + r2/q) 2^-64.
+    Where Q >= 2^55 (q1 >= 2^23), Q has at least 56 bits, so rounding Q + f
+    for any 0 <= f < 1 to 53 bits reads a round bit at 2^2 or above and the
+    OR of every bit below it, bit 0 and f among them.  Q | (r2 != 0) has the
+    same round bit and the same OR, so both round to the same double, and
+    q1 2.0^32 + q2, a sum of two exact doubles, is that integer rounded
+    once.  The scaling by 2^-64 is exact, so the entry is the correctly
+    rounded phase, which is what r / D in Python ints returns.  Below 2^55
+    the phase is under 2^-9 (about one entry in 512) and f can decide the
+    rounding; those entries are recomputed by _exact_turns.
+    """
+    u_q = u // two_e
+    s_hi, s_lo = divmod(s, two_e)
+    b = s_lo * ((1 << 64) // two_e)
+    a = ns % q
+    a *= u_q
+    if s_hi:
+        a += s_hi
+    a %= q
+    q1, q2 = np.empty((2, len(a)), dtype=np.int64)
+    a <<= 32
+    a += b >> 32
+    np.divmod(a, q, out=(q1, a))
+    a <<= 32
+    a += b & 0xFFFFFFFF
+    np.divmod(a, q, out=(q2, a))
+    np.minimum(a, 1, out=a)  # the sticky bit
+    q2 |= a
+    out = q1 * 2.0**32
+    out += q2
+    out *= 2.0**-64
+    low = np.flatnonzero(q1 < 1 << 23)
+    if len(low):
+        out[low] = _exact_turns(ns[low], u, s, q * two_e)
+    return out
 
 
 def residue(mult: int, angle: AngleCF) -> int:

@@ -12,10 +12,10 @@ walk's reach and the seed's bit count (8102 on the exp k4 angle, the 66-bit
 q_4 of poly tau=4) and reduces again on the snapshot only the steps where
 that phase is dyadic.  Each step is one exact residue modulo q_k 2^e for a
 seed of e bits, rounded once, in the integer width that modulus allows
-(Python ints for a 53-bit seed on exp k4; the drift {n c(0)} below, on a
-power-of-two modulus, the low bits of a uint64 product).  Nothing is
-carried from one step to the next in floating point, so a 10^7-step orbit
-does not drift.
+(int64 long division for a 53-bit seed on exp k4, Python ints for poly
+tau=4's 66-bit q_4; the drift {n c(0)} below, on a power-of-two modulus,
+the low bits of a uint64 product).  Nothing is carried from one step to the
+next in floating point, so a 10^7-step orbit does not drift.
 
 h is read through its fold h.fold (harmonic.FourierSeries): c(0) plus Re of
 a sum over the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).
@@ -35,7 +35,7 @@ closed form orbit_fast does, so the fiber error does not grow with
 ulp(n c(0)).
 
 _row_values evaluates the rows on two routes with the same bits.  A block
-of thousands of steps goes one mode at a time, seven elementwise NumPy calls
+of thousands of steps goes one mode at a time, eight elementwise NumPy calls
 per mode on arrays one row wide.  A narrow one (one step(), the fix-up
 steps of a class walk, a short walk) builds the (width, K) phase table for
 all modes at once, takes one cos and one sin, and sums the signed products
@@ -263,11 +263,19 @@ def _row_values(
     elementwise steps (multiply by float(m), mod 1, times 2 pi), and add the
     terms left to right in mode order, starting from 0.0: column j reads
     xs[j] alone, in the same operations and order wherever it sits, so the
-    two routes give the same bits.  When out.size (2K + 1), the size of the
-    narrow route's term array, is at most NARROW_ELEMENTS, the call goes
-    through _row_values_at_once; a wider one goes through
-    _row_values_by_mode, with scratch (when given) as its product buffer.
-    With no rows there is nothing to compute.
+    two routes give the same bits.
+
+    Mod 1 is a - floor(a), the package's one way to take it: on every finite
+    a it gives the bits np.mod gives for the divisor 1.0, at a third of the
+    cost.  floor(a) is an exact integer.  For a >= 0 the difference lies on
+    a's own grid, so it is exact, and it is fmod(a, 1).  For a < 0, np.mod
+    returns RN(fmod(a, 1) + 1), one rounding of the same real number
+    a - floor(a).  Integers and -0.0 give +0.0 on both routes.
+
+    When out.size (2K + 1), the size of the narrow route's term array, is at
+    most NARROW_ELEMENTS, the call goes through _row_values_at_once; a wider
+    one goes through _row_values_by_mode, with scratch (when given) as its
+    product buffer.  With no rows there is nothing to compute.
     """
     if not out.size:
         return
@@ -291,7 +299,7 @@ def _row_values_at_once(
     np.add.reduce or a matrix product would reorder the sum.
     """
     ang = np.multiply.outer(xs, np.array(modes, dtype=float))
-    np.mod(ang, 1.0, out=ang)
+    ang -= np.floor(ang)
     ang *= TWO_PI
     terms = np.empty(out.shape + (2 * len(modes) + 1,))
     terms[..., 0] = 0.0
@@ -308,10 +316,11 @@ def _row_values_by_mode(
     out: np.ndarray,
     scratch: Optional[np.ndarray] = None,
 ) -> None:
-    """The wide route: one mode at a time, seven elementwise NumPy calls each.
+    """The wide route: one mode at a time, eight elementwise NumPy calls each.
 
     Its arrays are one row of out wide, where the narrow route's are 2K + 1
-    times out's size, so a block of thousands of steps stays in cache.  Each
+    times out's size, so a block of thousands of steps stays in cache.  c
+    holds floor(m xs) for the mod 1 before it holds the cosines.  Each
     product lands in scratch when one is given (else in a temporary the
     shape of out).
     """
@@ -319,7 +328,7 @@ def _row_values_by_mode(
     out.fill(0.0)
     for m, w in zip(modes, weights.T[:, :, None]):
         np.multiply(xs, m, out=sn)
-        np.mod(sn, 1.0, out=sn)
+        sn -= np.floor(sn, out=c)
         sn *= TWO_PI
         np.cos(sn, out=c)
         np.sin(sn, out=sn)
@@ -423,7 +432,7 @@ def _fiber_blocks(
             if mean is not None:
                 block += phase_turns(mean, 1, range(done + 1, done + width + 1))
             block += fibers[:, None]
-            np.mod(block, 1.0, out=block)
+            block -= np.floor(block)
         yield xs[1:], block
 
 
@@ -473,16 +482,30 @@ def _step_count(n, minimum: int, what: str) -> int:
 # stepping
 
 
+def _orbit_points(cfg: FlowConfig, x: TorusPoint, ns: Sequence[int]) -> Iterator[TorusPoint]:
+    """T^n x for each n of ns, ascending and positive, read off one walk to ns[-1].
+
+    Step n of the walk is column n - 1 of its blocks, the column a walk of n
+    steps ends on, so each point is orbit_direct(cfg, x, n) bit for bit.
+    """
+    seed, start = _seed_of(cfg, x)
+    done, k = 0, 0
+    for x_after, fiber in _fiber_blocks(cfg, x, ns[-1], range(cfg.v - 1)):
+        done += len(x_after)
+        while k < len(ns) and ns[k] <= done:
+            j = ns[k] - done - 1  # from the block's end
+            yield _result_point(cfg, [x_after[j], *fiber[:, j].tolist()], seed, start + ns[k])
+            k += 1
+
+
 def orbit_direct(cfg: FlowConfig, x: TorusPoint, n: int) -> TorusPoint:
     """n-fold composition by walking the orbit with _fiber_blocks, O(n)."""
     _check_point(cfg, x)
     n = _step_count(n, 0, "direct orbit")
     if n == 0:
         return x
-    for x_after, fiber in _fiber_blocks(cfg, x, n, range(cfg.v - 1)):
-        pass
-    seed, start = _seed_of(cfg, x)
-    return _result_point(cfg, [x_after[-1], *fiber[:, -1].tolist()], seed, start + n)
+    (point,) = _orbit_points(cfg, x, [n])
+    return point
 
 
 def step(cfg: FlowConfig, x: TorusPoint) -> TorusPoint:
@@ -649,9 +672,10 @@ def birkhoff_avg(
         phase = b.entries[0] * x_after
         for i, row in zip(rows, fiber):
             phase += b.entries[i + 1] * row
-        ang = TWO_PI * np.mod(phase, 1.0)
-        re.append(fsum(np.cos(ang)))
-        im.append(fsum(np.sin(ang)))
+        phase -= np.floor(phase)
+        phase *= TWO_PI
+        re.append(fsum(memoryview(np.cos(phase))))  # no NumPy scalar per step
+        im.append(fsum(memoryview(np.sin(phase))))
     return complex(fsum(re) / n_steps, fsum(im) / n_steps)
 
 
@@ -724,22 +748,23 @@ def check_conjugacy(
 
     Both orbits run the truncated series, whose coboundary identity is exact
     by construction, so the per-step budget is the certified tail bound of
-    psi plus a float allowance scaled by the size of psi.
+    psi plus a float allowance scaled by the size of psi.  T and T1 each
+    walk once, to the largest n, and every n reads its point off that walk.
     """
     cfg = pair.base
     _check_point(cfg, x)
     eps_step = FLOAT_SLACK * max(1.0, pair.psi.series.l1_norm())
     per_step = pair.psi.identity_error_bound + eps_step
-    y = psi_map(pair, x)
     ns = sorted({int(n) for n in n_values})
+    if ns and ns[0] < 1:
+        raise ValueError("conjugacy check needs positive step counts")
+    y = psi_map(pair, x)
     defects = []
     budgets = []
     ok = True
-    for n in ns:
-        if n < 1:
-            raise ValueError("conjugacy check needs positive step counts")
-        a = orbit_direct(cfg, x, n)
-        bpt = psi_inv(pair, orbit_direct(pair.top, y, n))
+    # zip reads ns first, so an empty ns starts neither walk
+    for n, a, b in zip(ns, _orbit_points(cfg, x, ns), _orbit_points(pair.top, y, ns)):
+        bpt = psi_inv(pair, b)
         defect = max(
             _circle_dist(ai, bi) for ai, bi in zip(a.coords, bpt.coords)
         )

@@ -183,7 +183,8 @@ def sieve_segment(n_top: int, length: int) -> MuTable:
 
 def _add_terms(re: list, im: list, weights: np.ndarray, turns: np.ndarray) -> None:
     """Append the math.fsum of weights * cos and of weights * sin at 2 pi turns."""
-    ang = TWO_PI * np.mod(turns, 1.0)
+    ang = turns - np.floor(turns)  # turns mod 1, see flow._row_values
+    ang *= TWO_PI
     re.append(fsum((weights * np.cos(ang)).tolist()))
     im.append(fsum((weights * np.sin(ang)).tolist()))
 

@@ -753,6 +753,116 @@ def test_every_width_matches_fraction(case):
         assert np.array_equal(got.view(np.int64), want), type(form)
 
 
+def _python_int_turns(l, q, mult, ns, seed):
+    """The oracle: _residue_turns on a list takes the Python-int width."""
+    return _residue_turns(l, q, mult, [int(n) for n in ns], seed)
+
+
+@pytest.mark.parametrize(
+    "q, l, mult, seed, ns, falls",
+    [
+        # phase = seed < 2^-9 at n = 0 and every multiple of q: those fall back
+        (8102, 3601, 1, 12345 * 2.0**-64, [0, 8102, -8102, 1, 2, 4051, 10**12], 3),
+        # negative n and a negative seed
+        (8102, 3601, 1, -0.3, [-(10**12) - 3, -8103, -1, 0, 5, 2**62], 0),
+        # e = 64 exactly
+        (8102, 3601, -1, (2**52 + 1) * 2.0**-64, list(range(-50, 50)), 7),
+        (2**31 - 1, 2**30 + 12345, 7, 0.3, [-(2**63), -1, 0, 1, 2**31, 2**63 - 1], 0),
+        # q = 2 and e = 64: D = 2^65 is no power of two the uint64 width takes
+        (2, 1, 1, (2**52 + 3) * 2.0**-64, [-3, -2, -1, 0, 1, 2, 3, 2**62 + 1], 3),
+        (8102, 3601, -13, 0.7071067811865476, list(range(1000, 1100)), 0),
+        (8102, 3601, 2**70 + 3, 0.1, list(range(-100, 100)), 0),
+        (57, 25, 4051, 1 - 2.0**-53, list(range(-300, 300, 7)), 0),
+    ],
+)
+def test_seeded_int64_width_matches_python_ints(q, l, mult, seed, ns, falls, python_int_entries):
+    e = float(seed).as_integer_ratio()[1].bit_length() - 1
+    assert q * 2**e >= contfrac.INT64_MODULUS_CAP and q < contfrac.INT64_MODULUS_CAP and e <= 64
+    want = _python_int_turns(l, q, mult, ns, seed)
+    python_int_entries.clear()
+    got = _residue_turns(l, q, mult, np.array(ns, dtype=np.int64), seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # only the phases below 2^-9 went to Python ints
+    assert sum(k for k, _ in python_int_entries) == np.count_nonzero(want < 2.0**-9) == falls
+
+
+def test_seeded_int64_width_ends_at_e_64(python_int_entries):
+    # e = 64 takes the int64 width; e = 65 leaves every entry to Python ints
+    ns = np.arange(-40, 40, dtype=np.int64)
+    for e, wide in ((64, True), (65, False)):
+        seed = (2**52 + 1) * 2.0**-e
+        want = _python_int_turns(3601, 8102, 1, ns, seed)
+        python_int_entries.clear()
+        got = _residue_turns(3601, 8102, 1, ns, seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        taken = sum(k for k, _ in python_int_entries)
+        assert taken == (np.count_nonzero(want < 2.0**-9) if wide else len(ns))
+    # q = 2^31 + 11 is past the width's q, whatever the seed
+    want = _python_int_turns(5, 2**31 + 11, 1, ns, 0.3)
+    python_int_entries.clear()
+    got = _residue_turns(5, 2**31 + 11, 1, ns, 0.3)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert sum(k for k, _ in python_int_entries) == len(ns)
+
+
+def test_seeded_phase_turns_recomputes_its_fixups_on_the_snapshot(exp_angle, python_int_entries):
+    # against q_3 = 8102 with a 53-bit seed the d = 4051 multiples are
+    # recomputed on the snapshot, in Python ints, and the rest take the
+    # int64 width
+    seed = 0.3
+    ns = range(4051 * 7 - 100, 4051 * 9 + 100)
+    l, q = exp_angle.snapshot
+    want = _python_int_turns(l, q, 1, ns, seed)
+    python_int_entries.clear()
+    got = phase_turns(exp_angle, 1, ns, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    snapshot = [k for k, den in python_int_entries if den.bit_length() > 1000]
+    assert snapshot == [3]  # 4051 * 7, * 8 and * 9
+    assert sum(k for k, den in python_int_entries if den.bit_length() < 100) < 20
+
+
+@st.composite
+def _seeded_width_cases(draw):
+    """(l, q, mult, ns, seed) on the seeded int64 width and its edges.
+
+    q < 2^31 with named small and edge values; seeds of every kind: 53-bit
+    floats of either sign, dyadic ones with e up to 66 (e = 65 and 66 are
+    past the width), and small ones down to 2^-12; starts out to +-1e12 and
+    the int64 edges.
+    """
+    q = draw(st.sampled_from([2, 3, 57, 8102, 2**31 - 1]) | st.integers(2, 2**31 - 1))
+    l = draw(st.integers(0, q - 1))
+    mult = draw(st.sampled_from([1, -1, 2, 24, -13, 4051]) | st.integers(-(2**70), 2**70))
+    kind = draw(st.sampled_from(["float", "dyadic", "small"]))
+    if kind == "float":
+        seed = draw(st.floats(-1.0, 1.0))
+    elif kind == "dyadic":
+        e = draw(st.integers(1, 66))
+        seed = draw(st.integers(1, 2**min(e, 53) - 1) | st.just(1)) * 2.0**-e
+        seed = -seed if draw(st.booleans()) else seed
+    else:
+        seed = draw(st.floats(2.0**-12, 2.0**-9)) * draw(st.sampled_from([1, -1]))
+    start = draw(st.integers(-(10**12), 10**12) | st.sampled_from([0, -(2**63), 2**63 - 600]))
+    width = draw(st.integers(1, 500))
+    ns = np.arange(start, start + width, dtype=np.int64)
+    if draw(st.booleans()):
+        ns = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40)),
+                      dtype=np.int64)
+    return l, q, mult, ns, seed
+
+
+@settings(max_examples=3 * PHASE_EXAMPLES, deadline=None)
+@given(case=_seeded_width_cases())
+@example(case=(3601, 8102, 1, np.arange(-5, 5, dtype=np.int64), 0.3))
+@example(case=(1, 2, 1, np.arange(-5, 5, dtype=np.int64), (2**52 + 1) * 2.0**-64))
+@example(case=(5, 2**31 - 1, -1, np.array([-(2**63), 2**63 - 1], dtype=np.int64), -0.3))
+def test_seeded_int64_width_property(case):
+    l, q, mult, ns, seed = case
+    got = _residue_turns(l, q, mult, ns, seed)
+    want = _python_int_turns(l, q, mult, ns, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("mult, seed", [(3, 0.0), (-1, 2.0**-54)])
 def test_phase_turns_reads_every_index_form_alike(exp_angle, mult, seed):
     # one index set in every form; n = 4051 is an entry recomputed on the

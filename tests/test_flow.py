@@ -1,5 +1,6 @@
 """Skew-product stepping, closed-form orbits, distality, conjugacy."""
 
+import math
 import time
 import tracemalloc
 from dataclasses import replace
@@ -629,6 +630,31 @@ def test_row_value_routes_agree_bit_for_bit(case):
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
+_mod1_values = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, -5e-324, -1e-300, -(2.0**-60), -1.0, -3.0, -(2.0**53),
+                       1 - 2.0**-53, 2 - 2.0**-52, -(1 - 2.0**-53), 2.0**52, 2.0**52 + 1,
+                       2.0**60, -(2.0**52) - 1, -(2.0**51) - 0.5, 1e300, -1e300])
+    | st.integers(-(2**60), 2**60).map(float)  # integers of either sign
+    | st.integers(-(2**53), 2**53).map(lambda k: math.nextafter(float(k), -math.inf))
+    | st.floats(-(2.0**-20), 0.0)  # tiny negatives
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_mod1_values, min_size=1, max_size=40))
+def test_floor_and_subtract_is_numpys_mod_1(values):
+    # the walker, birkhoff_avg and the summer take mod 1 as a - floor(a);
+    # it must give np.mod(a, 1.0)'s bits on every finite input, +0.0 for
+    # integers and -0.0 included, 1.0 for the tiny negatives
+    a = np.array(values)
+    want = np.mod(a, 1.0)
+    got = a.copy()
+    got -= np.floor(got, out=np.empty_like(got))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal((a - np.floor(a)).view(np.int64), want.view(np.int64))
+
+
 def test_chained_steps_match_the_per_block_walk_bit_for_bit():
     # each step() is a one-step walk on the narrow route; _per_block_walk is
     # the per-mode loop with per-row finishing, so they must agree exactly
@@ -702,6 +728,28 @@ def test_one_step_picks_its_convergent_once(exp_angle, monkeypatch):
     orbit_direct(cfg, x, 50000)
     assert calls[0][:3] == (exp_angle, 1, 50000)
     assert lengths[0] == 8102 and BLOCK_STEPS + 1 not in lengths
+
+
+def test_seeded_class_table_stays_off_python_ints(exp_angle, monkeypatch, python_int_entries):
+    # a 53-bit seed on exp k4 reduces against q_3 2^55, about 68 bits: the
+    # walker's 8102-entry class table takes the int64 width, and only the
+    # phases below 2^-9 (about one in 512) go to Python ints.  The fix-ups
+    # reduce on the 11.7k-bit snapshot, in Python ints, as before.
+    lengths = []
+
+    def recording(angle, mult, ns, seed=0.0):
+        lengths.append(len(ns))
+        return phase_turns(angle, mult, ns, seed)
+
+    cfg = _cfg(exp_angle, v=3)
+    x = TorusPoint((0.1, 0.2, 0.3))
+    want = orbit_direct(cfg, x, 20000)
+    python_int_entries.clear()
+    monkeypatch.setattr(flow, "phase_turns", recording)
+    assert orbit_direct(cfg, x, 20000) == want
+    assert lengths[0] == 8102  # the class route's table
+    small = sum(k for k, den in python_int_entries if den.bit_length() < 100)
+    assert 0 < small <= 8102 // 128
 
 
 def test_distality_memory_does_not_grow_with_the_walk(exp_angle):
@@ -864,6 +912,60 @@ def test_conjugacy_pure_fast_part_needs_no_psi(poly_angle):
     cert = check_conjugacy(pair, x, [1, 10, 100])
     assert cert.passed
     assert cert.defects == (0.0, 0.0, 0.0)  # top equals base bit for bit
+
+
+def _per_n_defects(pair, x, ns):
+    """The conjugacy defects with each orbit walked afresh for every n."""
+    y = psi_map(pair, x)
+    out = []
+    for n in ns:
+        a = orbit_direct(pair.base, x, n)
+        b = psi_inv(pair, orbit_direct(pair.top, y, n))
+        out.append(max(_circle(ai, bi) for ai, bi in zip(a.coords, b.coords)))
+    return out
+
+
+def test_conjugacy_walks_each_orbit_once(poly_angle, monkeypatch):
+    # T and T1 each walk once, to the largest n, and the defects are the
+    # per-n walks' bit for bit, in sorted order with duplicates merged
+    from mobiusflow.harmonic import smooth_h_sample
+
+    cfg = FlowConfig(alpha=poly_angle, h=smooth_h_sample(4.0, 60, 9), v=4)
+    pair = build_conjugacy(cfg, 4)
+    x = TorusPoint((0.3, 0.71, 0.05, 0.42))
+    ns = [1, 10, 100, 500, 1000]
+    want = _per_n_defects(pair, x, ns)
+    walks = []
+    walker = flow._fiber_blocks
+
+    def counting(cfg, x, n, rows):
+        walks.append(n)
+        return walker(cfg, x, n, rows)
+
+    monkeypatch.setattr(flow, "_fiber_blocks", counting)
+    cert = check_conjugacy(pair, x, [1000, 10, 1, 500, 100, 10])
+    assert walks == [1000, 1000]
+    assert cert.n_values == tuple(ns)
+    assert np.array_equal(np.array(cert.defects).view(np.int64), np.array(want).view(np.int64))
+    assert cert.budgets == check_conjugacy(pair, x, ns).budgets
+    assert check_conjugacy(pair, x, []) == flow.ConjugacyCertificate((), (), (), True)
+
+
+def test_one_walk_reads_each_n_as_orbit_direct(exp_angle, poly_angle):
+    # step n of one long walk is orbit_direct(cfg, x, n), across a block
+    # seam (8192 | 8193) and on exp k4's class route (q_3 = 8102)
+    from mobiusflow.harmonic import smooth_h_sample
+
+    poly = FlowConfig(alpha=poly_angle, h=smooth_h_sample(4.0, 20, 9), v=3)
+    ns = [1, 10, 100, 500, 1000, 8192, 8193, 9000, 20000]
+    rng = Random(8)
+    for cfg in (poly, build_conjugacy(poly, 4).top, _cfg(exp_angle, v=3)):
+        x = TorusPoint(tuple(rng.random() for _ in range(cfg.v)))
+        for n, got in zip(ns, flow._orbit_points(cfg, x, ns)):
+            want = orbit_direct(cfg, x, n)
+            assert got == want, n
+            assert np.array_equal(np.array(got.coords).view(np.int64),
+                                  np.array(want.coords).view(np.int64))
 
 
 def test_conjugacy_needs_positive_steps(poly_angle):
