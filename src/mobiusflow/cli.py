@@ -405,9 +405,19 @@ def _random_finite_series(rng: Random) -> FourierSeries:
     return FourierSeries(coeffs, FINITE, 0.0, max(1.0, cap))
 
 
+# check coeff-bound runs one 4096-point certificate per series, about 4 ms
+# each on a 2-vCPU host, and keeps every certificate's document (about
+# 1 KiB) for the manifest: 10^4 series are about 40 s and 10 MiB
+COEFF_COUNT_LIMIT = 10**4
+
+
 def _cmd_check_coeff_bound(args) -> int:
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
+    if args.count > COEFF_COUNT_LIMIT:
+        raise ResourceBudgetError(
+            f"--count {args.count} exceeds the budget of {COEFF_COUNT_LIMIT} series"
+        )
     rng = Random(args.seed)
     ok = True
     rows = []

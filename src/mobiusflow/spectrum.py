@@ -15,16 +15,18 @@ is proven smaller than the integer gap the comparison needs, with the one
 undecidable value handed back to the snapshot.  Floats appear only as
 reported witnesses, and every reported witness is the snapshot's.
 
-The flat scan steps the balanced residue r = fold(m l_k mod q_k) against the
+The flat scan takes the balanced residue r = fold(m l_k mod q_k) against the
 convergent contfrac.matched_convergent picks for m_limit (q_3 = 8102 on exp
-k4, so every step is word-sized).  That rule gives q_{k+1} > m_limit q_k 2^54,
-so q_{k+1} > 4 m_limit^2 for every m_limit the scan budget admits, and the
-integer key 2m|r| lies strictly within 1/2 of q_k 2m ||m alpha|| on the
-snapshot; a key other than q_k therefore decides 2m ||m alpha|| >= 1, and
-keys order the ratios.  Only keys equal to q_k and the m sharing the least
-key (the worst-witness candidates) are recomputed on the snapshot.  An
-exact angle, or one no convergent qualifies for, runs the same loop on the
-snapshot itself, where every key is exact.
+k4).  That rule gives q_{k+1} > m_limit q_k 2^54, so q_{k+1} > 4 m_limit^2
+for every m_limit the scan budget admits, and the integer key 2m|r| lies
+strictly within 1/2 of q_k 2m ||m alpha|| on the snapshot; a key other than
+q_k therefore decides 2m ||m alpha|| >= 1, and keys order the ratios.  Only
+keys equal to q_k and the m sharing the least key (the worst-witness
+candidates) are recomputed on the snapshot.  An exact angle, or one no
+convergent qualifies for, runs the same scan on the snapshot itself, where
+every key is exact.  When m_limit q_k < 2^63 every product of the scan fits
+an int64, and it runs in NumPy chunks; wider moduli (exp k4's snapshot, or
+poly (4, 6)'s 66-bit q_4) are stepped one m at a time in Python ints.
 
 The scaling identity needs no witness scan: one lemma decides it.  With
 t_k = q_k l mod q, d_k = fold(t_k) and r_k = |d_k| > 0, fold(a t_k mod q)
@@ -51,7 +53,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Optional, Union
+from operator import attrgetter
+from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from .contfrac import (
     BIT_BUDGET,
@@ -64,6 +69,10 @@ from .contfrac import (
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
+CHUNK = 1 << 13  # m per int64 chunk of the flat scan: 64 KiB an array
+INT64_LIMIT = 1 << 63  # the chunked flat scan needs m_limit q_k below this
+
+_q = attrgetter("q")
 
 
 class SnapshotRangeError(ValueError):
@@ -72,20 +81,23 @@ class SnapshotRangeError(ValueError):
 
 def _band_index(angle: AngleCF, m_abs: int) -> int:
     """Largest k with q_k <= m_abs (bands use the last index on ties q_0 = q_1 = 1)."""
-    qs = [c.q for c in angle.convergents]
-    i = bisect_right(qs, m_abs) - 1
+    i = bisect_right(angle.convergents, m_abs, key=_q) - 1
     if i < 0:
         raise SnapshotRangeError(f"no band below |m| = {m_abs}")
-    if i + 1 >= len(qs):
+    if i + 1 >= len(angle.convergents):
         raise SnapshotRangeError(f"|m| = {m_abs} reaches past the snapshot ladder")
     return i
 
 
+def _shown(n: int) -> str:
+    """n in full below 10^40, else its order of magnitude."""
+    return str(n) if n < 10**40 else f"~10^{n.bit_length() * 30103 // 100000}"
+
+
 def _require_in_range(angle: AngleCF, m_abs: int, what: str) -> None:
     if m_abs >= angle.q(angle.k_star):
-        shown = str(m_abs) if m_abs < 10**40 else f"~10^{m_abs.bit_length() * 30103 // 100000}"
         raise SnapshotRangeError(
-            f"{what} = {shown} is not below q_{angle.k_star}; "
+            f"{what} = {_shown(m_abs)} is not below q_{angle.k_star}; "
             "the classification is only certified inside the built ladder"
         )
 
@@ -251,67 +263,40 @@ class FlatBoundCertificate(Certificate):
     snapshot_recomputed: int
 
 
-def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
-    """Scan 1 <= m <= m_limit with exact arithmetic (negative m are mirrors).
+class _FlatScan(NamedTuple):
+    """What one pass over 1 <= m <= m_limit finds against l_k/q_k.
 
-    The scan steps r = fold(m l_k mod q_k) by one addition of fold(l_k) and
-    at most one wrap per m, against the convergent l_k/q_k that
-    contfrac.matched_convergent picks for reach m_limit.  Why its comparisons
-    are the snapshot's: that rule gives q_{k+1} > m_limit q_k 2^54, and
-    m_limit <= DENSE_SCAN_LIMIT < 2^52 turns it into q_{k+1} > 4 m_limit^2.
-    The snapshot l/q lies within 1/(q_k q_{k+1}) of l_k/q_k, and ||.|| is
-    1-Lipschitz, so |q_k ||m l/q|| - |r|| <= m/q_{k+1}, and the integer key
-    2m|r| lies within 2 m_limit^2/q_{k+1} < 1/2 of X = q_k 2m ||m l/q||.
-    The claim 2m ||m l/q|| >= 1 is X >= q_k: a key of q_k + 1 or more
-    passes, q_k - 1 or less fails, and only key == q_k is recomputed on the
-    snapshot.  A smaller key means a smaller X, so the worst witness is
-    among the m sharing the least key; those are
-    recomputed on the snapshot and the least exact value wins, the smallest
-    m on a tie.  No checked m has r = 0: m <= m_limit < q_{k+1}, so a
-    multiple of q_k lies in band k and is skipped or uncovered.  When the
-    rule returns the snapshot itself (exact angles, or no qualifying k) the
-    same loop runs and its keys are exact.
-
-    The loop is plain Python ints on purpose.  Each NumPy kernel a process
-    runs for the first time maps about 128 KiB, and a chunked NumPy scan
-    measured 0.2-0.26 MiB more peak RSS on `check spectrum` for no wall
-    time the word-sized loop does not already save.
-
-    The scan is linear in m_limit, which is why m_limit has a budget: past
-    DENSE_SCAN_LIMIT it raises ResourceBudgetError before it starts.
+    below: some checked m has key 2m|r| < q_k; at_modulus: the checked m
+    whose key equals q_k; ties: the m sharing the least key, ascending;
+    uncovered: the first 64 band-0/1 divisible m.
     """
-    if m_limit < 1:
-        raise ValueError("m_limit must be >= 1")
-    _require_in_range(angle, m_limit, "m_limit")
-    if m_limit > DENSE_SCAN_LIMIT:
-        raise ResourceBudgetError(
-            f"m_limit = {m_limit} exceeds the linear scan budget of "
-            f"{DENSE_SCAN_LIMIT} frequencies"
-        )
-    q = angle.q_snapshot
-    l = angle.l_snapshot
+
+    checked: int
+    skipped: int
+    below: bool
+    at_modulus: list
+    ties: list
+    uncovered: list
+    uncovered_count: int
+
+
+def _scan_words(angle: AngleCF, m_limit: int, lk: int, qk: int) -> _FlatScan:
+    """The scan one m at a time, in Python ints of any width.
+
+    r = fold(m l_k mod q_k) steps by one addition of fold(l_k) and at most
+    one wrap per m.
+    """
     qs = [c.q for c in angle.convergents]
-    c = matched_convergent(angle, m_limit)
-    lk, qk = c.l, c.q
-
-    def snapshot_key(m: int) -> int:  # 2m ||m l/q|| q, exact
-        return 2 * m * abs(fold_signed((m * l) % q, q))
-
     hi = qk // 2
     lo = hi - qk  # balanced residues are the r with lo < r <= hi
     k = 0
     while qs[k + 1] <= 1:
         k += 1
     dl = fold_signed(lk % qk, qk)
-    r = 0
-    checked = 0
-    skipped = 0
-    passed = True
+    r = checked = skipped = uncovered_count = 0
+    below = False
     least = m_limit * qk + 1  # above every key 2m|r| <= m qk
-    ties = []  # the m whose key is least so far, ascending
-    recomputed = {}  # m -> snapshot_key(m) for the checked m sent back
-    uncovered = []
-    uncovered_count = 0
+    at_modulus, ties, uncovered = [], [], []
     for m in range(1, m_limit + 1):
         r += dl
         if r > hi:
@@ -326,49 +311,154 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
             else:
                 uncovered_count += 1
                 if len(uncovered) < 64:
-                    num = snapshot_key(m)
-                    uncovered.append((m, num / q, num >= q))
+                    uncovered.append(m)
             continue
         checked += 1
         key = 2 * m * abs(r)
         if key <= qk:
             if key < qk:
-                passed = False
+                below = True
             else:
-                recomputed[m] = snapshot_key(m)
-                if recomputed[m] < q:
-                    passed = False
+                at_modulus.append(m)
         if key <= least:
             if key < least:
                 least, ties = key, [m]
             else:
                 ties.append(m)
+    return _FlatScan(checked, skipped, below, at_modulus, ties, uncovered, uncovered_count)
+
+
+def _scan_chunks(angle: AngleCF, m_limit: int, lk: int, qk: int) -> _FlatScan:
+    """The same scan over CHUNK m at a time in int64 arrays; needs
+    m_limit q_k < 2^63.
+
+    The band of each m is a searchsorted on the ladder clipped to
+    m_limit + 1 (no m reaches a clipped rung), r = fold(m l_k mod q_k) is
+    computed directly, and |r| = min(m l_k mod q_k, q_k - that).  Every
+    product stays below m_limit q_k: m (l_k mod q_k) < m_limit q_k and
+    2m|r| <= m q_k.  Each chunk's least key and its m merge into the
+    running least and ties, so ties that span chunks stay ascending.
+    """
+    top = m_limit + 1
+    ladder = np.array([min(c.q, top) for c in angle.convergents], dtype=np.int64)
+    q64, step = np.int64(qk), np.int64(lk % qk)
+    checked = skipped = uncovered_count = 0
+    below = False
+    least = m_limit * qk + 1  # above every key 2m|r| <= m qk
+    at_modulus, ties, uncovered = [], [], []
+    for start in range(1, top, CHUNK):
+        m = np.arange(start, min(start + CHUNK, top), dtype=np.int64)
+        k = np.searchsorted(ladder, m, side="right") - 1
+        divisible = m % ladder[k] == 0
+        if divisible.any():
+            low = m[divisible & (k < 2)]
+            uncovered_count += low.size
+            skipped += int(np.count_nonzero(divisible)) - low.size
+            uncovered += low[: 64 - len(uncovered)].tolist()
+            m = m[~divisible]
+            if not m.size:
+                continue
+        checked += m.size
+        rm = m * step % q64
+        key = 2 * m * np.minimum(rm, q64 - rm)
+        chunk_least = int(key.min())
+        if chunk_least <= qk:
+            below = below or chunk_least < qk
+            at_modulus += m[key == q64].tolist()
+        if chunk_least <= least:
+            tied = m[key == chunk_least].tolist()
+            if chunk_least < least:
+                least, ties = chunk_least, tied
+            else:
+                ties += tied
+    return _FlatScan(checked, skipped, below, at_modulus, ties, uncovered, uncovered_count)
+
+
+def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
+    """Scan 1 <= m <= m_limit with exact arithmetic (negative m are mirrors).
+
+    The scan takes the balanced residue r = fold(m l_k mod q_k) against the
+    convergent l_k/q_k that contfrac.matched_convergent picks for reach
+    m_limit.  Why its comparisons are the snapshot's: that rule gives
+    q_{k+1} > m_limit q_k 2^54, and m_limit <= DENSE_SCAN_LIMIT < 2^52
+    turns it into q_{k+1} > 4 m_limit^2.
+    The snapshot l/q lies within 1/(q_k q_{k+1}) of l_k/q_k, and ||.|| is
+    1-Lipschitz, so |q_k ||m l/q|| - |r|| <= m/q_{k+1}, and the integer key
+    2m|r| lies within 2 m_limit^2/q_{k+1} < 1/2 of X = q_k 2m ||m l/q||.
+    The claim 2m ||m l/q|| >= 1 is X >= q_k: a key of q_k + 1 or more
+    passes, q_k - 1 or less fails, and only key == q_k is recomputed on the
+    snapshot.  A smaller key means a smaller X, so the worst witness is
+    among the m sharing the least key; those are
+    recomputed on the snapshot and the least exact value wins, the smallest
+    m on a tie.  No checked m has r = 0: m <= m_limit < q_{k+1}, so a
+    multiple of q_k lies in band k and is skipped or uncovered.  When the
+    rule returns the snapshot itself (exact angles, or no qualifying k) the
+    same scan runs and its keys are exact.
+
+    Two scans find the same _FlatScan.  When m_limit q_k < 2^63 (every
+    convergent below 2^39 at the 10^7 budget; q_3 = 8102 on exp k4)
+    _scan_chunks takes CHUNK m at a time in int64 arrays.  Wider moduli,
+    exp k4's 11.7k-bit snapshot and poly (4, 6)'s 66-bit q_4 among them, take _scan_words
+    one m at a time in Python ints, where an object-dtype chunked scan was
+    2-4 times slower.  On exp k4 (2 vCPUs, numpy 2.4) m_limit = 10^7 takes
+    0.27 s in chunks against 2.3 s in the word loop, and 10^5 2.8 ms
+    against 20 ms.  Each chunk's arrays are 64 KiB; the NumPy kernels the
+    chunks run for the first time raise the peak RSS of a `check spectrum`
+    process by 0.1-0.4 MiB, 38.3-38.6 to 38.6-38.9 MiB over 200 passes at
+    10^5 or one at 10^7.
+
+    The scan is linear in m_limit, which is why m_limit has a budget: past
+    DENSE_SCAN_LIMIT it raises ResourceBudgetError before it starts.
+    """
+    if m_limit < 1:
+        raise ValueError("m_limit must be >= 1")
+    _require_in_range(angle, m_limit, "m_limit")
+    if m_limit > DENSE_SCAN_LIMIT:
+        raise ResourceBudgetError(
+            f"m_limit = {m_limit} exceeds the linear scan budget of "
+            f"{DENSE_SCAN_LIMIT} frequencies"
+        )
+    q = angle.q_snapshot
+    l = angle.l_snapshot
+    c = matched_convergent(angle, m_limit)
+    scan = _scan_chunks if m_limit * c.q < INT64_LIMIT else _scan_words
+    found = scan(angle, m_limit, c.l, c.q)
+
+    def snapshot_key(m: int) -> int:  # 2m ||m l/q|| q, exact
+        return 2 * m * abs(fold_signed((m * l) % q, q))
+
+    recomputed = {m: snapshot_key(m) for m in found.at_modulus}
+    passed = not found.below and all(v >= q for v in recomputed.values())
     worst_num = None
     worst_m = 0
-    for m in ties:
+    for m in found.ties:
         if m not in recomputed:
             recomputed[m] = snapshot_key(m)
         if worst_num is None or recomputed[m] < worst_num:
             worst_num, worst_m = recomputed[m], m
+    uncovered = []
+    for m in found.uncovered:
+        num = snapshot_key(m)
+        uncovered.append((m, num / q, num >= q))
     controls = []
-    for kk in range(2, len(qs) - 1):
-        qc = qs[kk]
+    for kk in range(2, len(angle.convergents) - 1):
+        qc = angle.q(kk)
         if qc > m_limit:
             break
         rr = abs(fold_signed((qc * l) % q, q))
         controls.append((kk, qc, 2 * qc * rr / q, 2 * qc * rr < q))
     return FlatBoundCertificate(
         m_limit,
-        checked,
+        found.checked,
         passed,
         worst_m,
         worst_num / q if worst_num is not None else float("inf"),
-        skipped,
-        uncovered_count,
+        found.skipped,
+        found.uncovered_count,
         tuple(uncovered),
         tuple(controls),
         c.k,
-        qk.bit_length(),
+        c.q.bit_length(),
         len(recomputed),
     )
 
@@ -509,17 +599,19 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
     if n < 2:
         raise ValueError("need N >= 2")
     target = 2.0 * log(n)
-    qs = [c.q for c in angle.convergents]
-    if target >= qs[angle.k_star]:
+    if target >= angle.q(angle.k_star):
         raise SnapshotRangeError(f"2 ln N = {target:.3f} reaches past the built ladder")
-    K = bisect_right(qs, target) - 1
-    near = min(abs(target - qs[K]), abs(qs[K + 1] - target))
+    K = bisect_right(angle.convergents, target, key=_q) - 1
+    q_K, q_next = angle.q(K), angle.q(K + 1)
+    near = target - q_K
+    if q_next <= 2 * target:  # a farther rung is no tie, and may pass the float range
+        near = min(near, q_next - target)
     if near < 1e-12 * max(1.0, target):
         raise SnapshotRangeError("2 ln N sits on a ladder rung; cannot certify K")
     if tau is None:
         tau = angle.tau
     K_prime = None
-    witness = {"two_log_n": target, "q_K": str(qs[K]), "K_loglog": 0.0}
+    witness = {"two_log_n": target, "q_K": str(q_K), "K_loglog": 0.0}
     if n > 2:
         witness["K_loglog"] = K / log(log(n))
     if tau is not None:
@@ -529,14 +621,14 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
             k, qk, qk_next = ladder[K_prime - 1]
             if n > qk_next:
                 raise SnapshotRangeError(
-                    f"N = {n} falls in a gap of the sharp ladder; no K' exists"
+                    f"N = {_shown(n)} falls in a gap of the sharp ladder; no K' exists"
                 )
             witness["sharp_bracket"] = [k, str(qk), str(qk_next)]
         elif ladder:  # the first sharp value is N itself
             witness["sharp_bracket"] = "below first sharp value"
         else:
             witness["sharp_bracket"] = "no sharp values below N"
-    passed = qs[K] <= target < qs[K + 1]
+    passed = q_K <= target < q_next
     if K_prime:
         _, qk, qk_next = ladder[K_prime - 1]
         passed = passed and qk < n <= qk_next

@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mobiusflow import cli, experiments
+from mobiusflow import cli, experiments, spectrum
 from mobiusflow.cli import main
 from mobiusflow.contfrac import (
     BIT_BUDGET,
@@ -399,6 +399,28 @@ def test_check_coeff_bound(capsys):
     assert code == 0
     for i in range(3):
         assert f"series {i}: pass" in out
+
+
+def test_check_coeff_bound_count_past_the_budget_is_refused(monkeypatch, tmp_path, capsys):
+    # --count 10^8 printed series for hours, keeping every row: a count past
+    # the budget exits 3 before the first series, and writes nothing
+    def no_series(*args):
+        raise AssertionError("a series ran past the --count budget")
+
+    monkeypatch.setattr(cli, "check_coeff_bound", no_series)
+    for count in (10**8, cli.COEFF_COUNT_LIMIT + 1):
+        out_dir = tmp_path / str(count)
+        assert main(["check", "coeff-bound", "--count", str(count),
+                     "--out", str(out_dir)]) == 3
+        assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "series 0" not in captured.out
+    assert captured.err.count(f"exceeds the budget of {cli.COEFF_COUNT_LIMIT} series") == 2
+    # the budget itself runs
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "COEFF_COUNT_LIMIT", 3)
+    assert main(["check", "coeff-bound", "--count", "3", "--m-limit", "100"]) == 0
+    assert main(["check", "coeff-bound", "--count", "4", "--m-limit", "100"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +816,47 @@ def test_coboundary_flags_exit_with_a_documented_code(exp_file, poly_file, monke
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# values of the check spectrum flags: --m-limit at and past the scan's
+# ends, at the int64 chunk seams, at and past its 10^7 budget, and
+# malformed; --n below 2, huge, and malformed
+_SEAM = spectrum.CHUNK
+_SPECTRUM_FLAGS = {
+    "--m-limit": st.sampled_from([
+        "0", "-1", "-10000000", "1", str(_SEAM - 1), str(_SEAM), str(_SEAM + 1),
+        str(2 * _SEAM + 1), str(spectrum.DENSE_SCAN_LIMIT), str(spectrum.DENSE_SCAN_LIMIT + 1),
+        "1" + "0" * 400, "x", "1.5", "",
+    ]) | st.integers(-3, 3 * _SEAM).map(str),
+    "--n": st.sampled_from(["1", "0", "-5", "2", "3", "1000000", "1" + "0" * 400,
+                            "1" + "0" * 4000, "x", "2.5", ""])
+    | st.integers(-3, 10**30).map(str),
+}
+
+
+@settings(max_examples=settings.default.max_examples // 4, deadline=30_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(poly=st.booleans(), flags=st.fixed_dictionaries({}, optional=_SPECTRUM_FLAGS))
+@example(poly=False, flags={"--m-limit": str(spectrum.DENSE_SCAN_LIMIT)})
+@example(poly=False, flags={"--m-limit": str(spectrum.DENSE_SCAN_LIMIT + 1)})
+@example(poly=True, flags={"--m-limit": str(2 * _SEAM + 1)})
+@example(poly=False, flags={"--n": "1" + "0" * 4000})  # 2 ln N past q_3: OverflowError
+def test_spectrum_flags_exit_with_a_documented_code(exp_file, poly_file, monkeypatch, capsys,
+                                                    poly, flags):
+    # check spectrum with --m-limit and --n drawn or left at their defaults
+    # either runs or is refused with a documented code, and exits 0 only
+    # where the flat scan ran; an exception that escapes main fails the
+    # test, and so does an example past the 30 s deadline (poly (4, 6) at
+    # 10^7 steps its 66-bit q_4 one m at a time, about 4 s)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    argv = ["check", "spectrum", "--angle", poly_file if poly else exp_file,
+            "--m-limit", "1000"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    capsys.readouterr()
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    ran = "flat lower bound up to " in capsys.readouterr().out
+    assert ran or code != 0, argv
 
 
 def test_series_flag_past_the_mode_cap_is_resource_limit(exp_file, capsys):

@@ -1,6 +1,7 @@
 """Band placement, the flat lower bound, in-band scaling, truncation depths."""
 
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -482,6 +483,18 @@ def test_truncation_errors(exp_angle):
         truncation_indices(shallow, 20000)
 
 
+def test_truncation_past_the_float_range(exp_angle, poly_angle):
+    # 2 ln N for N = 10^4000 lies between q_3 = 8102 and q_4, an 11.7k-bit
+    # rung: the near-tie guard took q_4 - 2 ln N in floats, OverflowError
+    t = truncation_indices(exp_angle, 10**4000)
+    assert (t.K, t.K_prime, t.passed) == (3, None, True)
+    # a gap of the sharp ladder names a huge N by its order of magnitude,
+    # also past the digits int -> str converts
+    for n, shown in ((10**4000, "~10^4000"), (1 << 20000, "~10^6020")):
+        with pytest.raises(SnapshotRangeError, match=re.escape(f"N = {shown} falls in a gap")):
+            truncation_indices(poly_angle, n)
+
+
 def _truncation_by_loop(angle, n, tau=None):
     """The sharp-ladder walk truncation_indices ran before its one pass, four
     exits and all, kept whole as the oracle of the differential test."""
@@ -715,3 +728,97 @@ def test_flat_certificate_records_its_modulus(exp_angle):
     assert (doc["modulus_k"], doc["modulus_bits"]) == (3, 13)
     golden = check_flat_lower_bound(explicit_angle([1] * 80), 2000)
     assert golden.modulus_k == 80  # no rung qualifies: the snapshot itself
+
+
+# ---------------------------------------------------------------------------
+# flat scan: int64 chunks against the word loop
+
+CHUNK = spectrum.CHUNK
+
+
+def _flat_both_scans(angle, m_limit, monkeypatch):
+    """The certificate, the scans it took, and the word loop's certificate
+    on the same convergent."""
+    taken = []
+    with monkeypatch.context() as patch:
+        for name in ("_scan_chunks", "_scan_words"):
+            scan = getattr(spectrum, name)
+            patch.setattr(spectrum, name,
+                          lambda *args, scan=scan, name=name: taken.append(name) or scan(*args))
+        cert = check_flat_lower_bound(angle, m_limit)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_scan_chunks", spectrum._scan_words)
+        words = check_flat_lower_bound(angle, m_limit)
+    return cert, taken, words
+
+
+@pytest.mark.parametrize("m_limit", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_flat_chunk_seams_match_the_word_loop(exp_angle, m_limit, monkeypatch):
+    cert, taken, words = _flat_both_scans(exp_angle, m_limit, monkeypatch)
+    assert taken == ["_scan_chunks"] and cert.modulus_k == 3
+    assert cert == words  # every field, snapshot_recomputed included
+    # multiples of q_2 = 9 below q_3 = 8102, then of q_3
+    skipped = min(m_limit, 8101) // 9 + m_limit // 8102
+    assert cert.skipped_resonant == skipped and cert.uncovered_count == 5
+    assert cert.checked == m_limit - skipped - 5
+    assert (cert.passed, cert.worst_m) == (True, 7)
+
+
+def test_flat_least_key_ties_span_chunks(monkeypatch):
+    # with 8 m a chunk the tied least keys of m = 3 and 12 (and of 6 and 11)
+    # fall in two chunks: both stay ties and both go to the snapshot
+    monkeypatch.setattr(spectrum, "CHUNK", 8)
+    for quotients, ties, worst in (([2, 2, 3], [3, 12], 3), ([5, 3, 5], [6, 11], 11)):
+        angle = explicit_angle(quotients + [2**70, 1, 1, 1, 1, 2])
+        assert _least_keys(angle, 200) == ties
+        cert, taken, words = _flat_both_scans(angle, 200, monkeypatch)
+        assert taken == ["_scan_chunks"]
+        assert cert == words
+        assert cert.worst_m == worst and cert.snapshot_recomputed == 2
+        assert _flat_fields(cert) == _flat_oracle(angle, 200)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 4])
+def test_flat_key_equal_to_modulus_through_the_chunks(chunk, monkeypatch):
+    # the substituted 1/18 and 5/18 of the word-loop test: m = 3 has key 18
+    # and goes to the snapshot; with 4 m a chunk the least key (m = 7, 14)
+    # lies in the next chunk
+    monkeypatch.setattr(spectrum, "CHUNK", chunk)
+    angle = explicit_angle([2, 2, 2**70, 1, 1])
+    for lk, m_limit, recomputed, worst in ((1, 3, 1, 3), (5, 7, 2, 7)):
+        monkeypatch.setattr(spectrum, "matched_convergent",
+                            lambda a, reach, lk=lk: Convergent(2, lk, 18))
+        cert, taken, words = _flat_both_scans(angle, m_limit, monkeypatch)
+        assert taken == ["_scan_chunks"] and cert == words
+        assert (cert.snapshot_recomputed, cert.worst_m) == (recomputed, worst)
+        assert cert.passed is (lk == 1)  # key 14 < 18 fails against 5/18
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 32])
+def test_flat_uncovered_past_64_across_a_seam(chunk, monkeypatch):
+    # q_1 = 200 and q_2 = 200001: the 199 m of band 0 and the multiples of
+    # 200 are uncovered, 280 in all over three chunks; the first 64 are
+    # kept, and with 32 m a chunk they come from two
+    monkeypatch.setattr(spectrum, "CHUNK", chunk)
+    angle = explicit_angle([200, 1000, 2**70, 1, 1])
+    m_limit = 2 * CHUNK + 1
+    cert, taken, words = _flat_both_scans(angle, m_limit, monkeypatch)
+    assert taken == ["_scan_chunks"] and cert.modulus_k == 2
+    assert cert == words
+    assert cert.uncovered_count == 199 + m_limit // 200 == 280
+    assert [u[0] for u in cert.uncovered] == list(range(1, 65))
+    assert _flat_fields(cert) == _flat_oracle(angle, m_limit)
+
+
+@pytest.mark.parametrize("qk, route", [(2**53 - 1, "_scan_chunks"), (2**53, "_scan_words")])
+def test_flat_route_at_the_int64_bound(exp_angle, qk, route, monkeypatch):
+    # m_limit q_k = 2^63 - 1024 takes the chunks, 2^63 the word loop; just
+    # below the bound the int64 keys come within 2^10 of overflow and must
+    # still equal the word loop's
+    m_limit = 1024
+    lk = 3**33 % qk | 1
+    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(3, lk, qk))
+    cert, taken, words = _flat_both_scans(exp_angle, m_limit, monkeypatch)
+    assert taken == [route]
+    assert cert == words
+    assert cert.modulus_bits == qk.bit_length()
