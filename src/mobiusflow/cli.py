@@ -141,10 +141,7 @@ def _load_angle(path: str) -> AngleCF:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read angle file: {exc}")
-    try:
-        return angle_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise AngleDocumentError(f"angle file is not valid JSON: {exc}")
+    return angle_from_json(text)
 
 
 def _parse_int(tok: str) -> int:

@@ -17,10 +17,10 @@ form, orbit stepping and Fourier series all take their phases from it.
 
 - Every call reduces against the one convergent l_k/q_k that
   reducing_convergent picks for its multiplier, reach and seed (the orbit
-  walker reads the same value, spectrum's flat scan the same
-  matched_convergent).  Entries whose phase against l_k/q_k is dyadic
-  (among them 0 and every midpoint), the indices the fix-up divisor d
-  divides, are reduced again on the snapshot; every other one rounds alike.
+  walker reads the same value).  Entries whose phase against l_k/q_k is
+  dyadic (among them 0 and every midpoint), the indices the fix-up divisor
+  d divides, are reduced again on the snapshot; every other one rounds
+  alike.
 - class_modulus is the one class rule built on that pick, and it answers
   as reducing_convergent does, with (q_k, d): when every multiplier of a
   walk or a sum picks the same q_k, below the span and BLOCK_STEPS, each
@@ -380,13 +380,18 @@ def explicit_angle(
     """Wrap quotients without padding or floor checks: the one AngleCF
     constructor.  The builders pad the golden tail and check the floor
     around it (_finish_angle); rational_angle, dyadic_angle and
-    angle_from_json call it too."""
+    angle_from_json call it too.  k_star must index the ladder."""
     pq = PartialQuotients(a0, tuple(int(a) for a in quotients))
+    n = len(pq.quotients)
+    if k_star is None:
+        k_star = n
+    elif not 0 <= k_star <= n:  # q_(k_star) must be on the ladder
+        raise ValueError(f"k_star {k_star} is outside 0..{n}")
     convs = convergents_from_quotients(pq.a0, pq.quotients)
     return AngleCF(
         pq=pq,
         convergents=tuple(convs),
-        k_star=len(pq.quotients) if k_star is None else k_star,
+        k_star=k_star,
         kind=kind,
         tau=tau,
         exact=exact,
@@ -508,8 +513,9 @@ def matched_convergent(angle: AngleCF, reach: int, e: int = 0) -> Convergent:
     strictly less than 1/(q_k^2 2^(54+e)) by the choice of k, so no midpoint
     and no wrap lies between the two values, and they round to the same
     double.  A dyadic V_k (b = 1) may be 0 or a midpoint; phase_turns
-    recomputes those entries on the snapshot.  spectrum's flat scan steps
-    against the same convergent, see check_flat_lower_bound.
+    recomputes those entries on the snapshot.  spectrum's flat scan needs
+    only q_{k+1} > 4 m_limit^2 and picks its own convergent, see
+    spectrum.check_flat_lower_bound.
     """
     cs = angle.convergents
     if not angle.exact:
@@ -904,7 +910,10 @@ def angle_to_json(angle: AngleCF) -> dict:
 def angle_from_json(doc: Union[str, dict]) -> AngleCF:
     """Rebuild an angle, verifying the stored snapshot against the quotients."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:  # also a number past int's digit limit
+            raise AngleDocumentError(f"angle file is not valid JSON: {exc}") from exc
     # numbers are read as text: 4.7, Infinity or true is refused, not truncated
     try:
         a0 = int(str(doc["a0"]))
@@ -912,6 +921,8 @@ def angle_from_json(doc: Union[str, dict]) -> AngleCF:
             raise TypeError("quotients must be a list")
         quotients = [int(str(a)) for a in doc["quotients"]]
         kind = doc["kind"]
+        if not isinstance(kind, str):
+            raise TypeError(f"kind is {kind!r}")
         k_star = int(str(doc["k_star"]))
         snap_l = int(str(doc["snapshot"]["l"]))
         snap_q = int(str(doc["snapshot"]["q"]))
@@ -931,9 +942,12 @@ def angle_from_json(doc: Union[str, dict]) -> AngleCF:
         q_prev, q = q, a * q + q_prev
         if q > snap_q:
             raise AngleDocumentError("the quotients give a q past the stored snapshot's")
-    angle = explicit_angle(
-        quotients, a0=a0, kind=kind, k_star=k_star, tau=tau, exact=exact
-    )
+    try:
+        angle = explicit_angle(
+            quotients, a0=a0, kind=kind, k_star=k_star, tau=tau, exact=exact
+        )
+    except ValueError as exc:  # a quotient below 1, a negative a0, k_star off the ladder
+        raise AngleDocumentError(f"malformed angle document: {exc}") from exc
     if angle.snapshot != (snap_l, snap_q):
         raise AngleDocumentError(
             "stored snapshot disagrees with the recurrence over the quotients"

@@ -16,17 +16,18 @@ undecidable value handed back to the snapshot.  Floats appear only as
 reported witnesses, and every reported witness is the snapshot's.
 
 The flat scan takes the balanced residue r = fold(m l_k mod q_k) against the
-convergent contfrac.matched_convergent picks for m_limit (q_3 = 8102 on exp
-k4).  That rule gives q_{k+1} > m_limit q_k 2^54, so q_{k+1} > 4 m_limit^2
-for every m_limit the scan budget admits, and the integer key 2m|r| lies
-strictly within 1/2 of q_k 2m ||m alpha|| on the snapshot; a key other than
-q_k therefore decides 2m ||m alpha|| >= 1, and keys order the ratios.  Only
-keys equal to q_k and the m sharing the least key (the worst-witness
-candidates) are recomputed on the snapshot.  An exact angle, or one no
-convergent qualifies for, runs the same scan on the snapshot itself, where
-every key is exact.  When m_limit q_k < 2^63 every product of the scan fits
-an int64, and it runs in NumPy chunks; wider moduli (exp k4's snapshot, or
-poly (4, 6)'s 66-bit q_4) are stepped one m at a time in Python ints.
+smallest convergent with q_{k+1} > 4 m_limit^2 (q_3 = 8102 on exp k4 for
+m_limit >= 46), so the integer key 2m|r| lies strictly within 1/2 of
+q_k 2m ||m alpha|| on the snapshot; a key other than q_k therefore decides
+2m ||m alpha|| >= 1, and keys order the ratios.  Only keys equal to q_k and
+the m sharing the least key (the worst-witness candidates) are recomputed
+on the snapshot.  When no rung qualifies, that is when the snapshot's q is
+at most 4 m_limit^2, the same scan runs on the snapshot itself, where every
+key is exact.  Either way q_k <= 4 m_limit^2 < 2^49 for every m_limit the scan
+budget admits, so one scan takes every angle in int64 NumPy chunks.  It
+reads the keys, which pass int64, as doubles, whose rounding keeps their
+order, and recomputes in Python ints only those that can decide a verdict
+or the least key.
 
 The scaling identity needs no witness scan: one lemma decides it.  With
 t_k = q_k l mod q, d_k = fold(t_k) and r_k = |d_k| > 0, fold(a t_k mod q)
@@ -62,15 +63,14 @@ from .contfrac import (
     BIT_BUDGET,
     AngleCF,
     Certificate,
+    Convergent,
     ResourceBudgetError,
     fold_signed,
-    matched_convergent,
 )
 
 DENSE_SCAN_LIMIT = 10**7
 DENSE_PREFIX = 10**6
 CHUNK = 1 << 13  # m per int64 chunk of the flat scan: 64 KiB an array
-INT64_LIMIT = 1 << 63  # the chunked flat scan needs m_limit q_k below this
 
 _q = attrgetter("q")
 
@@ -280,74 +280,40 @@ class _FlatScan(NamedTuple):
     uncovered_count: int
 
 
-def _scan_words(angle: AngleCF, m_limit: int, lk: int, qk: int) -> _FlatScan:
-    """The scan one m at a time, in Python ints of any width.
-
-    r = fold(m l_k mod q_k) steps by one addition of fold(l_k) and at most
-    one wrap per m.
-    """
-    qs = [c.q for c in angle.convergents]
-    hi = qk // 2
-    lo = hi - qk  # balanced residues are the r with lo < r <= hi
-    k = 0
-    while qs[k + 1] <= 1:
-        k += 1
-    dl = fold_signed(lk % qk, qk)
-    r = checked = skipped = uncovered_count = 0
-    below = False
-    least = m_limit * qk + 1  # above every key 2m|r| <= m qk
-    at_modulus, ties, uncovered = [], [], []
-    for m in range(1, m_limit + 1):
-        r += dl
-        if r > hi:
-            r -= qk
-        elif r <= lo:
-            r += qk
-        while qs[k + 1] <= m:
-            k += 1
-        if m % qs[k] == 0:
-            if k >= 2:
-                skipped += 1
-            else:
-                uncovered_count += 1
-                if len(uncovered) < 64:
-                    uncovered.append(m)
-            continue
-        checked += 1
-        key = 2 * m * abs(r)
-        if key <= qk:
-            if key < qk:
-                below = True
-            else:
-                at_modulus.append(m)
-        if key <= least:
-            if key < least:
-                least, ties = key, [m]
-            else:
-                ties.append(m)
-    return _FlatScan(checked, skipped, below, at_modulus, ties, uncovered, uncovered_count)
+def _flat_convergent(angle: AngleCF, m_limit: int) -> Convergent:
+    """The smallest convergent with q_{k+1} > 4 m_limit^2, else the snapshot
+    (the margin check_flat_lower_bound's proof needs)."""
+    cs, bar = angle.convergents, 4 * m_limit * m_limit
+    return next((c for c, nxt in zip(cs, cs[1:]) if nxt.q > bar), cs[-1])
 
 
 def _scan_chunks(angle: AngleCF, m_limit: int, lk: int, qk: int) -> _FlatScan:
-    """The same scan over CHUNK m at a time in int64 arrays; needs
-    m_limit q_k < 2^63.
+    """The scan over CHUNK m at a time in int64 arrays; needs q_k < 2^49.
 
     The band of each m is a searchsorted on the ladder clipped to
-    m_limit + 1 (no m reaches a clipped rung), r = fold(m l_k mod q_k) is
-    computed directly, and |r| = min(m l_k mod q_k, q_k - that).  Every
-    product stays below m_limit q_k: m (l_k mod q_k) < m_limit q_k and
-    2m|r| <= m q_k.  Each chunk's least key and its m merge into the
-    running least and ties, so ties that span chunks stay ascending.
+    m_limit + 1 (no m reaches a clipped rung).  A chunk from m = start
+    takes start l_k mod q_k once in Python ints; its residues are then
+    (j (l_k mod q_k) + that) mod q_k for j < CHUNK, every sum below
+    CHUNK q_k < 2^62, and |r| = min(residue, q_k - residue).  The keys 2m|r|
+    pass int64, so each is read as the double keyf = 2.0 m |r|: 2m and |r|
+    are exact doubles and their product is rounded once, to nearest.  That
+    rounding is monotone and exact on integers up to 2^53 > q_k + 1, so
+    key <= q_k exactly when keyf <= q_k, and the m with a chunk's least key
+    have the chunk's least keyf.  Only the m with keyf <= max(q_k, least
+    keyf) have their keys recomputed in Python ints, and below, at_modulus
+    and the ties are read off those exact keys; every m sharing the least
+    key is its chunk's least, so the ties come out ascending across chunks.
     """
     top = m_limit + 1
     ladder = np.array([min(c.q, top) for c in angle.convergents], dtype=np.int64)
-    q64, step = np.int64(qk), np.int64(lk % qk)
+    step = lk % qk
+    offsets = np.arange(CHUNK, dtype=np.int64) * np.int64(step)
+    q64 = np.int64(qk)
     checked = skipped = uncovered_count = 0
-    below = False
-    least = m_limit * qk + 1  # above every key 2m|r| <= m qk
-    at_modulus, ties, uncovered = [], [], []
+    near, uncovered = [], []  # (m, exact key) of the m under max(q_k, least keyf)
     for start in range(1, top, CHUNK):
         m = np.arange(start, min(start + CHUNK, top), dtype=np.int64)
+        rm = (offsets[: m.size] + start * step % qk) % q64
         k = np.searchsorted(ladder, m, side="right") - 1
         divisible = m % ladder[k] == 0
         if divisible.any():
@@ -355,57 +321,53 @@ def _scan_chunks(angle: AngleCF, m_limit: int, lk: int, qk: int) -> _FlatScan:
             uncovered_count += low.size
             skipped += int(np.count_nonzero(divisible)) - low.size
             uncovered += low[: 64 - len(uncovered)].tolist()
-            m = m[~divisible]
+            m, rm = m[~divisible], rm[~divisible]
             if not m.size:
                 continue
         checked += m.size
-        rm = m * step % q64
-        key = 2 * m * np.minimum(rm, q64 - rm)
-        chunk_least = int(key.min())
-        if chunk_least <= qk:
-            below = below or chunk_least < qk
-            at_modulus += m[key == q64].tolist()
-        if chunk_least <= least:
-            tied = m[key == chunk_least].tolist()
-            if chunk_least < least:
-                least, ties = chunk_least, tied
-            else:
-                ties += tied
-    return _FlatScan(checked, skipped, below, at_modulus, ties, uncovered, uncovered_count)
+        r = np.minimum(rm, q64 - rm)
+        keyf = 2.0 * m * r
+        pick = keyf <= max(qk, keyf.min())
+        near += [(a, 2 * a * b) for a, b in zip(m[pick].tolist(), r[pick].tolist())]
+    least = min((key for _, key in near), default=None)
+    return _FlatScan(
+        checked,
+        skipped,
+        any(key < qk for _, key in near),
+        [a for a, key in near if key == qk],
+        [a for a, key in near if key == least],
+        uncovered,
+        uncovered_count,
+    )
 
 
 def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate:
     """Scan 1 <= m <= m_limit with exact arithmetic (negative m are mirrors).
 
     The scan takes the balanced residue r = fold(m l_k mod q_k) against the
-    convergent l_k/q_k that contfrac.matched_convergent picks for reach
-    m_limit.  Why its comparisons are the snapshot's: that rule gives
-    q_{k+1} > m_limit q_k 2^54, and m_limit <= DENSE_SCAN_LIMIT < 2^52
-    turns it into q_{k+1} > 4 m_limit^2.
-    The snapshot l/q lies within 1/(q_k q_{k+1}) of l_k/q_k, and ||.|| is
-    1-Lipschitz, so |q_k ||m l/q|| - |r|| <= m/q_{k+1}, and the integer key
-    2m|r| lies within 2 m_limit^2/q_{k+1} < 1/2 of X = q_k 2m ||m l/q||.
+    smallest convergent l_k/q_k with q_{k+1} > 4 m_limit^2, or against the
+    snapshot when no k qualifies (_flat_convergent).  Why its comparisons
+    are the snapshot's: the snapshot l/q lies within 1/(q_k q_{k+1}) of
+    l_k/q_k, and ||.|| is 1-Lipschitz, so |q_k ||m l/q|| - |r|| <= m/q_{k+1},
+    and the integer key 2m|r| lies within 2 m_limit^2/q_{k+1} < 1/2 of
+    X = q_k 2m ||m l/q||.
     The claim 2m ||m l/q|| >= 1 is X >= q_k: a key of q_k + 1 or more
     passes, q_k - 1 or less fails, and only key == q_k is recomputed on the
     snapshot.  A smaller key means a smaller X, so the worst witness is
     among the m sharing the least key; those are
     recomputed on the snapshot and the least exact value wins, the smallest
     m on a tie.  No checked m has r = 0: m <= m_limit < q_{k+1}, so a
-    multiple of q_k lies in band k and is skipped or uncovered.  When the
-    rule returns the snapshot itself (exact angles, or no qualifying k) the
-    same scan runs and its keys are exact.
+    multiple of q_k lies in band k and is skipped or uncovered.  On the
+    snapshot itself the same scan runs and its keys are exact.
 
-    Two scans find the same _FlatScan.  When m_limit q_k < 2^63 (every
-    convergent below 2^39 at the 10^7 budget; q_3 = 8102 on exp k4)
-    _scan_chunks takes CHUNK m at a time in int64 arrays.  Wider moduli,
-    exp k4's 11.7k-bit snapshot and poly (4, 6)'s 66-bit q_4 among them, take _scan_words
-    one m at a time in Python ints, where an object-dtype chunked scan was
-    2-4 times slower.  On exp k4 (2 vCPUs, numpy 2.4) m_limit = 10^7 takes
-    0.27 s in chunks against 2.3 s in the word loop, and 10^5 2.8 ms
-    against 20 ms.  Each chunk's arrays are 64 KiB; the NumPy kernels the
-    chunks run for the first time raise the peak RSS of a `check spectrum`
-    process by 0.1-0.4 MiB, 38.3-38.6 to 38.6-38.9 MiB over 200 passes at
-    10^5 or one at 10^7.
+    By the minimality of k, q_k <= 4 m_limit^2 < 2^49 for every m_limit up
+    to DENSE_SCAN_LIMIT (the snapshot's q too, when no k qualifies), so
+    _scan_chunks takes every angle in int64 arrays.  On 2 vCPUs with
+    numpy 2.4, m_limit = 10^7 takes 0.25-0.4 s on exp k4 (q_3 = 8102 from
+    m_limit 46 on) and on poly (4, 6) (q_3 = 83523 from 145 on), and 10^5
+    3-4 ms.  Each chunk's arrays are 64 KiB; the NumPy kernels the chunks
+    run for the first time raise the peak RSS of a `check spectrum`
+    process by a few tenths of a MiB.
 
     The scan is linear in m_limit, which is why m_limit has a budget: past
     DENSE_SCAN_LIMIT it raises ResourceBudgetError before it starts.
@@ -420,9 +382,8 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         )
     q = angle.q_snapshot
     l = angle.l_snapshot
-    c = matched_convergent(angle, m_limit)
-    scan = _scan_chunks if m_limit * c.q < INT64_LIMIT else _scan_words
-    found = scan(angle, m_limit, c.l, c.q)
+    c = _flat_convergent(angle, m_limit)
+    found = _scan_chunks(angle, m_limit, c.l, c.q)
 
     def snapshot_key(m: int) -> int:  # 2m ||m l/q|| q, exact
         return 2 * m * abs(fold_signed((m * l) % q, q))

@@ -20,9 +20,11 @@ from mobiusflow import cli, experiments, spectrum
 from mobiusflow.cli import main
 from mobiusflow.contfrac import (
     BIT_BUDGET,
+    AngleDocumentError,
     ResourceBudgetError,
     angle_digest,
     angle_from_json,
+    angle_to_json,
     explicit_angle,
 )
 from mobiusflow.harmonic import furstenberg_h
@@ -122,6 +124,100 @@ def test_verify_refuses_loose_angle_documents(poly_file, tmp_path, capsys):
         bad.write_text(json.dumps(dict(doc, **{key: value})))
         assert main(["angle", "verify", "--angle", str(bad)]) == 2, (key, value)
     assert capsys.readouterr().err.count("malformed angle document") == 3
+
+
+def test_k_star_off_the_ladder_exits_2(tmp_path, capsys):
+    # k_star 50 on 10 quotients: check spectrum crashed with an IndexError
+    # traceback and angle verify exited 0; a negative k_star read q_k from
+    # the ladder's end
+    doc = angle_to_json(explicit_angle([2, 3, 1, 5, 7, 2, 1, 1, 4, 3]))
+    for k_star in (50, -1):
+        bad = tmp_path / f"k{k_star}.json"
+        bad.write_text(json.dumps(dict(doc, k_star=k_star)))
+        assert main(["check", "spectrum", "--angle", str(bad), "--m-limit", "100"]) == 2
+        assert main(["angle", "verify", "--angle", str(bad), "--all"]) == 2
+    assert capsys.readouterr().err.count("is outside 0..10") == 4
+
+
+_MISSING = object()  # a document key left out
+_BASE_DOCS = [
+    angle_to_json(explicit_angle([2, 3, 1, 5, 7, 2, 1, 1, 4, 3])),
+    angle_to_json(explicit_angle([3, 10**40, 2, 10**400, 1, 1])),
+    angle_to_json(explicit_angle([3, 7, 15, 1, 292], exact=True)),
+]
+_HOSTILE_QUOTIENT = (
+    st.integers(-3, 10**6).map(str)
+    | st.sampled_from(["0", "-1", "1" + "0" * 400, "1" * 5000, "1.5", "x", "", "1e3"])
+    | st.sampled_from([2, 2.5, True, None, [], {}])
+)
+_HOSTILE_FIELDS = {
+    "quotients": st.lists(_HOSTILE_QUOTIENT, max_size=8) | st.sampled_from(["23", {}, None, 7]),
+    "snapshot": st.fixed_dictionaries({
+        "l": st.integers(-5, 10**30).map(str) | st.sampled_from(["x", None, 1.5]),
+        "q": st.integers(-5, 10**30).map(str) | st.sampled_from(["0", "1" * 5000, None]),
+    }) | st.sampled_from([[1, 2], "1/2", None]),
+    "k_star": st.integers(-3, 12) | st.sampled_from([50, 10**30, "x", 2.5, None, True, "3"]),
+    "exact": st.sampled_from([True, False, "false", "true", 0, 1, None, []]),
+    "tau": st.sampled_from(["4", "10/3", 4, "1/0", "abc", "nan", "inf", "-4", "0", "1e400",
+                            "1" + "0" * 400, [4], {}, None, True]),
+    "a0": st.integers(-3, 10**20).map(str) | st.sampled_from([0, -1, "1.5", None, "1" * 5000]),
+    "kind": st.sampled_from(["explicit", "exp-type", "poly-type", "", 5, None, ["x"]]),
+}
+_HOSTILE_TEXT = st.sampled_from([
+    "", "null", "[1, 2]", '"abc"', "NaN", "{{{ not json", "[" * 100000,
+    '{"a0": ' + "1" * 5000 + "}",
+])
+_DOCUMENT_READERS = [
+    ["angle", "verify", "--all"],
+    ["angle", "inspect"],
+    ["check", "spectrum", "--m-limit", "1000"],
+    ["check", "coboundary", "--samples", "20"],
+    ["sweep", "--h", "analytic:1.0:4", "--v", "2", "--n", "1e3"],
+]
+
+
+@st.composite
+def _hostile_angle_text(draw):
+    """A base angle document with keys replaced by drawn values or left
+    out, or text that is no angle document at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_HOSTILE_TEXT)
+    doc = dict(draw(st.sampled_from(_BASE_DOCS)))
+    drawn = draw(st.fixed_dictionaries(
+        {}, optional={key: values | st.just(_MISSING) for key, values in _HOSTILE_FIELDS.items()}
+    ))
+    for key, value in drawn.items():
+        if value is _MISSING:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=settings.default.max_examples // 2, deadline=10_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_hostile_angle_text(), command=st.sampled_from(_DOCUMENT_READERS))
+@example(text=json.dumps(dict(_BASE_DOCS[0], k_star=50)), command=_DOCUMENT_READERS[2])
+def test_angle_documents_exit_with_a_documented_code(tmp_path, monkeypatch, capsys,
+                                                     text, command):
+    # every command that reads --angle FILE either runs on a drawn document
+    # or refuses it with a documented code; a document angle_from_json
+    # refuses exits 2 whichever command reads it, and angle_from_json raises
+    # nothing else.  An exception that escapes main fails the test, and so
+    # does an example past the 10 s deadline
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    path = tmp_path / "angle.json"
+    path.write_text(text)
+    argv = command[:2] + ["--angle", str(path)] + command[2:]
+    if command[0] == "sweep":
+        argv = command[:1] + ["--angle", str(path)] + command[1:]
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    try:
+        angle_from_json(text)
+    except AngleDocumentError:
+        assert code == 2, argv
 
 
 def test_build_past_bit_budget_is_resource_limit(capsys):
@@ -846,8 +942,7 @@ def test_spectrum_flags_exit_with_a_documented_code(exp_file, poly_file, monkeyp
     # check spectrum with --m-limit and --n drawn or left at their defaults
     # either runs or is refused with a documented code, and exits 0 only
     # where the flat scan ran; an exception that escapes main fails the
-    # test, and so does an example past the 30 s deadline (poly (4, 6) at
-    # 10^7 steps its 66-bit q_4 one m at a time, about 4 s)
+    # test, and so does an example past the 30 s deadline
     monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
     argv = ["check", "spectrum", "--angle", poly_file if poly else exp_file,
             "--m-limit", "1000"]

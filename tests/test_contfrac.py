@@ -385,6 +385,40 @@ def test_angle_document_fields_are_read_strictly(poly_angle, key, value):
         angle_from_json(dict(angle_to_json(rational_angle(3, 7)), quotients="23"))
 
 
+@pytest.mark.parametrize("k_star", [-1, -10, 11, 50, 10**30])
+def test_angle_document_k_star_off_the_ladder_is_refused(k_star):
+    # k_star 50 on 10 quotients read q_50 past the ladder (an IndexError in
+    # check spectrum), and a negative one read q_k from the ladder's end
+    doc = angle_to_json(explicit_angle([2, 3, 1, 5, 7, 2, 1, 1, 4, 3]))
+    assert angle_from_json(dict(doc, k_star=0)).k_star == 0
+    assert angle_from_json(dict(doc, k_star=10)).k_star == 10
+    with pytest.raises(AngleDocumentError, match="k_star"):
+        angle_from_json(dict(doc, k_star=k_star))
+    with pytest.raises(ValueError, match="k_star"):  # nor can such an angle be built
+        explicit_angle([2, 3, 1, 5, 7, 2, 1, 1, 4, 3], k_star=k_star)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("quotients", ["2", "0", "1"]), ("quotients", ["2", "-3"]), ("a0", "-1"),
+    ("kind", 5), ("kind", ["exp-type"]), ("kind", None),
+])
+def test_angle_document_out_of_domain_values_are_document_errors(key, value):
+    # a zero or negative quotient and a negative a0 raised a plain
+    # ValueError (exit 1, where every other malformed document exits 2), and
+    # a kind that is no string was taken as it stood
+    doc = angle_to_json(explicit_angle([2, 3, 1, 5]))
+    with pytest.raises(AngleDocumentError, match="malformed angle document"):
+        angle_from_json(dict(doc, **{key: value}))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a0": ' + "1" * 5000 + "}"])
+def test_angle_document_past_the_json_parser_is_refused(text):
+    # deep nesting raised RecursionError and a 5000-digit number literal a
+    # plain ValueError from json.loads
+    with pytest.raises(AngleDocumentError, match="not valid JSON"):
+        angle_from_json(text)
+
+
 @st.composite
 def _documented_angles(draw):
     """Explicit angles with every field an angle document stores; at most 60
@@ -395,7 +429,7 @@ def _documented_angles(draw):
         quotients,
         a0=draw(st.integers(0, 10**20)),
         kind=draw(st.sampled_from(["explicit", "exp-type", "poly-type"])),
-        k_star=draw(st.integers(0, 100)),
+        k_star=draw(st.integers(0, len(quotients))),
         tau=tau,
         exact=draw(st.booleans()),
     )

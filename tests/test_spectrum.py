@@ -16,7 +16,6 @@ from mobiusflow.contfrac import (
     ResourceBudgetError,
     explicit_angle,
     fold_signed,
-    matched_convergent,
     rational_angle,
 )
 from mobiusflow.spectrum import (
@@ -602,17 +601,71 @@ def _flat_fields(cert):
     return tuple(getattr(cert, f) for f in FLAT_FIELDS)
 
 
+def _scan_words(angle, m_limit, lk, qk):
+    """spectrum._scan_chunks one m at a time, in Python ints of any width:
+    the exact oracle for the int64 scan, and the scan on a snapshot too
+    wide for int64.
+
+    r = fold(m l_k mod q_k) steps by one addition of fold(l_k) and at most
+    one wrap per m.
+    """
+    qs = [c.q for c in angle.convergents]
+    hi = qk // 2
+    lo = hi - qk  # balanced residues are the r with lo < r <= hi
+    k = 0
+    while qs[k + 1] <= 1:
+        k += 1
+    dl = fold_signed(lk % qk, qk)
+    r = checked = skipped = uncovered_count = 0
+    below = False
+    least = m_limit * qk + 1  # above every key 2m|r| <= m qk
+    at_modulus, ties, uncovered = [], [], []
+    for m in range(1, m_limit + 1):
+        r += dl
+        if r > hi:
+            r -= qk
+        elif r <= lo:
+            r += qk
+        while qs[k + 1] <= m:
+            k += 1
+        if m % qs[k] == 0:
+            if k >= 2:
+                skipped += 1
+            else:
+                uncovered_count += 1
+                if len(uncovered) < 64:
+                    uncovered.append(m)
+            continue
+        checked += 1
+        key = 2 * m * abs(r)
+        if key <= qk:
+            if key < qk:
+                below = True
+            else:
+                at_modulus.append(m)
+        if key <= least:
+            if key < least:
+                least, ties = key, [m]
+            else:
+                ties.append(m)
+    return spectrum._FlatScan(
+        checked, skipped, below, at_modulus, ties, uncovered, uncovered_count
+    )
+
+
 def _flat_on_snapshot(angle, m_limit, monkeypatch):
-    """The same scan with every key taken on the snapshot (the exact route)."""
+    """The same certificate with every key taken on the snapshot (the exact
+    route), through the word-loop oracle, since a snapshot may pass int64."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "matched_convergent", lambda a, reach: a.convergents[-1])
+        patch.setattr(spectrum, "_flat_convergent", lambda a, m_limit: a.convergents[-1])
+        patch.setattr(spectrum, "_scan_chunks", _scan_words)
         cert = check_flat_lower_bound(angle, m_limit)
     assert cert.modulus_k == angle.snap_index
     return cert
 
 
 def _flat_limits(angle, extra=(), cap=spectrum.DENSE_SCAN_LIMIT):
-    qk = matched_convergent(angle, 2000).q
+    qk = spectrum._flat_convergent(angle, 2000).q
     limits = {1, 2, 7, qk - 1, qk, qk + 1, 2000, *extra}
     return sorted(m for m in limits if 1 <= m <= cap and m < angle.q(angle.k_star))
 
@@ -620,7 +673,7 @@ def _flat_limits(angle, extra=(), cap=spectrum.DENSE_SCAN_LIMIT):
 def _assert_routes_agree(angle, m_limit, monkeypatch):
     cert = check_flat_lower_bound(angle, m_limit)
     assert _flat_fields(cert) == _flat_fields(_flat_on_snapshot(angle, m_limit, monkeypatch))
-    c = matched_convergent(angle, m_limit)
+    c = spectrum._flat_convergent(angle, m_limit)
     assert angle.convergents[cert.modulus_k] == c
     assert cert.modulus_bits == c.q.bit_length()
     return cert
@@ -657,7 +710,7 @@ def _random_wide_angles(seed, count):
 
 def test_flat_convergent_route_on_random_angles(monkeypatch):
     routes = {"convergent": 0, "snapshot": 0}
-    for angle in _random_wide_angles(5, 200):
+    for angle in _random_wide_angles(5, 250):
         for m_limit in _flat_limits(angle, cap=20000):
             cert = _assert_routes_agree(angle, m_limit, monkeypatch)
             snap = cert.modulus_k == angle.snap_index
@@ -672,6 +725,21 @@ def test_flat_routes_agree_with_fraction_oracle():
             assert _flat_fields(cert) == _flat_oracle(angle, m_limit)
 
 
+def test_flat_convergent_is_the_least_with_q_next_past_4_m_limit_squared():
+    # q_(k+1) = 4 m_limit^2 is not enough for the proof's margin, one more is:
+    # [0; 1, 399, 1, 1] has q = 1, 1, 400, 401, 801, and 4 * 10^2 = 400
+    angle = explicit_angle([1, 399, 1, 1])
+    assert [c.q for c in angle.convergents] == [1, 1, 400, 401, 801]
+    assert spectrum._flat_convergent(angle, 10).k == 2  # q_3 = 401 > 400
+    assert spectrum._flat_convergent(angle, 9).k == 1  # q_2 = 400 > 324
+    # past every rung: the snapshot, whose q is then at most 4 m_limit^2
+    assert spectrum._flat_convergent(angle, 15) == angle.convergents[-1]
+    # by minimality every pick is at most 4 m_limit^2, under 2^49 at the budget
+    for angle in (build_exp_alpha(4), build_poly_alpha(4, 6), explicit_angle([1] * 80)):
+        for m_limit in (1, 2, 45, 46, 2000, spectrum.DENSE_SCAN_LIMIT):
+            assert spectrum._flat_convergent(angle, m_limit).q <= 4 * m_limit**2 < 2**49
+
+
 def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
     # For a convergent l_k/q_k no checked m has 2m|r| = q_k (that would put
     # some p/m exactly 1/(2m^2) from l_k/q_k, and searches over small ladders
@@ -679,7 +747,7 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
     # On [0; 2, 2, 2^70, ...] m = 1, 2 are uncovered and m = 3 (band 1,
     # q_1 = 2) is checked; against 1/18 its key is 2 * 3 * 3 = 18.
     angle = explicit_angle([2, 2, 2**70, 1, 1])
-    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(2, 1, 18))
+    monkeypatch.setattr(spectrum, "_flat_convergent", lambda a, m_limit: Convergent(2, 1, 18))
     cert = check_flat_lower_bound(angle, 3)
     assert (cert.checked, cert.uncovered_count, cert.snapshot_recomputed) == (1, 2, 1)
     monkeypatch.undo()
@@ -687,7 +755,7 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
     assert cert.passed and cert.worst_m == 3
     # against 5/18 the key of m = 3 is again 18, while m = 7 has the least
     # key, 14: both go to the snapshot, m = 3 for its verdict
-    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(2, 5, 18))
+    monkeypatch.setattr(spectrum, "_flat_convergent", lambda a, m_limit: Convergent(2, 5, 18))
     cert = check_flat_lower_bound(angle, 7)
     assert (cert.checked, cert.worst_m, cert.snapshot_recomputed) == (3, 7, 2)
     l, q = angle.snapshot
@@ -695,7 +763,7 @@ def test_flat_key_equal_to_modulus_is_decided_on_the_snapshot(monkeypatch):
 
 
 def _least_keys(angle, m_limit):
-    c = matched_convergent(angle, m_limit)
+    c = spectrum._flat_convergent(angle, m_limit)
     lk, qk = c.l, c.q
     keys = {}
     for m in range(1, m_limit + 1):
@@ -726,37 +794,36 @@ def test_flat_certificate_records_its_modulus(exp_angle):
     doc = check_flat_lower_bound(exp_angle, 2000).to_json()
     assert list(doc)[-3:] == ["modulus_k", "modulus_bits", "snapshot_recomputed"]
     assert (doc["modulus_k"], doc["modulus_bits"]) == (3, 13)
-    golden = check_flat_lower_bound(explicit_angle([1] * 80), 2000)
-    assert golden.modulus_k == 80  # no rung qualifies: the snapshot itself
+    golden = explicit_angle([1] * 80)
+    # q_35 = F_36 = 14930352 and q_36 = 24157817 > 4 * 2000^2 = 16000000
+    assert check_flat_lower_bound(golden, 2000).modulus_k == 35
+    # on [0; 1, 1, 1] (q = 1, 1, 2, 3) no rung passes 4: the snapshot itself
+    assert check_flat_lower_bound(explicit_angle([1, 1, 1]), 1).modulus_k == 3
 
 
 # ---------------------------------------------------------------------------
-# flat scan: int64 chunks against the word loop
+# flat scan: int64 chunks against the word-loop oracle
 
 CHUNK = spectrum.CHUNK
 
 
-def _flat_both_scans(angle, m_limit, monkeypatch):
-    """The certificate, the scans it took, and the word loop's certificate
-    on the same convergent."""
-    taken = []
+def _flat_with_oracle(angle, m_limit, monkeypatch):
+    """The certificate, and the one the word-loop oracle gives on the same
+    convergent; the two scans must find the same _FlatScan."""
+    c = spectrum._flat_convergent(angle, m_limit)
+    assert spectrum._scan_chunks(angle, m_limit, c.l, c.q) == _scan_words(angle, m_limit, c.l, c.q)
+    cert = check_flat_lower_bound(angle, m_limit)
     with monkeypatch.context() as patch:
-        for name in ("_scan_chunks", "_scan_words"):
-            scan = getattr(spectrum, name)
-            patch.setattr(spectrum, name,
-                          lambda *args, scan=scan, name=name: taken.append(name) or scan(*args))
-        cert = check_flat_lower_bound(angle, m_limit)
-    with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_scan_chunks", spectrum._scan_words)
-        words = check_flat_lower_bound(angle, m_limit)
-    return cert, taken, words
+        patch.setattr(spectrum, "_scan_chunks", _scan_words)
+        oracle = check_flat_lower_bound(angle, m_limit)
+    return cert, oracle
 
 
 @pytest.mark.parametrize("m_limit", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_flat_chunk_seams_match_the_word_loop(exp_angle, m_limit, monkeypatch):
-    cert, taken, words = _flat_both_scans(exp_angle, m_limit, monkeypatch)
-    assert taken == ["_scan_chunks"] and cert.modulus_k == 3
-    assert cert == words  # every field, snapshot_recomputed included
+    cert, oracle = _flat_with_oracle(exp_angle, m_limit, monkeypatch)
+    assert cert.modulus_k == 3
+    assert cert == oracle  # every field, snapshot_recomputed included
     # multiples of q_2 = 9 below q_3 = 8102, then of q_3
     skipped = min(m_limit, 8101) // 9 + m_limit // 8102
     assert cert.skipped_resonant == skipped and cert.uncovered_count == 5
@@ -771,25 +838,24 @@ def test_flat_least_key_ties_span_chunks(monkeypatch):
     for quotients, ties, worst in (([2, 2, 3], [3, 12], 3), ([5, 3, 5], [6, 11], 11)):
         angle = explicit_angle(quotients + [2**70, 1, 1, 1, 1, 2])
         assert _least_keys(angle, 200) == ties
-        cert, taken, words = _flat_both_scans(angle, 200, monkeypatch)
-        assert taken == ["_scan_chunks"]
-        assert cert == words
+        cert, oracle = _flat_with_oracle(angle, 200, monkeypatch)
+        assert cert == oracle
         assert cert.worst_m == worst and cert.snapshot_recomputed == 2
         assert _flat_fields(cert) == _flat_oracle(angle, 200)
 
 
 @pytest.mark.parametrize("chunk", [CHUNK, 4])
 def test_flat_key_equal_to_modulus_through_the_chunks(chunk, monkeypatch):
-    # the substituted 1/18 and 5/18 of the word-loop test: m = 3 has key 18
+    # the substituted 1/18 and 5/18 of the snapshot test: m = 3 has key 18
     # and goes to the snapshot; with 4 m a chunk the least key (m = 7, 14)
     # lies in the next chunk
     monkeypatch.setattr(spectrum, "CHUNK", chunk)
     angle = explicit_angle([2, 2, 2**70, 1, 1])
     for lk, m_limit, recomputed, worst in ((1, 3, 1, 3), (5, 7, 2, 7)):
-        monkeypatch.setattr(spectrum, "matched_convergent",
-                            lambda a, reach, lk=lk: Convergent(2, lk, 18))
-        cert, taken, words = _flat_both_scans(angle, m_limit, monkeypatch)
-        assert taken == ["_scan_chunks"] and cert == words
+        monkeypatch.setattr(spectrum, "_flat_convergent",
+                            lambda a, m_limit, lk=lk: Convergent(2, lk, 18))
+        cert, oracle = _flat_with_oracle(angle, m_limit, monkeypatch)
+        assert cert == oracle
         assert (cert.snapshot_recomputed, cert.worst_m) == (recomputed, worst)
         assert cert.passed is (lk == 1)  # key 14 < 18 fails against 5/18
 
@@ -802,23 +868,43 @@ def test_flat_uncovered_past_64_across_a_seam(chunk, monkeypatch):
     monkeypatch.setattr(spectrum, "CHUNK", chunk)
     angle = explicit_angle([200, 1000, 2**70, 1, 1])
     m_limit = 2 * CHUNK + 1
-    cert, taken, words = _flat_both_scans(angle, m_limit, monkeypatch)
-    assert taken == ["_scan_chunks"] and cert.modulus_k == 2
-    assert cert == words
+    cert, oracle = _flat_with_oracle(angle, m_limit, monkeypatch)
+    assert cert.modulus_k == 2
+    assert cert == oracle
     assert cert.uncovered_count == 199 + m_limit // 200 == 280
     assert [u[0] for u in cert.uncovered] == list(range(1, 65))
     assert _flat_fields(cert) == _flat_oracle(angle, m_limit)
 
 
-@pytest.mark.parametrize("qk, route", [(2**53 - 1, "_scan_chunks"), (2**53, "_scan_words")])
-def test_flat_route_at_the_int64_bound(exp_angle, qk, route, monkeypatch):
-    # m_limit q_k = 2^63 - 1024 takes the chunks, 2^63 the word loop; just
-    # below the bound the int64 keys come within 2^10 of overflow and must
-    # still equal the word loop's
-    m_limit = 1024
+@pytest.mark.parametrize("chunk", [CHUNK, 1000])
+def test_flat_keys_past_2_53_and_2_63(exp_angle, chunk, monkeypatch):
+    # q_k = 4 * 10^14, the most the rule picks at the 10^7 budget: its
+    # keys 2m|r| run from below 2^53 to past 2^63 by m = 40000, every
+    # residue sum stays in int64, and the scan must equal the oracle's
+    monkeypatch.setattr(spectrum, "CHUNK", chunk)
+    qk = 4 * spectrum.DENSE_SCAN_LIMIT**2
     lk = 3**33 % qk | 1
-    monkeypatch.setattr(spectrum, "matched_convergent", lambda a, reach: Convergent(3, lk, qk))
-    cert, taken, words = _flat_both_scans(exp_angle, m_limit, monkeypatch)
-    assert taken == [route]
-    assert cert == words
-    assert cert.modulus_bits == qk.bit_length()
+    m_limit = 40000
+    keys = [2 * m * abs(fold_signed(m * lk % qk, qk)) for m in range(1, m_limit + 1)]
+    assert min(keys) < 2**53 and max(keys) > 2**63
+    monkeypatch.setattr(spectrum, "_flat_convergent", lambda a, m_limit: Convergent(3, lk, qk))
+    cert, oracle = _flat_with_oracle(exp_angle, m_limit, monkeypatch)
+    assert cert == oracle
+    assert cert.modulus_bits == qk.bit_length() == 49
+
+
+def test_flat_float_tied_keys_are_decided_exactly(monkeypatch):
+    # [0; 40000, 2^70, ...] checks only m = 40001 and 40002 up to 40002.
+    # Against this l_k/q_k (q_k just under 4 * 10^14) their keys pass 2^63
+    # and differ by 2, less than a double can tell apart: only the smaller,
+    # m = 40002, is the least key, and only its exact key says so
+    qk, lk = 398986624508656, 168410926164205
+    k1, k2 = (2 * m * abs(fold_signed(m * lk % qk, qk)) for m in (40001, 40002))
+    assert k1 - k2 == 2 and k2 > 2**63 and float(k1) == float(k2)
+    angle = explicit_angle([40000, 2**70, 1, 1])
+    found = spectrum._scan_chunks(angle, 40002, lk, qk)
+    assert found == _scan_words(angle, 40002, lk, qk)
+    assert (found.checked, found.ties) == (2, [40002])
+    monkeypatch.setattr(spectrum, "_flat_convergent", lambda a, m_limit: Convergent(1, lk, qk))
+    cert, oracle = _flat_with_oracle(angle, 40002, monkeypatch)
+    assert cert == oracle and cert.snapshot_recomputed == 1
