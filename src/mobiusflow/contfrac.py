@@ -15,12 +15,12 @@ phase_turns returns the correctly rounded fractional parts of phases
 against the snapshot; twisted sums, correlation sums, the rational closed
 form, orbit stepping and Fourier series all take their phases from it.
 
-- Every call reduces against the one convergent l_k/q_k that
-  reducing_convergent picks for its multiplier, reach and seed (the orbit
-  walker reads the same value).  Entries whose phase against l_k/q_k is
-  dyadic (among them 0 and every midpoint), the indices the fix-up divisor
-  d divides, are reduced again on the snapshot; every other one rounds
-  alike.
+- Every call makes one reducing_convergent call for its multiplier, reach
+  and seed, which checks the faithful range and picks the one convergent
+  l_k/q_k to reduce against, with its fix-up divisor d (the orbit walker
+  reads the same pick).  Entries whose phase against l_k/q_k is dyadic
+  (among them 0 and every midpoint), the indices d divides, are reduced
+  again on the snapshot; every other one rounds alike.
 - class_modulus is the one class rule built on that pick, and it answers
   as reducing_convergent does, with (q_k, d): when every multiplier of a
   walk or a sum picks the same q_k, below the span and BLOCK_STEPS, each
@@ -78,7 +78,6 @@ __all__ = [
     "rational_angle",
     "dyadic_angle",
     "faithful_modulus",
-    "matched_convergent",
     "reducing_convergent",
     "class_modulus",
     "phase_turns",
@@ -380,7 +379,10 @@ def explicit_angle(
     """Wrap quotients without padding or floor checks: the one AngleCF
     constructor.  The builders pad the golden tail and check the floor
     around it (_finish_angle); rational_angle, dyadic_angle and
-    angle_from_json call it too.  k_star must index the ladder."""
+    angle_from_json call it too.  k_star must index the ladder, and a tau,
+    when given, must exceed 3, the range build_poly_alpha builds."""
+    if tau is not None and tau <= 3:
+        raise ValueError(f"tau must exceed 3, got {tau}")
     pq = PartialQuotients(a0, tuple(int(a) for a in quotients))
     n = len(pq.quotients)
     if k_star is None:
@@ -481,7 +483,8 @@ def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     snapshot sits within 1/q^2 of every extension of the quotients, so a
     reduction is trusted only while |reach| * 2^60 < q^2; past that line the
     extensions cannot be told apart and PrecisionFloorError is raised.  Exact
-    angles have no ceiling.  matched_convergent picks the reducing convergent.
+    angles have no ceiling.  reducing_convergent applies it for the phase
+    engine, and picks the convergent phases reduce against.
     """
     l, q = angle.snapshot
     scaled = abs(reach) << 60
@@ -493,13 +496,17 @@ def faithful_modulus(angle: AngleCF, reach: int) -> tuple[int, int]:
     )
 
 
-def matched_convergent(angle: AngleCF, reach: int, e: int = 0) -> Convergent:
-    """The convergent l_k/q_k whose rounded phases equal the snapshot's.
+def reducing_convergent(
+    angle: AngleCF, mult: int, reach: int, seed: float = 0.0
+) -> tuple[Convergent, int]:
+    """The convergent l_k/q_k phase_turns reduces against, and its fix-up divisor.
 
-    For phases {seed + mult * n * alpha} with |mult * n| <= |reach| and a
-    seed sp/2^e (e = 0 for no seed), k is the smallest index below the
-    snapshot with |reach| * q_k * 2^(54+e) < q_{k+1}.  An exact angle, or an
-    angle where no index qualifies, gets its own snapshot convergent.
+    For phases {seed + mult * n * alpha} with |n| <= reach and a seed
+    sp/2^e (e = 0 for no seed), mult * reach is first checked against
+    faithful_modulus, so PrecisionFloorError is raised where it says.  k is
+    then the smallest index below the snapshot with
+    |mult * reach| * q_k * 2^(54+e) < q_{k+1}; an exact angle, or an angle
+    where no index qualifies, gets its own snapshot convergent.
 
     Why that k rounds like the snapshot l/q.  V_k = {seed + mult n l_k/q_k}
     has a reduced denominator b 2^s that divides q_k 2^e, with b odd, so
@@ -509,39 +516,27 @@ def matched_convergent(angle: AngleCF, reach: int, e: int = 0) -> Convergent:
     2^(j+1) <= b 2^s, so 2^t <= b 2^(s+54).  When V_k is not dyadic (b > 1),
     |V_k - M| >= 1/(b 2^max(s, t)) >= 1/(b^2 2^(s+54)) >= 1/(q_k^2 2^(54+e)),
     and V_k lies at least 1/(b 2^s), more than that, from 0 and from 1.  The
-    snapshot moves V_k by |mult n (l/q - l_k/q_k)| <= |reach| / (q_k q_{k+1}),
-    strictly less than 1/(q_k^2 2^(54+e)) by the choice of k, so no midpoint
-    and no wrap lies between the two values, and they round to the same
-    double.  A dyadic V_k (b = 1) may be 0 or a midpoint; phase_turns
-    recomputes those entries on the snapshot.  spectrum's flat scan needs
-    only q_{k+1} > 4 m_limit^2 and picks its own convergent, see
-    spectrum.check_flat_lower_bound.
-    """
-    cs = angle.convergents
-    if not angle.exact:
-        scaled = abs(reach) << (54 + e)
-        for c, nxt in zip(cs, cs[1:]):
-            if scaled * c.q < nxt.q:
-                return c
-    return cs[-1]
+    snapshot moves V_k by |mult n (l/q - l_k/q_k)|, at most
+    |mult reach| / (q_k q_{k+1}) and so strictly less than
+    1/(q_k^2 2^(54+e)) by the choice of k: no midpoint and no wrap lies
+    between the two values, and they round to the same double.  spectrum's
+    flat scan needs only q_{k+1} > 4 m_limit^2 and picks its own
+    convergent, see spectrum.check_flat_lower_bound.
 
-
-def reducing_convergent(
-    angle: AngleCF, mult: int, reach: int, seed: float = 0.0
-) -> tuple[Convergent, int]:
-    """The convergent l_k/q_k phase_turns reduces against, and its fix-up divisor.
-
-    For phases {seed + mult * n * alpha} with |n| <= reach, l_k/q_k is the
-    convergent matched_convergent picks for |mult| * reach and the seed's
-    bit count e.  Its phase V_k is dyadic exactly when d divides n, with
+    The fix-up divisor.  V_k is dyadic exactly when d divides n, with
     d = odd(q_k) / gcd(odd(q_k), mult) and odd(q_k) the odd part of q_k
     (gcd(l_k, q_k) = 1); only there can V_k be 0 or a rounding midpoint, so
     only there is the phase recomputed on the snapshot.  d = 0 when there is
     nothing to recompute: l_k/q_k is the snapshot, or mult = 0, which makes
     the snapshot's error mult * n * (l/q - l_k/q_k) vanish.
     """
+    faithful_modulus(angle, mult * reach)
     e = float(seed).as_integer_ratio()[1].bit_length() - 1
-    c = matched_convergent(angle, mult * reach, e)
+    cs = angle.convergents
+    c = cs[-1]
+    if not angle.exact:
+        scaled = abs(mult * reach) << (54 + e)
+        c = next((c for c, nxt in zip(cs, cs[1:]) if scaled * c.q < nxt.q), c)
     if c.q == angle.q_snapshot or not mult:
         return c, 0
     odd = c.q >> ((c.q & -c.q).bit_length() - 1)
@@ -569,12 +564,11 @@ def class_modulus(
     be recomputed), q_k < span, so that a span of that many indices repeats
     a class, and q_k <= BLOCK_STEPS, so that a table over the classes stays
     one walker block wide; else, and for no multipliers, it returns None.
-    Each m * reach must lie in the faithful range, or PrecisionFloorError is
-    raised, as phase_turns would on the same indices.
+    Each m * reach must lie in the faithful range, or reducing_convergent
+    raises PrecisionFloorError, as phase_turns would on the same indices.
     """
     picks, d = set(), 0
     for m in mults:
-        faithful_modulus(angle, m * reach)
         c, d_m = reducing_convergent(angle, m, reach, seed)
         if not d_m:
             return None
@@ -622,25 +616,24 @@ def phase_turns(angle: AngleCF, mult: int, ns, seed: float = 0.0) -> np.ndarray:
     """Correctly rounded {seed + mult * n * alpha} for each n of ns.
 
     Every entry is the double nearest to the exact (seed + mult * n * l/q)
-    mod 1 for the snapshot l/q, after faithful_modulus has checked the range
-    (so PrecisionFloorError is raised exactly where it says).  ns is read
-    once, into an int64 array or, past int64, an object array of ints.  The
-    phases are reduced by _residue_turns against the convergent l_k/q_k that
-    reducing_convergent picks, and where l_k/q_k is not the snapshot, the
-    entries whose index the fix-up divisor d divides are reduced again on
-    the snapshot.  When d exceeds every |n| (int64 indices and d >= 2^63,
+    mod 1 for the snapshot l/q.  ns is read once, into an int64 array or,
+    past int64, an object array of ints.  One reducing_convergent call
+    checks the range (so PrecisionFloorError is raised exactly where
+    faithful_modulus says) and picks l_k/q_k and the fix-up divisor d; the
+    phases are reduced by _residue_turns against l_k/q_k, and where l_k/q_k
+    is not the snapshot, the entries whose index d divides are reduced
+    again on the snapshot.  When d exceeds every |n| (int64 indices and d >= 2^63,
     say) that is n = 0 alone.
     """
     ns = _indices(ns)
     if not len(ns):
         return np.empty(0)
     reach = max(-int(ns.min()), int(ns.max()))
-    l, q = faithful_modulus(angle, mult * reach)
     c, d = reducing_convergent(angle, mult, reach, seed)
     out = _residue_turns(c.l, c.q, mult, ns, seed)
     if d:
         at = np.flatnonzero(ns == 0 if d > reach else ns % d == 0)
-        out[at] = _residue_turns(l, q, mult, ns[at], seed)
+        out[at] = _residue_turns(*angle.snapshot, mult, ns[at], seed)
     return out
 
 
@@ -661,7 +654,8 @@ def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarr
       _seeded_turns;
     - otherwise, and for indices past int64: Python ints, one index at a time.
 
-    The range is not checked here; phase_turns calls faithful_modulus first.
+    The range is not checked here; phase_turns' reducing_convergent call
+    checks it first.
     """
     if not len(ns):
         return np.empty(0)

@@ -28,8 +28,10 @@ steps, x_n is a function of n mod q_k for that convergent, so a walk longer
 than q_k (with q_k at most one block) evaluates x_n and the rows once per
 residue class and gathers every later step, recomputing only the dyadic
 ones, the multiples of d = odd(q_k); contfrac.class_modulus is the rule
-and gives the pair (q_k, d).  FlowConfig._reading builds the row weights
-once per config, so one step pays no set-up.  The walker sums h less its
+and gives the pair (q_k, d).  A walk with no rule is the case (0, 1): no
+class table, and the same fix-up path recomputes every step.
+FlowConfig._reading builds the row weights once per config, so one step
+pays no set-up.  The walker sums h less its
 mean c(0) in floats and adds the mean as the exact drift {n c(0)}, as the
 closed form orbit_fast does, so the fiber error does not grow with
 ulp(n c(0)).
@@ -249,11 +251,7 @@ def _coord_bases(
 
 
 def _row_values(
-    xs: np.ndarray,
-    modes: Sequence[int],
-    weights: np.ndarray,
-    out: np.ndarray,
-    scratch: Optional[np.ndarray] = None,
+    xs: np.ndarray, modes: Sequence[int], weights: np.ndarray, out: np.ndarray
 ) -> None:
     """out[k, j] = 0 + sum_m (Wr[k, m] cos - Wi[k, m] sin)(2 pi {m xs[j]}).
 
@@ -274,15 +272,15 @@ def _row_values(
 
     When out.size (2K + 1), the size of the narrow route's term array, is at
     most NARROW_ELEMENTS, the call goes through _row_values_at_once; a wider
-    one goes through _row_values_by_mode, with scratch (when given) as its
-    product buffer.  With no rows there is nothing to compute.
+    one goes through _row_values_by_mode.  With no rows there is nothing to
+    compute.
     """
     if not out.size:
         return
     if out.size * (2 * len(modes) + 1) <= NARROW_ELEMENTS:
         _row_values_at_once(xs, modes, weights, out)
     else:
-        _row_values_by_mode(xs, modes, weights, out, scratch)
+        _row_values_by_mode(xs, modes, weights, out)
 
 
 def _row_values_at_once(
@@ -310,19 +308,13 @@ def _row_values_at_once(
 
 
 def _row_values_by_mode(
-    xs: np.ndarray,
-    modes: Sequence[int],
-    weights: np.ndarray,
-    out: np.ndarray,
-    scratch: Optional[np.ndarray] = None,
+    xs: np.ndarray, modes: Sequence[int], weights: np.ndarray, out: np.ndarray
 ) -> None:
     """The wide route: one mode at a time, eight elementwise NumPy calls each.
 
     Its arrays are one row of out wide, where the narrow route's are 2K + 1
     times out's size, so a block of thousands of steps stays in cache.  c
-    holds floor(m xs) for the mod 1 before it holds the cosines.  Each
-    product lands in scratch when one is given (else in a temporary the
-    shape of out).
+    holds floor(m xs) for the mod 1 before it holds the cosines.
     """
     sn, c = np.empty((2, len(xs)))
     out.fill(0.0)
@@ -332,8 +324,8 @@ def _row_values_by_mode(
         sn *= TWO_PI
         np.cos(sn, out=c)
         np.sin(sn, out=sn)
-        out += np.multiply(w.real, c, out=scratch)
-        out -= np.multiply(w.imag, sn, out=scratch)
+        out += w.real * c
+        out -= w.imag * sn
 
 
 def _fiber_blocks(
@@ -362,17 +354,17 @@ def _fiber_blocks(
     (start + s) mod q_k, except at the fix-ups, the s with d | start + s,
     where phase_turns recomputes on the snapshot.  The walker then
     evaluates x_s and the row values once, for s = 0..q_k - 1, into tables
-    no wider than a block, and every later step s gathers class s mod q_k;
-    each fix-up step recomputes x_s with phase_turns and its row values with
-    _row_values.  The rows equal a per-step evaluation bit for bit, since
-    cos and sin give the same bits whatever an element's place in its
-    array.  Every other walk (a 66-bit q_k such as poly tau=4's, a q_k that
-    is a power of two, an exact angle, n <= q_k) evaluates each block in
-    full; a one-step walk does so without picking the convergent, which
-    phase_turns then picks once.  The tables live for one call.
-    Blocks are contiguous views of one fiber buffer, and on the class route
-    x_after is one reused buffer too, so a caller copies what it keeps past
-    the next block.
+    no wider than a block, and gathers every step s from class s mod q_k.
+    No rule reads as (q, d) = (0, 1), as moebius.mu_phase_sum reads it: no
+    table, and every step a fix-up.  Either way each block then takes the
+    one fix-up path: phase_turns evaluates x_s at the steps d divides,
+    every step when d = 1, and _row_values their row values.  The rows
+    equal a per-step evaluation bit for bit, since cos and sin give the
+    same bits whatever an element's place in its array.  A one-step walk
+    asks no rule, and phase_turns picks the convergent once.  The tables
+    live for one call.  Blocks are contiguous views of one fiber buffer,
+    and x_after is one reused buffer too, so a caller copies what it keeps
+    past the next block.
 
     The sum of h splits in two.  h less its mean c(0) is summed as a float
     cumsum inside the block, started from the exactly rounded total of the
@@ -392,36 +384,33 @@ def _fiber_blocks(
     modes, _, mean, weights = cfg._reading
     weights = weights[list(rows)]
     fibers = np.array([x.coords[i + 1] for i in rows])
-    fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
-    # the class route needs q_k < n, and q_k >= 1
-    periodic = n > 1 and class_modulus(cfg.alpha, (1,), max(-start, start + n), n, seed)
-    if periodic:
-        q, d = periodic
+    # the class route needs q_k < n, and q_k >= 1; no rule reads as
+    # (q, d) = (0, 1): no class table, and every step is a fix-up
+    rule = n > 1 and class_modulus(cfg.alpha, (1,), max(-start, start + n), n, seed)
+    q, d = rule or (0, 1)
+    if q:
         x_cls = phase_turns(cfg.alpha, 1, range(start, start + q), seed)
         g_cls = np.empty((len(rows), q))
-        # the fiber buffer is the multiply-add scratch: no temporary of g_cls's size
-        _row_values(x_cls, modes, weights, g_cls, fiber[:g_cls.size].reshape(g_cls.shape))
-        x_buf = np.empty(min(n, BLOCK_STEPS) + 1)
+        _row_values(x_cls, modes, weights, g_cls)  # its temporaries are freed before fiber exists
+    fiber = np.empty(len(rows) * min(n, BLOCK_STEPS))  # each block a contiguous view
+    xs_buf = np.empty(min(n, BLOCK_STEPS) + 1)
     totals = [[] for _ in rows]
     for done in range(0, n, BLOCK_STEPS):
         width = min(BLOCK_STEPS, n - done)
         block = fiber[:len(rows) * width].reshape(len(rows), width)
+        xs = xs_buf[:width + 1]
         head = start + done
-        if periodic:
+        if q:
             cls = np.arange(done, done + width + 1)
             cls %= q
-            xs = x_buf[:width + 1]
             np.take(x_cls, cls, out=xs, mode="clip")
             np.take(g_cls, cls[:-1], axis=1, out=block, mode="clip")
             del cls  # no index array is held across the yield
-            first = -head % d  # the block's first fix-up
-            if first <= width:
-                fix = range(head + first, head + width + 1, d)
-                xs[first::d] = phase_turns(cfg.alpha, 1, fix, seed)
-                _row_values(xs[first:width:d], modes, weights, block[:, first::d])
-        else:
-            xs = phase_turns(cfg.alpha, 1, range(head, head + width + 1), seed)
-            _row_values(xs[:-1], modes, weights, block)
+        first = -head % d  # the block's first fix-up
+        if first <= width:
+            fix = range(head + first, head + width + 1, d)
+            xs[first::d] = phase_turns(cfg.alpha, 1, fix, seed)
+            _row_values(xs[first:width:d], modes, weights, block[:, first::d])
         if rows:
             carry = np.array([fsum(t) for t in totals])
             if done + width < n:  # the last block's totals would go unread

@@ -15,9 +15,12 @@ the correlation kernel all read h through it.  eval takes a float or a 1-D
 array of points: one (points x modes) phase table, one exact fsum per
 point, and a float is the one-row case, with the same bits as in any block.
 
-check_coboundary certifies g(t + alpha) - g(t) = h2(t) on sampled t.  It
-draws its samples in blocks of DEFECT_BLOCK table elements, and within a
-block g(t) and h2(t) share one cos and one sin table when their modes agree.
+check_coboundary certifies g(t + alpha) - g(t) = h2(t) on sampled t, at the
+exact alpha: g(t + alpha) is g's fold with each F_m turned by e(m alpha),
+{m alpha} reduced on the snapshot by the phase engine, so it reads g(t)'s
+cos and sin table, and h2(t) reads it too when their modes agree.  It draws
+its samples in blocks of DEFECT_BLOCK table elements, and refuses more than
+DEFECT_WORK_LIMIT samples x modes before the first block.
 
 Small divisors e(m alpha) - 1 all come from contfrac.small_divisor: the
 exact residue of m against the angle snapshot, turned into a float through
@@ -49,6 +52,9 @@ TAIL_ENUM_LIMIT = 10**6
 SAMPLE_MODE_LIMIT = 10**4
 # Points x modes of one block of check_coboundary's phase tables
 DEFECT_BLOCK = 1 << 13
+# Largest samples x modes check_coboundary evaluates: at about 0.26 us per
+# sample-mode (poly (4, 6), smooth:4.0:120) that is about 25 s of work
+DEFECT_WORK_LIMIT = 10**8
 # Absolute slack of the envelope check beside its relative 1e-9: a
 # coefficient under 2^-1022 is subnormal, and rounding its parts and its
 # modulus can each move it by half of 2^-1074, far more than 1e-9 of it
@@ -207,16 +213,18 @@ class FourierSeries:
         ang = TWO_PI * self._turns(t)
         return np.cos(ang), np.sin(ang)
 
-    def _sums(self, waves: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def _sums(self, waves: Tuple[np.ndarray, np.ndarray], coef=None) -> np.ndarray:
         """c(0) + Re sum F_m e(m t) per point of waves, as one exact fsum of
         a row [c(0), one term per mode]; waves come from _waves on this
-        series' modes (or another series' equal ones)."""
+        series' modes (or another series' equal ones).  coef, when given,
+        stands in for the F_m."""
+        coef = self._coef if coef is None else coef
         cos, sin = waves
         table = np.empty(cos.shape[:-1] + (cos.shape[-1] + 1,))
         table[..., 0] = self._fold.mean
         terms = table[..., 1:]
-        np.multiply(self._coef.real, cos, out=terms)
-        terms -= self._coef.imag * sin
+        np.multiply(coef.real, cos, out=terms)
+        terms -= coef.imag * sin
         flat = table.reshape(-1, table.shape[-1])
         sums = np.fromiter(map(fsum, map(memoryview, flat)), np.float64, len(flat))
         return sums.reshape(cos.shape[:-1])
@@ -382,19 +390,27 @@ class CoboundaryFunction:
     source: dict
     identity_error_bound: float
 
-    def defect(self, t, rhs: FourierSeries, alpha_float: float):
+    def defect(self, t, rhs: FourierSeries, alpha: Union[AngleCF, float]):
         """|g(t + alpha) - g(t) - rhs(t)| at a float t (a float), or at each
         point of a 1-D array t (an array).
 
-        When rhs has g's positive modes, as the split it was solved from
-        does unless a quotient underflowed, g(t) and rhs(t) read one cos and
-        one sin table; g(t + alpha) takes its own at the rounded t + alpha.
+        alpha is the angle, or a float read as its exact dyadic rational.
+        g(t + alpha) is c(0) + Re sum F_m e(m alpha) e(m t): g's folded
+        coefficients turned by e(m alpha), with {m alpha} from
+        phase_turns(alpha, 1, modes), reduced exactly on the snapshot, so no
+        rounded t + alpha enters.  It reads g(t)'s cos and sin table, and so
+        does rhs(t) when rhs has g's positive modes, as the split it was
+        solved from does unless a quotient underflowed.  A mode past the
+        snapshot's faithful range raises PrecisionFloorError.
         """
+        if not isinstance(alpha, AngleCF):
+            alpha = dyadic_angle(alpha)
         g = self.series
         waves = g._waves(t)
         here = g._sums(waves)
         driven = rhs._sums(waves if rhs.fold.modes == g.fold.modes else rhs._waves(t))
-        stepped = g._sums(g._waves(t + alpha_float))
+        shift = TWO_PI * phase_turns(alpha, 1, g.fold.modes)
+        stepped = g._sums(waves, g._coef * (np.cos(shift) + 1j * np.sin(shift)))
         out = np.abs(stepped - here - driven)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -556,20 +572,26 @@ def check_coboundary(
 
     The samples are drawn in blocks of max(1, DEFECT_BLOCK // K) points for
     K positive modes, and each block's defects come from one psi.defect
-    call on its phase tables, so memory stays O(DEFECT_BLOCK) whatever
-    samples is.  Every defect is bit for bit the one-point defect at the
-    same t.  samples < 1 is refused with ValueError.
+    call on its phase tables at the angle, so memory stays O(DEFECT_BLOCK)
+    whatever samples is.  Every defect is bit for bit the one-point defect
+    at the same t.  samples < 1 is refused with ValueError, and
+    samples x K past DEFECT_WORK_LIMIT with ResourceBudgetError, before the
+    first block.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     modes = max(len(psi.series.fold.modes), len(rhs.fold.modes), 1)
+    if samples * modes > DEFECT_WORK_LIMIT:
+        raise ResourceBudgetError(
+            f"{samples} samples x {modes} modes is past the {DEFECT_WORK_LIMIT} "
+            f"cap on the coboundary check's work; use fewer samples"
+        )
     rows = max(1, DEFECT_BLOCK // modes)
     rng = Random(seed)
-    alpha_f = angle.float_value
     worst = 0.0
     for start in range(0, samples, rows):
         ts = np.array([rng.random() for _ in range(min(rows, samples - start))])
-        worst = float(np.max(psi.defect(ts, rhs, alpha_f), initial=worst))
+        worst = float(np.max(psi.defect(ts, rhs, angle), initial=worst))
     budget = psi.identity_error_bound + 1e-12
     return CoboundaryCertificate(
         samples, seed, worst, budget, len(psi.series), worst <= budget

@@ -133,10 +133,7 @@ def test_criterion_04_coboundary_identity(exp_angle, poly_angle, capsys):
                 _, h2, _ = split_tau(h, angle, tau)
                 psi = solve_coboundary(h2, angle, tau=tau)
             budget = psi.identity_error_bound + 1e-12
-            alpha_f = angle.float_value
-            worst = max(
-                psi.defect(rng.random(), h2, alpha_f) for _ in range(1000)
-            )
+            worst = max(psi.defect(rng.random(), h2, angle) for _ in range(1000))
             ok = ok and worst <= budget
         out["ok"] = ok
 

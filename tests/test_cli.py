@@ -126,6 +126,18 @@ def test_verify_refuses_loose_angle_documents(poly_file, tmp_path, capsys):
     assert capsys.readouterr().err.count("malformed angle document") == 3
 
 
+def test_verify_refuses_tau_at_most_three(poly_file, tmp_path, capsys):
+    # a document with tau -4 passed angle verify (exit 0), a growth class
+    # build_poly_alpha refuses: tau must exceed 3
+    doc = json.loads(open(poly_file).read())
+    for tau in ("-4", "0", "3"):
+        bad = tmp_path / f"tau{tau}.json"
+        bad.write_text(json.dumps(dict(doc, tau=tau)))
+        assert main(["angle", "verify", "--angle", str(bad)]) == 2, tau
+        assert main(["check", "spectrum", "--angle", str(bad), "--m-limit", "100"]) == 2, tau
+    assert capsys.readouterr().err.count("tau must exceed 3") == 6
+
+
 def test_k_star_off_the_ladder_exits_2(tmp_path, capsys):
     # k_star 50 on 10 quotients: check spectrum crashed with an IndexError
     # traceback and angle verify exited 0; a negative k_star read q_k from
@@ -433,19 +445,20 @@ def test_check_coboundary_bad_series_flag(exp_file, capsys):
     capsys.readouterr()
 
 
-# worst_defect of check coboundary before its samples were evaluated in
-# blocks (one psi.defect call per point), at --seed 0 unless given: exp k4
-# analytic:1.0:24 has 22 modes, so a block holds 8192 // 22 = 372 points, and
-# poly (4, 6) smooth:4.0:120 has 105 modes, 78 points a block
+# worst_defect of check coboundary with g(t + alpha) read on the exact shift
+# (g's coefficients turned by e(m alpha) on g(t)'s table), at --seed 0 unless
+# given: exp k4 analytic:1.0:24 has 22 modes, so a block holds
+# 8192 // 22 = 372 points, and poly (4, 6) smooth:4.0:120 has 105 modes, 78
+# points a block
 PINNED_DEFECTS = {
-    ("exp", 1): "0x1.0000000000000p-51",
-    ("exp", 373): "0x1.0000000000000p-50",
-    ("exp", 1000): "0x1.0000000000000p-50",
-    ("exp", 5000, 7): "0x1.1400000000000p-50",
-    ("poly", 1): "0x1.2000000000000p-50",
-    ("poly", 79): "0x1.4000000000000p-50",
-    ("poly", 1000): "0x1.5800000000000p-50",
-    ("poly", 5000, 7): "0x1.8800000000000p-50",
+    ("exp", 1): "0x1.0000000000000p-53",
+    ("exp", 373): "0x1.0000000000000p-51",
+    ("exp", 1000): "0x1.0000000000000p-51",
+    ("exp", 5000, 7): "0x1.0000000000000p-51",
+    ("poly", 1): "0x1.0000000000000p-53",
+    ("poly", 79): "0x1.0000000000000p-51",
+    ("poly", 1000): "0x1.0000000000000p-51",
+    ("poly", 5000, 7): "0x1.8000000000000p-51",
 }
 PINNED_RUNS = {
     "exp": ("analytic:1.0:24", "0x1.35435c76b3e4dp-30", 44),
@@ -486,6 +499,33 @@ def test_check_refuses_empty_sample_counts(exp_file, tmp_path, capsys):
     assert "pass" not in captured.out
     assert captured.err.count("error:") == len(runs)
     assert "--samples must be >= 1, got -3" in captured.err
+
+
+def test_check_coboundary_samples_past_the_work_budget_exit_3(exp_file, poly_file, tmp_path,
+                                                              capsys):
+    # 10^9 samples ran for hours (about 0.26 us per sample and mode); past
+    # 10^8 samples x modes the check exits 3 at once and writes nothing
+    for i, (path, spec) in enumerate([(exp_file, "furstenberg"), (poly_file, "smooth:4.0:120")]):
+        out_dir = tmp_path / str(i)
+        t0 = time.perf_counter()
+        assert main(["check", "coboundary", "--angle", path, "--h", spec,
+                     "--samples", "1000000000", "--out", str(out_dir)]) == 3
+        assert time.perf_counter() - t0 < 10.0 and not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert captured.err.count("cap on the coboundary check's work") == 2
+
+
+def test_check_coboundary_on_the_exact_shift_at_large_tau(poly_file, tmp_path):
+    # g(t + alpha) was read at the rounded t + alpha_float: poly (4, 6) with
+    # furstenberg keeps modes of 66 and 262 bits, which turned that rounding
+    # into turns, and the check failed (exit 2, worst 7.33) at tau >= 30
+    for tau in ("30", "154"):
+        out_dir = tmp_path / tau
+        assert main(["check", "coboundary", "--angle", poly_file, "--h", "furstenberg",
+                     "--tau", tau, "--samples", "100", "--out", str(out_dir)]) == 0, tau
+        details = json.loads((out_dir / "manifest.json").read_text())["details"]
+        assert details["passed"] is True and details["worst_defect"] <= details["budget"] == 1e-12
 
 
 def test_check_coeff_bound(capsys):
@@ -878,10 +918,12 @@ def test_rational_flag_exits_with_a_documented_code(monkeypatch, spec, flags):
 
 
 # values of the check coboundary flags: --samples at and around a block of
-# 8192 // 22 = 372 points (exp k4, analytic:1.0:24) and up to 5000, --tau as
+# 8192 // 22 = 372 points (exp k4, analytic:1.0:24), up to 5000 and past
+# the 10^8 samples x modes work budget, --tau as
 # exact rationals, huge ones, near ties, and malformed ones
 _COBOUNDARY_FLAGS = {
-    "--samples": st.sampled_from(["1", "371", "372", "373", "5000", "0", "-3", "x", "1.5"])
+    "--samples": st.sampled_from(["1", "371", "372", "373", "5000", "0", "-3", "x", "1.5",
+                                  "1000000000"])
     | st.integers(1, 5000).map(str),
     "--seed": st.integers(-2, 2**64).map(str) | st.sampled_from(["x", ""]),
     "--tau": st.sampled_from([

@@ -34,7 +34,6 @@ from mobiusflow.contfrac import (
     faithful_modulus,
     frac_mod1,
     legendre_locate,
-    matched_convergent,
     phase_turns,
     rational_angle,
     reducing_convergent,
@@ -385,6 +384,18 @@ def test_angle_document_fields_are_read_strictly(poly_angle, key, value):
         angle_from_json(dict(angle_to_json(rational_angle(3, 7)), quotients="23"))
 
 
+@pytest.mark.parametrize("tau", ["-4", "0", "3", "3/1", "6/2"])
+def test_angle_document_tau_at_most_three_is_refused(poly_angle, tau):
+    # a document with tau -4 was read as it stood, a growth class
+    # build_poly_alpha refuses: tau must exceed 3
+    doc = angle_to_json(poly_angle)
+    assert angle_from_json(dict(doc, tau="301/100")).tau == Fraction(301, 100)
+    with pytest.raises(AngleDocumentError, match="tau must exceed 3"):
+        angle_from_json(dict(doc, tau=tau))
+    with pytest.raises(ValueError, match="tau must exceed 3"):  # nor can such an angle be built
+        explicit_angle(poly_angle.pq.quotients, tau=Fraction(tau))
+
+
 @pytest.mark.parametrize("k_star", [-1, -10, 11, 50, 10**30])
 def test_angle_document_k_star_off_the_ladder_is_refused(k_star):
     # k_star 50 on 10 quotients read q_50 past the ladder (an IndexError in
@@ -423,7 +434,8 @@ def test_angle_document_past_the_json_parser_is_refused(text):
 def _documented_angles(draw):
     """Explicit angles with every field an angle document stores; at most 60
     quotients below 10^60 keep the snapshot under 3700 digits."""
-    tau = draw(st.none() | st.fractions(min_value=3, max_value=100, max_denominator=50))
+    tau = draw(st.none() | st.fractions(min_value=3, max_value=100, max_denominator=50)
+               .filter(lambda t: t > 3))
     quotients = draw(st.lists(st.integers(1, 10**60), max_size=60))
     return explicit_angle(
         quotients,
@@ -943,30 +955,36 @@ def test_seeded_dyadic_phases_are_recomputed_on_the_snapshot(exp_angle):
     assert _residue_turns(l3, q3, 1, [4051], 0.5).tolist() == [0.0]
 
 
+def _picked(angle, reach, e=0):
+    """The convergent reducing_convergent picks for multiplier 1, the reach
+    and a seed of e bits."""
+    return reducing_convergent(angle, 1, reach, 2.0**-e)[0]
+
+
 def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     assert tuple(c.q for c in exp_angle.convergents[:4]) == EXP_SMALL_QS
     exp3 = exp_angle.convergents[3]
     # exp k4: q_3 = 8102 for no seed, a 53-bit seed and 5e-324 (e = 1074)
     for e in (0, 53, 1074):
         for reach in (1, -(10**6), 10**12):
-            assert matched_convergent(exp_angle, reach, e) == exp3
+            assert _picked(exp_angle, reach, e) == exp3
     # poly (4, 6): its 66-bit q_4, seeded (0.1 has e = 55) or not; q_5 has
     # 262 bits
     q4 = poly_angle.convergents[4]
     assert q4.q.bit_length() == 66
     for e in (0, 53, 55):
-        assert matched_convergent(poly_angle, 10**6, e) == q4
-    assert matched_convergent(poly_angle, 10**6, 200) == poly_angle.convergents[5]
+        assert _picked(poly_angle, 10**6, e) == q4
+    assert _picked(poly_angle, 10**6, 200) == poly_angle.convergents[5]
     # unseeded choices below 2^31 are as before: the smallest k with
     # |reach| q_k 2^54 < q_{k+1}
     short = explicit_angle([2, 1000, 10**30])
-    assert matched_convergent(short, 1) == Convergent(2, 1000, 2001)
-    assert matched_convergent(short, 10**12) == Convergent(2, 1000, 2001)
-    assert matched_convergent(short, 10**14) == short.convergents[-1]
-    assert matched_convergent(rational_angle(3, 7), 10**40, 1074) == Convergent(2, 3, 7)
+    assert _picked(short, 1) == Convergent(2, 1000, 2001)
+    assert _picked(short, 10**12) == Convergent(2, 1000, 2001)
+    assert _picked(short, 10**14) == short.convergents[-1]
+    assert _picked(rational_angle(3, 7), 10**40, 1074) == Convergent(2, 3, 7)
     # with no qualifying k the rule returns the snapshot, and a seed moves
     # the line: reach * 2001 * 2^(54+e) < q_3 holds for e = 0, not e = 53
-    assert matched_convergent(short, 1, 53) == short.convergents[-1]
+    assert _picked(short, 1, 53) == short.convergents[-1]
     # and rightly: for seed = sp/2^53 with sp 2001 = 1 mod 2^53, some n < 2001
     # puts {seed + n l_2/q_2} at 1/(2001 2^53), about 2^-64, where doubles
     # are 2^-116 apart and the snapshot's error n/(q_2 q_3) is about 2^-111
@@ -977,7 +995,7 @@ def test_the_convergent_rule_takes_the_seed_bits(exp_angle, poly_angle):
     assert got.tolist() == _fraction_turns(short, 1, [n], seed).tolist()
     assert got[0] != _residue_turns(1000, 2001, 1, [n], seed)[0] == 2.0**-53 / 2001
     golden = explicit_angle([1] * 200)
-    assert matched_convergent(golden, 1) == golden.convergents[-1]
+    assert _picked(golden, 1) == golden.convergents[-1]
     ns = range(-50, 50)
     assert phase_turns(golden, 3, ns, 0.3).tolist() == _fraction_turns(golden, 3, ns, 0.3).tolist()
 
@@ -996,10 +1014,10 @@ def test_reducing_convergent_is_the_fixup_rule(exp_angle, poly_angle):
     c, d = reducing_convergent(exp_angle, 4051, 10**6)
     assert (c.q, d) == (8102, 1)
     assert reducing_convergent(exp_angle, 1, 10**6, 0.3) == (exp_angle.convergents[3], 4051)
-    # the seed's bit count moves the convergent as matched_convergent says
+    # the seed's bit count moves the convergent as the rule says
     for e, seed in ((0, 0.0), (53, 2.0**-53), (200, 2.0**-200)):
         c, _ = reducing_convergent(poly_angle, -3, 10**6, seed)
-        assert c == matched_convergent(poly_angle, 3 * 10**6, e)
+        assert c == _picked(poly_angle, 3 * 10**6, e)
     # nothing to recompute: mult = 0 (whose reach 0 takes q_0 = 1), the
     # snapshot itself, an exact angle
     assert reducing_convergent(exp_angle, 0, 10**6) == (exp_angle.convergents[0], 0)

@@ -15,7 +15,8 @@ import time
 import warnings
 from collections import Counter
 from hashlib import sha256
-from math import gcd
+from math import ceil, fsum, gcd
+from random import Random
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ from mobiusflow.flow import (
     TorusPoint,
     _coord_bases,
     _seed_of,
+    orbit_fast,
     pairing,
     step,
 )
@@ -93,6 +95,76 @@ def _stepped_oracle(cfg, b, x, n_top, length):
             if mu:
                 acc += mu * cis(pairing(b, xn))
     return acc
+
+
+def _walked_sum(cfg, b, x, n_top, length, table):
+    """sum mu(n) e(<b, T^n x>) over (n_top - length, n_top], by walking the orbit.
+
+    orbit_fast jumps to T^(n_top - length) x in closed form, and
+    flow._fiber_blocks walks the length steps for the fiber rows b touches:
+    the phase at each step is b_1 x_1 + sum_nu b_nu fiber_nu, and the terms
+    mu(n) e(phase) over the sieved table are added with fsum.  The walker
+    reaches T^n x by adding h step by step; the kernel expands e(<b, T^n x>)
+    over h's Fourier modes.  They share only phase_turns, the class rule and
+    the sieve.
+    """
+    rows = [i for i, bv in enumerate(b.entries[1:]) if bv]
+    mu = table.window(n_top - length + 1, n_top).astype(np.float64)
+    re, im, done = [], [], 0
+    for x_after, fiber in flow._fiber_blocks(cfg, orbit_fast(cfg, x, n_top - length),
+                                             length, rows):
+        phase = b.entries[0] * x_after
+        for i, row in zip(rows, fiber):
+            phase += b.entries[i + 1] * row
+        phase -= np.floor(phase)
+        phase *= TWO_PI
+        weights = mu[done:done + len(phase)]
+        done += len(phase)
+        re.append(fsum(weights * np.cos(phase)))
+        im.append(fsum(weights * np.sin(phase)))
+    return complex(fsum(re), fsum(im))
+
+
+def _walker_drift_bound(cfg, b, length, table):
+    """A bound on |walked sum - sum| from the walker's float drift.
+
+    Per step, a fiber row gains at most eps = (K + 2) 2^-52 (1 + C + F) of
+    float error, for K positive modes with folded coefficients F_m:
+    evaluating h at x_s costs F = sum_m (1 + 2 pi m) |F_m| ulps (the phase
+    m x_s carries m ulps of the rounded x_s, cos and sin one more), K + 1
+    additions round at most once each, and the cumsum adds one rounding of
+    the running sum, which stays below C = sum_m 2 |F_m| / |e(m alpha) - 1|
+    by the geometric sum of e(m j alpha).  After length steps a fiber is off
+    by at most (length + 3) eps, the 3 for the closed-form start, the finish
+    and the kernel's own rounding, so the phase is off by
+    sum_nu |b_nu| (length + 3) eps turns and each term by 2 pi times that:
+    over the table the gap is at most 2 pi sum|mu| sum_nu |b_nu| (length + 3) eps.
+    """
+    modes, fold, _ = cfg.h.fold
+    c = fsum(2 * abs(f) / abs(small_divisor(m, cfg.alpha)) for m, f in zip(modes, fold))
+    f = fsum((1 + TWO_PI * m) * abs(w) for m, w in zip(modes, fold))
+    eps = (len(modes) + 2) * 2.0**-52 * (1 + c + f)
+    return TWO_PI * int(np.abs(table.values).sum()) * b.norm * (length + 3) * eps
+
+
+@pytest.mark.parametrize("n_top", [10**7, 10**8])
+def test_kernel_matches_the_walked_sum_at_north_star_scale(exp_angle, n_top):
+    # the north-star config: exp k4 (q_3 = 8102), M = N^(5/8), where the
+    # kernel's class histogram, class phases and fix-up walk all run, and so
+    # does the walker's class route with its fix-up steps
+    cfg = FlowConfig(alpha=exp_angle, h=analytic_h_sample(1.0, 24, 0), v=8)
+    b = FrequencyVector((1, 1, 0, -1, 0, 0, 0, 2))
+    rng = Random(0)
+    x = TorusPoint(tuple(rng.random() for _ in range(8)))
+    length = ceil(n_top**0.625)
+    table = sieve_segment(n_top, length)
+    rule = experiments.class_modulus(exp_angle, _plan(cfg, b, x).mults, n_top, length)
+    assert rule == (8102, 4051)
+    kernel = correlation_sum(cfg, b, x, n_top, length, table=table).value
+    walked = _walked_sum(cfg, b, x, n_top, length, table)
+    bound = _walker_drift_bound(cfg, b, length, table)
+    assert bound < 0.02 and abs(kernel) > 100
+    assert abs(kernel - walked) <= bound, (kernel, walked, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from mobiusflow.contfrac import (
     explicit_angle,
     faithful_modulus,
     frac_mod1,
-    matched_convergent,
     phase_turns,
     rational_angle,
     reducing_convergent,
@@ -584,9 +583,8 @@ def test_class_route_matches_the_per_block_walk_bit_for_bit():
                 for (xa, fa), (xb, fb) in zip(got, want):
                     assert np.array_equal(xa.view(np.int64), xb.view(np.int64))
                     assert np.array_equal(fa.view(np.int64), fb.view(np.int64))
-                e = float(x1).as_integer_ratio()[1].bit_length() - 1
                 reach = max(-start, start + n)
-                on_route += matched_convergent(cfg.alpha, reach, e).q == q < n
+                on_route += reducing_convergent(cfg.alpha, 1, reach, x1)[0].q == q < n
     # every walk longer than q_3 on q_3 = 8102; on q_3 = 57 the walks of
     # seeds 0 and 0.8125 from steps 0 and 4049
     assert on_route == 7 * 3 + 2 * 2 * 3

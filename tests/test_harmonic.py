@@ -15,7 +15,7 @@ from mpmath import mp
 
 from mobiusflow import harmonic
 from mobiusflow.contfrac import (
-    TWO_PI, PrecisionFloorError, ResourceBudgetError, cis, rational_angle,
+    TWO_PI, PrecisionFloorError, ResourceBudgetError, cis, dyadic_angle, rational_angle,
 )
 from mobiusflow.harmonic import (
     FINITE,
@@ -377,9 +377,9 @@ def test_split_tau_partition(poly_angle):
 # coboundaries
 
 
-def _max_defect(g, rhs, alpha_float, samples=400, seed=1234):
+def _max_defect(g, rhs, angle, samples=400, seed=1234):
     rng = Random(seed)
-    return max(g.defect(rng.random(), rhs, alpha_float) for _ in range(samples))
+    return max(g.defect(rng.random(), rhs, angle) for _ in range(samples))
 
 
 def test_flat_coboundary_identity(exp_angle):
@@ -389,7 +389,7 @@ def test_flat_coboundary_identity(exp_angle):
     assert g.identity_error_bound == 2.0561815269208592e-16
     assert len(g.series) == len(h2)
     budget = g.identity_error_bound + 1e-12 * max(1.0, g.series.l1_norm())
-    assert _max_defect(g, h2, exp_angle.float_value) <= budget
+    assert _max_defect(g, h2, exp_angle) <= budget
     assert g.source["mode"] == "flat-split"
 
 
@@ -402,7 +402,7 @@ def test_finite_coboundary_is_exact_bound_zero(exp_angle):
     assert set(g.series.support()) == {2, -2}
     # the ladder construction makes g's coefficient the weight itself
     assert abs(g.series.coeff(2) + 0.3) < 1e-15
-    assert _max_defect(g, h2, exp_angle.float_value, samples=200) < 1e-12
+    assert _max_defect(g, h2, exp_angle, samples=200) < 1e-12
 
 
 def test_tau_coboundary_identity(poly_angle):
@@ -411,41 +411,65 @@ def test_tau_coboundary_identity(poly_angle):
     g = solve_coboundary(rest, poly_angle, tau=4)
     assert g.identity_error_bound == 0.00017544106429277166
     budget = g.identity_error_bound + 1e-12 * max(1.0, g.series.l1_norm())
-    assert _max_defect(g, rest, poly_angle.float_value) <= budget
+    assert _max_defect(g, rest, poly_angle) <= budget
     assert g.source["mode"] == "tau-split:4"
 
 
 @pytest.mark.parametrize("case", ["shared", "separate"])
 def test_batched_defect_is_the_scalar_defect(case, exp_angle, monkeypatch):
-    # g solves every mode of h2, so g(t) and h2(t) read one phase table; h,
-    # with its resonant modes and mean, has other modes and takes its own
+    # g solves every mode of h2, so g(t), g(t + alpha) and h2(t) read one
+    # phase table; h, with its resonant modes and mean, has other modes and
+    # takes its own.  A float alpha is read as its exact dyadic rational
     h = analytic_h_sample(1.0, 745, 0)
     _, h2, _ = split_resonant(h, exp_angle)
     g = solve_coboundary(h2, exp_angle)
     rhs = {"shared": h2, "separate": h}[case]
     assert (g.series.fold.modes == rhs.fold.modes) == (case == "shared")
-    alpha = exp_angle.float_value
+    alphas = (exp_angle, exp_angle.float_value)
     rng = Random(5)
     ts = [rng.random() for _ in range(50)] + [0.0, 2.0**-12, 2.0**-30, 5e-324, -0.25]
-    one = np.array([g.defect(t, rhs, alpha) for t in ts])
-    assert type(g.defect(ts[0], rhs, alpha)) is float
+    ones = [np.array([g.defect(t, rhs, alpha) for t in ts]) for alpha in alphas]
+    assert type(g.defect(ts[0], rhs, exp_angle)) is float
+    dyadic = dyadic_angle(exp_angle.float_value)
+    assert ones[1].tobytes() == np.array([g.defect(t, rhs, dyadic) for t in ts]).tobytes()
     calls = []
     waves = FourierSeries._waves
     monkeypatch.setattr(FourierSeries, "_waves", lambda s, t: calls.append(t) or waves(s, t))
-    block = g.defect(np.array(ts), rhs, alpha)
+    for alpha, one in zip(alphas, ones):
+        calls.clear()
+        block = g.defect(np.array(ts), rhs, alpha)
+        assert np.array_equal(block.view(np.int64), one.view(np.int64))
+        assert len(calls) == {"shared": 1, "separate": 2}[case]
+
+
+@pytest.mark.parametrize("tau", [30, 154])
+def test_exact_shift_defect_at_large_tau(poly_angle, tau):
+    # g(t + alpha) at the rounded t + alpha_float carried m |alpha - alpha_float|
+    # turns of error on furstenberg's 66- and 262-bit modes (worst 7.45); on
+    # the exact shift the check passes, and a block's defects are still the
+    # one-point defects bit for bit
+    h = furstenberg_h(poly_angle, [1.0] * 5, k_cut=5)
+    _, h2, _ = split_tau(h, poly_angle, tau)
+    g = solve_coboundary(h2, poly_angle, tau=tau)
+    assert max(g.series.fold.modes).bit_length() == 262
+    rng = Random(0)
+    ts = [rng.random() for _ in range(200)]
+    block = g.defect(np.array(ts), h2, poly_angle)
+    one = np.array([g.defect(t, h2, poly_angle) for t in ts])
     assert np.array_equal(block.view(np.int64), one.view(np.int64))
-    assert len(calls) == {"shared": 2, "separate": 3}[case]
+    cert = check_coboundary(g, h2, poly_angle, 1000, 0)
+    assert cert.passed and cert.worst_defect <= cert.budget == 1e-12
+    assert float(block.max()) <= 1e-12
 
 
 def test_check_coboundary_certificate(exp_angle):
     _, h2, _ = split_resonant(analytic_h_sample(1.0, 24, 0), exp_angle)
     g = solve_coboundary(h2, exp_angle)
     rows = harmonic.DEFECT_BLOCK // len(h2.fold.modes)
-    alpha = exp_angle.float_value
     for samples in (1, rows, rows + 1, 2 * rows + 5):
         cert = check_coboundary(g, h2, exp_angle, samples, 7)
         rng = Random(7)
-        worst = max(g.defect(rng.random(), h2, alpha) for _ in range(samples))
+        worst = max(g.defect(rng.random(), h2, exp_angle) for _ in range(samples))
         assert cert.worst_defect.hex() == worst.hex()
         assert (cert.samples, cert.seed, cert.psi_support) == (samples, 7, len(g.series))
         assert cert.budget == g.identity_error_bound + 1e-12
@@ -454,14 +478,33 @@ def test_check_coboundary_certificate(exp_angle):
         check_coboundary(g, h2, exp_angle, 0, 7)
 
 
+def test_check_coboundary_work_past_the_budget_is_refused(exp_angle, monkeypatch):
+    # --samples had no cap: 10^9 samples on 105 modes would run for hours.
+    # Past DEFECT_WORK_LIMIT samples x modes it refuses before the first block
+    _, h2, _ = split_resonant(analytic_h_sample(1.0, 24, 0), exp_angle)
+    g = solve_coboundary(h2, exp_angle)
+    modes = len(h2.fold.modes)
+    assert harmonic.DEFECT_WORK_LIMIT == 10**8
+
+    def no_block(*args):
+        raise AssertionError("a block ran past the work budget")
+
+    monkeypatch.setattr(harmonic.CoboundaryFunction, "defect", no_block)
+    for samples in (harmonic.DEFECT_WORK_LIMIT // modes + 1, 10**9):
+        with pytest.raises(ResourceBudgetError, match="samples x 22 modes"):
+            check_coboundary(g, h2, exp_angle, samples, 0)
+    with pytest.raises(AssertionError, match="a block ran"):  # at the cap it runs
+        check_coboundary(g, h2, exp_angle, harmonic.DEFECT_WORK_LIMIT // modes, 0)
+
+
 def test_check_coboundary_fails_on_a_nan_defect(exp_angle, monkeypatch):
     # the one-point loop kept max(worst, nan) = worst, so a nan defect passed
     _, h2, _ = split_resonant(analytic_h_sample(1.0, 24, 0), exp_angle)
     g = solve_coboundary(h2, exp_angle)
     defect = harmonic.CoboundaryFunction.defect
 
-    def poisoned(self, t, rhs, alpha_float):
-        out = defect(self, t, rhs, alpha_float)
+    def poisoned(self, t, rhs, alpha):
+        out = defect(self, t, rhs, alpha)
         out[len(out) // 2] = float("nan")
         return out
 
