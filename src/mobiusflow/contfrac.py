@@ -30,15 +30,13 @@ form, orbit stepping and Fourier series all take their phases from it.
   rule's answer) evaluate one phase per class and recompute the multiples
   of d.
 - Both reductions are one function, _residue_turns: (n u + s) mod D / D for
-  D = q_k 2^e and a seed sp/2^e, rounded once.  Its integer width comes
-  from D alone: wrapping uint64 for a power of two up to 2^64 (the dyadic
-  value of a float, such as a drift head, see _dyadic_turns, which
-  FourierSeries evaluation calls with its modes as n and one unit and
-  width per point), int64 NumPy below 2^31 (q_3 = 8102 on exp k4,
-  unseeded), int64 long division for q_k < 2^31 and a seed of at most 64
-  bits (about 66 bits for a 53-bit seed on exp k4, see _seeded_turns), else
-  Python ints one index at a time (the 66-bit q_4 of poly tau=4, the
-  11,733-bit snapshot of exp k4).
+  D = q_k 2^e and a seed sp/2^e, rounded once, in one of three integer
+  widths read from q_k and e (its docstring states the rule): wrapping
+  uint64 for D a power of two up to 2^64 (the dyadic value of a float, such
+  as a drift head, see _dyadic_turns, which FourierSeries evaluation calls
+  with its modes as n and one unit and width per point), int64 NumPy for
+  q_k < 2^31 and e <= 64 (q_3 = 8102 on exp k4, seeded or not), else Python
+  ints (the 66-bit q_4 of poly tau=4, the 11,733-bit snapshot of exp k4).
 
 cis, fold_signed and cis_minus_one turn a reduced phase into a float.
 """
@@ -108,8 +106,10 @@ PRECISION_FLOOR = DEFAULT_N_MAX * DEFAULT_M_MAX * 2**60
 # One exponential step past a four-digit q_k would need ~1e3500 bits.
 BIT_BUDGET = 1 << 22
 
-# Largest modulus D (exclusive) of _residue_turns' int64 width: (n mod D) and
-# u = (mult l 2^e mod D) both stay below 2^31, so (n mod D) u + s < 2^63.
+# Largest convergent denominator q (exclusive) of _residue_turns' int64
+# width, for a seed of e <= 64 bits: n mod q and the residues below q stay
+# under 2^31, so their products stay under 2^62 and each long-division
+# numerator of _int64_turns under q 2^32 < 2^63.
 INT64_MODULUS_CAP = 1 << 31
 
 UINT64_MASK = (1 << 64) - 1
@@ -644,15 +644,16 @@ def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarr
     u = mult l 2^e mod D and s = sp q mod D; each entry is that residue
     divided by D once, which rounds it correctly, so every width below gives
     the same bits.  ns is an int64 array or any sequence of ints, and the
-    integer width is taken from D alone:
+    integer width is read from q and e alone, in three cases:
 
-    - D a power of two, at most 2^64: the low bits of wrapping uint64
-      products, see _dyadic_turns;
-    - D < 2^31: int64 NumPy, where (n mod D) u + s stays below 2^63;
-    - q < 2^31 and 2^e <= 2^64 (a seeded phase on a small convergent, such
-      as q_3 = 8102 on exp k4 with a 53-bit seed): int64 long division, see
-      _seeded_turns;
-    - otherwise, and for indices past int64: Python ints, one index at a time.
+    - D = q 2^e a power of two, at most 2^64 (q a power of two and
+      e + log2 q <= 64): the low bits of wrapping uint64 products, see
+      _dyadic_turns;
+    - q < INT64_MODULUS_CAP = 2^31 and e <= 64 (q_3 = 8102 on exp k4,
+      unseeded or with a 53-bit seed): int64 NumPy, one division when e = 0
+      and two long-division steps past it, see _int64_turns;
+    - otherwise, and for indices past int64: Python ints, one index at a time
+      (the 66-bit q_4 of poly tau=4, the 11,733-bit snapshot of exp k4).
 
     The range is not checked here; phase_turns' reducing_convergent call
     checks it first.
@@ -666,15 +667,8 @@ def _residue_turns(l: int, q: int, mult: int, ns, seed: float = 0.0) -> np.ndarr
     if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
         if den <= 1 << 64 and den & (den - 1) == 0:
             return _dyadic_turns(ns.view(np.uint64), u, s, den.bit_length() - 1)
-        if den < INT64_MODULUS_CAP:
-            r = ns % den
-            r *= u
-            if s:
-                r += s
-            r %= den
-            return r / den
         if q < INT64_MODULUS_CAP and two_e <= 1 << 64:
-            return _seeded_turns(ns, q, two_e, u, s)
+            return _int64_turns(ns, q, two_e, u, s)
     return _exact_turns(ns, u, s, den)
 
 
@@ -686,16 +680,18 @@ def _exact_turns(ns, u: int, s: int, den: int) -> np.ndarray:
     return np.fromiter(((n * u + s) % den / den for n in ns), np.float64, count=len(ns))
 
 
-def _seeded_turns(ns: np.ndarray, q: int, two_e: int, u: int, s: int) -> np.ndarray:
+def _int64_turns(ns: np.ndarray, q: int, two_e: int, u: int, s: int) -> np.ndarray:
     """Correctly rounded (n u + s) mod D / D, D = q 2^e, for each n of an
     int64 array, in int64 NumPy, when q < 2^31 and e <= 64.
 
     Why the bits are the Python-int width's.  u = mult l 2^e mod D is
     2^e u_q for u_q = u / 2^e < q, and s = s_hi 2^e + s_lo with
     0 <= s_lo < 2^e, so (n u + s) mod D = A 2^e + s_lo with
-    A = (n u_q + s_hi) mod q, and the phase is (A 2^64 + B) / (q 2^64) with
-    the constant B = s_lo 2^(64-e) < 2^64.  A comes from (n mod q) u_q +
-    s_hi < 2^62.  Two long-division steps by q, on A 2^32 + B_hi and then
+    A = (n u_q + s_hi) mod q, which comes from (n mod q) u_q + s_hi < 2^62.
+    With no seed bits (e = 0) the phase is A / q, one IEEE division of two
+    exact integers below 2^31, so correctly rounded.  For e >= 1 the phase
+    is (A 2^64 + B) / (q 2^64) with the constant B = s_lo 2^(64-e) < 2^64.
+    Two long-division steps by q, on A 2^32 + B_hi and then
     r1 2^32 + B_lo (B's high and low 32 bits), keep every numerator below
     q 2^32 < 2^63 and give Q = floor((A 2^64 + B) / q) = q1 2^32 + q2 with
     q1, q2 < 2^32 and the remainder r2; the phase is (Q + r2/q) 2^-64.
@@ -711,12 +707,14 @@ def _seeded_turns(ns: np.ndarray, q: int, two_e: int, u: int, s: int) -> np.ndar
     """
     u_q = u // two_e
     s_hi, s_lo = divmod(s, two_e)
-    b = s_lo * ((1 << 64) // two_e)
     a = ns % q
     a *= u_q
     if s_hi:
         a += s_hi
     a %= q
+    if two_e == 1:
+        return a / q
+    b = s_lo * ((1 << 64) // two_e)
     q1, q2 = np.empty((2, len(a)), dtype=np.int64)
     a <<= 32
     a += b >> 32

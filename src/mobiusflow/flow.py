@@ -11,11 +11,12 @@ orbit against the convergent contfrac.reducing_convergent picks for the
 walk's reach and the seed's bit count (8102 on the exp k4 angle, the 66-bit
 q_4 of poly tau=4) and reduces again on the snapshot only the steps where
 that phase is dyadic.  Each step is one exact residue modulo q_k 2^e for a
-seed of e bits, rounded once, in the integer width that modulus allows
-(int64 long division for a 53-bit seed on exp k4, Python ints for poly
-tau=4's 66-bit q_4; the drift {n c(0)} below, on a power-of-two modulus,
-the low bits of a uint64 product).  Nothing is carried from one step to the
-next in floating point, so a 10^7-step orbit does not drift.
+seed of e bits, rounded once, in one of the engine's three integer widths,
+read from q_k and e (int64 NumPy for exp k4's q_3 < 2^31 and e <= 64,
+Python ints for poly tau=4's 66-bit q_4; the drift {n c(0)} below, on a
+power-of-two modulus, the low bits of a uint64 product).  Nothing is
+carried from one step to the next in floating point, so a 10^7-step orbit
+does not drift.
 
 h is read through its fold h.fold (harmonic.FourierSeries): c(0) plus Re of
 a sum over the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).

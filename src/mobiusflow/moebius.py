@@ -126,12 +126,7 @@ def sieve_full(n_max: int) -> MuTable:
     _require_bytes(18 * (n_max + 1), f"sieve_full({n_max})")
     mu = np.ones(n_max + 1, dtype=np.int8)
     res = np.ones(n_max + 1, dtype=np.int64)
-    root = isqrt(n_max)
-    composite = np.zeros(root + 1, dtype=bool)
-    for p in range(2, root + 1):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = True
+    for p in _primes_upto(isqrt(n_max)).tolist():
         mu[p::p] *= -1
         res[p::p] *= p
         mu[p * p :: p * p] = 0

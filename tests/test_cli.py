@@ -593,6 +593,16 @@ def test_sweep_artifacts_and_reproducibility(exp_file, tmp_path, capsys):
     assert svg.tag.endswith("svg")
     assert any(child.tag.endswith("polyline") for child in svg.iter())
 
+    # one N: the chart's x axis spans one unit from log10 N, and the point
+    # sits on the y axis
+    d3 = tmp_path / "one"
+    assert main(SWEEP_ARGS + ["--angle", exp_file, "--n", "1e4", "--out", str(d3)]) == 0
+    svg = ET.fromstring((d3 / "sweep.svg").read_text())
+    x_labels = [t.text for t in svg.iter()
+                if t.tag.endswith("text") and t.get("text-anchor") == "middle"]
+    assert x_labels == ["4.00", "4.25", "4.50", "4.75", "5.00", "log10 N"]
+    assert [c.get("cx") for c in svg.iter() if c.tag.endswith("circle")] == ["62.00"]
+
 
 def test_sweep_prints_manifest_without_out(exp_file, capsys):
     code = main(
@@ -778,6 +788,8 @@ def test_sweep_usage_errors(exp_file, capsys):
         ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--n", "-5"],
         ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--n", "0,10"],
         ["sweep", "--rational", "1/3", "--h", "none", "--v", "2", "--theta", "nan"],
+        ["sweep", "--angle", exp_file, "--theta", "abc", "--n", "100"],
+        ["sweep", "--angle", exp_file, "--theta", ",", "--n", "100"],
     ]
     for argv in runs:
         assert main(argv) == 1, argv
@@ -785,6 +797,8 @@ def test_sweep_usage_errors(exp_file, capsys):
     assert err.count("error:") == len(runs)
     assert err.count("every N must be at least 1") == 2
     assert "theta must be in (0, 1], got nan" in err
+    assert "expected a comma list of numbers, got 'abc'" in err
+    assert "error: empty number list" in err
 
 
 def test_bad_tau_and_vanishing_eta_are_usage_errors(exp_file, capsys):
@@ -993,6 +1007,45 @@ def test_spectrum_flags_exit_with_a_documented_code(exp_file, poly_file, monkeyp
     code = main(argv)
     assert code in (0, 1, 2, 3), argv
     ran = "flat lower bound up to " in capsys.readouterr().out
+    assert ran or code != 0, argv
+
+
+# values of the check coeff-bound flags: --m-limit at the ends of the
+# 4096-point grid's alias-free range 1..2047, past them, huge and malformed;
+# --count at most 3 where it runs, 0, and past its budget; --seed of either
+# sign, huge and malformed
+_COEFF_BOUND_FLAGS = {
+    "--seed": st.integers(-2, 2**64).map(str)
+    | st.sampled_from(["1" + "0" * 400, "1" + "0" * 5000, "x", "1.5", ""]),
+    "--count": st.sampled_from(["0", "-1", str(cli.COEFF_COUNT_LIMIT + 1), "1" + "0" * 400,
+                                "x", "1.5", ""])
+    | st.integers(1, 3).map(str),
+    "--m-limit": st.sampled_from(["0", "-5", "1", "2047", "2048", str(10**23), "x", "1.5", ""])
+    | st.integers(-3, 2100).map(str),
+}
+
+
+@settings(max_examples=settings.default.max_examples // 4, deadline=10_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.fixed_dictionaries({}, optional=_COEFF_BOUND_FLAGS))
+@example(flags={"--m-limit": "0"})
+@example(flags={"--m-limit": "2047", "--count": "3"})
+@example(flags={"--m-limit": "2048"})
+@example(flags={"--m-limit": str(10**23)})
+@example(flags={"--count": "0"})
+@example(flags={"--count": str(cli.COEFF_COUNT_LIMIT + 1)})
+def test_coeff_bound_flags_exit_with_a_documented_code(monkeypatch, capsys, flags):
+    # check coeff-bound with --seed, --count and --m-limit drawn or left at
+    # their defaults either runs or is refused with a documented code, and
+    # exits 0 only where the certificates ran; an exception that escapes
+    # main fails the test, and so does an example past the 10 s deadline
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(1 << 26))
+    argv = ["check", "coeff-bound", "--count", "2", "--m-limit", "100"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    capsys.readouterr()
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    ran = "series 0: " in capsys.readouterr().out
     assert ran or code != 0, argv
 
 

@@ -832,6 +832,21 @@ def test_seeded_int64_width_matches_python_ints(q, l, mult, seed, ns, falls, pyt
     assert sum(k for k, _ in python_int_entries) == np.count_nonzero(want < 2.0**-9) == falls
 
 
+@pytest.mark.parametrize("seed", [0.0, 0.5, 0.25, -0.75, 3 / 1024])
+def test_int64_width_takes_no_seed_and_short_seeds(seed, python_int_entries):
+    # D = q 2^e below 2^31 takes the same int64 width: with no seed bits one
+    # division of A by q, with e >= 1 the long division, and only a seeded
+    # table's phases below 2^-9 go to Python ints
+    ns = np.arange(-8102, 8102, dtype=np.int64)
+    for mult in (1, 7, -3):
+        want = _python_int_turns(3601, 8102, mult, ns, seed)
+        python_int_entries.clear()
+        got = _residue_turns(3601, 8102, mult, ns, seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), mult
+        taken = sum(k for k, _ in python_int_entries)
+        assert taken == (np.count_nonzero(want < 2.0**-9) if seed else 0), mult
+
+
 def test_seeded_int64_width_ends_at_e_64(python_int_entries):
     # e = 64 takes the int64 width; e = 65 leaves every entry to Python ints
     ns = np.arange(-40, 40, dtype=np.int64)
@@ -869,18 +884,20 @@ def test_seeded_phase_turns_recomputes_its_fixups_on_the_snapshot(exp_angle, pyt
 
 @st.composite
 def _seeded_width_cases(draw):
-    """(l, q, mult, ns, seed) on the seeded int64 width and its edges.
+    """(l, q, mult, ns, seed) on the int64 width and its edges.
 
-    q < 2^31 with named small and edge values; seeds of every kind: 53-bit
-    floats of either sign, dyadic ones with e up to 66 (e = 65 and 66 are
-    past the width), and small ones down to 2^-12; starts out to +-1e12 and
-    the int64 edges.
+    q < 2^31 with named small and edge values; seeds of every kind: none
+    (e = 0), 53-bit floats of either sign, dyadic ones with e up to 66
+    (e = 65 and 66 are past the width), and small ones down to 2^-12; starts
+    out to +-1e12 and the int64 edges.
     """
     q = draw(st.sampled_from([2, 3, 57, 8102, 2**31 - 1]) | st.integers(2, 2**31 - 1))
     l = draw(st.integers(0, q - 1))
     mult = draw(st.sampled_from([1, -1, 2, 24, -13, 4051]) | st.integers(-(2**70), 2**70))
-    kind = draw(st.sampled_from(["float", "dyadic", "small"]))
-    if kind == "float":
+    kind = draw(st.sampled_from(["float", "dyadic", "small", "none"]))
+    if kind == "none":
+        seed = 0.0
+    elif kind == "float":
         seed = draw(st.floats(-1.0, 1.0))
     elif kind == "dyadic":
         e = draw(st.integers(1, 66))

@@ -187,6 +187,11 @@ def test_zero_vector_is_mertens(exp_cfg):
         assert rec.value == complex(want, 0.0)
         assert rec.value.imag == 0.0
         assert rec.theta == pytest.approx(math.log(500) / math.log(1000))
+    # N = 1: the segment (0, 1] sums mu(1) = 1, and theta is read as 1.0
+    for route, cfg in ((correlation_sum, exp_cfg), (correlation_sum, rat_cfg),
+                       (rational_case, rat_cfg)):
+        rec = route(cfg, zero, X4, 1, 1)
+        assert (rec.value, rec.theta) == (complex(1.0, 0.0), 1.0)
 
 
 def test_empty_series_is_twisted_rotation(exp_angle):

@@ -146,6 +146,44 @@ def test_is_sharp_decides_benign_tau_without_powering(exp_angle, monkeypatch):
                     assert is_sharp(angle, k, tau) == (3 * ln > t * lk)
 
 
+def _sharp_by_powering(angle, k, tau):
+    p, s = tau.numerator, tau.denominator
+    return angle.q(k + 1) ** (3 * s) > angle.q(k) ** p
+
+
+def test_is_sharp_powers_a_true_near_tie(poly_angle, exp_angle, monkeypatch):
+    # poly (4, 6) has q_{k+1} = q_k^4 + q_{k-1}, so at tau = 12 the sides
+    # q_{k+1}^3 and q_k^12 differ by a factor 1 + O(q_{k-1} / q_k^4): at
+    # k = 4 and 5 the bit lengths and the 64-digit log2 bounds leave it open,
+    # and only the exact powers decide
+    tau = Fraction(12)
+    for k in (4, 5):
+        assert poly_angle.q(k + 1) == poly_angle.q(k) ** 4 + poly_angle.q(k - 1)
+        assert is_sharp(poly_angle, k, tau) and _sharp_by_powering(poly_angle, k, tau)
+    # the power stage is the one that ran: with no bits to power it refuses
+    monkeypatch.setattr(spectrum, "BIT_BUDGET", 1)
+    for k in (4, 5):
+        with pytest.raises(ResourceBudgetError, match=rf"q_{k + 1}\^\(3s\) > q_{k}\^p"):
+            is_sharp(poly_angle, k, tau)
+    monkeypatch.undo()
+    # with one-digit log2 bounds many more cases reach the powers, and every
+    # verdict is still exact powering's
+    monkeypatch.setattr(spectrum, "LOG2_DIGITS", 1)
+    taus = [Fraction(4), Fraction(10, 3), Fraction(119, 10), Fraction(12), Fraction(121, 10)]
+    cases = [(poly_angle, k, tau) for k in range(1, 6) for tau in taus]
+    cases += [(exp_angle, k, tau) for k in range(1, 4) for tau in taus]
+    powered = 0
+    for angle, k, tau in cases:
+        assert is_sharp(angle, k, tau) == _sharp_by_powering(angle, k, tau), (angle.pq, k, tau)
+        with monkeypatch.context() as budget:
+            budget.setattr(spectrum, "BIT_BUDGET", 1)
+            try:
+                is_sharp(angle, k, tau)
+            except ResourceBudgetError:
+                powered += 1
+    assert (len(cases), powered) == (40, 13)
+
+
 def test_log2_bounds_hold_and_are_tight():
     rng = random.Random(11)
     with mp.workprec(400):
