@@ -54,6 +54,7 @@ from .experiments import correlation_sum, rational_case  # noqa: F401
 from .flow import FlowConfig, FrequencyVector, TorusPoint
 from .moebius import MEM_BUDGET_ENV, MemoryBudgetError, memory_budget
 from .harmonic import (
+    COEFF_GRID,
     FINITE,
     FourierSeries,
     analytic_h_sample,
@@ -415,6 +416,8 @@ def _cmd_check_coeff_bound(args) -> int:
         raise ResourceBudgetError(
             f"--count {args.count} exceeds the budget of {COEFF_COUNT_LIMIT} series"
         )
+    if not 1 <= args.m_limit < COEFF_GRID // 2:  # a larger m aliases on the grid
+        raise _UsageError(f"--m-limit must be in 1..{COEFF_GRID // 2 - 1}, got {args.m_limit}")
     rng = Random(args.seed)
     ok = True
     rows = []

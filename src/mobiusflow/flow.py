@@ -21,7 +21,9 @@ does not drift.
 h is read through its fold h.fold (harmonic.FourierSeries): c(0) plus Re of
 a sum over the positive modes m of F_m e(m t), F_m = c(m) + conj c(-m).
 Every stepped orbit (orbit_direct, step, birkhoff_avg, distality_probe,
-check_conjugacy) comes from one walker, _fiber_blocks.  Every fiber row
+check_conjugacy) comes from one walker, _fiber_blocks, and birkhoff_avg
+adds its block terms through the Moebius summer's accumulator,
+moebius._add_terms, with weight 1.  Every fiber row
 reads h on one base orbit shifted by (nu - 2) beta, so the walker builds one
 phase table e(m x_n) per block and weights it per row by
 F_m e(m (nu - 2) beta), reduced exactly in fixed point.  Outside the dyadic
@@ -88,6 +90,7 @@ from .harmonic import (
     solve_coboundary,
     split_tau,
 )
+from .moebius import _add_terms
 
 BETA_BITS = 128
 BETA_SCALE = 1 << BETA_BITS
@@ -653,7 +656,12 @@ def distality_probe(
 def birkhoff_avg(
     cfg: FlowConfig, b: FrequencyVector, x: TorusPoint, n_steps: int
 ) -> complex:
-    """(1/N) sum over n = 1..N of e(<b, T^n x>)."""
+    """(1/N) sum over n = 1..N of e(<b, T^n x>).
+
+    Each walked block's pairing phase <b, T^n x> is added through
+    moebius._add_terms with weight 1, the accumulator of the Moebius sum
+    over the same orbit: the two sums differ only in their weights.
+    """
     _check_point(cfg, x, b)
     n_steps = _step_count(n_steps, 1, "Birkhoff average")
     rows = [i for i, bv in enumerate(b.entries[1:]) if bv != 0]
@@ -662,10 +670,7 @@ def birkhoff_avg(
         phase = b.entries[0] * x_after
         for i, row in zip(rows, fiber):
             phase += b.entries[i + 1] * row
-        phase -= np.floor(phase)
-        phase *= TWO_PI
-        re.append(fsum(memoryview(np.cos(phase))))  # no NumPy scalar per step
-        im.append(fsum(memoryview(np.sin(phase))))
+        _add_terms(re, im, 1.0, phase)
     return complex(fsum(re) / n_steps, fsum(im) / n_steps)
 
 

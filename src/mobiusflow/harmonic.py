@@ -509,7 +509,9 @@ def solve_coboundary(
 
     With tau = None the input must avoid the resonant set (divisible bands
     k >= 2); with tau given it must avoid the fast divisible bands (class M1)
-    and the error bound switches to the slow-band divisor estimates.
+    and the error bound switches to the slow-band divisor estimates.  The
+    bound is _tail_closed_form plus _tail_uncovered_extra, each 0.0 for a
+    finite series.
     """
     coeffs: Dict[int, complex] = {}
     for m, c in h_nonres.items():
@@ -528,12 +530,9 @@ def solve_coboundary(
             raise CoboundaryDomainError(f"m = {m} annihilates the snapshot")
         coeffs[m] = c / divisor
     cut = h_nonres.support_radius()
-    if h_nonres.decay.kind == "finite":
-        bound = 0.0
-    else:
-        bound = _tail_closed_form(
-            h_nonres.decay, h_nonres.decay_const, cut, tau
-        ) + _tail_uncovered_extra(angle, h_nonres.decay, h_nonres.decay_const, cut, tau)
+    bound = _tail_closed_form(
+        h_nonres.decay, h_nonres.decay_const, cut, tau
+    ) + _tail_uncovered_extra(angle, h_nonres.decay, h_nonres.decay_const, cut, tau)
     g = FourierSeries(coeffs, FINITE, 0.0)
     source = {
         "angle": angle_digest(angle),

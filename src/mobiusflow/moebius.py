@@ -5,7 +5,9 @@ factorization of its index, never because a float rounded somewhere.
 One summer, mu_phase_sum, pairs those exact weights with unit-modulus
 phases, evaluates cos and sin with NumPy and adds with math.fsum, so working
 memory does not grow with the segment and repeated runs over the same
-inputs are bit-identical.  It walks the table in fixed-size chunks and asks
+inputs are bit-identical.  Every chunk goes through one accumulator,
+_add_terms, which flow.birkhoff_avg also adds its blocks through with
+weight 1.  The summer walks the table in fixed-size chunks and asks
 the caller for the phases (in turns) of each chunk's nonzero entries.
 Given the class rule's answer (q_k, d), for phases that are a function of
 n mod q_k outside the multiples of one divisor d of q_k, it first sums
@@ -176,12 +178,17 @@ def sieve_segment(n_top: int, length: int) -> MuTable:
 # the summer
 
 
-def _add_terms(re: list, im: list, weights: np.ndarray, turns: np.ndarray) -> None:
-    """Append the math.fsum of weights * cos and of weights * sin at 2 pi turns."""
+def _add_terms(re: list, im: list, weights, turns: np.ndarray) -> None:
+    """Append the math.fsum of weights * cos and of weights * sin at 2 pi turns.
+
+    weights is an array the length of turns, or 1.0 for unit weights
+    (flow.birkhoff_avg): x * 1.0 is x, so those sums are the fsum of the
+    bare cosines and sines.  turns is left as it is.
+    """
     ang = turns - np.floor(turns)  # turns mod 1, see flow._row_values
     ang *= TWO_PI
-    re.append(fsum((weights * np.cos(ang)).tolist()))
-    im.append(fsum((weights * np.sin(ang)).tolist()))
+    re.append(fsum(memoryview(weights * np.cos(ang))))  # no NumPy scalar per term
+    im.append(fsum(memoryview(weights * np.sin(ang))))
 
 
 def mu_phase_sum(

@@ -79,14 +79,13 @@ class SnapshotRangeError(ValueError):
     """Frequency or range parameter reaches past the built convergents."""
 
 
-def _band_index(angle: AngleCF, m_abs: int) -> int:
-    """Largest k with q_k <= m_abs (bands use the last index on ties q_0 = q_1 = 1)."""
-    i = bisect_right(angle.convergents, m_abs, key=_q) - 1
-    if i < 0:
-        raise SnapshotRangeError(f"no band below |m| = {m_abs}")
-    if i + 1 >= len(angle.convergents):
-        raise SnapshotRangeError(f"|m| = {m_abs} reaches past the snapshot ladder")
-    return i
+def _band_index(angle: AngleCF, x: Union[int, float]) -> int:
+    """Largest k with q_k <= x (bands use the last index on ties q_0 = q_1 = 1).
+
+    The callers have already refused x >= q_{k_star}, and each x is at least
+    q_0 = 1, so k is a band of the ladder with q_{k+1} built.
+    """
+    return bisect_right(angle.convergents, x, key=_q) - 1
 
 
 def _shown(n: int) -> str:
@@ -406,8 +405,8 @@ def check_flat_lower_bound(angle: AngleCF, m_limit: int) -> FlatBoundCertificate
         qc = angle.q(kk)
         if qc > m_limit:
             break
-        rr = abs(fold_signed((qc * l) % q, q))
-        controls.append((kk, qc, 2 * qc * rr / q, 2 * qc * rr < q))
+        key = snapshot_key(qc)
+        controls.append((kk, qc, key / q, key < q))
     return FlatBoundCertificate(
         m_limit,
         found.checked,
@@ -547,6 +546,8 @@ class TruncationIndex(Certificate):
 def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
     """Locate the truncation depths for averaging up to N = n.
 
+    K is _band_index(2 ln N), the band lookup classify uses: 2 ln N is
+    refused at or past q_{k_star} first, and it is at least 2 ln 2 > q_0.
     The 2 ln N comparison runs in floats; ties against an integer q_k cannot
     occur to double precision for the q ladders in scope (growth is at least
     Fibonacci), and a 1e-12 relative guard raises rather than misplace K.
@@ -562,7 +563,7 @@ def truncation_indices(angle: AngleCF, n: int, tau=None) -> TruncationIndex:
     target = 2.0 * log(n)
     if target >= angle.q(angle.k_star):
         raise SnapshotRangeError(f"2 ln N = {target:.3f} reaches past the built ladder")
-    K = bisect_right(angle.convergents, target, key=_q) - 1
+    K = _band_index(angle, target)
     q_K, q_next = angle.q(K), angle.q(K + 1)
     near = target - q_K
     if q_next <= 2 * target:  # a farther rung is no tie, and may pass the float range

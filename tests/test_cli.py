@@ -439,10 +439,16 @@ def test_check_coboundary_builds_subnormal_modes(exp_file, capsys):
     assert capsys.readouterr().out.count("samples: pass") == 2
 
 
-def test_check_coboundary_bad_series_flag(exp_file, capsys):
+def test_check_coboundary_bad_series_flag(exp_file, tmp_path, capsys):
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "garbage"]) == 1
     assert main(["check", "coboundary", "--angle", exp_file, "--h", "analytic:zzz"]) == 1
     capsys.readouterr()
+    # a divisor past the double range is a resource limit (exit 3), not a
+    # bad --h value: _parse_h passes PrecisionFloorError through
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(angle_to_json(explicit_angle([2, 3, 10**400, 1, 1]))))
+    assert main(["check", "coboundary", "--angle", str(path), "--h", "furstenberg"]) == 3
+    assert "small divisor at m = 7 underflows double precision" in capsys.readouterr().err
 
 
 # worst_defect of check coboundary with g(t + alpha) read on the exact shift
@@ -557,6 +563,22 @@ def test_check_coeff_bound_count_past_the_budget_is_refused(monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "COEFF_COUNT_LIMIT", 3)
     assert main(["check", "coeff-bound", "--count", "3", "--m-limit", "100"]) == 0
     assert main(["check", "coeff-bound", "--count", "4", "--m-limit", "100"]) == 3
+
+
+def test_check_coeff_bound_m_limit_off_the_grid_is_refused(monkeypatch, tmp_path, capsys):
+    # --m-limit was checked only by harmonic.check_coeff_bound, after the
+    # first series was drawn, in a message naming m_limit: a value off the
+    # 4096-point grid's alias-free range 1..2047 exits 1 before any series
+    def no_series(rng):
+        raise AssertionError("a series was drawn for a refused --m-limit")
+
+    monkeypatch.setattr(cli, "_random_finite_series", no_series)
+    for m_limit in ("0", "2048", str(10**23)):
+        out_dir = tmp_path / m_limit
+        assert main(["check", "coeff-bound", "--m-limit", m_limit,
+                     "--out", str(out_dir)]) == 1, m_limit
+        assert not out_dir.exists()
+    assert capsys.readouterr().err.count("--m-limit must be in 1..2047") == 3
 
 
 # ---------------------------------------------------------------------------

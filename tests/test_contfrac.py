@@ -141,6 +141,9 @@ def test_exp_growth_window(exp_angle):
 def test_exp_budget_refusal():
     with pytest.raises(ResourceBudgetError):
         build_exp_alpha(5)
+    # the poly builder names the deepest ladder the budget allows
+    with pytest.raises(ResourceBudgetError, match=r"use k_star <= 5$"):
+        build_poly_alpha(4, 10, bit_budget=1000)
 
 
 def test_exp_seed_controls_start():
@@ -326,6 +329,8 @@ def test_legendre_small_exact_case():
     assert legendre_locate(1, 4, angle) is None  # premise fails
     with pytest.raises(ValueError):
         legendre_locate(2, 4, angle)
+    with pytest.raises(ValueError, match="q must be positive"):
+        legendre_locate(1, 0, angle)
     with pytest.raises(PrecisionFloorError):
         legendre_locate(1, 17, angle)
 

@@ -146,6 +146,9 @@ def test_table_access_and_restrict():
         MuTable(1, 3, np.zeros(2, dtype=np.int8))
     with pytest.raises(ValueError):
         MuTable(1, 3, np.zeros(3, dtype=np.int64))
+    for lo, hi in ((0, 3), (5, 4)):
+        with pytest.raises(ValueError, match="bad range"):
+            MuTable(lo, hi, np.zeros(max(0, hi - lo + 1), dtype=np.int8))
 
 
 def test_sieve_input_validation():
@@ -206,6 +209,9 @@ def test_twisted_validation():
         twisted_sum(100, 101)
     with pytest.raises(ValueError):
         twisted_sum(100, 0)
+    for length in (101, 0):  # the progression route checks its own segment
+        with pytest.raises(ValueError, match="need 1 <= length <= n_top"):
+            twisted_sum(100, length, 3, 1)
     with pytest.raises(ValueError):
         twisted_sum(100, 50, 0)
     with pytest.raises(ValueError):

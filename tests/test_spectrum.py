@@ -54,15 +54,26 @@ def _random_angles(seed, count):
 # classification
 
 
-def test_classify_matches_definition(exp_angle):
-    probes = list(range(1, 200)) + [8101, 8102, 8103, 9000, 16204, -7, -9, -8102]
-    for m in probes:
-        got = classify(m, exp_angle)
-        k = _band_of(exp_angle, abs(m))
-        assert got.m == m and got.k == k
-        assert got.band_q == exp_angle.q(k)
-        assert got.divisible == (abs(m) % exp_angle.q(k) == 0)
-        assert got.resonant == (k >= 2 and got.divisible)
+def test_classify_matches_definition(exp_angle, poly_angle):
+    # seed_q1 = 1 ties q_0 = q_1 = 1, and m = 1 takes the later band, 1
+    tied = build_exp_alpha(4, seed_q1=1)
+    assert classify(1, tied).k == 1
+    for angle in (exp_angle, tied, poly_angle):
+        rungs = [c.q for c in angle.convergents[1 : angle.k_star]]
+        probes = list(range(1, 200)) + [9000, -7, -9]
+        probes += [s * (q + d) for q in rungs for d in (-1, 0, 1, q) for s in (1, -1)]
+        for m in probes:
+            if m == 0:
+                continue
+            got = classify(m, angle)
+            k = _band_of(angle, abs(m))
+            assert got.m == m and got.k == k, (angle.q(1), m)
+            assert got.band_q == angle.q(k)
+            assert got.divisible == (abs(m) % angle.q(k) == 0)
+            assert got.resonant == (k >= 2 and got.divisible)
+        # truncation_indices reads its K off the same band lookup
+        for n in (2, 3, 10, 10**6, 10**40):
+            assert truncation_indices(angle, n).K == _band_of(angle, 2 * log(n)), (angle.q(1), n)
 
 
 def test_classify_zero_and_range(exp_angle):
